@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of hwtv restore and degrade bit for bit alike.
+
+    python3 scripts/compare_restore.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout's ``src/`` is imported in its own subprocess. There ``degrade``
+runs for the identity and the band-5 sigma=1 blur, and ``restore`` runs for
+150 sweeps on the 128x128 mixed phantom in 12 configurations: modes ``hwtv``
+and ``tv_scalar`` x (p, prox) in (2, exact), (1, exact), (1, paper_verbatim)
+x both blurs. The fields compared are ``u_star``, ``iterations``,
+``final_mu``, ``final_discrepancy``, ``alpha_final`` and the
+``(k, mu, discrepancy, rel_change)`` of every trace row. Exits 0 when every
+field of every run has the same bytes on both sides, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SWEEPS = 150
+SIGMA = 0.05
+MODES = ("hwtv", "tv_scalar")
+PROX = ((2, "exact"), (1, "exact"), (1, "paper_verbatim"))
+
+
+def dump(out_path: str) -> None:
+    import hwtv
+
+    truth = hwtv.make_phantom(
+        hwtv.PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0)
+    )
+    blurs = {"identity": hwtv.BlurSpec(identity=True), "band5": hwtv.BlurSpec(band=5, sigma=1.0)}
+    runs = {}
+    for blur_name, blur in blurs.items():
+        g = hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))
+        runs[("degrade", blur_name)] = {"g": g.data}
+        for mode, (p, prox) in itertools.product(MODES, PROX):
+            cfg = hwtv.SolverConfig(p=p, tau=0.94, r=14, mode=mode, max_iter=SWEEPS,
+                                    tol=1e-300, aniso_prox=prox)
+            res = hwtv.restore(g, blur, SIGMA, cfg)
+            runs[(mode, p, prox, blur_name)] = {
+                "u_star": res.u_star.data,
+                "iterations": np.array(res.iterations),
+                "final_mu": np.array(res.final_mu),
+                "final_discrepancy": np.array(res.final_discrepancy),
+                # alpha_final was an AlphaMap container before it became an array
+                "alpha_final": np.asarray(getattr(res.alpha_final, "values", res.alpha_final)),
+                "trace": np.array([(r.k, r.mu, r.discrepancy, r.rel_change) for r in res.trace]),
+            }
+    with open(out_path, "wb") as fh:
+        pickle.dump(runs, fh)
+
+
+def load(checkout: str, workdir: str, tag: str) -> dict:
+    out_path = os.path.join(workdir, tag + ".pkl")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", out_path],
+                   env=env, check=True)
+    with open(out_path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--dump":
+        dump(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as workdir:
+        old, new = load(argv[0], workdir, "old"), load(argv[1], workdir, "new")
+    mismatches = 0
+    for key in sorted(old, key=str):
+        differ = [
+            name for name, value in old[key].items()
+            if value.dtype != new[key][name].dtype
+            or value.shape != new[key][name].shape
+            or value.tobytes() != new[key][name].tobytes()
+        ]
+        mismatches += bool(differ)
+        print(f"{'DIFFER' if differ else 'same  '} {key} {' '.join(differ)}")
+    print(f"{len(old) - mismatches}/{len(old)} runs bit-identical")
+    return 1 if mismatches or old.keys() != new.keys() else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,7 +8,6 @@ an ADMM scheme whose linear step diagonalizes under periodic boundaries.
 """
 
 from .adapt import (
-    AlphaMap,
     DiscrepancySpec,
     alpha_from_norms,
     estimate_alpha,
@@ -29,10 +28,7 @@ from .imgcore import (
 )
 from .linops import (
     BlurSpec,
-    GradientField,
     SpectralPlan,
-    blur_adjoint,
-    blur_apply,
     box_mean,
     build_plan,
     divergence,
@@ -45,7 +41,6 @@ from .solver import (
     DivergenceError,
     RestoreResult,
     SolverConfig,
-    SolverState,
     TraceRow,
     augmented_lagrangian,
     objective,
@@ -59,28 +54,23 @@ from .synth import DegradationSpec, PhantomSpec, add_awgn, degrade, make_phantom
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaMap",
     "BlurSpec",
     "DegradationSpec",
     "DimensionMismatchError",
     "DiscrepancySpec",
     "DivergenceError",
     "FormatError",
-    "GradientField",
     "ImageBuffer",
     "InfiniteIsnrError",
     "MetricsReport",
     "PhantomSpec",
     "RestoreResult",
     "SolverConfig",
-    "SolverState",
     "SpectralPlan",
     "TraceRow",
     "add_awgn",
     "alpha_from_norms",
     "augmented_lagrangian",
-    "blur_adjoint",
-    "blur_apply",
     "box_mean",
     "build_plan",
     "degrade",

@@ -12,33 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import ImageBuffer
 from .linops import box_mean, gradient, pointwise_norm
-
-
-@dataclass(eq=False)
-class AlphaMap:
-    """Per-pixel regularization weights with the window radius that built them.
-
-    Weights are reciprocals of windowed gradient-norm means clamped below by
-    ``eps_floor``, hence 0 < values <= 1 / eps_floor everywhere.
-    """
-
-    values: np.ndarray
-    r: int
-    eps_floor: float
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("alpha map must be 2-D")
-        if self.eps_floor <= 0:
-            raise ValueError(f"eps_floor must be positive, got {self.eps_floor}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("alpha values must be finite")
-        if arr.min() <= 0 or arr.max() > 1.0 / self.eps_floor:
-            raise ValueError("alpha values must lie in (0, 1/eps_floor]")
-        self.values = arr
 
 
 @dataclass(frozen=True)
@@ -66,27 +40,26 @@ class DiscrepancySpec:
         return self.tau * self.sigma * math.sqrt(self.n)
 
 
-def alpha_from_norms(norms: ImageBuffer, r: int, eps_floor: float) -> AlphaMap:
+def alpha_from_norms(norms: np.ndarray, r: int, eps_floor: float) -> np.ndarray:
     """Reciprocal windowed means of a gradient-norm raster.
 
     Each pixel's weight is the maximum-likelihood scale of a half-Laplacian
     fitted to the (2r+1)^2 norms around it: one over their mean. Means below
-    ``eps_floor`` (flat neighborhoods) are clamped so weights stay finite.
+    ``eps_floor`` (flat neighborhoods) are clamped, so for finite norms every
+    weight lies in (0, 1 / eps_floor].
     """
     if eps_floor <= 0:
         raise ValueError(f"eps_floor must be positive, got {eps_floor}")
-    means = box_mean(norms, r)
-    values = 1.0 / np.maximum(means.data, eps_floor)
-    return AlphaMap(values=values, r=r, eps_floor=eps_floor)
+    return 1.0 / np.maximum(box_mean(norms, r), eps_floor)
 
 
-def estimate_alpha(u: ImageBuffer, p: int, r: int, eps_floor: float) -> AlphaMap:
+def estimate_alpha(u: np.ndarray, p: int, r: int, eps_floor: float) -> np.ndarray:
     """Estimate the per-pixel regularization weights from an image iterate.
 
     Parameters
     ----------
-    u : ImageBuffer
-        Current image estimate.
+    u : ndarray
+        Current image estimate, 2-D.
     p : {1, 2}
         Gradient-norm flavor: anisotropic (|h| + |v|) or isotropic
         (sqrt(h^2 + v^2)).

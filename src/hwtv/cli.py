@@ -35,12 +35,10 @@ DIVERGENCE_ERROR = 3
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian (tau, r) grid for one solver mode and TV flavor."""
+    """Cartesian (tau, r) grid of one sweep."""
 
     tau_values: tuple[float, ...]
     r_values: tuple[int, ...]
-    mode: str
-    p: int
 
     def __post_init__(self):
         if not self.tau_values or not self.r_values:
@@ -122,19 +120,18 @@ def cmd_degrade(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> SolverConfig:
-    variant = "paper_verbatim" if args.aniso_prox == "paper" else "exact"
+def _config_from_args(args, tau: float, r: int) -> SolverConfig:
     return SolverConfig(
         p=args.p,
-        tau=args.tau,
-        r=args.radius,
+        tau=tau,
+        r=r,
         mode=args.mode,
         beta_t=args.beta_t,
         beta_w=args.beta_w,
         eps_floor=args.eps_floor,
         max_iter=args.max_iter,
         tol=args.tol,
-        aniso_prox=variant,
+        aniso_prox="paper_verbatim" if args.aniso_prox == "paper" else "exact",
     )
 
 
@@ -151,11 +148,11 @@ def _export_alpha(alpha_values: np.ndarray, path: str, fmt: str) -> None:
 
 def cmd_restore(args) -> int:
     degraded = _load(args.infile)
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, args.tau, args.radius)
     result = solver.restore(degraded, _blur_from_args(args), args.noise_sigma, cfg)
     imgcore.write_image(result.u_star, args.out, args.format)
     if args.alpha_out:
-        _export_alpha(result.alpha_final.values, args.alpha_out, args.format)
+        _export_alpha(result.alpha_final, args.alpha_out, args.format)
     if args.trace:
         solver.write_trace_csv(args.trace, result.trace)
     _print_json(
@@ -182,15 +179,7 @@ def cmd_metrics(args) -> int:
 
 
 def _sweep_cell(payload) -> SweepRow:
-    (tau, radius, g_data, true_data, band, blur_sigma, noise_sigma, mode, p,
-     beta_t, beta_w, eps_floor, max_iter, tol, variant) = payload
-    g = ImageBuffer(g_data)
-    truth = ImageBuffer(true_data)
-    blur = BlurSpec(identity=True) if band == 0 else BlurSpec(band=band, sigma=blur_sigma)
-    cfg = SolverConfig(
-        p=p, tau=tau, r=radius, mode=mode, beta_t=beta_t, beta_w=beta_w,
-        eps_floor=eps_floor, max_iter=max_iter, tol=tol, aniso_prox=variant,
-    )
+    cfg, blur, noise_sigma, g, truth = payload
     tick = time.perf_counter()
     try:
         result = solver.restore(g, blur, noise_sigma, cfg)
@@ -198,12 +187,12 @@ def _sweep_cell(payload) -> SweepRow:
         # flag the diverged cell with NaN metrics; the sweep itself goes on
         nan = float("nan")
         return SweepRow(
-            tau=tau, r=radius, isnr=nan, ssim=nan, iterations=exc.iteration,
+            tau=cfg.tau, r=cfg.r, isnr=nan, ssim=nan, iterations=exc.iteration,
             wall_ms=(time.perf_counter() - tick) * 1e3, final_discrepancy=nan,
         )
     return SweepRow(
-        tau=tau,
-        r=radius,
+        tau=cfg.tau,
+        r=cfg.r,
         isnr=imgcore.isnr(g, truth, result.u_star),
         ssim=imgcore.ssim(result.u_star, truth),
         iterations=result.iterations,
@@ -219,15 +208,10 @@ def cmd_sweep(args) -> int:
     degraded = _load(args.infile)
     tau_values = parse_grid(args.tau_grid, float)
     r_values = parse_grid(args.radius_grid, lambda v: int(round(float(v))))
-    grid = SweepGrid(
-        tau_values=tuple(tau_values), r_values=tuple(r_values), mode=args.mode, p=args.p
-    )
-    variant = "paper_verbatim" if args.aniso_prox == "paper" else "exact"
-    band = getattr(args, "blur_band", 0) or 0
+    grid = SweepGrid(tau_values=tuple(tau_values), r_values=tuple(r_values))
+    blur = _blur_from_args(args)
     cells = [
-        (tau, radius, degraded.data, truth.data, band, args.blur_sigma,
-         args.noise_sigma, grid.mode, grid.p, args.beta_t, args.beta_w,
-         args.eps_floor, args.max_iter, args.tol, variant)
+        (_config_from_args(args, tau, radius), blur, args.noise_sigma, degraded, truth)
         for tau in sorted(grid.tau_values)
         for radius in sorted(grid.r_values)
     ]

@@ -3,7 +3,10 @@
 Forward differences, their exact adjoint, truncated Gaussian blur and the
 local box mean all wrap periodically, which diagonalizes the restoration
 normal equations in the 2-D DFT basis and keeps every operator pair
-(operator, adjoint) exact to rounding.
+(operator, adjoint) exact to rounding. Operators take and return plain
+float64 arrays, a gradient field being an (h, v) pair of them. They check
+shapes and scalar arguments but not finiteness: samples are checked where
+they enter the library, as ``ImageBuffer``, and once per sweep in ``restore``.
 """
 
 from __future__ import annotations
@@ -12,33 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import DimensionMismatchError, ImageBuffer
-
-
-@dataclass(eq=False)
-class GradientField:
-    """Two-channel raster of per-pixel horizontal/vertical differences."""
-
-    h: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        h = np.ascontiguousarray(self.h, dtype=np.float64)
-        v = np.ascontiguousarray(self.v, dtype=np.float64)
-        if h.ndim != 2 or h.shape != v.shape:
-            raise ValueError("gradient channels must be 2-D arrays of equal shape")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))):
-            raise ValueError("gradient samples must be finite")
-        self.h = h
-        self.v = v
-
-    @property
-    def width(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.h.shape[0]
+from .imgcore import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -77,34 +54,31 @@ class SpectralPlan:
     eigen_DtD: np.ndarray
 
 
-def _require_plan_match(plan: SpectralPlan, img: ImageBuffer) -> None:
-    if (img.height, img.width) != (plan.height, plan.width):
+def _require_plan_match(plan: SpectralPlan, arr: np.ndarray) -> None:
+    if arr.shape != (plan.height, plan.width):
         raise DimensionMismatchError(
-            f"image is {img.height}x{img.width}, plan is {plan.height}x{plan.width}"
+            f"image is {'x'.join(map(str, arr.shape))}, plan is {plan.height}x{plan.width}"
         )
 
 
-def gradient(u: ImageBuffer) -> GradientField:
-    """Forward differences with periodic wrap in both directions."""
-    arr = u.data
-    return GradientField(
-        h=np.roll(arr, -1, axis=1) - arr,
-        v=np.roll(arr, -1, axis=0) - arr,
-    )
+def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences (h, v) with periodic wrap in both directions."""
+    return np.roll(u, -1, axis=1) - u, np.roll(u, -1, axis=0) - u
 
 
-def divergence(t: GradientField) -> ImageBuffer:
+def divergence(t: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Exact adjoint of :func:`gradient`: <gradient(u), t> == <u, divergence(t)>."""
-    acc = (np.roll(t.h, 1, axis=1) - t.h) + (np.roll(t.v, 1, axis=0) - t.v)
-    return ImageBuffer(acc)
+    h, v = t
+    return (np.roll(h, 1, axis=1) - h) + (np.roll(v, 1, axis=0) - v)
 
 
-def pointwise_norm(t: GradientField, p: int) -> ImageBuffer:
+def pointwise_norm(t: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
     """Per-pixel p-norm of the two gradient channels, p in {1, 2}."""
+    h, v = t
     if p == 1:
-        return ImageBuffer(np.abs(t.h) + np.abs(t.v))
+        return np.abs(h) + np.abs(v)
     if p == 2:
-        return ImageBuffer(np.hypot(t.h, t.v))
+        return np.hypot(h, v)
     raise ValueError(f"p must be 1 or 2, got {p}")
 
 
@@ -146,33 +120,26 @@ def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
     return SpectralPlan(width=width, height=height, eigen_K=eigen_k, eigen_DtD=eigen_dtd)
 
 
-def blur_via_plan(plan: SpectralPlan, u: ImageBuffer) -> ImageBuffer:
+def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
+    # A contiguous copy of the real part. The outputs of blur_via_plan and
+    # solve_u live across sweeps, and a .real view would keep the whole
+    # complex result alive with them.
+    return np.fft.ifft2(spectrum).real.copy()
+
+
+def blur_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
     """Circular convolution with the planned kernel via its eigenvalues."""
     _require_plan_match(plan, u)
-    return ImageBuffer(np.fft.ifft2(np.fft.fft2(u.data) * plan.eigen_K).real)
+    return _real_ifft2(np.fft.fft2(u) * plan.eigen_K)
 
 
-def blur_adjoint_via_plan(plan: SpectralPlan, u: ImageBuffer) -> ImageBuffer:
+def blur_adjoint_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
     """Adjoint blur (correlation with the point-reflected kernel)."""
     _require_plan_match(plan, u)
-    return ImageBuffer(np.fft.ifft2(np.fft.fft2(u.data) * np.conj(plan.eigen_K)).real)
+    return np.fft.ifft2(np.fft.fft2(u) * np.conj(plan.eigen_K)).real
 
 
-def blur_apply(u: ImageBuffer, spec: BlurSpec) -> ImageBuffer:
-    """Apply the blur operator: periodic convolution, computed spectrally."""
-    if spec.identity:
-        return u.copy()
-    return blur_via_plan(build_plan(u.width, u.height, spec), u)
-
-
-def blur_adjoint(u: ImageBuffer, spec: BlurSpec) -> ImageBuffer:
-    """Apply the transposed blur operator (exact adjoint of :func:`blur_apply`)."""
-    if spec.identity:
-        return u.copy()
-    return blur_adjoint_via_plan(build_plan(u.width, u.height, spec), u)
-
-
-def solve_u(plan: SpectralPlan, rhs: ImageBuffer, ratio: float) -> ImageBuffer:
+def solve_u(plan: SpectralPlan, rhs: np.ndarray, ratio: float) -> np.ndarray:
     """Solve (DtD + ratio KtK) u = rhs by per-frequency division.
 
     The denominator eigen_DtD + ratio |eigen_K|^2 is strictly positive for a
@@ -183,7 +150,7 @@ def solve_u(plan: SpectralPlan, rhs: ImageBuffer, ratio: float) -> ImageBuffer:
         raise ValueError(f"ratio must be positive, got {ratio}")
     _require_plan_match(plan, rhs)
     denom = plan.eigen_DtD + ratio * np.abs(plan.eigen_K) ** 2
-    return ImageBuffer(np.fft.ifft2(np.fft.fft2(rhs.data) / denom).real)
+    return _real_ifft2(np.fft.fft2(rhs) / denom)
 
 
 def _periodic_window_sum(arr: np.ndarray, r: int, axis: int) -> np.ndarray:
@@ -198,19 +165,18 @@ def _periodic_window_sum(arr: np.ndarray, r: int, axis: int) -> np.ndarray:
     return np.moveaxis(sums, 0, axis)
 
 
-def box_mean(field_norms: ImageBuffer, r: int) -> ImageBuffer:
+def box_mean(field_norms: np.ndarray, r: int) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel."""
     if r < 1:
         raise ValueError(f"window radius must be a positive integer, got {r}")
     window = 2 * r + 1
-    if window > min(field_norms.height, field_norms.width):
+    height, width = field_norms.shape
+    if window > min(height, width):
         raise ValueError(
-            f"window {window}x{window} larger than image "
-            f"{field_norms.height}x{field_norms.width}"
+            f"window {window}x{window} larger than image {height}x{width}"
         )
-    arr = field_norms.data
-    sums = _periodic_window_sum(_periodic_window_sum(arr, r, axis=0), r, axis=1)
+    sums = _periodic_window_sum(_periodic_window_sum(field_norms, r, axis=0), r, axis=1)
     out = sums / float(window * window)
     # The exact mean lies in [min, max]; clip the <=1 ulp summation excursions.
-    np.clip(out, arr.min(), arr.max(), out=out)
-    return ImageBuffer(out)
+    np.clip(out, field_norms.min(), field_norms.max(), out=out)
+    return out

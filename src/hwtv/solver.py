@@ -12,18 +12,18 @@ is the same loop with alpha frozen at one everywhere.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapt import AlphaMap, DiscrepancySpec, estimate_alpha, update_mu
+from .adapt import DiscrepancySpec, estimate_alpha, update_mu
 from .imgcore import ImageBuffer
 from .linops import (
     BlurSpec,
-    GradientField,
+    SpectralPlan,
     blur_adjoint_via_plan,
-    blur_apply,
     blur_via_plan,
     build_plan,
     divergence,
@@ -89,20 +89,6 @@ class SolverConfig:
             )
 
 
-@dataclass(eq=False)
-class SolverState:
-    """One ADMM iterate: primal variables, duals, current parameters."""
-
-    u: ImageBuffer
-    w: ImageBuffer
-    t: GradientField
-    rho_w: ImageBuffer
-    rho_t: GradientField
-    alpha: AlphaMap
-    mu: float
-    k: int
-
-
 @dataclass(frozen=True)
 class TraceRow:
     """Per-iteration diagnostics."""
@@ -125,7 +111,7 @@ class RestoreResult:
     iterations: int
     final_mu: float
     final_discrepancy: float
-    alpha_final: AlphaMap
+    alpha_final: np.ndarray
     trace: list[TraceRow] = field(default_factory=list)
 
 
@@ -138,25 +124,20 @@ def write_trace_csv(path, rows: list[TraceRow]) -> None:
             writer.writerow([row.k, row.mu, row.discrepancy, row.rel_change, row.wall_ms])
 
 
-def _alpha_values(alpha: AlphaMap | np.ndarray) -> np.ndarray:
-    values = alpha.values if isinstance(alpha, AlphaMap) else np.asarray(alpha, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("alpha must be a 2-D weight array")
-    return values
-
-
 def prox_t(
-    q: GradientField,
-    alpha: AlphaMap | np.ndarray,
+    q: tuple[np.ndarray, np.ndarray],
+    alpha: np.ndarray,
     beta_t: float,
     p: int,
     variant: str = "exact",
-) -> GradientField:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel minimizer of alpha_i ||t_i||_p + (beta_t/2) ||t_i - q_i||_2^2.
 
-    For p = 2 (and for the "paper_verbatim" variant at p = 1) this is the
-    shrinkage t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_p), 0), with t_i = 0
-    when q_i = 0. The "exact" variant at p = 1 soft-thresholds each component,
+    ``q`` and the result are (h, v) gradient-field pairs; ``alpha`` is the
+    weight array of the same shape. For p = 2 (and for the "paper_verbatim"
+    variant at p = 1) this is the shrinkage
+    t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_p), 0), with t_i = 0 when
+    q_i = 0. The "exact" variant at p = 1 soft-thresholds each component,
     which is the true proximal map of the anisotropic penalty.
     """
     if beta_t <= 0:
@@ -165,73 +146,72 @@ def prox_t(
         raise ValueError(f"p must be 1 or 2, got {p}")
     if variant not in PROX_VARIANTS:
         raise ValueError(f"variant must be one of {PROX_VARIANTS}, got {variant!r}")
-    weights = _alpha_values(alpha)
-    if weights.shape != q.h.shape:
+    q_h, q_v = q
+    if alpha.shape != q_h.shape:
         raise ValueError("alpha and q shapes differ")
     if p == 1 and variant == "exact":
-        threshold = weights / beta_t
-        out_h = np.sign(q.h) * np.maximum(np.abs(q.h) - threshold, 0.0)
-        out_v = np.sign(q.v) * np.maximum(np.abs(q.v) - threshold, 0.0)
-        return GradientField(out_h, out_v)
-    norms = np.abs(q.h) + np.abs(q.v) if p == 1 else np.hypot(q.h, q.v)
+        threshold = alpha / beta_t
+        out_h = np.sign(q_h) * np.maximum(np.abs(q_h) - threshold, 0.0)
+        out_v = np.sign(q_v) * np.maximum(np.abs(q_v) - threshold, 0.0)
+        return out_h, out_v
+    norms = np.abs(q_h) + np.abs(q_v) if p == 1 else np.hypot(q_h, q_v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > 0.0, 1.0 - weights / (beta_t * norms), 0.0)
+        scale = np.where(norms > 0.0, 1.0 - alpha / (beta_t * norms), 0.0)
     scale = np.maximum(scale, 0.0)
-    return GradientField(q.h * scale, q.v * scale)
+    return q_h * scale, q_v * scale
 
 
-def update_w(z: ImageBuffer, mu: float, beta_w: float) -> ImageBuffer:
+def update_w(z: np.ndarray, mu: float, beta_w: float) -> np.ndarray:
     """Closed-form residual update: pointwise scaling by beta_w / (mu + beta_w)."""
     if beta_w <= 0:
         raise ValueError(f"beta_w must be positive, got {beta_w}")
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    return ImageBuffer(z.data * (beta_w / (mu + beta_w)))
+    return z * (beta_w / (mu + beta_w))
 
 
 def objective(
-    u: ImageBuffer,
-    g: ImageBuffer,
-    blur: BlurSpec,
-    alpha: AlphaMap | np.ndarray,
+    u: np.ndarray,
+    g: np.ndarray,
+    plan: SpectralPlan,
+    alpha: np.ndarray,
     mu: float,
     p: int,
 ) -> float:
     """Diagnostic value sum_i alpha_i ||(Du)_i||_p + (mu/2) ||Ku - g||^2.
 
-    Not monotone across restore() iterations since alpha and mu change there.
+    ``plan`` carries the blur K. Not monotone across restore() iterations
+    since alpha and mu change there.
     """
-    weights = _alpha_values(alpha)
-    norms = pointwise_norm(gradient(u), p).data
-    residual = blur_apply(u, blur).data - g.data
-    return float(np.sum(weights * norms) + 0.5 * mu * np.sum(residual**2))
+    norms = pointwise_norm(gradient(u), p)
+    residual = blur_via_plan(plan, u) - g
+    return float(np.sum(alpha * norms) + 0.5 * mu * np.sum(residual**2))
 
 
 def augmented_lagrangian(
-    u: ImageBuffer,
-    w: ImageBuffer,
-    t: GradientField,
-    rho_w: ImageBuffer,
-    rho_t: GradientField,
-    g: ImageBuffer,
-    blur: BlurSpec,
-    alpha: AlphaMap | np.ndarray,
+    u: np.ndarray,
+    w: np.ndarray,
+    t: tuple[np.ndarray, np.ndarray],
+    rho_w: np.ndarray,
+    rho_t: tuple[np.ndarray, np.ndarray],
+    g: np.ndarray,
+    plan: SpectralPlan,
+    alpha: np.ndarray,
     mu: float,
     beta_t: float,
     beta_w: float,
     p: int,
 ) -> float:
     """Value of the augmented Lagrangian at the given primal/dual point."""
-    weights = _alpha_values(alpha)
-    grad_u = gradient(u)
-    res_h = t.h - grad_u.h
-    res_v = t.v - grad_u.v
-    res_w = w.data - (blur_apply(u, blur).data - g.data)
-    value = float(np.sum(weights * pointwise_norm(t, p).data))
-    value += 0.5 * mu * float(np.sum(w.data**2))
-    value -= float(np.sum(rho_t.h * res_h) + np.sum(rho_t.v * res_v))
+    grad_h, grad_v = gradient(u)
+    res_h = t[0] - grad_h
+    res_v = t[1] - grad_v
+    res_w = w - (blur_via_plan(plan, u) - g)
+    value = float(np.sum(alpha * pointwise_norm(t, p)))
+    value += 0.5 * mu * float(np.sum(w**2))
+    value -= float(np.sum(rho_t[0] * res_h) + np.sum(rho_t[1] * res_v))
     value += 0.5 * beta_t * float(np.sum(res_h**2) + np.sum(res_v**2))
-    value -= float(np.sum(rho_w.data * res_w))
+    value -= float(np.sum(rho_w * res_w))
     value += 0.5 * beta_w * float(np.sum(res_w**2))
     return value
 
@@ -263,6 +243,8 @@ def restore(
     ------
     DivergenceError
         An iterate went non-finite; the exception carries the sweep index.
+        Each sweep tests two scalars it computes anyway: the norm of the
+        residual that sets mu, and the norm of the step in u.
 
     Notes
     -----
@@ -282,91 +264,67 @@ def restore(
         )
     plan = build_plan(g.width, g.height, blur)
     disc = DiscrepancySpec(sigma=sigma, tau=cfg.tau, n=g.pixel_count)
-    ratio = cfg.beta_w / cfg.beta_t
-    g_arr = g.data
-    zeros = np.zeros_like(g_arr)
-    scalar_alpha = AlphaMap(np.ones_like(g_arr), r=cfg.r, eps_floor=cfg.eps_floor)
-    state = SolverState(
-        u=g.copy(),
-        w=ImageBuffer(zeros.copy()),
-        t=GradientField(zeros.copy(), zeros.copy()),
-        rho_w=ImageBuffer(zeros.copy()),
-        rho_t=GradientField(zeros.copy(), zeros.copy()),
-        alpha=scalar_alpha,
-        mu=0.0,
-        k=0,
-    )
+    beta_t, beta_w = cfg.beta_t, cfg.beta_w
+    ratio = beta_w / beta_t
+    g_arr = u = g.data
+    alpha = np.ones_like(g_arr)
+    rho_w, rho_h, rho_v = (np.zeros_like(g_arr) for _ in range(3))
+    mu = 0.0
     trace: list[TraceRow] = []
-    blurred_u = blur_via_plan(plan, state.u)
-    grad_u = gradient(state.u)
+    blurred_u = blur_via_plan(plan, u)
+    grad_h, grad_v = gradient(u)
 
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
-        try:
-            # Parameter refresh from the current iterate.
-            if cfg.mode == "hwtv":
-                state.alpha = estimate_alpha(state.u, cfg.p, cfg.r, cfg.eps_floor)
-            z = ImageBuffer(blurred_u.data - g_arr + state.rho_w.data / cfg.beta_w)
-            state.mu = update_mu(float(np.linalg.norm(z.data)), disc, cfg.beta_w)
+        # Parameter refresh from the current iterate.
+        if cfg.mode == "hwtv":
+            alpha = estimate_alpha(u, cfg.p, cfg.r, cfg.eps_floor)
+        z = blurred_u - g_arr + rho_w / beta_w
+        z_norm = float(np.linalg.norm(z))
+        if not math.isfinite(z_norm):
+            raise DivergenceError(k)
+        mu = update_mu(z_norm, disc, beta_w)
 
-            # Primal sweep: t, w, then the spectral u-solve.
-            q = GradientField(
-                grad_u.h + state.rho_t.h / cfg.beta_t,
-                grad_u.v + state.rho_t.v / cfg.beta_t,
-            )
-            state.t = prox_t(q, state.alpha, cfg.beta_t, cfg.p, cfg.aniso_prox)
-            state.w = update_w(z, state.mu, cfg.beta_w)
-            rhs = ImageBuffer(
-                divergence(
-                    GradientField(
-                        state.t.h - state.rho_t.h / cfg.beta_t,
-                        state.t.v - state.rho_t.v / cfg.beta_t,
-                    )
-                ).data
-                + ratio
-                * blur_adjoint_via_plan(
-                    plan,
-                    ImageBuffer(state.w.data - state.rho_w.data / cfg.beta_w + g_arr),
-                ).data
-            )
-            u_next = solve_u(plan, rhs, ratio)
+        # Primal sweep: t, w, then the spectral u-solve.
+        t_h, t_v = prox_t(
+            (grad_h + rho_h / beta_t, grad_v + rho_v / beta_t),
+            alpha, beta_t, cfg.p, cfg.aniso_prox,
+        )
+        w = update_w(z, mu, beta_w)
+        rhs = divergence((t_h - rho_h / beta_t, t_v - rho_v / beta_t)) + ratio * (
+            blur_adjoint_via_plan(plan, w - rho_w / beta_w + g_arr)
+        )
+        u_next = solve_u(plan, rhs, ratio)
+        step = float(np.linalg.norm(u_next - u))
+        if not math.isfinite(step):
+            raise DivergenceError(k)
 
-            # Dual ascent with the fresh iterate.
-            blurred_u = blur_via_plan(plan, u_next)
-            grad_u = gradient(u_next)
-            state.rho_w = ImageBuffer(
-                state.rho_w.data - cfg.beta_w * (state.w.data - (blurred_u.data - g_arr))
-            )
-            state.rho_t = GradientField(
-                state.rho_t.h - cfg.beta_t * (state.t.h - grad_u.h),
-                state.rho_t.v - cfg.beta_t * (state.t.v - grad_u.v),
-            )
-        except ValueError as exc:
-            # Non-finite intermediates surface as container validation errors.
-            raise DivergenceError(k) from exc
+        # Dual ascent with the fresh iterate.
+        blurred_u = blur_via_plan(plan, u_next)
+        grad_h, grad_v = gradient(u_next)
+        rho_w = rho_w - beta_w * (w - (blurred_u - g_arr))
+        rho_h = rho_h - beta_t * (t_h - grad_h)
+        rho_v = rho_v - beta_t * (t_v - grad_v)
 
-        denom = max(float(np.linalg.norm(state.u.data)), np.finfo(np.float64).tiny)
-        rel_change = float(np.linalg.norm(u_next.data - state.u.data)) / denom
-        discrepancy = float(np.linalg.norm(blurred_u.data - g_arr))
+        rel_change = step / max(float(np.linalg.norm(u)), np.finfo(np.float64).tiny)
         trace.append(
             TraceRow(
                 k=k,
-                mu=state.mu,
-                discrepancy=discrepancy,
+                mu=mu,
+                discrepancy=float(np.linalg.norm(blurred_u - g_arr)),
                 rel_change=rel_change,
                 wall_ms=(time.perf_counter() - tick) * 1e3,
             )
         )
-        state.u = u_next
-        state.k = k + 1
+        u = u_next
         if rel_change <= cfg.tol:
             break
 
     return RestoreResult(
-        u_star=state.u,
-        iterations=state.k,
-        final_mu=state.mu,
+        u_star=ImageBuffer(u),
+        iterations=len(trace),
+        final_mu=mu,
         final_discrepancy=trace[-1].discrepancy,
-        alpha_final=state.alpha,
+        alpha_final=alpha,
         trace=trace,
     )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imgcore import ImageBuffer
-from .linops import BlurSpec, blur_apply
+from .linops import BlurSpec, blur_via_plan, build_plan
 
 PHANTOM_KINDS = ("cartoon", "texture", "mixed")
 
@@ -111,5 +111,12 @@ def add_awgn(u: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
 
 
 def degrade(u: ImageBuffer, spec: DegradationSpec) -> ImageBuffer:
-    """Forward model: blur first, then additive noise."""
-    return add_awgn(blur_apply(u, spec.blur), spec.sigma, spec.seed)
+    """Forward model: blur first, then additive noise.
+
+    The identity blur passes ``u`` through untouched, so denoising problems
+    see exactly u + noise.
+    """
+    if not spec.blur.identity:
+        plan = build_plan(u.width, u.height, spec.blur)
+        u = ImageBuffer(blur_via_plan(plan, u.data))
+    return add_awgn(u, spec.sigma, spec.seed)

@@ -11,8 +11,8 @@ import pytest
 
 from hwtv import linops, solver
 from hwtv.adapt import alpha_from_norms, sample_half_laplacian
-from hwtv.imgcore import ImageBuffer, isnr, ssim
-from hwtv.linops import BlurSpec, GradientField
+from hwtv.imgcore import isnr, ssim
+from hwtv.linops import BlurSpec
 from hwtv.solver import SolverConfig, augmented_lagrangian, prox_t, restore, update_w
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
@@ -21,10 +21,11 @@ from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 BENCH_PHANTOM = PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0, contrast=1.0)
 BENCH_BLUR = BlurSpec(band=5, sigma=1.0)
 BENCH_SEED = 11
-# Penalty parameters for the ordering benchmark: the defaults (20, 100) only
-# change convergence speed, but on this synthetic phantom they are too small
-# to settle within the iteration budget, so the benchmark runs with both
-# penalties raised five-fold.
+# Penalty parameters for the ordering benchmark. The adaptive loop does not
+# settle within the iteration budget on this phantom, so its result depends
+# on the penalties, not only its speed: at sigma 0.02, r 14 and 1200 sweeps,
+# hwtv reaches 1.27 dB ISNR with the defaults (20, 100) but 4.49 dB with both
+# penalties raised five-fold, which is what the benchmark runs with.
 BENCH_BETA_T = 100.0
 BENCH_BETA_W = 500.0
 
@@ -37,34 +38,30 @@ def _report(num: int, passed: bool, detail: str) -> None:
 def test_criterion_1_operator_correctness():
     tick = time.perf_counter()
     rng = np.random.default_rng(101)
-    spec = BlurSpec(band=5, sigma=1.0)
+    plan = linops.build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
     worst_d = worst_k = 0.0
     for _ in range(50):
-        u = ImageBuffer(rng.standard_normal((16, 16)))
-        t = GradientField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
-        w = ImageBuffer(rng.standard_normal((16, 16)))
-        grad_u = linops.gradient(u)
-        lhs = float(np.sum(grad_u.h * t.h) + np.sum(grad_u.v * t.v))
-        rhs = float(np.sum(u.data * linops.divergence(t).data))
-        scale = np.linalg.norm(u.data) * np.hypot(np.linalg.norm(t.h), np.linalg.norm(t.v))
+        u = rng.standard_normal((16, 16))
+        t = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+        w = rng.standard_normal((16, 16))
+        grad_h, grad_v = linops.gradient(u)
+        lhs = float(np.sum(grad_h * t[0]) + np.sum(grad_v * t[1]))
+        rhs = float(np.sum(u * linops.divergence(t)))
+        scale = np.linalg.norm(u) * np.hypot(np.linalg.norm(t[0]), np.linalg.norm(t[1]))
         worst_d = max(worst_d, abs(lhs - rhs) / scale)
-        lhs_k = float(np.sum(linops.blur_apply(u, spec).data * w.data))
-        rhs_k = float(np.sum(u.data * linops.blur_adjoint(w, spec).data))
-        scale_k = np.linalg.norm(u.data) * np.linalg.norm(w.data)
+        lhs_k = float(np.sum(linops.blur_via_plan(plan, u) * w))
+        rhs_k = float(np.sum(u * linops.blur_adjoint_via_plan(plan, w)))
+        scale_k = np.linalg.norm(u) * np.linalg.norm(w)
         worst_k = max(worst_k, abs(lhs_k - rhs_k) / scale_k)
-    plan = linops.build_plan(16, 16, spec)
     ratio = 5.0
     worst_res = 0.0
     for _ in range(50):
-        rhs_img = ImageBuffer(rng.standard_normal((16, 16)))
+        rhs_img = rng.standard_normal((16, 16))
         u = linops.solve_u(plan, rhs_img, ratio)
-        applied = (
-            linops.divergence(linops.gradient(u)).data
-            + ratio * linops.blur_adjoint(linops.blur_apply(u, spec), spec).data
+        applied = linops.divergence(linops.gradient(u)) + ratio * linops.blur_adjoint_via_plan(
+            plan, linops.blur_via_plan(plan, u)
         )
-        worst_res = max(
-            worst_res, np.linalg.norm(applied - rhs_img.data) / np.linalg.norm(rhs_img.data)
-        )
+        worst_res = max(worst_res, np.linalg.norm(applied - rhs_img) / np.linalg.norm(rhs_img))
     elapsed = time.perf_counter() - tick
     ok = worst_d <= 1e-12 and worst_k <= 1e-12 and worst_res <= 1e-10 and elapsed < 5.0
     _report(
@@ -115,27 +112,27 @@ def test_criterion_2_prox_oracles():
         qx, qy = rng.uniform(-2, 2, 2)
         alpha = rng.uniform(0.0, 3.0)
         beta = rng.uniform(5.0, 50.0)
-        out = prox_t(
-            GradientField(np.array([[qx]]), np.array([[qy]])),
+        out_h, out_v = prox_t(
+            (np.array([[qx]]), np.array([[qy]])),
             np.array([[alpha]]),
             beta_t=beta,
             p=2,
         )
         ex, ey = _prox2_grid_oracle(qx, qy, alpha, beta)
-        worst_iso = max(worst_iso, abs(out.h[0, 0] - ex), abs(out.v[0, 0] - ey))
+        worst_iso = max(worst_iso, abs(out_h[0, 0] - ex), abs(out_v[0, 0] - ey))
     worst_aniso = 0.0
     for _ in range(1000):
         q = rng.uniform(-2, 2)
         alpha = rng.uniform(0.0, 3.0)
         beta = rng.uniform(5.0, 50.0)
-        out = prox_t(
-            GradientField(np.array([[q]]), np.array([[0.0]])),
+        out_h, _ = prox_t(
+            (np.array([[q]]), np.array([[0.0]])),
             np.array([[alpha]]),
             beta_t=beta,
             p=1,
             variant="exact",
         )
-        worst_aniso = max(worst_aniso, abs(out.h[0, 0] - _prox1_bisection_oracle(q, alpha, beta)))
+        worst_aniso = max(worst_aniso, abs(out_h[0, 0] - _prox1_bisection_oracle(q, alpha, beta)))
     elapsed = time.perf_counter() - tick
     ok = worst_iso <= 1e-6 and worst_aniso <= 1e-10 and elapsed < 30.0
     _report(
@@ -151,9 +148,8 @@ def test_criterion_3_ml_estimator_consistency():
     rate = 2.5
     side = 256
     samples = sample_half_laplacian(rate, side * side, seed=303)
-    norms = ImageBuffer(samples.reshape(side, side))
-    amap = alpha_from_norms(norms, r=40, eps_floor=1e-4)
-    rel_err = np.abs(amap.values - rate) / rate
+    alpha = alpha_from_norms(samples.reshape(side, side), r=40, eps_floor=1e-4)
+    rel_err = np.abs(alpha - rate) / rate
     fraction = float(np.mean(rel_err <= 0.05))
     elapsed = time.perf_counter() - tick
     ok = fraction >= 0.95 and elapsed < 10.0
@@ -234,8 +230,8 @@ def test_criterion_6_alpha_map_separates_halves():
     )
     result = restore(g, BENCH_BLUR, sigma, cfg)
     split = BENCH_PHANTOM.width // 2
-    flat_mean = float(result.alpha_final.values[:, :split].mean())
-    texture_mean = float(result.alpha_final.values[:, split:].mean())
+    flat_mean = float(result.alpha_final[:, :split].mean())
+    texture_mean = float(result.alpha_final[:, split:].mean())
     factor = flat_mean / texture_mean
     _report(
         6,
@@ -263,42 +259,32 @@ def test_criterion_8_frozen_parameter_stability():
     total = good = 0
     for trial in range(10):
         n = 32
-        g = ImageBuffer(rng.random((n, n)))
+        g = rng.random((n, n))
         blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(identity=True)
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 30.0, 20.0, 100.0, 2
         ratio = bw / bt
         plan = linops.build_plan(n, n, blur)
         u = g.copy()
-        rho_w = ImageBuffer(np.zeros((n, n)))
-        rho_t = GradientField(np.zeros((n, n)), np.zeros((n, n)))
+        rho_w, rho_h, rho_v = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
         values = []
         for _ in range(150):
             blurred = linops.blur_via_plan(plan, u)
-            grad_u = linops.gradient(u)
-            q = GradientField(grad_u.h + rho_t.h / bt, grad_u.v + rho_t.v / bt)
-            t = prox_t(q, weights, bt, p)
-            z = ImageBuffer(blurred.data - g.data + rho_w.data / bw)
-            w = update_w(z, mu, bw)
-            rhs = ImageBuffer(
-                linops.divergence(
-                    GradientField(t.h - rho_t.h / bt, t.v - rho_t.v / bt)
-                ).data
-                + ratio
-                * linops.blur_adjoint_via_plan(
-                    plan, ImageBuffer(w.data - rho_w.data / bw + g.data)
-                ).data
+            grad_h, grad_v = linops.gradient(u)
+            t = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), weights, bt, p)
+            w = update_w(blurred - g + rho_w / bw, mu, bw)
+            rhs = linops.divergence((t[0] - rho_h / bt, t[1] - rho_v / bt)) + ratio * (
+                linops.blur_adjoint_via_plan(plan, w - rho_w / bw + g)
             )
             u = linops.solve_u(plan, rhs, ratio)
-            values.append(
-                augmented_lagrangian(u, w, t, rho_w, rho_t, g, blur, weights, mu, bt, bw, p)
-            )
+            values.append(augmented_lagrangian(
+                u, w, t, rho_w, (rho_h, rho_v), g, plan, weights, mu, bt, bw, p
+            ))
             blurred = linops.blur_via_plan(plan, u)
-            grad_u = linops.gradient(u)
-            rho_w = ImageBuffer(rho_w.data - bw * (w.data - (blurred.data - g.data)))
-            rho_t = GradientField(
-                rho_t.h - bt * (t.h - grad_u.h), rho_t.v - bt * (t.v - grad_u.v)
-            )
+            grad_h, grad_v = linops.gradient(u)
+            rho_w = rho_w - bw * (w - (blurred - g))
+            rho_h = rho_h - bt * (t[0] - grad_h)
+            rho_v = rho_v - bt * (t[1] - grad_v)
         diffs = np.diff(values)
         tol = 1e-10 * (1.0 + np.abs(np.asarray(values[:-1])))
         good += int(np.sum(diffs <= tol))

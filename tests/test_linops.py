@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from hwtv.imgcore import ImageBuffer
+from hwtv.imgcore import DimensionMismatchError
 from hwtv.linops import (
     BlurSpec,
-    GradientField,
-    blur_adjoint,
-    blur_apply,
+    blur_adjoint_via_plan,
     blur_via_plan,
     box_mean,
     build_plan,
@@ -19,47 +17,51 @@ from hwtv.linops import (
 
 
 def _img(arr):
-    return ImageBuffer(np.asarray(arr, dtype=np.float64))
+    return np.asarray(arr, dtype=np.float64)
 
 
 def _rand_img(rng, h, w):
-    return ImageBuffer(rng.standard_normal((h, w)))
+    return rng.standard_normal((h, w))
 
 
 def _rand_field(rng, h, w):
-    return GradientField(rng.standard_normal((h, w)), rng.standard_normal((h, w)))
+    return rng.standard_normal((h, w)), rng.standard_normal((h, w))
 
 
 def _inner_field(t1, t2):
-    return float(np.sum(t1.h * t2.h) + np.sum(t1.v * t2.v))
+    return float(np.sum(t1[0] * t2[0]) + np.sum(t1[1] * t2[1]))
+
+
+def _plan_for(u, spec):
+    return build_plan(u.shape[1], u.shape[0], spec)
 
 
 class TestGradient:
     def test_constant_image_zero_field(self):
-        field = gradient(_img(np.full((6, 7), 0.3)))
-        assert np.all(field.h == 0.0)
-        assert np.all(field.v == 0.0)
+        h, v = gradient(_img(np.full((6, 7), 0.3)))
+        assert np.all(h == 0.0)
+        assert np.all(v == 0.0)
 
     def test_periodic_wrap_row(self):
         a, b, c = 0.1, 0.5, 0.4
-        field = gradient(_img([[a, b, c]]))
-        assert np.allclose(field.h, [[b - a, c - b, a - c]])
-        assert np.all(field.v == 0.0)
+        h, v = gradient(_img([[a, b, c]]))
+        assert np.allclose(h, [[b - a, c - b, a - c]])
+        assert np.all(v == 0.0)
 
     def test_matches_loop_oracle_exactly(self):
         rng = np.random.default_rng(21)
         u = _rand_img(rng, 5, 5)
-        field = gradient(u)
+        h, v = gradient(u)
         for y in range(5):
             for x in range(5):
-                assert field.h[y, x] == u.data[y, (x + 1) % 5] - u.data[y, x]
-                assert field.v[y, x] == u.data[(y + 1) % 5, x] - u.data[y, x]
+                assert h[y, x] == u[y, (x + 1) % 5] - u[y, x]
+                assert v[y, x] == u[(y + 1) % 5, x] - u[y, x]
 
 
 class TestDivergence:
     def test_zero_field(self):
-        out = divergence(GradientField(np.zeros((4, 4)), np.zeros((4, 4))))
-        assert np.all(out.data == 0.0)
+        out = divergence((np.zeros((4, 4)), np.zeros((4, 4))))
+        assert np.all(out == 0.0)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(22)
@@ -67,15 +69,13 @@ class TestDivergence:
             u = _rand_img(rng, 7, 7)
             t = _rand_field(rng, 7, 7)
             lhs = _inner_field(gradient(u), t)
-            rhs = float(np.sum(u.data * divergence(t).data))
-            scale = np.linalg.norm(u.data) * np.hypot(
-                np.linalg.norm(t.h), np.linalg.norm(t.v)
-            )
+            rhs = float(np.sum(u * divergence(t)))
+            scale = np.linalg.norm(u) * np.hypot(np.linalg.norm(t[0]), np.linalg.norm(t[1]))
             assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_divergence_of_constant_gradient_is_zero(self):
         out = divergence(gradient(_img(np.full((5, 8), 1.7))))
-        assert np.allclose(out.data, 0.0, atol=1e-15)
+        assert np.allclose(out, 0.0, atol=1e-15)
 
 
 class TestKernel:
@@ -124,51 +124,48 @@ class TestBlur:
     def test_identity_returns_input(self):
         rng = np.random.default_rng(23)
         u = _rand_img(rng, 6, 6)
-        assert np.allclose(blur_apply(u, BlurSpec(identity=True)).data, u.data, atol=1e-13)
+        out = blur_via_plan(_plan_for(u, BlurSpec(identity=True)), u)
+        assert np.allclose(out, u, atol=1e-13)
 
     def test_constant_preserved(self):
-        out = blur_apply(_img(np.full((8, 8), 0.42)), BlurSpec(band=5, sigma=1.0))
-        assert np.allclose(out.data, 0.42, atol=1e-13)
+        u = _img(np.full((8, 8), 0.42))
+        out = blur_via_plan(_plan_for(u, BlurSpec(band=5, sigma=1.0)), u)
+        assert np.allclose(out, 0.42, atol=1e-13)
 
     def test_matches_spatial_oracle(self):
         rng = np.random.default_rng(24)
         u = _rand_img(rng, 8, 8)
         spec = BlurSpec(band=3, sigma=0.8)
-        expected = _circular_convolve_oracle(u.data, make_kernel(spec))
-        assert np.allclose(blur_apply(u, spec).data, expected, atol=1e-10)
+        expected = _circular_convolve_oracle(u, make_kernel(spec))
+        assert np.allclose(blur_via_plan(_plan_for(u, spec), u), expected, atol=1e-10)
 
     def test_linear(self):
         rng = np.random.default_rng(25)
         u, v = _rand_img(rng, 8, 8), _rand_img(rng, 8, 8)
-        spec = BlurSpec(band=5, sigma=1.0)
-        lhs = blur_apply(ImageBuffer(2.0 * u.data - 3.0 * v.data), spec).data
-        rhs = 2.0 * blur_apply(u, spec).data - 3.0 * blur_apply(v, spec).data
+        plan = _plan_for(u, BlurSpec(band=5, sigma=1.0))
+        lhs = blur_via_plan(plan, 2.0 * u - 3.0 * v)
+        rhs = 2.0 * blur_via_plan(plan, u) - 3.0 * blur_via_plan(plan, v)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_kernel_larger_than_image_rejected(self):
         with pytest.raises(ValueError):
-            blur_apply(_img(np.zeros((3, 3))), BlurSpec(band=5, sigma=1.0))
+            _plan_for(_img(np.zeros((3, 3))), BlurSpec(band=5, sigma=1.0))
 
     def test_adjoint_equals_forward_for_symmetric_kernel(self):
         rng = np.random.default_rng(26)
         u = _rand_img(rng, 8, 8)
-        spec = BlurSpec(band=5, sigma=1.0)
-        assert np.allclose(blur_adjoint(u, spec).data, blur_apply(u, spec).data, atol=1e-13)
+        plan = _plan_for(u, BlurSpec(band=5, sigma=1.0))
+        assert np.allclose(blur_adjoint_via_plan(plan, u), blur_via_plan(plan, u), atol=1e-13)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(27)
-        spec = BlurSpec(band=3, sigma=0.7)
+        plan = build_plan(6, 6, BlurSpec(band=3, sigma=0.7))
         for _ in range(50):
             u, w = _rand_img(rng, 6, 6), _rand_img(rng, 6, 6)
-            lhs = float(np.sum(blur_apply(u, spec).data * w.data))
-            rhs = float(np.sum(u.data * blur_adjoint(w, spec).data))
-            scale = np.linalg.norm(u.data) * np.linalg.norm(w.data)
+            lhs = float(np.sum(blur_via_plan(plan, u) * w))
+            rhs = float(np.sum(u * blur_adjoint_via_plan(plan, w)))
+            scale = np.linalg.norm(u) * np.linalg.norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
-
-    def test_adjoint_identity_spec_returns_input(self):
-        rng = np.random.default_rng(28)
-        u = _rand_img(rng, 5, 5)
-        assert np.array_equal(blur_adjoint(u, BlurSpec(identity=True)).data, u.data)
 
 
 class TestSpectralPlan:
@@ -185,12 +182,18 @@ class TestSpectralPlan:
         plan = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
         assert np.max(np.abs(plan.eigen_K)) <= 1.0 + 1e-12
 
-    def test_plan_blur_matches_blur_apply(self):
+    def test_plan_blur_matches_spatial_oracle(self):
         rng = np.random.default_rng(29)
         u = _rand_img(rng, 16, 16)
         spec = BlurSpec(band=5, sigma=1.0)
         plan = build_plan(16, 16, spec)
-        assert np.allclose(blur_via_plan(plan, u).data, blur_apply(u, spec).data, atol=1e-10)
+        expected = _circular_convolve_oracle(u, make_kernel(spec))
+        assert np.allclose(blur_via_plan(plan, u), expected, atol=1e-10)
+
+    def test_plan_shape_mismatch_rejected(self):
+        plan = build_plan(8, 6, BlurSpec(identity=True))
+        with pytest.raises(DimensionMismatchError):
+            blur_via_plan(plan, np.zeros((8, 6)))
 
     @pytest.mark.parametrize(
         "spec", [BlurSpec(identity=True), BlurSpec(band=3, sigma=0.5), BlurSpec(band=9, sigma=3.0)]
@@ -209,18 +212,17 @@ class TestSolveU:
         plan = build_plan(8, 8, spec)
         ratio = 5.0
         u0 = _rand_img(rng, 8, 8)
-        rhs = ImageBuffer(
-            divergence(gradient(u0)).data
-            + ratio * blur_adjoint(blur_apply(u0, spec), spec).data
+        rhs = divergence(gradient(u0)) + ratio * blur_adjoint_via_plan(
+            plan, blur_via_plan(plan, u0)
         )
         solved = solve_u(plan, rhs, ratio)
-        assert np.allclose(solved.data, u0.data, atol=1e-9)
+        assert np.allclose(solved, u0, atol=1e-9)
 
     def test_dc_algebra_identity_blur(self):
         plan = build_plan(6, 6, BlurSpec(identity=True))
         rhs = _img(np.full((6, 6), 0.7))
         out = solve_u(plan, rhs, 1.0)
-        assert np.allclose(out.data, 0.7, atol=1e-13)
+        assert np.allclose(out, 0.7, atol=1e-13)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(31)
@@ -230,17 +232,16 @@ class TestSolveU:
         for _ in range(50):
             rhs = _rand_img(rng, 16, 16)
             u = solve_u(plan, rhs, ratio)
-            applied = (
-                divergence(gradient(u)).data
-                + ratio * blur_adjoint(blur_apply(u, spec), spec).data
+            applied = divergence(gradient(u)) + ratio * blur_adjoint_via_plan(
+                plan, blur_via_plan(plan, u)
             )
-            residual = np.linalg.norm(applied - rhs.data)
-            assert residual <= 1e-10 * np.linalg.norm(rhs.data)
+            residual = np.linalg.norm(applied - rhs)
+            assert residual <= 1e-10 * np.linalg.norm(rhs)
 
     def test_zero_rhs_gives_zero(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
         out = solve_u(plan, _img(np.zeros((4, 4))), 2.0)
-        assert np.all(out.data == 0.0)
+        assert np.all(out == 0.0)
 
     def test_nonpositive_ratio_rejected(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
@@ -251,7 +252,7 @@ class TestSolveU:
 class TestBoxMean:
     def test_constant_preserved_exactly(self):
         out = box_mean(_img(np.full((9, 9), 0.1)), 2)
-        assert np.all(out.data == 0.1)
+        assert np.all(out == 0.1)
 
     def test_impulse_spreads_over_window(self):
         arr = np.zeros((6, 6))
@@ -261,11 +262,11 @@ class TestBoxMean:
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 expected[(2 + dy) % 6, (3 + dx) % 6] = 1.0 / 9.0
-        assert np.allclose(out.data, expected, atol=1e-15)
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(32)
-        img = ImageBuffer(rng.uniform(0, 1, (9, 9)))
+        img = rng.uniform(0, 1, (9, 9))
         r = 2
         out = box_mean(img, r)
         for y in range(9):
@@ -273,38 +274,28 @@ class TestBoxMean:
                 acc = 0.0
                 for dy in range(-r, r + 1):
                     for dx in range(-r, r + 1):
-                        acc += img.data[(y + dy) % 9, (x + dx) % 9]
-                assert abs(out.data[y, x] - acc / 25.0) <= 1e-12
+                        acc += img[(y + dy) % 9, (x + dx) % 9]
+                assert abs(out[y, x] - acc / 25.0) <= 1e-12
 
     def test_output_within_input_range(self):
         rng = np.random.default_rng(33)
-        img = ImageBuffer(rng.uniform(-3, 7, (12, 15)))
+        img = rng.uniform(-3, 7, (12, 15))
         out = box_mean(img, 3)
-        assert out.data.min() >= img.data.min()
-        assert out.data.max() <= img.data.max()
+        assert out.min() >= img.min()
+        assert out.max() <= img.max()
 
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ValueError):
             box_mean(_img(np.zeros((5, 5))), 3)
 
 
-class TestGradientField:
-    def test_mismatched_channels_rejected(self):
-        with pytest.raises(ValueError):
-            GradientField(np.zeros((3, 3)), np.zeros((3, 4)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            GradientField(np.full((2, 2), np.inf), np.zeros((2, 2)))
-
-
 class TestPointwiseNorm:
     def test_p1_and_p2(self):
-        field = GradientField(np.array([[3.0, -1.0]]), np.array([[4.0, 1.0]]))
-        assert np.allclose(pointwise_norm(field, 1).data, [[7.0, 2.0]])
-        assert np.allclose(pointwise_norm(field, 2).data, [[5.0, np.sqrt(2.0)]])
+        field = (np.array([[3.0, -1.0]]), np.array([[4.0, 1.0]]))
+        assert np.allclose(pointwise_norm(field, 1), [[7.0, 2.0]])
+        assert np.allclose(pointwise_norm(field, 2), [[5.0, np.sqrt(2.0)]])
 
     def test_invalid_p(self):
-        field = GradientField(np.zeros((2, 2)), np.zeros((2, 2)))
+        field = (np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             pointwise_norm(field, 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hwtv.imgcore import ImageBuffer
-from hwtv.linops import BlurSpec, blur_apply, gradient, pointwise_norm
+from hwtv.linops import BlurSpec, blur_via_plan, build_plan, gradient, pointwise_norm
 from hwtv.synth import DegradationSpec, PhantomSpec, add_awgn, degrade, make_phantom
 
 
@@ -25,7 +25,7 @@ class TestPhantoms:
 
     def test_mixed_halves_differ_in_gradient_content(self):
         img = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
-        norms = pointwise_norm(gradient(img), 2).data
+        norms = pointwise_norm(gradient(img.data), 2)
         left = norms[:, :31]  # exclude the split column seam
         right = norms[:, 32:]
         assert np.mean(left == 0.0) > 0.8
@@ -73,11 +73,18 @@ class TestDegrade:
         residual = g.data - u.data
         assert 0.9 * 0.1 <= residual.std() <= 1.1 * 0.1
 
+    def test_identity_blur_adds_noise_only(self):
+        # no spectral round trip on the identity path: g is exactly u + noise
+        u = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=6))
+        assert np.array_equal(g.data, add_awgn(u, 0.1, seed=6).data)
+
     def test_tiny_noise_limit(self):
         u = make_phantom(PhantomSpec(width=64, height=64, kind="cartoon"))
         blur = BlurSpec(band=5, sigma=1.0)
         g = degrade(u, DegradationSpec(blur=blur, sigma=1e-9, seed=7))
-        assert np.max(np.abs(g.data - blur_apply(u, blur).data)) <= 1e-8
+        blurred = blur_via_plan(build_plan(64, 64, blur), u.data)
+        assert np.max(np.abs(g.data - blurred)) <= 1e-8
 
     def test_deterministic_per_spec(self):
         u = make_phantom(PhantomSpec(width=64, height=64, kind="texture"))
@@ -88,11 +95,11 @@ class TestDegrade:
         # E || g - K u ||^2 == n sigma^2, the quantity delta targets
         u = make_phantom(PhantomSpec(width=256, height=256, kind="mixed"))
         blur = BlurSpec(band=5, sigma=1.0)
-        blurred = blur_apply(u, blur)
+        blurred = blur_via_plan(build_plan(256, 256, blur), u.data)
         sigma = 0.05
         n = u.pixel_count
         energies = []
         for seed in range(20):
             g = degrade(u, DegradationSpec(blur=blur, sigma=sigma, seed=seed))
-            energies.append(np.sum((g.data - blurred.data) ** 2))
+            energies.append(np.sum((g.data - blurred) ** 2))
         assert abs(np.mean(energies) / (n * sigma**2) - 1.0) <= 0.03
