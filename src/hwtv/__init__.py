@@ -7,19 +7,12 @@ single global fidelity weight tracks the discrepancy principle. The solver is
 an ADMM scheme whose linear step diagonalizes under periodic boundaries.
 """
 
-from .adapt import (
-    DiscrepancySpec,
-    alpha_from_norms,
-    estimate_alpha,
-    sample_half_laplacian,
-    update_mu,
-)
+from .adapt import alpha_from_norms, estimate_alpha, update_mu
 from .imgcore import (
     DimensionMismatchError,
     FormatError,
     ImageBuffer,
     InfiniteIsnrError,
-    MetricsReport,
     detect_format,
     isnr,
     read_image,
@@ -57,12 +50,10 @@ __all__ = [
     "BlurSpec",
     "DegradationSpec",
     "DimensionMismatchError",
-    "DiscrepancySpec",
     "DivergenceError",
     "FormatError",
     "ImageBuffer",
     "InfiniteIsnrError",
-    "MetricsReport",
     "PhantomSpec",
     "RestoreResult",
     "SolverConfig",
@@ -86,7 +77,6 @@ __all__ = [
     "prox_t",
     "read_image",
     "restore",
-    "sample_half_laplacian",
     "solve_u",
     "ssim",
     "update_mu",

@@ -8,36 +8,10 @@ weight driven by the discrepancy principle for a known noise level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linops import box_mean, gradient, pointwise_norm
-
-
-@dataclass(frozen=True)
-class DiscrepancySpec:
-    """Target residual norm for a known additive-noise level.
-
-    ``delta`` is tau * sigma * sqrt(n): the expected noise norm scaled by the
-    discrepancy factor tau ~ 1.
-    """
-
-    sigma: float
-    tau: float
-    n: int
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.n < 1:
-            raise ValueError(f"pixel count must be positive, got {self.n}")
-
-    @property
-    def delta(self) -> float:
-        return self.tau * self.sigma * math.sqrt(self.n)
 
 
 def alpha_from_norms(norms: np.ndarray, r: int, eps_floor: float) -> np.ndarray:
@@ -72,33 +46,20 @@ def estimate_alpha(u: np.ndarray, p: int, r: int, eps_floor: float) -> np.ndarra
     return alpha_from_norms(pointwise_norm(gradient(u), p), r, eps_floor)
 
 
-def update_mu(z_norm: float, disc: DiscrepancySpec, beta_w: float) -> float:
+def update_mu(z_norm: float, delta: float, beta_w: float) -> float:
     """Discrepancy-principle fidelity weight for the next sweep.
 
-    Zero while the splitting residual norm is within ``disc.delta``; above it,
-    grows as beta_w * (z_norm / delta - 1) to pull the data fit back toward
-    the noise level.
+    ``delta`` is the target residual norm, tau * sigma * sqrt(n) for noise
+    level sigma over n pixels. Zero while the splitting residual norm is
+    within ``delta``; above it, grows as beta_w * (z_norm / delta - 1) to pull
+    the data fit back toward the noise level.
     """
     if beta_w <= 0:
         raise ValueError(f"beta_w must be positive, got {beta_w}")
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if z_norm < 0 or not math.isfinite(z_norm):
         raise ValueError(f"z_norm must be finite and nonnegative, got {z_norm}")
-    delta = disc.delta
     if z_norm <= delta:
         return 0.0
     return beta_w * (z_norm / delta - 1.0)
-
-
-def sample_half_laplacian(alpha: float, count: int, seed: int) -> np.ndarray:
-    """Deterministic draws from density alpha * exp(-alpha x) on x >= 0.
-
-    Inverse-transform sampling, x = -ln(U) / alpha with U uniform in (0, 1]
-    from a counter-based Philox stream, so a seed fully determines the output.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    gen = np.random.Generator(np.random.Philox(seed))
-    uniform = 1.0 - gen.random(count)  # in (0, 1]
-    return -np.log(uniform) / alpha

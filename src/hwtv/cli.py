@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -22,7 +21,6 @@ from .imgcore import (
     FormatError,
     ImageBuffer,
     InfiniteIsnrError,
-    MetricsReport,
 )
 from .linops import BlurSpec
 from .solver import DivergenceError, SolverConfig
@@ -31,22 +29,6 @@ SWEEP_FIELDS = ("tau", "r", "isnr", "ssim", "iterations", "wall_ms", "final_disc
 
 USAGE_ERROR = 2
 DIVERGENCE_ERROR = 3
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cartesian (tau, r) grid of one sweep."""
-
-    tau_values: tuple[float, ...]
-    r_values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.tau_values or not self.r_values:
-            raise ValueError("sweep grids must be nonempty")
-        if any(t <= 0 for t in self.tau_values):
-            raise ValueError("tau values must be positive")
-        if any(r < 1 for r in self.r_values):
-            raise ValueError("radius values must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -71,6 +53,14 @@ def _blur_from_args(args) -> BlurSpec:
     if band == 0:
         return BlurSpec(identity=True)
     return BlurSpec(band=band, sigma=args.blur_sigma)
+
+
+def _isnr_or_inf(g: ImageBuffer, truth: ImageBuffer, rec: ImageBuffer) -> float:
+    # An exact reconstruction has unbounded ISNR; report it as infinity.
+    try:
+        return imgcore.isnr(g, truth, rec)
+    except InfiniteIsnrError:
+        return float("inf")
 
 
 def _print_json(payload: dict) -> None:
@@ -169,12 +159,12 @@ def cmd_metrics(args) -> int:
     reference = _load(args.ref)
     degraded = _load(args.deg)
     reconstructed = _load(args.rec)
-    try:
-        isnr_value = imgcore.isnr(degraded, reference, reconstructed)
-    except InfiniteIsnrError:
-        isnr_value = float("inf")
-    report = MetricsReport(isnr=isnr_value, ssim=imgcore.ssim(reconstructed, reference))
-    _print_json(dataclasses.asdict(report))
+    _print_json(
+        {
+            "isnr": _isnr_or_inf(degraded, reference, reconstructed),
+            "ssim": imgcore.ssim(reconstructed, reference),
+        }
+    )
     return 0
 
 
@@ -193,7 +183,7 @@ def _sweep_cell(payload) -> SweepRow:
     return SweepRow(
         tau=cfg.tau,
         r=cfg.r,
-        isnr=imgcore.isnr(g, truth, result.u_star),
+        isnr=_isnr_or_inf(g, truth, result.u_star),
         ssim=imgcore.ssim(result.u_star, truth),
         iterations=result.iterations,
         wall_ms=(time.perf_counter() - tick) * 1e3,
@@ -208,12 +198,12 @@ def cmd_sweep(args) -> int:
     degraded = _load(args.infile)
     tau_values = parse_grid(args.tau_grid, float)
     r_values = parse_grid(args.radius_grid, lambda v: int(round(float(v))))
-    grid = SweepGrid(tau_values=tuple(tau_values), r_values=tuple(r_values))
     blur = _blur_from_args(args)
+    # SolverConfig checks every (tau, r) here, before any cell runs.
     cells = [
         (_config_from_args(args, tau, radius), blur, args.noise_sigma, degraded, truth)
-        for tau in sorted(grid.tau_values)
-        for radius in sorted(grid.r_values)
+        for tau in sorted(tau_values)
+        for radius in sorted(r_values)
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

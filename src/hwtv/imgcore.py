@@ -73,14 +73,6 @@ class ImageBuffer:
         return ImageBuffer(self.data.copy())
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Quality of a reconstruction: ISNR in dB and SSIM in (-1, 1]."""
-
-    isnr: float
-    ssim: float
-
-
 def _require_same_shape(*images: ImageBuffer) -> None:
     shapes = {img.data.shape for img in images}
     if len(shapes) > 1:

@@ -15,10 +15,11 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .adapt import DiscrepancySpec, estimate_alpha, update_mu
+from .adapt import estimate_alpha, update_mu
 from .imgcore import ImageBuffer
 from .linops import (
     BlurSpec,
@@ -216,6 +217,64 @@ def augmented_lagrangian(
     return value
 
 
+class _Iterate(NamedTuple):
+    """ADMM state between sweeps, unvalidated.
+
+    ``residual`` is Ku - g, ``grad`` is Du, and ``z`` is residual + rho_w /
+    beta_w, the point the next sweep's mu is chosen at. ``w`` and ``t`` are
+    the primal values of the sweep that produced this state; they are None
+    at start and in the states :func:`restore` keeps between sweeps.
+    """
+
+    u: np.ndarray
+    residual: np.ndarray
+    grad: tuple[np.ndarray, np.ndarray]
+    rho_w: np.ndarray
+    rho_t: tuple[np.ndarray, np.ndarray]
+    z: np.ndarray
+    w: np.ndarray | None
+    t: tuple[np.ndarray, np.ndarray] | None
+
+
+def _start(g: np.ndarray, plan: SpectralPlan, beta_w: float) -> _Iterate:
+    """State at u = g with zero duals."""
+    residual = blur_via_plan(plan, g) - g
+    rho_w, rho_h, rho_v = (np.zeros_like(g) for _ in range(3))
+    return _Iterate(g, residual, gradient(g), rho_w, (rho_h, rho_v),
+                    residual + rho_w / beta_w, None, None)
+
+
+def _sweep(
+    x: _Iterate,
+    g: np.ndarray,
+    plan: SpectralPlan,
+    alpha: np.ndarray,
+    mu: float,
+    beta_t: float,
+    beta_w: float,
+    p: int,
+    variant: str,
+) -> _Iterate:
+    """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent."""
+    ratio = beta_w / beta_t
+    (grad_h, grad_v), (rho_h, rho_v) = x.grad, x.rho_t
+    t_h, t_v = prox_t(
+        (grad_h + rho_h / beta_t, grad_v + rho_v / beta_t), alpha, beta_t, p, variant
+    )
+    w = update_w(x.z, mu, beta_w)
+    rhs = divergence((t_h - rho_h / beta_t, t_v - rho_v / beta_t)) + ratio * (
+        blur_adjoint_via_plan(plan, w - x.rho_w / beta_w + g)
+    )
+    u = solve_u(plan, rhs, ratio)
+    residual = blur_via_plan(plan, u) - g
+    grad_h, grad_v = gradient(u)
+    rho_w = x.rho_w - beta_w * (w - residual)
+    rho_h = rho_h - beta_t * (t_h - grad_h)
+    rho_v = rho_v - beta_t * (t_v - grad_v)
+    return _Iterate(u, residual, (grad_h, grad_v), rho_w, (rho_h, rho_v),
+                    residual + rho_w / beta_w, w, (t_h, t_v))
+
+
 def restore(
     g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig
 ) -> RestoreResult:
@@ -263,65 +322,44 @@ def restore(
             f"{g.height}x{g.width}"
         )
     plan = build_plan(g.width, g.height, blur)
-    disc = DiscrepancySpec(sigma=sigma, tau=cfg.tau, n=g.pixel_count)
-    beta_t, beta_w = cfg.beta_t, cfg.beta_w
-    ratio = beta_w / beta_t
-    g_arr = u = g.data
+    delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
+    g_arr = g.data
     alpha = np.ones_like(g_arr)
-    rho_w, rho_h, rho_v = (np.zeros_like(g_arr) for _ in range(3))
-    mu = 0.0
+    x = _start(g_arr, plan, cfg.beta_w)
     trace: list[TraceRow] = []
-    blurred_u = blur_via_plan(plan, u)
-    grad_h, grad_v = gradient(u)
 
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
-        # Parameter refresh from the current iterate.
         if cfg.mode == "hwtv":
-            alpha = estimate_alpha(u, cfg.p, cfg.r, cfg.eps_floor)
-        z = blurred_u - g_arr + rho_w / beta_w
-        z_norm = float(np.linalg.norm(z))
+            alpha = estimate_alpha(x.u, cfg.p, cfg.r, cfg.eps_floor)
+        z_norm = float(np.linalg.norm(x.z))
         if not math.isfinite(z_norm):
             raise DivergenceError(k)
-        mu = update_mu(z_norm, disc, beta_w)
-
-        # Primal sweep: t, w, then the spectral u-solve.
-        t_h, t_v = prox_t(
-            (grad_h + rho_h / beta_t, grad_v + rho_v / beta_t),
-            alpha, beta_t, cfg.p, cfg.aniso_prox,
-        )
-        w = update_w(z, mu, beta_w)
-        rhs = divergence((t_h - rho_h / beta_t, t_v - rho_v / beta_t)) + ratio * (
-            blur_adjoint_via_plan(plan, w - rho_w / beta_w + g_arr)
-        )
-        u_next = solve_u(plan, rhs, ratio)
-        step = float(np.linalg.norm(u_next - u))
+        mu = update_mu(z_norm, delta, cfg.beta_w)
+        u_prev = x.u
+        # Only the next sweep's inputs are kept: holding w and t as well
+        # would keep three more arrays alive through it.
+        x = _sweep(
+            x, g_arr, plan, alpha, mu, cfg.beta_t, cfg.beta_w, cfg.p, cfg.aniso_prox
+        )._replace(w=None, t=None)
+        step = float(np.linalg.norm(x.u - u_prev))
         if not math.isfinite(step):
             raise DivergenceError(k)
-
-        # Dual ascent with the fresh iterate.
-        blurred_u = blur_via_plan(plan, u_next)
-        grad_h, grad_v = gradient(u_next)
-        rho_w = rho_w - beta_w * (w - (blurred_u - g_arr))
-        rho_h = rho_h - beta_t * (t_h - grad_h)
-        rho_v = rho_v - beta_t * (t_v - grad_v)
-
-        rel_change = step / max(float(np.linalg.norm(u)), np.finfo(np.float64).tiny)
+        rel_change = step / max(float(np.linalg.norm(u_prev)), np.finfo(np.float64).tiny)
         trace.append(
             TraceRow(
                 k=k,
                 mu=mu,
-                discrepancy=float(np.linalg.norm(blurred_u - g_arr)),
+                discrepancy=float(np.linalg.norm(x.residual)),
                 rel_change=rel_change,
                 wall_ms=(time.perf_counter() - tick) * 1e3,
             )
         )
-        u = u_next
         if rel_change <= cfg.tol:
             break
 
     return RestoreResult(
-        u_star=ImageBuffer(u),
+        u_star=ImageBuffer(x.u),
         iterations=len(trace),
         final_mu=mu,
         final_discrepancy=trace[-1].discrepancy,

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwtv.adapt import (
-    DiscrepancySpec,
-    alpha_from_norms,
-    estimate_alpha,
-    sample_half_laplacian,
-    update_mu,
-)
+from hwtv.adapt import alpha_from_norms, estimate_alpha, update_mu
+
+from half_laplacian import sample_half_laplacian
 
 
 class TestEstimateAlpha:
@@ -70,38 +66,30 @@ class TestEstimateAlpha:
         assert np.all(a1 <= a2 + 1e-15)
 
 
-class TestDiscrepancySpec:
-    def test_delta_exact(self):
-        disc = DiscrepancySpec(sigma=0.05, tau=0.94, n=128 * 128)
-        assert disc.delta == 0.94 * 0.05 * math.sqrt(128 * 128)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscrepancySpec(sigma=0.0, tau=1.0, n=4)
-        with pytest.raises(ValueError):
-            DiscrepancySpec(sigma=0.1, tau=-1.0, n=4)
-
-
 class TestUpdateMu:
-    DISC = DiscrepancySpec(sigma=0.1, tau=1.0, n=64 * 64)
+    DELTA = 1.0 * 0.1 * math.sqrt(64 * 64)
 
     def test_zero_at_delta(self):
-        assert update_mu(self.DISC.delta, self.DISC, beta_w=100.0) == 0.0
+        assert update_mu(self.DELTA, self.DELTA, beta_w=100.0) == 0.0
 
     def test_double_delta(self):
-        assert update_mu(2.0 * self.DISC.delta, self.DISC, beta_w=100.0) == pytest.approx(100.0)
+        assert update_mu(2.0 * self.DELTA, self.DELTA, beta_w=100.0) == pytest.approx(100.0)
 
     def test_continuity_at_threshold(self):
-        eps = 1e-9 * self.DISC.delta
-        assert update_mu(self.DISC.delta + eps, self.DISC, beta_w=100.0) <= 1e-6 * 100.0
+        eps = 1e-9 * self.DELTA
+        assert update_mu(self.DELTA + eps, self.DELTA, beta_w=100.0) <= 1e-6 * 100.0
 
     def test_zero_on_interval_below_delta(self):
         for frac in (0.0, 0.3, 0.9999, 1.0):
-            assert update_mu(frac * self.DISC.delta, self.DISC, beta_w=50.0) == 0.0
+            assert update_mu(frac * self.DELTA, self.DELTA, beta_w=50.0) == 0.0
 
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(ValueError):
-            update_mu(1.0, self.DISC, beta_w=0.0)
+            update_mu(1.0, self.DELTA, beta_w=0.0)
+
+    def test_nonpositive_delta_rejected(self):
+        with pytest.raises(ValueError):
+            update_mu(1.0, 0.0, beta_w=100.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -110,7 +98,7 @@ class TestUpdateMu:
     )
     def test_nondecreasing_in_z(self, z1, z2):
         lo, hi = sorted((z1, z2))
-        assert update_mu(lo, self.DISC, 100.0) <= update_mu(hi, self.DISC, 100.0)
+        assert update_mu(lo, self.DELTA, 100.0) <= update_mu(hi, self.DELTA, 100.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -120,8 +108,7 @@ class TestUpdateMu:
     )
     def test_nonincreasing_in_delta(self, tau1, tau2, z):
         lo, hi = sorted((tau1, tau2))
-        d1 = DiscrepancySpec(sigma=0.1, tau=lo, n=1024)
-        d2 = DiscrepancySpec(sigma=0.1, tau=hi, n=1024)
+        d1, d2 = lo * 0.1 * math.sqrt(1024), hi * 0.1 * math.sqrt(1024)
         assert update_mu(z, d1, 100.0) >= update_mu(z, d2, 100.0)
 
 

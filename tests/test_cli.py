@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hwtv
 from hwtv import cli
 from hwtv.imgcore import PGM8, RAW_F32, ImageBuffer, read_image, write_image
 from hwtv.synth import PhantomSpec, make_phantom
@@ -288,6 +290,44 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_nonpositive_grid_value_exit_two_before_any_cell(
+        self, phantom_files, capsys, monkeypatch
+    ):
+        tmp_path, truth, truth_path = phantom_files
+        g_path = self._degraded(tmp_path, truth_path, capsys)
+
+        def no_restore(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(cli.solver, "restore", no_restore)
+        for tau_grid, radius_grid in (("1.0,-0.5", "2"), ("1.0", "2,0")):
+            code, _ = _run(
+                ["sweep", "--true", str(truth_path), "--in", str(g_path),
+                 "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+                 "--tau-grid", tau_grid, "--radius-grid", radius_grid],
+                capsys,
+            )
+            assert code == 2
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_exact_reconstruction_reports_infinite_isnr(self, tmp_path, capsys):
+        # a constant image is a fixed point of restore, so every cell
+        # reconstructs the truth exactly, as `hwtv metrics` reports it
+        flat_path = tmp_path / "flat.raw"
+        write_image(ImageBuffer(np.full((32, 32), 0.5)), flat_path, RAW_F32)
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = _run(
+            ["sweep", "--true", str(flat_path), "--in", str(flat_path),
+             "--out", str(out_csv), "--noise-sigma", "0.1",
+             "--tau-grid", "1.0", "--radius-grid", "2,3", "--max-iter", "10"],
+            capsys,
+        )
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["isnr"]) for row in rows] == [float("inf")] * 2
+        assert all(float(row["ssim"]) == 1.0 for row in rows)
+
     def test_deterministic_rows_modulo_timing(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
         g_path = self._degraded(tmp_path, truth_path, capsys)
@@ -354,8 +394,12 @@ class TestSweepCommand:
 
 
 def test_console_entry_point_runs():
+    # the subprocess imports the package under test, wherever it was found
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hwtv.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "hwtv", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "hwtv", "--help"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "degrade" in proc.stdout and "sweep" in proc.stdout

@@ -1,9 +1,11 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from hwtv import linops, solver
+from hwtv.adapt import estimate_alpha, update_mu
 from hwtv.imgcore import ImageBuffer
 from hwtv.linops import BlurSpec
 from hwtv.solver import (
@@ -216,32 +218,36 @@ class TestRestore:
         result = restore(g, BlurSpec(identity=True), 0.05, cfg)
         assert np.all(result.alpha_final == 1.0)
 
-    def test_orchestration_matches_manual_loop(self):
-        # drive the public primitives by hand and compare iterates bit-for-bit
+    @pytest.mark.parametrize("p,prox", [(2, "exact"), (1, "paper_verbatim")])
+    @pytest.mark.parametrize("mode", ["hwtv", "tv_scalar"])
+    def test_orchestration_matches_manual_loop(self, mode, p, prox):
+        # drive the public primitives by hand and compare iterates bit-for-bit;
+        # this is the one written-out copy of the splitting outside solver.py
         u_true = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
         sigma = 0.08
         blur = BlurSpec(band=3, sigma=1.0)
         g = degrade(u_true, DegradationSpec(blur=blur, sigma=sigma, seed=4))
         steps = 6
-        cfg = SolverConfig(p=2, tau=1.0, r=2, mode="tv_scalar", max_iter=steps, tol=1e-300)
+        cfg = SolverConfig(p=p, tau=1.0, r=2, mode=mode, max_iter=steps, tol=1e-300,
+                           aniso_prox=prox)
         result = restore(g, blur, sigma, cfg)
-
-        from hwtv.adapt import DiscrepancySpec, update_mu
 
         bt, bw = cfg.beta_t, cfg.beta_w
         ratio = bw / bt
         plan = linops.build_plan(32, 32, blur)
-        disc = DiscrepancySpec(sigma=sigma, tau=cfg.tau, n=g.pixel_count)
-        ones = np.ones((32, 32))
+        delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
+        alpha = np.ones((32, 32))
         g = g.data
         u = g.copy()
         rho_w, rho_h, rho_v = np.zeros((32, 32)), np.zeros((32, 32)), np.zeros((32, 32))
         for _ in range(steps):
+            if mode == "hwtv":
+                alpha = estimate_alpha(u, p, cfg.r, cfg.eps_floor)
             blurred = linops.blur_via_plan(plan, u)
             z = blurred - g + rho_w / bw
-            mu = update_mu(float(np.linalg.norm(z)), disc, bw)
+            mu = update_mu(float(np.linalg.norm(z)), delta, bw)
             grad_h, grad_v = linops.gradient(u)
-            t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), ones, bt, cfg.p)
+            t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), alpha, bt, p, prox)
             w = update_w(z, mu, bw)
             rhs = linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)) + ratio * (
                 linops.blur_adjoint_via_plan(plan, w - rho_w / bw + g)
@@ -253,6 +259,7 @@ class TestRestore:
             rho_h = rho_h - bt * (t_h - grad_h)
             rho_v = rho_v - bt * (t_v - grad_v)
         assert np.array_equal(result.u_star.data, u)
+        assert np.array_equal(result.alpha_final, alpha)
         assert result.final_mu == mu
 
     def test_bit_identical_traces(self):
@@ -311,6 +318,12 @@ class TestRestore:
         with pytest.raises(ValueError, match="window"):
             restore(g, BlurSpec(identity=True), 0.1, cfg)
 
+    def test_nonpositive_sigma_rejected(self):
+        g = ImageBuffer(np.full((8, 8), 0.5))
+        cfg = SolverConfig(p=2, tau=1.0, r=2)
+        with pytest.raises(ValueError, match="sigma"):
+            restore(g, BlurSpec(identity=True), 0.0, cfg)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(p=3, tau=1.0, r=2)
@@ -334,26 +347,12 @@ class TestFrozenProblemAgainstGenericMinimizer:
         blur = BlurSpec(band=3, sigma=1.0)
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 40.0, 20.0, 100.0, 2
-        ratio = bw / bt
         plan = linops.build_plan(n, n, blur)
 
-        u = g.copy()
-        rho_w, rho_h, rho_v = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        x = solver._start(g, plan, bw)
         for _ in range(4000):
-            blurred = linops.blur_via_plan(plan, u)
-            grad_h, grad_v = linops.gradient(u)
-            t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), weights, bt, p)
-            w = update_w(blurred - g + rho_w / bw, mu, bw)
-            rhs = linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)) + ratio * (
-                linops.blur_adjoint_via_plan(plan, w - rho_w / bw + g)
-            )
-            u = linops.solve_u(plan, rhs, ratio)
-            blurred = linops.blur_via_plan(plan, u)
-            grad_h, grad_v = linops.gradient(u)
-            rho_w = rho_w - bw * (w - (blurred - g))
-            rho_h = rho_h - bt * (t_h - grad_h)
-            rho_v = rho_v - bt * (t_v - grad_v)
-        admm_value = objective(u, g, plan, weights, mu, p)
+            x = solver._sweep(x, g, plan, weights, mu, bt, bw, p, "exact")
+        admm_value = objective(x.u, g, plan, weights, mu, p)
 
         smoothing = 1e-12
 
@@ -389,28 +388,15 @@ class TestFrozenParameterStability:
             blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(identity=True)
             weights = rng.uniform(0.5, 2.0, (n, n))
             mu, bt, bw, p = 30.0, 20.0, 100.0, 2
-            ratio = bw / bt
             plan = linops.build_plan(n, n, blur)
-            u = g.copy()
-            rho_w, rho_h, rho_v = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+            x = solver._start(g, plan, bw)
             values = []
             for _ in range(120):
-                blurred = linops.blur_via_plan(plan, u)
-                grad_h, grad_v = linops.gradient(u)
-                t = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), weights, bt, p)
-                w = update_w(blurred - g + rho_w / bw, mu, bw)
-                rhs = linops.divergence((t[0] - rho_h / bt, t[1] - rho_v / bt)) + ratio * (
-                    linops.blur_adjoint_via_plan(plan, w - rho_w / bw + g)
-                )
-                u = linops.solve_u(plan, rhs, ratio)
+                nxt = solver._sweep(x, g, plan, weights, mu, bt, bw, p, "exact")
                 values.append(augmented_lagrangian(
-                    u, w, t, rho_w, (rho_h, rho_v), g, plan, weights, mu, bt, bw, p
+                    nxt.u, nxt.w, nxt.t, x.rho_w, x.rho_t, g, plan, weights, mu, bt, bw, p
                 ))
-                blurred = linops.blur_via_plan(plan, u)
-                grad_h, grad_v = linops.gradient(u)
-                rho_w = rho_w - bw * (w - (blurred - g))
-                rho_h = rho_h - bt * (t[0] - grad_h)
-                rho_v = rho_v - bt * (t[1] - grad_v)
+                x = nxt
             diffs = np.diff(values)
             tol = 1e-10 * (1.0 + np.abs(np.asarray(values[:-1])))
             good += int(np.sum(diffs <= tol))
