@@ -9,8 +9,10 @@ runs for the identity and the band-5 sigma=1 blur, and ``restore`` runs for
 and ``tv_scalar`` x (p, prox) in (2, exact), (1, exact), (1, paper_verbatim)
 x both blurs. The fields compared are ``u_star``, ``iterations``,
 ``final_mu``, ``final_discrepancy``, ``alpha_final`` and the
-``(k, mu, discrepancy, rel_change)`` of every trace row. Exits 0 when every
-field of every run has the same bytes on both sides, 1 otherwise.
+``(k, mu, discrepancy, rel_change)`` of every trace row. For a run that is
+not bit-identical, each differing field is printed with the largest absolute
+difference between its two sides. Exits 0 when every field of every run has
+the same bytes on both sides, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -67,6 +69,13 @@ def load(checkout: str, workdir: str, tag: str) -> dict:
         return pickle.load(fh)
 
 
+def describe_difference(name: str, old: np.ndarray, new: np.ndarray) -> str:
+    if old.shape != new.shape:
+        return f"{name} (shape {old.shape} vs {new.shape})"
+    diff = np.abs(old.astype(np.float64) - new.astype(np.float64))
+    return f"{name} (max |diff| {diff.max():.2e})"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--dump":
         dump(argv[1])
@@ -85,7 +94,8 @@ def main(argv: list[str]) -> int:
             or value.tobytes() != new[key][name].tobytes()
         ]
         mismatches += bool(differ)
-        print(f"{'DIFFER' if differ else 'same  '} {key} {' '.join(differ)}")
+        details = [describe_difference(name, old[key][name], new[key][name]) for name in differ]
+        print(f"{'DIFFER' if differ else 'same  '} {key} {' '.join(details)}")
     print(f"{len(old) - mismatches}/{len(old)} runs bit-identical")
     return 1 if mismatches or old.keys() != new.keys() else 0
 

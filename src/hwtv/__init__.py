@@ -28,7 +28,6 @@ from .linops import (
     gradient,
     make_kernel,
     pointwise_norm,
-    solve_u,
 )
 from .solver import (
     DivergenceError,
@@ -77,7 +76,6 @@ __all__ = [
     "prox_t",
     "read_image",
     "restore",
-    "solve_u",
     "ssim",
     "update_mu",
     "update_w",

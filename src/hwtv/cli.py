@@ -199,11 +199,12 @@ def cmd_sweep(args) -> int:
     tau_values = parse_grid(args.tau_grid, float)
     r_values = parse_grid(args.radius_grid, lambda v: int(round(float(v))))
     blur = _blur_from_args(args)
+    # One cell per distinct (tau, r): rounding radii can repeat a value.
     # SolverConfig checks every (tau, r) here, before any cell runs.
     cells = [
         (_config_from_args(args, tau, radius), blur, args.noise_sigma, degraded, truth)
-        for tau in sorted(tau_values)
-        for radius in sorted(r_values)
+        for tau in sorted(set(tau_values))
+        for radius in sorted(set(r_values))
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -43,8 +43,10 @@ class BlurSpec:
 class SpectralPlan:
     """Frequency-domain factors for one image size and blur kernel.
 
-    eigen_K is the 2-D DFT of the origin-centered kernel; eigen_DtD is the
-    symbol of the periodic forward-difference normal operator,
+    Both factors are on the real-FFT half spectrum, shape
+    (height, width // 2 + 1), the layout of ``np.fft.rfft2``: eigen_K is the
+    real 2-D DFT of the origin-centered kernel; eigen_DtD is the symbol of
+    the periodic forward-difference normal operator,
     4 sin^2(pi w1 / W) + 4 sin^2(pi w2 / H). Immutable and shareable.
     """
 
@@ -103,54 +105,48 @@ def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     padded = np.zeros((height, width))
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return np.fft.fft2(padded)
+    return np.fft.rfft2(padded)
 
 
 def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
-    """Precompute the DFT factors used by :func:`solve_u` and the blur."""
+    """Precompute the DFT factors used by :func:`spectral_step` and the blur."""
     if width < 1 or height < 1:
         raise ValueError("plan dimensions must be positive")
     if spec.identity:
-        eigen_k = np.ones((height, width), dtype=np.complex128)
+        eigen_k = np.ones((height, width // 2 + 1), dtype=np.complex128)
     else:
         eigen_k = _otf(make_kernel(spec), height, width)
-    sym_x = 4.0 * np.sin(np.pi * np.arange(width) / width) ** 2
+    sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
     sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
     eigen_dtd = sym_y[:, None] + sym_x[None, :]
     return SpectralPlan(width=width, height=height, eigen_K=eigen_k, eigen_DtD=eigen_dtd)
 
 
-def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
-    # A contiguous copy of the real part. The outputs of blur_via_plan and
-    # solve_u live across sweeps, and a .real view would keep the whole
-    # complex result alive with them.
-    return np.fft.ifft2(spectrum).real.copy()
-
-
 def blur_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
     """Circular convolution with the planned kernel via its eigenvalues."""
     _require_plan_match(plan, u)
-    return _real_ifft2(np.fft.fft2(u) * plan.eigen_K)
+    return np.fft.irfft2(np.fft.rfft2(u) * plan.eigen_K, s=u.shape)
 
 
-def blur_adjoint_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
-    """Adjoint blur (correlation with the point-reflected kernel)."""
-    _require_plan_match(plan, u)
-    return np.fft.ifft2(np.fft.fft2(u) * np.conj(plan.eigen_K)).real
+def spectral_step(
+    plan: SpectralPlan, d: np.ndarray, v: np.ndarray, ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, Ku)``.
 
-
-def solve_u(plan: SpectralPlan, rhs: np.ndarray, ratio: float) -> np.ndarray:
-    """Solve (DtD + ratio KtK) u = rhs by per-frequency division.
-
-    The denominator eigen_DtD + ratio |eigen_K|^2 is strictly positive for a
-    normalized kernel and ratio > 0 (eigen_K equals 1 at the zero frequency),
-    so the solve is exact to rounding.
+    One per-frequency division gives the spectrum U of the solution, and u
+    and Ku are both read back from it. The denominator
+    eigen_DtD + ratio |eigen_K|^2 is strictly positive for a normalized
+    kernel and ratio > 0 (eigen_K equals 1 at the zero frequency), so the
+    solve is exact to rounding.
     """
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    _require_plan_match(plan, rhs)
-    denom = plan.eigen_DtD + ratio * np.abs(plan.eigen_K) ** 2
-    return _real_ifft2(np.fft.fft2(rhs) / denom)
+    _require_plan_match(plan, d)
+    _require_plan_match(plan, v)
+    eigen_k = plan.eigen_K
+    denom = plan.eigen_DtD + ratio * np.abs(eigen_k) ** 2
+    spectrum = (np.fft.rfft2(d) + ratio * np.conj(eigen_k) * np.fft.rfft2(v)) / denom
+    return np.fft.irfft2(spectrum, s=d.shape), np.fft.irfft2(spectrum * eigen_k, s=d.shape)
 
 
 def _periodic_window_sum(arr: np.ndarray, r: int, axis: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,13 +25,12 @@ from .imgcore import ImageBuffer
 from .linops import (
     BlurSpec,
     SpectralPlan,
-    blur_adjoint_via_plan,
     blur_via_plan,
     build_plan,
     divergence,
     gradient,
     pointwise_norm,
-    solve_u,
+    spectral_step,
 )
 
 MODES = ("hwtv", "tv_scalar")
@@ -72,16 +72,16 @@ class SolverConfig:
             raise ValueError(f"p must be 1 or 2, got {self.p}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r}")
+        if not isinstance(self.r, numbers.Integral) or self.r < 1:
+            raise ValueError(f"r must be a positive integer, got {self.r!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.beta_t <= 0 or self.beta_w <= 0:
             raise ValueError("penalty parameters beta_t, beta_w must be positive")
         if self.eps_floor <= 0:
             raise ValueError(f"eps_floor must be positive, got {self.eps_floor}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.aniso_prox not in PROX_VARIANTS:
@@ -262,11 +262,13 @@ def _sweep(
         (grad_h + rho_h / beta_t, grad_v + rho_v / beta_t), alpha, beta_t, p, variant
     )
     w = update_w(x.z, mu, beta_w)
-    rhs = divergence((t_h - rho_h / beta_t, t_v - rho_v / beta_t)) + ratio * (
-        blur_adjoint_via_plan(plan, w - x.rho_w / beta_w + g)
+    u, blurred = spectral_step(
+        plan,
+        divergence((t_h - rho_h / beta_t, t_v - rho_v / beta_t)),
+        w - x.rho_w / beta_w + g,
+        ratio,
     )
-    u = solve_u(plan, rhs, ratio)
-    residual = blur_via_plan(plan, u) - g
+    residual = blurred - g
     grad_h, grad_v = gradient(u)
     rho_w = x.rho_w - beta_w * (w - residual)
     rho_h = rho_h - beta_t * (t_h - grad_h)

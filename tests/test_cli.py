@@ -273,6 +273,32 @@ class TestSweepCommand:
         assert taus == sorted(taus)
         assert radii == [2, 4, 2, 4, 2, 4]
 
+    def test_repeated_grid_values_run_once(self, phantom_files, capsys, monkeypatch):
+        # 2:0.5:4 rounds to radii 2, 2, 3, 4, 4; each distinct cell runs once
+        tmp_path, truth, truth_path = phantom_files
+        g_path = self._degraded(tmp_path, truth_path, capsys)
+        calls = []
+        real_restore = cli.solver.restore
+
+        def counting_restore(g, blur, sigma, cfg):
+            calls.append((cfg.tau, cfg.r))
+            return real_restore(g, blur, sigma, cfg)
+
+        monkeypatch.setattr(cli.solver, "restore", counting_restore)
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = _run(
+            ["sweep", "--true", str(truth_path), "--in", str(g_path),
+             "--out", str(out_csv), "--noise-sigma", "0.1",
+             "--tau-grid", "1.0,1.0", "--radius-grid", "2:0.5:4", "--max-iter", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(calls) == [(1.0, 2), (1.0, 3), (1.0, 4)]
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(cli.SWEEP_FIELDS)
+        assert [int(row[1]) for row in rows[1:]] == [2, 3, 4]
+
     def test_colon_grid_parsing(self):
         assert cli.parse_grid("0.9:0.05:1.0", float) == pytest.approx([0.9, 0.95, 1.0])
         assert cli.parse_grid("2,6,10", int) == [2, 6, 10]

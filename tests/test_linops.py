@@ -4,7 +4,6 @@ import pytest
 from hwtv.imgcore import DimensionMismatchError
 from hwtv.linops import (
     BlurSpec,
-    blur_adjoint_via_plan,
     blur_via_plan,
     box_mean,
     build_plan,
@@ -12,8 +11,10 @@ from hwtv.linops import (
     gradient,
     make_kernel,
     pointwise_norm,
-    solve_u,
+    spectral_step,
 )
+
+from spatial_blur import circular_convolve, circular_correlate
 
 
 def _img(arr):
@@ -105,21 +106,6 @@ class TestKernel:
         assert kernel.sum() == pytest.approx(1.0, abs=1e-14)
 
 
-def _circular_convolve_oracle(u, kernel):
-    h, w = u.shape
-    kh, kw = kernel.shape
-    cy, cx = kh // 2, kw // 2
-    out = np.zeros_like(u)
-    for y in range(h):
-        for x in range(w):
-            acc = 0.0
-            for i in range(kh):
-                for j in range(kw):
-                    acc += kernel[i, j] * u[(y - (i - cy)) % h, (x - (j - cx)) % w]
-            out[y, x] = acc
-    return out
-
-
 class TestBlur:
     def test_identity_returns_input(self):
         rng = np.random.default_rng(23)
@@ -136,7 +122,7 @@ class TestBlur:
         rng = np.random.default_rng(24)
         u = _rand_img(rng, 8, 8)
         spec = BlurSpec(band=3, sigma=0.8)
-        expected = _circular_convolve_oracle(u, make_kernel(spec))
+        expected = circular_convolve(u, make_kernel(spec))
         assert np.allclose(blur_via_plan(_plan_for(u, spec), u), expected, atol=1e-10)
 
     def test_linear(self):
@@ -154,16 +140,18 @@ class TestBlur:
     def test_adjoint_equals_forward_for_symmetric_kernel(self):
         rng = np.random.default_rng(26)
         u = _rand_img(rng, 8, 8)
-        plan = _plan_for(u, BlurSpec(band=5, sigma=1.0))
-        assert np.allclose(blur_adjoint_via_plan(plan, u), blur_via_plan(plan, u), atol=1e-13)
+        spec = BlurSpec(band=5, sigma=1.0)
+        adjoint = circular_correlate(u, make_kernel(spec))
+        assert np.allclose(adjoint, blur_via_plan(_plan_for(u, spec), u), atol=1e-13)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(27)
-        plan = build_plan(6, 6, BlurSpec(band=3, sigma=0.7))
+        spec = BlurSpec(band=3, sigma=0.7)
+        plan = build_plan(6, 6, spec)
         for _ in range(50):
             u, w = _rand_img(rng, 6, 6), _rand_img(rng, 6, 6)
             lhs = float(np.sum(blur_via_plan(plan, u) * w))
-            rhs = float(np.sum(u * blur_adjoint_via_plan(plan, w)))
+            rhs = float(np.sum(u * circular_correlate(w, make_kernel(spec))))
             scale = np.linalg.norm(u) * np.linalg.norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -187,7 +175,7 @@ class TestSpectralPlan:
         u = _rand_img(rng, 16, 16)
         spec = BlurSpec(band=5, sigma=1.0)
         plan = build_plan(16, 16, spec)
-        expected = _circular_convolve_oracle(u, make_kernel(spec))
+        expected = circular_convolve(u, make_kernel(spec))
         assert np.allclose(blur_via_plan(plan, u), expected, atol=1e-10)
 
     def test_plan_shape_mismatch_rejected(self):
@@ -205,48 +193,102 @@ class TestSpectralPlan:
         assert denom.min() > 0.0
 
 
-class TestSolveU:
+class TestSpectralStep:
     def test_recovers_forward_operator_input(self):
         rng = np.random.default_rng(30)
         spec = BlurSpec(band=3, sigma=1.0)
         plan = build_plan(8, 8, spec)
         ratio = 5.0
         u0 = _rand_img(rng, 8, 8)
-        rhs = divergence(gradient(u0)) + ratio * blur_adjoint_via_plan(
-            plan, blur_via_plan(plan, u0)
+        solved, blurred = spectral_step(
+            plan, divergence(gradient(u0)), blur_via_plan(plan, u0), ratio
         )
-        solved = solve_u(plan, rhs, ratio)
         assert np.allclose(solved, u0, atol=1e-9)
+        assert np.allclose(blurred, blur_via_plan(plan, u0), atol=1e-9)
 
     def test_dc_algebra_identity_blur(self):
         plan = build_plan(6, 6, BlurSpec(identity=True))
-        rhs = _img(np.full((6, 6), 0.7))
-        out = solve_u(plan, rhs, 1.0)
-        assert np.allclose(out, 0.7, atol=1e-13)
+        u, blurred = spectral_step(plan, _img(np.full((6, 6), 0.7)), np.zeros((6, 6)), 1.0)
+        assert np.allclose(u, 0.7, atol=1e-13)
+        assert np.allclose(blurred, 0.7, atol=1e-13)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(31)
         spec = BlurSpec(band=5, sigma=1.0)
+        kernel = make_kernel(spec)
         plan = build_plan(16, 16, spec)
         ratio = 100.0 / 20.0
         for _ in range(50):
-            rhs = _rand_img(rng, 16, 16)
-            u = solve_u(plan, rhs, ratio)
-            applied = divergence(gradient(u)) + ratio * blur_adjoint_via_plan(
-                plan, blur_via_plan(plan, u)
+            d, v = _rand_img(rng, 16, 16), _rand_img(rng, 16, 16)
+            rhs = d + ratio * circular_correlate(v, kernel)
+            u, _ = spectral_step(plan, d, v, ratio)
+            applied = divergence(gradient(u)) + ratio * circular_correlate(
+                blur_via_plan(plan, u), kernel
             )
             residual = np.linalg.norm(applied - rhs)
             assert residual <= 1e-10 * np.linalg.norm(rhs)
 
     def test_zero_rhs_gives_zero(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
-        out = solve_u(plan, _img(np.zeros((4, 4))), 2.0)
-        assert np.all(out == 0.0)
+        u, blurred = spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), 2.0)
+        assert np.all(u == 0.0)
+        assert np.all(blurred == 0.0)
 
     def test_nonpositive_ratio_rejected(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
         with pytest.raises(ValueError):
-            solve_u(plan, _img(np.zeros((4, 4))), 0.0)
+            spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), 0.0)
+
+
+def _three_solve_reference(spec, d, v, ratio):
+    # The u-step as three full-spectrum complex fft2/ifft2 pairs: K^T v,
+    # then the division, then K u.
+    h, w = d.shape
+    kernel = make_kernel(spec)
+    kh, kw = kernel.shape
+    padded = np.zeros((h, w))
+    padded[:kh, :kw] = kernel
+    eigen_k = np.fft.fft2(np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1)))
+    sym_x = 4.0 * np.sin(np.pi * np.arange(w) / w) ** 2
+    sym_y = 4.0 * np.sin(np.pi * np.arange(h) / h) ** 2
+    denom = sym_y[:, None] + sym_x[None, :] + ratio * np.abs(eigen_k) ** 2
+    rhs = d + ratio * np.fft.ifft2(np.fft.fft2(v) * np.conj(eigen_k)).real
+    u = np.fft.ifft2(np.fft.fft2(rhs) / denom).real
+    return u, np.fft.ifft2(np.fft.fft2(u) * eigen_k).real
+
+
+@pytest.mark.parametrize("spec", [BlurSpec(identity=True), BlurSpec(band=5, sigma=1.0)])
+@pytest.mark.parametrize("height,width", [(37, 45), (15, 9)])
+class TestHalfSpectrum:
+    # Odd widths are the sizes an irfft2 without its output shape gets wrong.
+    def test_blur_matches_spatial_oracle(self, spec, height, width):
+        u = _rand_img(np.random.default_rng(34), height, width)
+        plan = build_plan(width, height, spec)
+        assert plan.eigen_K.shape == plan.eigen_DtD.shape == (height, width // 2 + 1)
+        out = blur_via_plan(plan, u)
+        assert out.shape == u.shape
+        assert np.allclose(out, circular_convolve(u, make_kernel(spec)), rtol=0, atol=1e-12)
+
+    def test_step_blur_matches_blur_via_plan(self, spec, height, width):
+        rng = np.random.default_rng(35)
+        d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
+        plan = build_plan(width, height, spec)
+        u, blurred = spectral_step(plan, d, v, 5.0)
+        assert u.shape == blurred.shape == d.shape
+        expected = blur_via_plan(plan, u)
+        assert np.linalg.norm(blurred - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_step_matches_three_solve_reference(self, spec, height, width):
+        # Same solve, different transforms: agreement to 1e-12 relative.
+        rng = np.random.default_rng(36)
+        plan = build_plan(width, height, spec)
+        for ratio in (1e-3, 5.0, 1e3):
+            d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
+            u, blurred = spectral_step(plan, d, v, ratio)
+            ref_u, ref_blurred = _three_solve_reference(spec, d, v, ratio)
+            assert u.shape == blurred.shape == d.shape
+            assert np.linalg.norm(u - ref_u) <= 1e-12 * np.linalg.norm(ref_u)
+            assert np.linalg.norm(blurred - ref_blurred) <= 1e-12 * np.linalg.norm(ref_blurred)
 
 
 class TestBoxMean:

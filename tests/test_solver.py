@@ -20,6 +20,8 @@ from hwtv.solver import (
 )
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
+from spatial_blur import circular_correlate
+
 
 def _field(h, v):
     return np.asarray(h, dtype=np.float64), np.asarray(v, dtype=np.float64)
@@ -239,21 +241,22 @@ class TestRestore:
         alpha = np.ones((32, 32))
         g = g.data
         u = g.copy()
+        blurred = linops.blur_via_plan(plan, u)
         rho_w, rho_h, rho_v = np.zeros((32, 32)), np.zeros((32, 32)), np.zeros((32, 32))
         for _ in range(steps):
             if mode == "hwtv":
                 alpha = estimate_alpha(u, p, cfg.r, cfg.eps_floor)
-            blurred = linops.blur_via_plan(plan, u)
             z = blurred - g + rho_w / bw
             mu = update_mu(float(np.linalg.norm(z)), delta, bw)
             grad_h, grad_v = linops.gradient(u)
             t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), alpha, bt, p, prox)
             w = update_w(z, mu, bw)
-            rhs = linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)) + ratio * (
-                linops.blur_adjoint_via_plan(plan, w - rho_w / bw + g)
+            u, blurred = linops.spectral_step(
+                plan,
+                linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)),
+                w - rho_w / bw + g,
+                ratio,
             )
-            u = linops.solve_u(plan, rhs, ratio)
-            blurred = linops.blur_via_plan(plan, u)
             grad_h, grad_v = linops.gradient(u)
             rho_w = rho_w - bw * (w - (blurred - g))
             rho_h = rho_h - bt * (t_h - grad_h)
@@ -277,15 +280,15 @@ class TestRestore:
         g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=6))
 
         calls = {"n": 0}
-        real_solve = linops.solve_u
+        real_step = linops.spectral_step
 
-        def poisoned(plan, rhs, ratio):
+        def poisoned(plan, d, v, ratio):
             calls["n"] += 1
             if calls["n"] >= 3:
-                return np.full((32, 32), np.nan)
-            return real_solve(plan, rhs, ratio)
+                return np.full((32, 32), np.nan), np.full((32, 32), np.nan)
+            return real_step(plan, d, v, ratio)
 
-        monkeypatch.setattr(solver, "solve_u", poisoned)
+        monkeypatch.setattr(solver, "spectral_step", poisoned)
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=50)
         with pytest.raises(DivergenceError) as err:
             restore(g, BlurSpec(identity=True), 0.1, cfg)
@@ -334,6 +337,14 @@ class TestRestore:
         with pytest.raises(ValueError):
             SolverConfig(p=2, tau=1.0, r=2, aniso_prox="sloppy")
 
+    def test_non_integer_counts_rejected(self):
+        # a fractional radius or sweep cap is rejected here, not deep in the loop
+        for bad in ({"r": 2.5}, {"max_iter": 2.5}, {"r": 2.0}):
+            with pytest.raises(ValueError, match="integer"):
+                SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, **bad})
+        cfg = SolverConfig(p=2, tau=1.0, r=np.int64(2), max_iter=np.int32(5))
+        assert (cfg.r, cfg.max_iter) == (2, 5)
+
 
 class TestFrozenProblemAgainstGenericMinimizer:
     def test_admm_reaches_the_frozen_optimum(self):
@@ -348,6 +359,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 40.0, 20.0, 100.0, 2
         plan = linops.build_plan(n, n, blur)
+        kernel = linops.make_kernel(blur)
 
         x = solver._start(g, plan, bw)
         for _ in range(4000):
@@ -364,7 +376,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
             value = float(np.sum(weights * mag) + 0.5 * mu * np.sum(resid**2))
             grad = linops.divergence(
                 (weights * gr_h / mag, weights * gr_v / mag)
-            ) + mu * linops.blur_adjoint_via_plan(plan, resid)
+            ) + mu * circular_correlate(resid, kernel)
             return value, grad.ravel()
 
         res = minimize(
