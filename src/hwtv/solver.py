@@ -29,6 +29,7 @@ from .linops import (
     build_plan,
     divergence,
     gradient,
+    half_spectrum_norm,
     pointwise_norm,
     spectral_step,
 )
@@ -43,6 +44,12 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"solver diverged at iteration {iteration}")
         self.iteration = iteration
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    # NaN fails every comparison, so "value <= 0" alone would let it through.
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -70,20 +77,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {self.p}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("tau", "beta_t", "beta_w", "eps_floor", "tol"):
+            _require_finite_positive(name, getattr(self, name))
         if not isinstance(self.r, numbers.Integral) or self.r < 1:
             raise ValueError(f"r must be a positive integer, got {self.r!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.beta_t <= 0 or self.beta_w <= 0:
-            raise ValueError("penalty parameters beta_t, beta_w must be positive")
-        if self.eps_floor <= 0:
-            raise ValueError(f"eps_floor must be positive, got {self.eps_floor}")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.aniso_prox not in PROX_VARIANTS:
             raise ValueError(
                 f"aniso_prox must be one of {PROX_VARIANTS}, got {self.aniso_prox!r}"
@@ -155,7 +156,7 @@ def prox_t(
         out_h = np.sign(q_h) * np.maximum(np.abs(q_h) - threshold, 0.0)
         out_v = np.sign(q_v) * np.maximum(np.abs(q_v) - threshold, 0.0)
         return out_h, out_v
-    norms = np.abs(q_h) + np.abs(q_v) if p == 1 else np.hypot(q_h, q_v)
+    norms = pointwise_norm(q, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > 0.0, 1.0 - alpha / (beta_t * norms), 0.0)
     scale = np.maximum(scale, 0.0)
@@ -220,10 +221,14 @@ def augmented_lagrangian(
 class _Iterate(NamedTuple):
     """ADMM state between sweeps, unvalidated.
 
-    ``residual`` is Ku - g, ``grad`` is Du, and ``z`` is residual + rho_w /
-    beta_w, the point the next sweep's mu is chosen at. ``w`` and ``t`` are
-    the primal values of the sweep that produced this state; they are None
-    at start and in the states :func:`restore` keeps between sweeps.
+    ``u``, ``grad`` (Du) and ``rho_t`` are real. The linear chain is kept on
+    the ``rfft2`` half spectrum: ``residual`` is the spectrum of Ku - g,
+    ``rho_w`` that of the residual dual, and ``z`` that of residual +
+    rho_w / beta_w, the point the next sweep's mu is chosen at. ``w`` (a
+    spectrum) and ``t`` (real) are the primal values of the sweep that
+    produced this state, None at start. :func:`restore` keeps
+    ``residual``, ``w`` and ``t`` as None between sweeps, since a sweep reads
+    none of them.
     """
 
     u: np.ndarray
@@ -236,17 +241,20 @@ class _Iterate(NamedTuple):
     t: tuple[np.ndarray, np.ndarray] | None
 
 
-def _start(g: np.ndarray, plan: SpectralPlan, beta_w: float) -> _Iterate:
-    """State at u = g with zero duals."""
-    residual = blur_via_plan(plan, g) - g
-    rho_w, rho_h, rho_v = (np.zeros_like(g) for _ in range(3))
-    return _Iterate(g, residual, gradient(g), rho_w, (rho_h, rho_v),
-                    residual + rho_w / beta_w, None, None)
+def _start(g: np.ndarray, plan: SpectralPlan, beta_w: float) -> tuple[_Iterate, np.ndarray]:
+    """State at u = g with zero duals, and G = rfft2(g), which every sweep takes."""
+    g_spectrum = np.fft.rfft2(g)
+    residual = g_spectrum * plan.eigen_K - g_spectrum
+    rho_w = np.zeros_like(g_spectrum)
+    rho_h, rho_v = np.zeros_like(g), np.zeros_like(g)
+    state = _Iterate(g, residual, gradient(g), rho_w, (rho_h, rho_v),
+                     residual + rho_w / beta_w, None, None)
+    return state, g_spectrum
 
 
 def _sweep(
     x: _Iterate,
-    g: np.ndarray,
+    g_spectrum: np.ndarray,
     plan: SpectralPlan,
     alpha: np.ndarray,
     mu: float,
@@ -255,26 +263,33 @@ def _sweep(
     p: int,
     variant: str,
 ) -> _Iterate:
-    """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent."""
+    """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
+
+    The w step, the right-hand side of the u step, the residual and its dual
+    are all formed on the half spectrum, so the only transforms are the two
+    inside ``spectral_step``. The residual K U - G is formed in the buffer of
+    the solution spectrum U; the arrays of ``x`` are left as they are.
+    """
     ratio = beta_w / beta_t
     (grad_h, grad_v), (rho_h, rho_v) = x.grad, x.rho_t
     t_h, t_v = prox_t(
         (grad_h + rho_h / beta_t, grad_v + rho_v / beta_t), alpha, beta_t, p, variant
     )
     w = update_w(x.z, mu, beta_w)
-    u, blurred = spectral_step(
+    u, residual = spectral_step(
         plan,
         divergence((t_h - rho_h / beta_t, t_v - rho_v / beta_t)),
-        w - x.rho_w / beta_w + g,
+        w - x.rho_w / beta_w + g_spectrum,
         ratio,
     )
-    residual = blurred - g
+    residual *= plan.eigen_K
+    residual -= g_spectrum
     grad_h, grad_v = gradient(u)
     rho_w = x.rho_w - beta_w * (w - residual)
+    z = residual + rho_w / beta_w
     rho_h = rho_h - beta_t * (t_h - grad_h)
     rho_v = rho_v - beta_t * (t_v - grad_v)
-    return _Iterate(u, residual, (grad_h, grad_v), rho_w, (rho_h, rho_v),
-                    residual + rho_w / beta_w, w, (t_h, t_v))
+    return _Iterate(u, residual, (grad_h, grad_v), rho_w, (rho_h, rho_v), z, w, (t_h, t_v))
 
 
 def restore(
@@ -312,12 +327,14 @@ def restore(
     Each iteration performs, in order: parameter refresh (weight map from the
     current iterate in "hwtv" mode or the all-ones map in "tv_scalar" mode,
     then the discrepancy update of mu), primal updates t, w, u, then dual
-    ascent on rho_w and rho_t. Starts from u = g with zero duals; stops when
-    the relative change of u falls to ``cfg.tol`` or after ``cfg.max_iter``
-    sweeps. Deterministic: identical inputs give bit-identical iterates.
+    ascent on rho_w and rho_t. The linear terms w, rho_w, Ku - g and z stay
+    on the real-FFT half spectrum, and their norms come from Parseval, so a
+    sweep runs two real transforms. Starts from u = g with zero duals; stops
+    when the relative change of u falls to ``cfg.tol`` or after
+    ``cfg.max_iter`` sweeps. Deterministic: identical inputs give
+    bit-identical iterates.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _require_finite_positive("sigma", sigma)
     if cfg.mode == "hwtv" and 2 * cfg.r + 1 > min(g.height, g.width):
         raise ValueError(
             f"estimation window {2 * cfg.r + 1} exceeds image "
@@ -327,23 +344,25 @@ def restore(
     delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
     g_arr = g.data
     alpha = np.ones_like(g_arr)
-    x = _start(g_arr, plan, cfg.beta_w)
+    x, g_spectrum = _start(g_arr, plan, cfg.beta_w)
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
         if cfg.mode == "hwtv":
             alpha = estimate_alpha(x.u, cfg.p, cfg.r, cfg.eps_floor)
-        z_norm = float(np.linalg.norm(x.z))
+        z_norm = half_spectrum_norm(plan, x.z)
         if not math.isfinite(z_norm):
             raise DivergenceError(k)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
-        # Only the next sweep's inputs are kept: holding w and t as well
-        # would keep three more arrays alive through it.
         x = _sweep(
-            x, g_arr, plan, alpha, mu, cfg.beta_t, cfg.beta_w, cfg.p, cfg.aniso_prox
-        )._replace(w=None, t=None)
+            x, g_spectrum, plan, alpha, mu, cfg.beta_t, cfg.beta_w, cfg.p, cfg.aniso_prox
+        )
+        discrepancy = half_spectrum_norm(plan, x.residual)
+        # Only the next sweep's inputs are kept: holding the residual, w and
+        # t as well would keep four more arrays alive through it.
+        x = x._replace(residual=None, w=None, t=None)
         step = float(np.linalg.norm(x.u - u_prev))
         if not math.isfinite(step):
             raise DivergenceError(k)
@@ -352,7 +371,7 @@ def restore(
             TraceRow(
                 k=k,
                 mu=mu,
-                discrepancy=float(np.linalg.norm(x.residual)),
+                discrepancy=discrepancy,
                 rel_change=rel_change,
                 wall_ms=(time.perf_counter() - tick) * 1e3,
             )

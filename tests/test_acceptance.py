@@ -33,6 +33,11 @@ BENCH_BETA_T = 100.0
 BENCH_BETA_W = 500.0
 
 
+def _real(spectrum, shape):
+    """The real image behind an rfft2 half spectrum."""
+    return np.fft.irfft2(spectrum, s=shape)
+
+
 def _report(num: int, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num} {'PASS' if passed else 'FAIL'}: {detail}")
     assert passed, detail
@@ -63,7 +68,7 @@ def test_criterion_1_operator_correctness():
     for _ in range(50):
         d, v = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
         rhs_img = d + ratio * circular_correlate(v, kernel)
-        u, _ = linops.spectral_step(plan, d, v, ratio)
+        u, _ = linops.spectral_step(plan, d, np.fft.rfft2(v), ratio)
         applied = linops.divergence(linops.gradient(u)) + ratio * circular_correlate(
             linops.blur_via_plan(plan, u), kernel
         )
@@ -270,13 +275,15 @@ def test_criterion_8_frozen_parameter_stability():
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 30.0, 20.0, 100.0, 2
         plan = linops.build_plan(n, n, blur)
-        x = solver._start(g, plan, bw)
+        x, g_hat = solver._start(g, plan, bw)
         values = []
         for _ in range(150):
-            # the shipped sweep; the Lagrangian takes the new primals, old duals
-            nxt = solver._sweep(x, g, plan, weights, mu, bt, bw, p, "exact")
+            # the shipped sweep; the Lagrangian takes the new primals, old duals,
+            # with w and rho_w read back from the sweep's half spectra
+            nxt = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, p, "exact")
             values.append(augmented_lagrangian(
-                nxt.u, nxt.w, nxt.t, x.rho_w, x.rho_t, g, plan, weights, mu, bt, bw, p
+                nxt.u, _real(nxt.w, g.shape), nxt.t, _real(x.rho_w, g.shape), x.rho_t,
+                g, plan, weights, mu, bt, bw, p,
             ))
             x = nxt
         diffs = np.diff(values)

@@ -170,6 +170,20 @@ class TestRestoreCommand:
         )
         assert code == 2
 
+    def test_non_finite_tunable_is_usage_error(self, phantom_files, capsys):
+        # a NaN tau or sigma is bad input (exit 2), not a diverged run (exit 3)
+        tmp_path, truth, truth_path = phantom_files
+        g_path = tmp_path / "g.pgm"
+        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
+              "--noise-sigma", "0.1", "--seed", "6"], capsys)
+        options = {"--noise-sigma": "0.1", "--tau": "1.0", "--radius": "4", "--max-iter": "3"}
+        for flag in ("--tau", "--noise-sigma", "--tol"):
+            argv = ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm")]
+            for key, value in dict(options, **{flag: "nan"}).items():
+                argv += [key, value]
+            code, _ = _run(argv, capsys)
+            assert code == 2, flag
+
     def test_divergence_exit_code(self, phantom_files, capsys, monkeypatch):
         tmp_path, truth, truth_path = phantom_files
         g_path = tmp_path / "g.pgm"

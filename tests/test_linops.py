@@ -9,6 +9,7 @@ from hwtv.linops import (
     build_plan,
     divergence,
     gradient,
+    half_spectrum_norm,
     make_kernel,
     pointwise_norm,
     spectral_step,
@@ -35,6 +36,11 @@ def _inner_field(t1, t2):
 
 def _plan_for(u, spec):
     return build_plan(u.shape[1], u.shape[0], spec)
+
+
+def _blur_from_step(plan, spectrum, shape):
+    # Ku read from the solution spectrum U that spectral_step returns: K U.
+    return np.fft.irfft2(spectrum * plan.eigen_K, s=shape)
 
 
 class TestGradient:
@@ -200,17 +206,20 @@ class TestSpectralStep:
         plan = build_plan(8, 8, spec)
         ratio = 5.0
         u0 = _rand_img(rng, 8, 8)
-        solved, blurred = spectral_step(
-            plan, divergence(gradient(u0)), blur_via_plan(plan, u0), ratio
+        solved, spectrum = spectral_step(
+            plan, divergence(gradient(u0)), np.fft.rfft2(blur_via_plan(plan, u0)), ratio
         )
         assert np.allclose(solved, u0, atol=1e-9)
+        blurred = _blur_from_step(plan, spectrum, u0.shape)
         assert np.allclose(blurred, blur_via_plan(plan, u0), atol=1e-9)
 
     def test_dc_algebra_identity_blur(self):
         plan = build_plan(6, 6, BlurSpec(identity=True))
-        u, blurred = spectral_step(plan, _img(np.full((6, 6), 0.7)), np.zeros((6, 6)), 1.0)
+        u, spectrum = spectral_step(
+            plan, _img(np.full((6, 6), 0.7)), np.zeros((6, 4), dtype=complex), 1.0
+        )
         assert np.allclose(u, 0.7, atol=1e-13)
-        assert np.allclose(blurred, 0.7, atol=1e-13)
+        assert np.allclose(_blur_from_step(plan, spectrum, u.shape), 0.7, atol=1e-13)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(31)
@@ -221,7 +230,7 @@ class TestSpectralStep:
         for _ in range(50):
             d, v = _rand_img(rng, 16, 16), _rand_img(rng, 16, 16)
             rhs = d + ratio * circular_correlate(v, kernel)
-            u, _ = spectral_step(plan, d, v, ratio)
+            u, _ = spectral_step(plan, d, np.fft.rfft2(v), ratio)
             applied = divergence(gradient(u)) + ratio * circular_correlate(
                 blur_via_plan(plan, u), kernel
             )
@@ -230,14 +239,21 @@ class TestSpectralStep:
 
     def test_zero_rhs_gives_zero(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
-        u, blurred = spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), 2.0)
+        u, spectrum = spectral_step(
+            plan, _img(np.zeros((4, 4))), np.zeros((4, 3), dtype=complex), 2.0
+        )
         assert np.all(u == 0.0)
-        assert np.all(blurred == 0.0)
+        assert np.all(spectrum == 0.0)
 
     def test_nonpositive_ratio_rejected(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
         with pytest.raises(ValueError):
-            spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), 0.0)
+            spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 3), dtype=complex), 0.0)
+
+    def test_real_image_in_place_of_spectrum_rejected(self):
+        plan = build_plan(4, 4, BlurSpec(identity=True))
+        with pytest.raises(DimensionMismatchError):
+            spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), 2.0)
 
 
 def _three_solve_reference(spec, d, v, ratio):
@@ -273,7 +289,8 @@ class TestHalfSpectrum:
         rng = np.random.default_rng(35)
         d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
         plan = build_plan(width, height, spec)
-        u, blurred = spectral_step(plan, d, v, 5.0)
+        u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), 5.0)
+        blurred = _blur_from_step(plan, spectrum, d.shape)
         assert u.shape == blurred.shape == d.shape
         expected = blur_via_plan(plan, u)
         assert np.linalg.norm(blurred - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -284,11 +301,48 @@ class TestHalfSpectrum:
         plan = build_plan(width, height, spec)
         for ratio in (1e-3, 5.0, 1e3):
             d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
-            u, blurred = spectral_step(plan, d, v, ratio)
+            u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), ratio)
+            blurred = _blur_from_step(plan, spectrum, d.shape)
             ref_u, ref_blurred = _three_solve_reference(spec, d, v, ratio)
             assert u.shape == blurred.shape == d.shape
             assert np.linalg.norm(u - ref_u) <= 1e-12 * np.linalg.norm(ref_u)
             assert np.linalg.norm(blurred - ref_blurred) <= 1e-12 * np.linalg.norm(ref_blurred)
+
+
+@pytest.mark.parametrize("height,width", [(16, 16), (37, 45), (15, 9)])
+def test_half_spectrum_norm_matches_real_norm(height, width):
+    # Even widths have a Nyquist column with no mirror, odd widths none: a
+    # helper that counts it twice, or drops the last column of an odd width,
+    # is off by percents here.
+    rng = np.random.default_rng(37)
+    plan = build_plan(width, height, BlurSpec(identity=True))
+    for scale in (1e-3, 1.0, 1e3):
+        spectrum = np.fft.rfft2(scale * _rand_img(rng, height, width))
+        expected = np.linalg.norm(np.fft.irfft2(spectrum, s=(height, width)))
+        assert half_spectrum_norm(plan, spectrum) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+def test_half_spectrum_norm_rejects_full_spectrum():
+    plan = build_plan(8, 6, BlurSpec(identity=True))
+    with pytest.raises(DimensionMismatchError):
+        half_spectrum_norm(plan, np.zeros((6, 8), dtype=complex))
+
+
+def _box_mean_reference(field_norms, r):
+    # box_mean as it was written with moveaxis and a prepended zero row; the
+    # running sums it forms are the ones box_mean must reproduce bit for bit.
+    def window_sum(arr, axis):
+        moved = np.moveaxis(arr, axis, 0)
+        length = moved.shape[0]
+        padded = np.concatenate((moved[length - r :], moved, moved[:r]), axis=0)
+        csum = np.cumsum(padded, axis=0)
+        csum = np.concatenate((np.zeros((1,) + csum.shape[1:]), csum), axis=0)
+        return np.moveaxis(csum[2 * r + 1 :] - csum[:length], 0, axis)
+
+    window = 2 * r + 1
+    out = window_sum(window_sum(field_norms, 0), 1) / float(window * window)
+    np.clip(out, field_norms.min(), field_norms.max(), out=out)
+    return out
 
 
 class TestBoxMean:
@@ -330,12 +384,31 @@ class TestBoxMean:
         with pytest.raises(ValueError):
             box_mean(_img(np.zeros((5, 5))), 3)
 
+    @pytest.mark.parametrize("height,width", [(3, 3), (9, 9), (37, 45), (64, 33), (128, 128)])
+    def test_bit_identical_to_reference(self, height, width):
+        rng = np.random.default_rng(38)
+        img = np.abs(_rand_img(rng, height, width)) * rng.uniform(0.1, 10.0, (height, width))
+        for r in range(1, (min(height, width) - 1) // 2 + 1, 3):
+            assert np.array_equal(box_mean(img, r), _box_mean_reference(img, r))
+
 
 class TestPointwiseNorm:
     def test_p1_and_p2(self):
         field = (np.array([[3.0, -1.0]]), np.array([[4.0, 1.0]]))
         assert np.allclose(pointwise_norm(field, 1), [[7.0, 2.0]])
         assert np.allclose(pointwise_norm(field, 2), [[5.0, np.sqrt(2.0)]])
+
+    def test_p2_within_two_ulp_of_hypot(self):
+        rng = np.random.default_rng(39)
+        for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+            h, v = _rand_field(rng, 40, 40)
+            h[rng.random((40, 40)) < 0.2] = 0.0
+            v[rng.random((40, 40)) < 0.2] = 0.0
+            h[:2], v[:2] = 0.0, 0.0
+            norms = pointwise_norm((scale * h, scale * v), 2)
+            exact = np.hypot(scale * h, scale * v)
+            assert np.all(norms[:2] == 0.0)
+            np.testing.assert_array_max_ulp(norms, exact, maxulp=2)
 
     def test_invalid_p(self):
         field = (np.zeros((2, 2)), np.zeros((2, 2)))

@@ -23,6 +23,11 @@ from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 from spatial_blur import circular_correlate
 
 
+def _real(spectrum, shape):
+    """The real image behind an rfft2 half spectrum."""
+    return np.fft.irfft2(spectrum, s=shape)
+
+
 def _field(h, v):
     return np.asarray(h, dtype=np.float64), np.asarray(v, dtype=np.float64)
 
@@ -223,8 +228,9 @@ class TestRestore:
     @pytest.mark.parametrize("p,prox", [(2, "exact"), (1, "paper_verbatim")])
     @pytest.mark.parametrize("mode", ["hwtv", "tv_scalar"])
     def test_orchestration_matches_manual_loop(self, mode, p, prox):
-        # drive the public primitives by hand and compare iterates bit-for-bit;
-        # this is the one written-out copy of the splitting outside solver.py
+        # drive the primitives by hand and compare iterates bit-for-bit; this is
+        # the one written-out copy of the splitting outside solver.py. Like the
+        # solver, it keeps w, rho_w, Ku - g and z on the rfft2 half spectrum.
         u_true = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
         sigma = 0.08
         blur = BlurSpec(band=3, sigma=1.0)
@@ -241,29 +247,33 @@ class TestRestore:
         alpha = np.ones((32, 32))
         g = g.data
         u = g.copy()
-        blurred = linops.blur_via_plan(plan, u)
-        rho_w, rho_h, rho_v = np.zeros((32, 32)), np.zeros((32, 32)), np.zeros((32, 32))
+        g_hat = np.fft.rfft2(g)
+        residual = g_hat * plan.eigen_K - g_hat
+        rho_w = np.zeros_like(g_hat)
+        rho_h, rho_v = np.zeros((32, 32)), np.zeros((32, 32))
         for _ in range(steps):
             if mode == "hwtv":
                 alpha = estimate_alpha(u, p, cfg.r, cfg.eps_floor)
-            z = blurred - g + rho_w / bw
-            mu = update_mu(float(np.linalg.norm(z)), delta, bw)
+            z = residual + rho_w / bw
+            mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
             grad_h, grad_v = linops.gradient(u)
             t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), alpha, bt, p, prox)
             w = update_w(z, mu, bw)
-            u, blurred = linops.spectral_step(
+            u, spectrum = linops.spectral_step(
                 plan,
                 linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)),
-                w - rho_w / bw + g,
+                w - rho_w / bw + g_hat,
                 ratio,
             )
+            residual = spectrum * plan.eigen_K - g_hat
             grad_h, grad_v = linops.gradient(u)
-            rho_w = rho_w - bw * (w - (blurred - g))
+            rho_w = rho_w - bw * (w - residual)
             rho_h = rho_h - bt * (t_h - grad_h)
             rho_v = rho_v - bt * (t_v - grad_v)
         assert np.array_equal(result.u_star.data, u)
         assert np.array_equal(result.alpha_final, alpha)
         assert result.final_mu == mu
+        assert result.final_discrepancy == linops.half_spectrum_norm(plan, residual)
 
     def test_bit_identical_traces(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
@@ -285,7 +295,7 @@ class TestRestore:
         def poisoned(plan, d, v, ratio):
             calls["n"] += 1
             if calls["n"] >= 3:
-                return np.full((32, 32), np.nan), np.full((32, 32), np.nan)
+                return np.full((32, 32), np.nan), np.full((32, 17), np.nan, dtype=complex)
             return real_step(plan, d, v, ratio)
 
         monkeypatch.setattr(solver, "spectral_step", poisoned)
@@ -337,6 +347,19 @@ class TestRestore:
         with pytest.raises(ValueError):
             SolverConfig(p=2, tau=1.0, r=2, aniso_prox="sloppy")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_tunables_rejected(self, bad):
+        # NaN passes a "<= 0" test; each tunable must be finite and positive
+        for name in ("tau", "beta_t", "beta_w", "eps_floor", "tol"):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, name: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, bad):
+        g = ImageBuffer(np.full((8, 8), 0.5))
+        with pytest.raises(ValueError, match="sigma"):
+            restore(g, BlurSpec(identity=True), bad, SolverConfig(p=2, tau=1.0, r=2))
+
     def test_non_integer_counts_rejected(self):
         # a fractional radius or sweep cap is rejected here, not deep in the loop
         for bad in ({"r": 2.5}, {"max_iter": 2.5}, {"r": 2.0}):
@@ -344,6 +367,27 @@ class TestRestore:
                 SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, **bad})
         cfg = SolverConfig(p=2, tau=1.0, r=np.int64(2), max_iter=np.int32(5))
         assert (cfg.r, cfg.max_iter) == (2, 5)
+
+
+@pytest.mark.parametrize("spec", [BlurSpec(identity=True), BlurSpec(band=5, sigma=1.0)])
+def test_spectral_state_matches_real_space(spec):
+    # The half-spectrum residual chain read back in real space: after every
+    # sweep, residual is Ku - g and z is residual + rho_w / beta_w.
+    rng = np.random.default_rng(78)
+    height, width = 37, 45
+    g = rng.random((height, width))
+    weights = rng.uniform(0.5, 2.0, (height, width))
+    mu, bt, bw = 30.0, 20.0, 100.0
+    plan = linops.build_plan(width, height, spec)
+    x, g_hat = solver._start(g, plan, bw)
+    for _ in range(3):
+        x = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, 2, "exact")
+        residual = _real(x.residual, g.shape)
+        expected = linops.blur_via_plan(plan, x.u) - g
+        assert np.linalg.norm(residual - expected) <= 1e-12 * np.linalg.norm(expected)
+        z = _real(x.z, g.shape)
+        expected = residual + _real(x.rho_w, g.shape) / bw
+        assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestFrozenProblemAgainstGenericMinimizer:
@@ -361,9 +405,9 @@ class TestFrozenProblemAgainstGenericMinimizer:
         plan = linops.build_plan(n, n, blur)
         kernel = linops.make_kernel(blur)
 
-        x = solver._start(g, plan, bw)
+        x, g_hat = solver._start(g, plan, bw)
         for _ in range(4000):
-            x = solver._sweep(x, g, plan, weights, mu, bt, bw, p, "exact")
+            x = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, p, "exact")
         admm_value = objective(x.u, g, plan, weights, mu, p)
 
         smoothing = 1e-12
@@ -401,12 +445,13 @@ class TestFrozenParameterStability:
             weights = rng.uniform(0.5, 2.0, (n, n))
             mu, bt, bw, p = 30.0, 20.0, 100.0, 2
             plan = linops.build_plan(n, n, blur)
-            x = solver._start(g, plan, bw)
+            x, g_hat = solver._start(g, plan, bw)
             values = []
             for _ in range(120):
-                nxt = solver._sweep(x, g, plan, weights, mu, bt, bw, p, "exact")
+                nxt = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, p, "exact")
                 values.append(augmented_lagrangian(
-                    nxt.u, nxt.w, nxt.t, x.rho_w, x.rho_t, g, plan, weights, mu, bt, bw, p
+                    nxt.u, _real(nxt.w, g.shape), nxt.t, _real(x.rho_w, g.shape), x.rho_t,
+                    g, plan, weights, mu, bt, bw, p,
                 ))
                 x = nxt
             diffs = np.diff(values)
