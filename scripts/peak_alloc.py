@@ -1,21 +1,29 @@
 #!/usr/bin/env python3
-"""Compare the peak traced allocation of a restore between two checkouts.
+"""Compare the peak memory of a restore between two checkouts.
 
     python3 scripts/peak_alloc.py OLD_CHECKOUT NEW_CHECKOUT
 
-Each checkout's ``src/`` is imported in its own subprocess. There a 5-sweep
-``restore`` runs on the mixed phantom with the band-5 sigma=1 blur and noise
-sigma 0.05 (seed 1) in two cases: ``tv_scalar`` at 512x512 and ``hwtv`` at
-256x256, both with p = 2. ``tracemalloc`` is started after the degraded image
-is built, so the figure is the largest amount of memory the restore itself
-held at once: its state, its temporaries and its result. One line per case
-gives both peaks in MiB and their difference.
+A 5-sweep ``restore`` runs on the mixed phantom with the band-5 sigma=1 blur
+and noise sigma 0.05 (seed 1) in two cases: ``tv_scalar`` at 512x512 and
+``hwtv`` at 256x256, both with p = 2. Each case runs in its own subprocess,
+with the checkout's ``src/`` on the path, and reports two figures:
+
+- the ``tracemalloc`` peak, started after the degraded image is built: the
+  largest amount of memory the restore itself held at once, its state, its
+  temporaries and its result;
+- the process's peak resident set (``ru_maxrss``), imports and problem set-up
+  included. It also counts what tracemalloc cannot see: blocks the allocator
+  keeps after they are freed, and their reuse, so two layouts with the same
+  tracemalloc peak can differ here.
+
+One line per case gives both figures for both checkouts and their changes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -25,48 +33,52 @@ SIGMA = 0.05
 MIB = 1024.0 * 1024.0
 
 
-def measure() -> dict:
+def measure(mode: str, size: int) -> dict:
     import tracemalloc
 
     import hwtv
 
     blur = hwtv.BlurSpec(band=5, sigma=1.0)
-    peaks = {}
-    for mode, size in CASES:
-        truth = hwtv.make_phantom(
-            hwtv.PhantomSpec(width=size, height=size, kind="mixed", texture_freq=20.0)
-        )
-        g = hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))
-        cfg = hwtv.SolverConfig(p=2, tau=0.94, r=14, mode=mode, max_iter=SWEEPS, tol=1e-300)
-        tracemalloc.start()
-        try:
-            hwtv.restore(g, blur, SIGMA, cfg)
-            peaks[f"{mode} {size}x{size}"] = tracemalloc.get_traced_memory()[1] / MIB
-        finally:
-            tracemalloc.stop()
-    return peaks
+    truth = hwtv.make_phantom(
+        hwtv.PhantomSpec(width=size, height=size, kind="mixed", texture_freq=20.0)
+    )
+    g = hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))
+    cfg = hwtv.SolverConfig(p=2, tau=0.94, r=14, mode=mode, max_iter=SWEEPS, tol=1e-300)
+    tracemalloc.start()
+    try:
+        hwtv.restore(g, blur, SIGMA, cfg)
+        traced = tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+    # ru_maxrss is in KiB on Linux.
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"traced_mib": traced, "rss_mib": rss}
 
 
-def load(checkout: str) -> dict:
+def load(checkout: str, mode: str, size: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--measure"],
-                         env=env, check=True, capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--measure", mode, str(size)],
+        env=env, check=True, capture_output=True, text=True,
+    )
     return json.loads(out.stdout)
 
 
+def change(old: float, new: float) -> str:
+    return f"{old:.2f} -> {new:.2f} MiB ({new - old:+.2f} MiB, {100.0 * (new - old) / old:+.2f}%)"
+
+
 def main(argv: list[str]) -> int:
-    if argv == ["--measure"]:
-        print(json.dumps(measure()))
+    if len(argv) == 3 and argv[0] == "--measure":
+        print(json.dumps(measure(argv[1], int(argv[2]))))
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    old, new = load(argv[0]), load(argv[1])
-    for case, old_mib in old.items():
-        new_mib = new[case]
-        change = new_mib - old_mib
-        print(f"{case}: {old_mib:.2f} -> {new_mib:.2f} MiB "
-              f"({change:+.2f} MiB, {100.0 * change / old_mib:+.2f}%)")
+    for mode, size in CASES:
+        old, new = load(argv[0], mode, size), load(argv[1], mode, size)
+        print(f"{mode} {size}x{size}: tracemalloc {change(old['traced_mib'], new['traced_mib'])}; "
+              f"peak RSS {change(old['rss_mib'], new['rss_mib'])}")
     return 0
 
 

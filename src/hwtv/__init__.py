@@ -34,8 +34,6 @@ from .solver import (
     RestoreResult,
     SolverConfig,
     TraceRow,
-    augmented_lagrangian,
-    objective,
     prox_t,
     restore,
     update_w,
@@ -60,7 +58,6 @@ __all__ = [
     "TraceRow",
     "add_awgn",
     "alpha_from_norms",
-    "augmented_lagrangian",
     "box_mean",
     "build_plan",
     "degrade",
@@ -71,7 +68,6 @@ __all__ = [
     "isnr",
     "make_kernel",
     "make_phantom",
-    "objective",
     "pointwise_norm",
     "prox_t",
     "read_image",

@@ -73,6 +73,12 @@ class ImageBuffer:
         return ImageBuffer(self.data.copy())
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    # NaN fails every comparison, so "value <= 0" alone would let it through.
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _require_same_shape(*images: ImageBuffer) -> None:
     shapes = {img.data.shape for img in images}
     if len(shapes) > 1:

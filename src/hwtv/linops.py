@@ -7,6 +7,9 @@ normal equations in the 2-D DFT basis and keeps every operator pair
 float64 arrays, a gradient field being an (h, v) pair of them. They check
 shapes and scalar arguments but not finiteness: samples are checked where
 they enter the library, as ``ImageBuffer``, and once per sweep in ``restore``.
+An ``out=`` argument takes C-contiguous arrays (a pair for a field) of the
+result's shape, not overlapping the input; the result is written there and
+returned, with the same bits as without ``out=``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import DimensionMismatchError
+from .imgcore import DimensionMismatchError, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,7 @@ class BlurSpec:
             return
         if self.band < 1 or self.band % 2 == 0:
             raise ValueError(f"band must be an odd positive integer, got {self.band}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _require_finite_positive("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -64,18 +66,54 @@ def _require_plan_match(plan: SpectralPlan, arr: np.ndarray) -> None:
         )
 
 
-def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _require_out(shape: tuple[int, ...], *arrays: np.ndarray) -> None:
+    # Results are written through 1-D views, which only a C-contiguous array has.
+    for arr in arrays:
+        if arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(f"out must be C-contiguous with shape {shape}")
+
+
+def gradient(
+    u: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences (h, v) with periodic wrap in both directions."""
-    return np.roll(u, -1, axis=1) - u, np.roll(u, -1, axis=0) - u
+    if out is None:
+        out = np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype)
+    h, v = out
+    _require_out(u.shape, h, v)
+    # Along a row, the difference is taken on the flattened raster and the
+    # wrap column is then fixed: a strided slice per row is slower.
+    flat = u.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=h.reshape(-1)[:-1])
+    np.subtract(u[:, 0], u[:, -1], out=h[:, -1])
+    np.subtract(u[1:], u[:-1], out=v[:-1])
+    np.subtract(u[0], u[-1], out=v[-1])
+    return out
 
 
-def divergence(t: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def divergence(
+    t: tuple[np.ndarray, np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact adjoint of :func:`gradient`: <gradient(u), t> == <u, divergence(t)>."""
     h, v = t
-    return (np.roll(h, 1, axis=1) - h) + (np.roll(v, 1, axis=0) - v)
+    if out is None:
+        out = np.empty(h.shape, np.result_type(h, v))
+    _require_out(h.shape, out)
+    flat = h.reshape(-1)
+    np.subtract(flat[:-1], flat[1:], out=out.reshape(-1)[1:])
+    np.subtract(h[:, -1], h[:, 0], out=out[:, 0])
+    # The two differences are rounded separately before they are summed, so
+    # the second one needs an array of its own.
+    v_diff = np.empty_like(out)
+    np.subtract(v[:-1], v[1:], out=v_diff[1:])
+    np.subtract(v[-1], v[0], out=v_diff[0])
+    out += v_diff
+    return out
 
 
-def pointwise_norm(t: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
+def pointwise_norm(
+    t: tuple[np.ndarray, np.ndarray], p: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-pixel p-norm of the two gradient channels, p in {1, 2}.
 
     The p = 2 norm is sqrt(h^2 + v^2), within 2 ulp of ``np.hypot`` (and
@@ -87,14 +125,19 @@ def pointwise_norm(t: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
     pixel to zero, as it would for the exact norm, and ``eps_floor`` clamps
     the weights ``estimate_alpha`` derives from it.
     """
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
     h, v = t
+    if out is None:
+        out = np.empty(h.shape, np.result_type(h, v, np.float64))
+    _require_out(h.shape, out)
     if p == 1:
-        return np.abs(h) + np.abs(v)
-    if p == 2:
-        out = h * h
-        out += v * v
-        return np.sqrt(out, out=out)
-    raise ValueError(f"p must be 1 or 2, got {p}")
+        np.abs(h, out=out)
+        out += np.abs(v)
+        return out
+    np.multiply(h, h, out=out)
+    out += v * v
+    return np.sqrt(out, out=out)
 
 
 def make_kernel(spec: BlurSpec) -> np.ndarray:
@@ -122,7 +165,7 @@ def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
-    """Precompute the DFT factors used by :func:`spectral_step` and the blur."""
+    """Precompute the DFT factors used by :func:`step_factors` and the blur."""
     if width < 1 or height < 1:
         raise ValueError("plan dimensions must be positive")
     if spec.identity:
@@ -149,27 +192,45 @@ def _require_half_spectrum(plan: SpectralPlan, spectrum: np.ndarray) -> None:
         )
 
 
-def spectral_step(
-    plan: SpectralPlan, d: np.ndarray, v_spectrum: np.ndarray, ratio: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, U)``.
+def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """The factors :func:`spectral_step` takes for one ``ratio``.
 
-    ``d`` is a real image; ``v_spectrum`` is V = rfft2(v), and the returned
-    U = rfft2(u) is on the same half spectrum, so a caller that keeps its
-    linear terms there reads Ku as K U without another transform. One
-    ``rfft2`` and one ``irfft2`` in all. The denominator
-    eigen_DtD + ratio |eigen_K|^2 is strictly positive for a normalized
-    kernel and ratio > 0 (eigen_K equals 1 at the zero frequency), so the
-    solve is exact to rounding.
+    Returns ``(ratio conj(eigen_K), 1 / denom)`` on the half spectrum, with
+    denom = eigen_DtD + ratio |eigen_K|^2. The denominator is strictly
+    positive for a normalized kernel and ratio > 0 (eigen_K equals 1 at the
+    zero frequency), so the solve is exact to rounding.
     """
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    _require_plan_match(plan, d)
-    _require_half_spectrum(plan, v_spectrum)
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ValueError(f"ratio must be finite and positive, got {ratio}")
     eigen_k = plan.eigen_K
     # |eigen_K|^2 as re^2 + im^2: np.abs of a complex array calls hypot.
     denom = plan.eigen_DtD + ratio * (eigen_k.real**2 + eigen_k.imag**2)
-    spectrum = (np.fft.rfft2(d) + ratio * np.conj(eigen_k) * v_spectrum) / denom
+    return ratio * np.conj(eigen_k), 1.0 / denom
+
+
+def spectral_step(
+    plan: SpectralPlan,
+    d: np.ndarray,
+    v_spectrum: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, U)``.
+
+    ``factors`` is ``step_factors(plan, ratio)``. ``d`` is a real image;
+    ``v_spectrum`` is V = rfft2(v), which the solve overwrites. The returned
+    U = rfft2(u) is on the same half spectrum, so a caller that keeps its
+    linear terms there reads Ku as K U without another transform. One
+    ``rfft2`` and one ``irfft2`` in all, and no other new array. Multiplying
+    by the reciprocal of the real denominator gives the same bits as dividing
+    by it, since numpy divides complex numbers that way.
+    """
+    _require_plan_match(plan, d)
+    _require_half_spectrum(plan, v_spectrum)
+    k_adjoint, inv_denom = factors
+    spectrum = np.fft.rfft2(d)
+    # k_adjoint first: numpy's complex product is not symmetric in rounding.
+    spectrum += np.multiply(k_adjoint, v_spectrum, out=v_spectrum)
+    spectrum *= inv_denom
     return np.fft.irfft2(spectrum, s=d.shape), spectrum
 
 
@@ -184,15 +245,18 @@ def half_spectrum_norm(plan: SpectralPlan, spectrum: np.ndarray) -> float:
     width), which ``restore`` reports as divergence.
     """
     _require_half_spectrum(plan, spectrum)
-    total = 2.0 * _power(spectrum) - _power(spectrum[:, 0])
+    total = 2.0 * _power(spectrum) - _power(spectrum[:, :1])
     if plan.width % 2 == 0:
-        total -= _power(spectrum[:, -1])
+        total -= _power(spectrum[:, -1:])
     return math.sqrt(total / (plan.height * plan.width))
 
 
 def _power(spectrum: np.ndarray) -> float:
-    # Sum of squared magnitudes, |X|^2 = re^2 + im^2, without a complex abs.
-    return float(np.vdot(spectrum, spectrum).real)
+    # Sum of squared magnitudes, |X|^2 = re^2 + im^2, over a real view of the
+    # (height, columns) spectrum. einsum sums without BLAS, whose threads
+    # would spin after the call and whose sum order depends on their count.
+    parts = spectrum.view(np.float64)
+    return float(np.einsum("ij,ij->", parts, parts))
 
 
 def _periodic_window_sum(arr: np.ndarray, r: int, axis: int) -> np.ndarray:

@@ -20,18 +20,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapt import estimate_alpha, update_mu
-from .imgcore import ImageBuffer
+from .adapt import alpha_from_norms, update_mu
+from .imgcore import ImageBuffer, _require_finite_positive
 from .linops import (
     BlurSpec,
     SpectralPlan,
-    blur_via_plan,
     build_plan,
     divergence,
     gradient,
     half_spectrum_norm,
     pointwise_norm,
     spectral_step,
+    step_factors,
 )
 
 MODES = ("hwtv", "tv_scalar")
@@ -44,12 +44,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"solver diverged at iteration {iteration}")
         self.iteration = iteration
-
-
-def _require_finite_positive(name: str, value: float) -> None:
-    # NaN fails every comparison, so "value <= 0" alone would let it through.
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -132,15 +126,18 @@ def prox_t(
     beta_t: float,
     p: int,
     variant: str = "exact",
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel minimizer of alpha_i ||t_i||_p + (beta_t/2) ||t_i - q_i||_2^2.
 
     ``q`` and the result are (h, v) gradient-field pairs; ``alpha`` is the
-    weight array of the same shape. For p = 2 (and for the "paper_verbatim"
-    variant at p = 1) this is the shrinkage
+    nonnegative weight array of the same shape. For p = 2 (and for the
+    "paper_verbatim" variant at p = 1) this is the shrinkage
     t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_p), 0), with t_i = 0 when
     q_i = 0. The "exact" variant at p = 1 soft-thresholds each component,
-    which is the true proximal map of the anisotropic penalty.
+    which is the true proximal map of the anisotropic penalty. ``out``, if
+    given, is a pair of arrays of q's shape, not overlapping ``q``, that
+    receives t and is returned.
     """
     if beta_t <= 0:
         raise ValueError(f"beta_t must be positive, got {beta_t}")
@@ -151,71 +148,43 @@ def prox_t(
     q_h, q_v = q
     if alpha.shape != q_h.shape:
         raise ValueError("alpha and q shapes differ")
+    if out is None:
+        out = np.empty(q_h.shape), np.empty(q_v.shape)
+    out_h, out_v = out
     if p == 1 and variant == "exact":
         threshold = alpha / beta_t
-        out_h = np.sign(q_h) * np.maximum(np.abs(q_h) - threshold, 0.0)
-        out_v = np.sign(q_v) * np.maximum(np.abs(q_v) - threshold, 0.0)
-        return out_h, out_v
-    norms = pointwise_norm(q, p)
+        for comp, dest in ((q_h, out_h), (q_v, out_v)):
+            np.abs(comp, out=dest)
+            dest -= threshold
+            np.maximum(dest, 0.0, out=dest)
+            dest *= np.sign(comp)
+        return out
+    # The scale is built in out_h. Where the norm is zero it reads -inf, or
+    # NaN if alpha is zero as well, and fmax clamps both to the 0 that makes
+    # t_i = 0 there.
+    scale = pointwise_norm(q, p, out=out_h)
+    np.multiply(beta_t, scale, out=scale)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > 0.0, 1.0 - alpha / (beta_t * norms), 0.0)
-    scale = np.maximum(scale, 0.0)
-    return q_h * scale, q_v * scale
+        np.divide(alpha, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    np.fmax(scale, 0.0, out=scale)
+    np.multiply(q_v, scale, out=out_v)
+    np.multiply(q_h, scale, out=out_h)
+    return out
 
 
-def update_w(z: np.ndarray, mu: float, beta_w: float) -> np.ndarray:
-    """Closed-form residual update: pointwise scaling by beta_w / (mu + beta_w)."""
+def update_w(
+    z: np.ndarray, mu: float, beta_w: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Closed-form residual update: pointwise scaling by beta_w / (mu + beta_w).
+
+    ``out``, if given (``z`` itself is allowed), receives the result.
+    """
     if beta_w <= 0:
         raise ValueError(f"beta_w must be positive, got {beta_w}")
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    return z * (beta_w / (mu + beta_w))
-
-
-def objective(
-    u: np.ndarray,
-    g: np.ndarray,
-    plan: SpectralPlan,
-    alpha: np.ndarray,
-    mu: float,
-    p: int,
-) -> float:
-    """Diagnostic value sum_i alpha_i ||(Du)_i||_p + (mu/2) ||Ku - g||^2.
-
-    ``plan`` carries the blur K. Not monotone across restore() iterations
-    since alpha and mu change there.
-    """
-    norms = pointwise_norm(gradient(u), p)
-    residual = blur_via_plan(plan, u) - g
-    return float(np.sum(alpha * norms) + 0.5 * mu * np.sum(residual**2))
-
-
-def augmented_lagrangian(
-    u: np.ndarray,
-    w: np.ndarray,
-    t: tuple[np.ndarray, np.ndarray],
-    rho_w: np.ndarray,
-    rho_t: tuple[np.ndarray, np.ndarray],
-    g: np.ndarray,
-    plan: SpectralPlan,
-    alpha: np.ndarray,
-    mu: float,
-    beta_t: float,
-    beta_w: float,
-    p: int,
-) -> float:
-    """Value of the augmented Lagrangian at the given primal/dual point."""
-    grad_h, grad_v = gradient(u)
-    res_h = t[0] - grad_h
-    res_v = t[1] - grad_v
-    res_w = w - (blur_via_plan(plan, u) - g)
-    value = float(np.sum(alpha * pointwise_norm(t, p)))
-    value += 0.5 * mu * float(np.sum(w**2))
-    value -= float(np.sum(rho_t[0] * res_h) + np.sum(rho_t[1] * res_v))
-    value += 0.5 * beta_t * float(np.sum(res_h**2) + np.sum(res_v**2))
-    value -= float(np.sum(rho_w * res_w))
-    value += 0.5 * beta_w * float(np.sum(res_w**2))
-    return value
+    return np.multiply(z, beta_w / (mu + beta_w), out=out)
 
 
 class _Iterate(NamedTuple):
@@ -226,70 +195,109 @@ class _Iterate(NamedTuple):
     ``rho_w`` that of the residual dual, and ``z`` that of residual +
     rho_w / beta_w, the point the next sweep's mu is chosen at. ``w`` (a
     spectrum) and ``t`` (real) are the primal values of the sweep that
-    produced this state, None at start. :func:`restore` keeps
-    ``residual``, ``w`` and ``t`` as None between sweeps, since a sweep reads
-    none of them.
+    produced this state, and ``work`` is a pair of real images. Those three
+    are scratch that the next sweep overwrites, as it does ``grad``,
+    ``rho_w``, ``rho_t`` and ``z``; only ``u`` and ``residual`` are new
+    arrays after each sweep. :func:`restore` drops ``residual`` between
+    sweeps, since a sweep does not read it.
     """
 
     u: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray | None
     grad: tuple[np.ndarray, np.ndarray]
     rho_w: np.ndarray
     rho_t: tuple[np.ndarray, np.ndarray]
     z: np.ndarray
-    w: np.ndarray | None
-    t: tuple[np.ndarray, np.ndarray] | None
+    w: np.ndarray
+    t: tuple[np.ndarray, np.ndarray]
+    work: tuple[np.ndarray, np.ndarray]
 
 
-def _start(g: np.ndarray, plan: SpectralPlan, beta_w: float) -> tuple[_Iterate, np.ndarray]:
-    """State at u = g with zero duals, and G = rfft2(g), which every sweep takes."""
+class _Fixed(NamedTuple):
+    """What every sweep of one restore reads and none writes.
+
+    ``g_spectrum`` is G = rfft2(g) and ``factors`` is
+    ``step_factors(plan, beta_w / beta_t)``.
+    """
+
+    plan: SpectralPlan
+    g_spectrum: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray]
+    beta_t: float
+    beta_w: float
+
+
+def _start(
+    g: np.ndarray, plan: SpectralPlan, beta_t: float, beta_w: float
+) -> tuple[_Iterate, _Fixed]:
+    """State at u = g with zero duals, its scratch, and the sweep's constants."""
     g_spectrum = np.fft.rfft2(g)
     residual = g_spectrum * plan.eigen_K - g_spectrum
     rho_w = np.zeros_like(g_spectrum)
-    rho_h, rho_v = np.zeros_like(g), np.zeros_like(g)
-    state = _Iterate(g, residual, gradient(g), rho_w, (rho_h, rho_v),
-                     residual + rho_w / beta_w, None, None)
-    return state, g_spectrum
+    state = _Iterate(
+        u=g,
+        residual=residual,
+        grad=gradient(g),
+        rho_w=rho_w,
+        rho_t=(np.zeros_like(g), np.zeros_like(g)),
+        z=residual + rho_w / beta_w,
+        w=np.empty_like(g_spectrum),
+        t=(np.empty_like(g), np.empty_like(g)),
+        work=(np.empty_like(g), np.empty_like(g)),
+    )
+    fixed = _Fixed(plan, g_spectrum, step_factors(plan, beta_w / beta_t), beta_t, beta_w)
+    return state, fixed
 
 
 def _sweep(
-    x: _Iterate,
-    g_spectrum: np.ndarray,
-    plan: SpectralPlan,
-    alpha: np.ndarray,
-    mu: float,
-    beta_t: float,
-    beta_w: float,
-    p: int,
-    variant: str,
+    x: _Iterate, f: _Fixed, alpha: np.ndarray, mu: float, p: int, variant: str
 ) -> _Iterate:
     """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
 
-    The w step, the right-hand side of the u step, the residual and its dual
-    are all formed on the half spectrum, so the only transforms are the two
-    inside ``spectral_step``. The residual K U - G is formed in the buffer of
-    the solution spectrum U; the arrays of ``x`` are left as they are.
+    Works in place: ``grad``, ``rho_t``, ``rho_w`` and the scratch of ``x``
+    are overwritten, and ``z`` and ``w`` swap buffers. The w step, the
+    right-hand side of the u step, the residual and its dual are all formed
+    on the half spectrum, so the only transforms are the two inside
+    ``spectral_step``, and the u and U they return are the only arrays that
+    outlive the sweep. Divisions by a penalty are multiplications by its
+    reciprocal, which is how numpy divides a complex array by a real one,
+    and rho_t / beta_t is formed once.
     """
-    ratio = beta_w / beta_t
-    (grad_h, grad_v), (rho_h, rho_v) = x.grad, x.rho_t
-    t_h, t_v = prox_t(
-        (grad_h + rho_h / beta_t, grad_v + rho_v / beta_t), alpha, beta_t, p, variant
-    )
-    w = update_w(x.z, mu, beta_w)
-    u, residual = spectral_step(
-        plan,
-        divergence((t_h - rho_h / beta_t, t_v - rho_v / beta_t)),
-        w - x.rho_w / beta_w + g_spectrum,
-        ratio,
-    )
-    residual *= plan.eigen_K
-    residual -= g_spectrum
-    grad_h, grad_v = gradient(u)
-    rho_w = x.rho_w - beta_w * (w - residual)
-    z = residual + rho_w / beta_w
-    rho_h = rho_h - beta_t * (t_h - grad_h)
-    rho_v = rho_v - beta_t * (t_v - grad_v)
-    return _Iterate(u, residual, (grad_h, grad_v), rho_w, (rho_h, rho_v), z, w, (t_h, t_v))
+    beta_t, beta_w = f.beta_t, f.beta_w
+    grad, rho_t, t, work = x.grad, x.rho_t, x.t, x.work
+    rho_w, spare = x.rho_w, x.w
+    # q = Du + rho_t / beta_t, formed in the buffers of Du, whose value the
+    # sweep recomputes from the new u; then t = prox(q).
+    for rho_c, grad_c, work_c in zip(rho_t, grad, work):
+        np.divide(rho_c, beta_t, out=work_c)
+        grad_c += work_c
+    prox_t(grad, alpha, beta_t, p, variant, out=t)
+    for t_c, work_c in zip(t, work):
+        np.subtract(t_c, work_c, out=work_c)
+    w = update_w(x.z, mu, beta_w, out=x.z)
+    # spare = w - rho_w / beta_w + G, which the u step then overwrites.
+    np.multiply(rho_w, 1.0 / beta_w, out=spare)
+    np.subtract(w, spare, out=spare)
+    spare += f.g_spectrum
+    u, residual = spectral_step(f.plan, divergence(work, out=grad[0]), spare, f.factors)
+    residual *= f.plan.eigen_K
+    residual -= f.g_spectrum
+    gradient(u, out=grad)
+    # rho_w -= beta_w (w - residual); z = residual + rho_w / beta_w.
+    np.subtract(w, residual, out=spare)
+    rho_w -= np.multiply(beta_w, spare, out=spare)
+    z = np.multiply(rho_w, 1.0 / beta_w, out=spare)
+    z += residual
+    # rho_t -= beta_t (t - Du).
+    for rho_c, t_c, grad_c, work_c in zip(rho_t, t, grad, work):
+        np.subtract(t_c, grad_c, out=work_c)
+        rho_c -= np.multiply(beta_t, work_c, out=work_c)
+    return x._replace(u=u, residual=residual, z=z, w=w)
+
+
+def _norm(arr: np.ndarray) -> float:
+    # Euclidean norm summed by einsum, not BLAS: see linops._power.
+    return math.sqrt(float(np.einsum("ij,ij->", arr, arr)))
 
 
 def restore(
@@ -329,10 +337,12 @@ def restore(
     then the discrepancy update of mu), primal updates t, w, u, then dual
     ascent on rho_w and rho_t. The linear terms w, rho_w, Ku - g and z stay
     on the real-FFT half spectrum, and their norms come from Parseval, so a
-    sweep runs two real transforms. Starts from u = g with zero duals; stops
-    when the relative change of u falls to ``cfg.tol`` or after
-    ``cfg.max_iter`` sweeps. Deterministic: identical inputs give
-    bit-identical iterates.
+    sweep runs two real transforms. The state is updated in place, in
+    scratch allocated once per call, and ``g`` is not modified. Starts from
+    u = g with zero duals; stops when the relative change of u falls to
+    ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic: identical
+    inputs give bit-identical iterates, whatever the BLAS thread count,
+    since no norm is summed by BLAS.
     """
     _require_finite_positive("sigma", sigma)
     if cfg.mode == "hwtv" and 2 * cfg.r + 1 > min(g.height, g.width):
@@ -344,29 +354,30 @@ def restore(
     delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
     g_arr = g.data
     alpha = np.ones_like(g_arr)
-    x, g_spectrum = _start(g_arr, plan, cfg.beta_w)
+    x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
         if cfg.mode == "hwtv":
-            alpha = estimate_alpha(x.u, cfg.p, cfg.r, cfg.eps_floor)
+            # The weights of estimate_alpha(u), from the Du the last sweep
+            # formed for its dual update.
+            norms = pointwise_norm(x.grad, cfg.p, out=x.work[0])
+            alpha = alpha_from_norms(norms, cfg.r, cfg.eps_floor)
         z_norm = half_spectrum_norm(plan, x.z)
         if not math.isfinite(z_norm):
             raise DivergenceError(k)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
-        x = _sweep(
-            x, g_spectrum, plan, alpha, mu, cfg.beta_t, cfg.beta_w, cfg.p, cfg.aniso_prox
-        )
+        x = _sweep(x, fixed, alpha, mu, cfg.p, cfg.aniso_prox)
         discrepancy = half_spectrum_norm(plan, x.residual)
-        # Only the next sweep's inputs are kept: holding the residual, w and
-        # t as well would keep four more arrays alive through it.
-        x = x._replace(residual=None, w=None, t=None)
-        step = float(np.linalg.norm(x.u - u_prev))
+        # Holding the residual through the next sweep would keep one more
+        # half spectrum alive while that sweep forms its own.
+        x = x._replace(residual=None)
+        step = _norm(np.subtract(x.u, u_prev, out=x.work[0]))
         if not math.isfinite(step):
             raise DivergenceError(k)
-        rel_change = step / max(float(np.linalg.norm(u_prev)), np.finfo(np.float64).tiny)
+        rel_change = step / max(_norm(u_prev), np.finfo(np.float64).tiny)
         trace.append(
             TraceRow(
                 k=k,

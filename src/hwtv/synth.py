@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import ImageBuffer
+from .imgcore import ImageBuffer, _require_finite_positive
 from .linops import BlurSpec, blur_via_plan, build_plan
 
 PHANTOM_KINDS = ("cartoon", "texture", "mixed")
@@ -21,8 +21,7 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _require_finite_positive("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,7 @@ def _standard_normal(gen: np.random.Generator, count: int) -> np.ndarray:
 
 def add_awgn(u: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
     """Add i.i.d. Gaussian noise of std ``sigma``; deterministic per seed, no clipping."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _require_finite_positive("sigma", sigma)
     gen = np.random.Generator(np.random.Philox(seed))
     noise = _standard_normal(gen, u.pixel_count).reshape(u.data.shape)
     return ImageBuffer(u.data + sigma * noise)

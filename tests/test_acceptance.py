@@ -13,10 +13,11 @@ from hwtv import linops, solver
 from hwtv.adapt import alpha_from_norms
 from hwtv.imgcore import isnr, ssim
 from hwtv.linops import BlurSpec
-from hwtv.solver import SolverConfig, augmented_lagrangian, prox_t, restore
+from hwtv.solver import SolverConfig, prox_t, restore
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
 from half_laplacian import sample_half_laplacian
+from objectives import augmented_lagrangian
 from spatial_blur import circular_correlate
 
 # Shared deblurring benchmark: half piecewise-constant, half fine sinusoidal
@@ -64,11 +65,12 @@ def test_criterion_1_operator_correctness():
         scale_k = np.linalg.norm(u) * np.linalg.norm(w)
         worst_k = max(worst_k, abs(lhs_k - rhs_k) / scale_k)
     ratio = 5.0
+    factors = linops.step_factors(plan, ratio)
     worst_res = 0.0
     for _ in range(50):
         d, v = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
         rhs_img = d + ratio * circular_correlate(v, kernel)
-        u, _ = linops.spectral_step(plan, d, np.fft.rfft2(v), ratio)
+        u, _ = linops.spectral_step(plan, d, np.fft.rfft2(v), factors)
         applied = linops.divergence(linops.gradient(u)) + ratio * circular_correlate(
             linops.blur_via_plan(plan, u), kernel
         )
@@ -275,17 +277,18 @@ def test_criterion_8_frozen_parameter_stability():
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 30.0, 20.0, 100.0, 2
         plan = linops.build_plan(n, n, blur)
-        x, g_hat = solver._start(g, plan, bw)
+        x, fixed = solver._start(g, plan, bt, bw)
         values = []
         for _ in range(150):
             # the shipped sweep; the Lagrangian takes the new primals, old duals,
-            # with w and rho_w read back from the sweep's half spectra
-            nxt = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, p, "exact")
+            # with w and rho_w read back from the sweep's half spectra. The
+            # sweep updates the duals in place, so the old ones are copied.
+            rho_w, rho_t = _real(x.rho_w, g.shape), tuple(c.copy() for c in x.rho_t)
+            x = solver._sweep(x, fixed, weights, mu, p, "exact")
             values.append(augmented_lagrangian(
-                nxt.u, _real(nxt.w, g.shape), nxt.t, _real(x.rho_w, g.shape), x.rho_t,
+                x.u, _real(x.w, g.shape), x.t, rho_w, rho_t,
                 g, plan, weights, mu, bt, bw, p,
             ))
-            x = nxt
         diffs = np.diff(values)
         tol = 1e-10 * (1.0 + np.abs(np.asarray(values[:-1])))
         good += int(np.sum(diffs <= tol))

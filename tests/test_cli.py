@@ -184,6 +184,31 @@ class TestRestoreCommand:
             code, _ = _run(argv, capsys)
             assert code == 2, flag
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_blur_sigma_is_usage_error(self, phantom_files, capsys, bad):
+        # a NaN blur width is bad input, not a diverged run; an infinite one
+        # is not a box blur
+        tmp_path, truth, truth_path = phantom_files
+        g_path = tmp_path / "g.pgm"
+        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
+              "--noise-sigma", "0.1", "--seed", "6"], capsys)
+        blur = ["--blur-band", "5", "--blur-sigma", bad]
+        code, _ = _run(
+            ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
+             "--noise-sigma", "0.1", "--tau", "1.0", "--radius", "4", "--max-iter", "3",
+             *blur],
+            capsys,
+        )
+        assert code == 2
+        out_path = tmp_path / "g2.pgm"
+        code, _ = _run(
+            ["degrade", "--in", str(truth_path), "--out", str(out_path),
+             "--noise-sigma", "0.1", *blur],
+            capsys,
+        )
+        assert code == 2
+        assert not out_path.exists()
+
     def test_divergence_exit_code(self, phantom_files, capsys, monkeypatch):
         tmp_path, truth, truth_path = phantom_files
         g_path = tmp_path / "g.pgm"

@@ -13,6 +13,7 @@ from hwtv.linops import (
     make_kernel,
     pointwise_norm,
     spectral_step,
+    step_factors,
 )
 
 from spatial_blur import circular_convolve, circular_correlate
@@ -85,6 +86,64 @@ class TestDivergence:
         assert np.allclose(out, 0.0, atol=1e-15)
 
 
+SHAPES = [(37, 45), (15, 9), (1, 16), (16, 1)]
+
+
+def _roll_gradient(u):
+    return np.roll(u, -1, axis=1) - u, np.roll(u, -1, axis=0) - u
+
+
+def _roll_divergence(t):
+    h, v = t
+    return (np.roll(h, 1, axis=1) - h) + (np.roll(v, 1, axis=0) - v)
+
+
+def _reference_norm(t, p):
+    h, v = t
+    if p == 1:
+        return np.abs(h) + np.abs(v)
+    out = h * h
+    out += v * v
+    return np.sqrt(out)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+class TestOutPrimitives:
+    # Written into out=, each primitive gives the bits of its allocating form
+    # and of the np.roll reference it replaced.
+    def test_gradient(self, shape):
+        u = _rand_img(np.random.default_rng(40), *shape)
+        out = np.empty(shape), np.empty(shape)
+        assert gradient(u, out=out) is out
+        for got, alloc, ref in zip(out, gradient(u), _roll_gradient(u)):
+            assert np.array_equal(got, alloc)
+            assert np.array_equal(got, ref)
+
+    def test_divergence(self, shape):
+        t = _rand_field(np.random.default_rng(41), *shape)
+        out = np.empty(shape)
+        assert divergence(t, out=out) is out
+        assert np.array_equal(out, divergence(t))
+        assert np.array_equal(out, _roll_divergence(t))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_pointwise_norm(self, shape, p):
+        t = _rand_field(np.random.default_rng(42), *shape)
+        out = np.empty(shape)
+        assert pointwise_norm(t, p, out=out) is out
+        assert np.array_equal(out, pointwise_norm(t, p))
+        assert np.array_equal(out, _reference_norm(t, p))
+
+
+def test_out_must_be_contiguous():
+    u = _rand_img(np.random.default_rng(43), 6, 8)
+    strided = np.empty((6, 16))[:, ::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        gradient(u, out=(strided, np.empty((6, 8))))
+    with pytest.raises(ValueError, match="contiguous"):
+        divergence((u, u), out=strided)
+
+
 class TestKernel:
     def test_identity_spec(self):
         assert np.array_equal(make_kernel(BlurSpec(identity=True)), [[1.0]])
@@ -101,6 +160,12 @@ class TestKernel:
                 total += np.exp(-(i * i + j * j) / (2.0 * sigma * sigma))
         kernel = make_kernel(BlurSpec(band=band, sigma=sigma))
         assert kernel[2, 2] == pytest.approx(1.0 / total, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_sigma_rejected(self, bad):
+        # a NaN or infinite width would give a NaN or box kernel
+        with pytest.raises(ValueError, match="sigma"):
+            BlurSpec(band=5, sigma=bad)
 
     def test_even_band_rejected(self):
         with pytest.raises(ValueError):
@@ -207,7 +272,10 @@ class TestSpectralStep:
         ratio = 5.0
         u0 = _rand_img(rng, 8, 8)
         solved, spectrum = spectral_step(
-            plan, divergence(gradient(u0)), np.fft.rfft2(blur_via_plan(plan, u0)), ratio
+            plan,
+            divergence(gradient(u0)),
+            np.fft.rfft2(blur_via_plan(plan, u0)),
+            step_factors(plan, ratio),
         )
         assert np.allclose(solved, u0, atol=1e-9)
         blurred = _blur_from_step(plan, spectrum, u0.shape)
@@ -216,7 +284,10 @@ class TestSpectralStep:
     def test_dc_algebra_identity_blur(self):
         plan = build_plan(6, 6, BlurSpec(identity=True))
         u, spectrum = spectral_step(
-            plan, _img(np.full((6, 6), 0.7)), np.zeros((6, 4), dtype=complex), 1.0
+            plan,
+            _img(np.full((6, 6), 0.7)),
+            np.zeros((6, 4), dtype=complex),
+            step_factors(plan, 1.0),
         )
         assert np.allclose(u, 0.7, atol=1e-13)
         assert np.allclose(_blur_from_step(plan, spectrum, u.shape), 0.7, atol=1e-13)
@@ -230,7 +301,7 @@ class TestSpectralStep:
         for _ in range(50):
             d, v = _rand_img(rng, 16, 16), _rand_img(rng, 16, 16)
             rhs = d + ratio * circular_correlate(v, kernel)
-            u, _ = spectral_step(plan, d, np.fft.rfft2(v), ratio)
+            u, _ = spectral_step(plan, d, np.fft.rfft2(v), step_factors(plan, ratio))
             applied = divergence(gradient(u)) + ratio * circular_correlate(
                 blur_via_plan(plan, u), kernel
             )
@@ -240,7 +311,10 @@ class TestSpectralStep:
     def test_zero_rhs_gives_zero(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
         u, spectrum = spectral_step(
-            plan, _img(np.zeros((4, 4))), np.zeros((4, 3), dtype=complex), 2.0
+            plan,
+            _img(np.zeros((4, 4))),
+            np.zeros((4, 3), dtype=complex),
+            step_factors(plan, 2.0),
         )
         assert np.all(u == 0.0)
         assert np.all(spectrum == 0.0)
@@ -248,12 +322,14 @@ class TestSpectralStep:
     def test_nonpositive_ratio_rejected(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
         with pytest.raises(ValueError):
-            spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 3), dtype=complex), 0.0)
+            step_factors(plan, 0.0)
 
     def test_real_image_in_place_of_spectrum_rejected(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
         with pytest.raises(DimensionMismatchError):
-            spectral_step(plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), 2.0)
+            spectral_step(
+                plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), step_factors(plan, 2.0)
+            )
 
 
 def _three_solve_reference(spec, d, v, ratio):
@@ -289,7 +365,7 @@ class TestHalfSpectrum:
         rng = np.random.default_rng(35)
         d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
         plan = build_plan(width, height, spec)
-        u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), 5.0)
+        u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), step_factors(plan, 5.0))
         blurred = _blur_from_step(plan, spectrum, d.shape)
         assert u.shape == blurred.shape == d.shape
         expected = blur_via_plan(plan, u)
@@ -301,7 +377,7 @@ class TestHalfSpectrum:
         plan = build_plan(width, height, spec)
         for ratio in (1e-3, 5.0, 1e3):
             d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
-            u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), ratio)
+            u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), step_factors(plan, ratio))
             blurred = _blur_from_step(plan, spectrum, d.shape)
             ref_u, ref_blurred = _three_solve_reference(spec, d, v, ratio)
             assert u.shape == blurred.shape == d.shape

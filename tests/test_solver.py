@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +14,6 @@ from hwtv.linops import BlurSpec
 from hwtv.solver import (
     DivergenceError,
     SolverConfig,
-    augmented_lagrangian,
-    objective,
     prox_t,
     restore,
     update_w,
@@ -20,6 +21,7 @@ from hwtv.solver import (
 )
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
+from objectives import augmented_lagrangian, objective
 from spatial_blur import circular_correlate
 
 
@@ -144,7 +146,47 @@ class TestProxT:
             assert np.all(perturbed >= base - 1e-9)
 
 
+def _reference_prox(q, alpha, beta_t, p, variant):
+    # prox_t as it was written before it took out=: np.where guards the
+    # zero-norm pixels.
+    q_h, q_v = q
+    if p == 1 and variant == "exact":
+        threshold = alpha / beta_t
+        return (np.sign(q_h) * np.maximum(np.abs(q_h) - threshold, 0.0),
+                np.sign(q_v) * np.maximum(np.abs(q_v) - threshold, 0.0))
+    norms = np.abs(q_h) + np.abs(q_v) if p == 1 else np.sqrt(q_h * q_h + q_v * q_v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(norms > 0.0, 1.0 - alpha / (beta_t * norms), 0.0)
+    scale = np.maximum(scale, 0.0)
+    return q_h * scale, q_v * scale
+
+
+@pytest.mark.parametrize("shape", [(37, 45), (15, 9), (1, 16), (16, 1)])
+@pytest.mark.parametrize("p,variant", [(2, "exact"), (2, "paper_verbatim"),
+                                       (1, "exact"), (1, "paper_verbatim")])
+def test_prox_out_matches_allocating_and_reference(shape, p, variant):
+    rng = np.random.default_rng(68)
+    q = _field(rng.standard_normal(shape), rng.standard_normal(shape))
+    alpha = rng.uniform(0.0, 40.0, shape)
+    # zero-norm pixels, one of them with a zero weight as well
+    for arr in q:
+        arr.flat[::3] = 0.0
+    alpha.flat[::6] = 0.0
+    out = np.empty(shape), np.empty(shape)
+    assert prox_t(q, alpha, 20.0, p, variant, out=out) is out
+    for got, alloc, ref in zip(out, prox_t(q, alpha, 20.0, p, variant),
+                               _reference_prox(q, alpha, 20.0, p, variant)):
+        assert np.array_equal(got, alloc)
+        assert np.array_equal(got, ref)
+
+
 class TestUpdateW:
+    def test_out_matches_allocating(self):
+        z = np.random.default_rng(69).standard_normal((6, 4)) * (1 + 2j)
+        expected = update_w(z, 30.0, 100.0)
+        assert update_w(z, 30.0, 100.0, out=z) is z
+        assert np.array_equal(z, expected)
+
     def test_zero_mu_identity(self):
         z = np.array([[0.5, -1.0], [2.0, 0.0]])
         assert np.array_equal(update_w(z, 0.0, 100.0), z)
@@ -241,8 +283,8 @@ class TestRestore:
         result = restore(g, blur, sigma, cfg)
 
         bt, bw = cfg.beta_t, cfg.beta_w
-        ratio = bw / bt
         plan = linops.build_plan(32, 32, blur)
+        factors = linops.step_factors(plan, bw / bt)
         delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
         alpha = np.ones((32, 32))
         g = g.data
@@ -263,7 +305,7 @@ class TestRestore:
                 plan,
                 linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)),
                 w - rho_w / bw + g_hat,
-                ratio,
+                factors,
             )
             residual = spectrum * plan.eigen_K - g_hat
             grad_h, grad_v = linops.gradient(u)
@@ -285,6 +327,15 @@ class TestRestore:
         numeric = lambda res: [(t.k, t.mu, t.discrepancy, t.rel_change) for t in res.trace]
         assert numeric(r1) == numeric(r2)
 
+    @pytest.mark.parametrize("mode", ["hwtv", "tv_scalar"])
+    def test_caller_image_left_unmodified(self, mode):
+        u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
+        blur = BlurSpec(band=3, sigma=1.0)
+        g = degrade(u, DegradationSpec(blur=blur, sigma=0.08, seed=4))
+        before = g.data.copy()
+        restore(g, blur, 0.08, SolverConfig(p=2, tau=1.0, r=2, mode=mode, max_iter=4))
+        assert np.array_equal(g.data, before)
+
     def test_divergence_reported_with_iteration_index(self, monkeypatch):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
         g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=6))
@@ -292,11 +343,11 @@ class TestRestore:
         calls = {"n": 0}
         real_step = linops.spectral_step
 
-        def poisoned(plan, d, v, ratio):
+        def poisoned(plan, d, v, factors):
             calls["n"] += 1
             if calls["n"] >= 3:
                 return np.full((32, 32), np.nan), np.full((32, 17), np.nan, dtype=complex)
-            return real_step(plan, d, v, ratio)
+            return real_step(plan, d, v, factors)
 
         monkeypatch.setattr(solver, "spectral_step", poisoned)
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=50)
@@ -379,9 +430,9 @@ def test_spectral_state_matches_real_space(spec):
     weights = rng.uniform(0.5, 2.0, (height, width))
     mu, bt, bw = 30.0, 20.0, 100.0
     plan = linops.build_plan(width, height, spec)
-    x, g_hat = solver._start(g, plan, bw)
+    x, fixed = solver._start(g, plan, bt, bw)
     for _ in range(3):
-        x = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, 2, "exact")
+        x = solver._sweep(x, fixed, weights, mu, 2, "exact")
         residual = _real(x.residual, g.shape)
         expected = linops.blur_via_plan(plan, x.u) - g
         assert np.linalg.norm(residual - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -405,9 +456,9 @@ class TestFrozenProblemAgainstGenericMinimizer:
         plan = linops.build_plan(n, n, blur)
         kernel = linops.make_kernel(blur)
 
-        x, g_hat = solver._start(g, plan, bw)
+        x, fixed = solver._start(g, plan, bt, bw)
         for _ in range(4000):
-            x = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, p, "exact")
+            x = solver._sweep(x, fixed, weights, mu, p, "exact")
         admm_value = objective(x.u, g, plan, weights, mu, p)
 
         smoothing = 1e-12
@@ -445,20 +496,48 @@ class TestFrozenParameterStability:
             weights = rng.uniform(0.5, 2.0, (n, n))
             mu, bt, bw, p = 30.0, 20.0, 100.0, 2
             plan = linops.build_plan(n, n, blur)
-            x, g_hat = solver._start(g, plan, bw)
+            x, fixed = solver._start(g, plan, bt, bw)
             values = []
             for _ in range(120):
-                nxt = solver._sweep(x, g_hat, plan, weights, mu, bt, bw, p, "exact")
+                # the sweep updates the duals in place: keep the old ones
+                rho_w, rho_t = _real(x.rho_w, g.shape), tuple(c.copy() for c in x.rho_t)
+                x = solver._sweep(x, fixed, weights, mu, p, "exact")
                 values.append(augmented_lagrangian(
-                    nxt.u, _real(nxt.w, g.shape), nxt.t, _real(x.rho_w, g.shape), x.rho_t,
+                    x.u, _real(x.w, g.shape), x.t, rho_w, rho_t,
                     g, plan, weights, mu, bt, bw, p,
                 ))
-                x = nxt
             diffs = np.diff(values)
             tol = 1e-10 * (1.0 + np.abs(np.asarray(values[:-1])))
             good += int(np.sum(diffs <= tol))
             total += diffs.size
         assert good / total >= 0.95
+
+
+_THREAD_PROBE = """
+import hashlib
+import hwtv
+blur = hwtv.BlurSpec(band=5, sigma=1.0)
+truth = hwtv.make_phantom(hwtv.PhantomSpec(width=256, height=256, kind="mixed"))
+g = hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=0.05, seed=1))
+cfg = hwtv.SolverConfig(p=2, tau=0.94, r=14, mode="tv_scalar", max_iter=30, tol=1e-300)
+print(hashlib.sha256(hwtv.restore(g, blur, 0.05, cfg).u_star.data.tobytes()).hexdigest())
+"""
+
+
+def test_result_independent_of_blas_thread_count():
+    # restore promises bit-identical iterates for identical inputs; a norm
+    # summed by a threaded BLAS depends on the thread count. 128x128 is too
+    # small to show it.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    base["PYTHONPATH"] = os.path.abspath(src)
+    digests = [
+        subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, check=True,
+                       capture_output=True, text=True).stdout.strip()
+        for env in (dict(base, OPENBLAS_NUM_THREADS="1"), base)
+    ]
+    assert digests[0] == digests[1]
 
 
 class TestTraceExport:

@@ -41,6 +41,13 @@ class TestPhantoms:
 
 
 class TestAwgn:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            DegradationSpec(blur=BlurSpec(identity=True), sigma=bad)
+        with pytest.raises(ValueError, match="sigma"):
+            add_awgn(ImageBuffer(np.zeros((4, 4))), bad, seed=0)
+
     def test_sample_std_near_sigma(self):
         base = ImageBuffer(np.zeros((256, 256)))
         sigma = 0.07
