@@ -5,9 +5,11 @@ weighted-TV objective whose per-pixel regularization weights are re-estimated
 from the iterate (maximum likelihood on local gradient-norm scales) while a
 single global fidelity weight tracks the discrepancy principle. The solver is
 an ADMM scheme whose linear step diagonalizes under periodic boundaries.
+
+The package exports the library boundary; the loop's operators and updates
+are imported from ``linops``, ``adapt`` and ``solver``.
 """
 
-from .adapt import alpha_from_norms, estimate_alpha, update_mu
 from .imgcore import (
     DimensionMismatchError,
     FormatError,
@@ -19,24 +21,13 @@ from .imgcore import (
     ssim,
     write_image,
 )
-from .linops import (
-    BlurSpec,
-    SpectralPlan,
-    box_mean,
-    build_plan,
-    divergence,
-    gradient,
-    make_kernel,
-    pointwise_norm,
-)
+from .linops import BlurSpec
 from .solver import (
     DivergenceError,
     RestoreResult,
     SolverConfig,
     TraceRow,
-    prox_t,
     restore,
-    update_w,
     write_trace_csv,
 )
 from .synth import DegradationSpec, PhantomSpec, add_awgn, degrade, make_phantom
@@ -54,27 +45,15 @@ __all__ = [
     "PhantomSpec",
     "RestoreResult",
     "SolverConfig",
-    "SpectralPlan",
     "TraceRow",
     "add_awgn",
-    "alpha_from_norms",
-    "box_mean",
-    "build_plan",
     "degrade",
     "detect_format",
-    "divergence",
-    "estimate_alpha",
-    "gradient",
     "isnr",
-    "make_kernel",
     "make_phantom",
-    "pointwise_norm",
-    "prox_t",
     "read_image",
     "restore",
     "ssim",
-    "update_mu",
-    "update_w",
     "write_image",
     "write_trace_csv",
 ]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linops import box_mean, gradient, pointwise_norm
+from .linops import box_mean
 
 
 def alpha_from_norms(norms: np.ndarray, r: int, eps_floor: float) -> np.ndarray:
@@ -20,30 +20,12 @@ def alpha_from_norms(norms: np.ndarray, r: int, eps_floor: float) -> np.ndarray:
     Each pixel's weight is the maximum-likelihood scale of a half-Laplacian
     fitted to the (2r+1)^2 norms around it: one over their mean. Means below
     ``eps_floor`` (flat neighborhoods) are clamped, so for finite norms every
-    weight lies in (0, 1 / eps_floor].
+    weight lies in (0, 1 / eps_floor]. The weights of an image u are
+    ``alpha_from_norms(pointwise_norm(gradient(u), p), r, eps_floor)``.
     """
     if eps_floor <= 0:
         raise ValueError(f"eps_floor must be positive, got {eps_floor}")
     return 1.0 / np.maximum(box_mean(norms, r), eps_floor)
-
-
-def estimate_alpha(u: np.ndarray, p: int, r: int, eps_floor: float) -> np.ndarray:
-    """Estimate the per-pixel regularization weights from an image iterate.
-
-    Parameters
-    ----------
-    u : ndarray
-        Current image estimate, 2-D.
-    p : {1, 2}
-        Gradient-norm flavor: anisotropic (|h| + |v|) or isotropic
-        (sqrt(h^2 + v^2)).
-    r : int
-        Window radius; each estimate pools the (2r+1)^2 surrounding norms,
-        center pixel included.
-    eps_floor : float
-        Lower clamp on the windowed means; caps weights at 1 / eps_floor.
-    """
-    return alpha_from_norms(pointwise_norm(gradient(u), p), r, eps_floor)
 
 
 def update_mu(z_norm: float, delta: float, beta_w: float) -> float:

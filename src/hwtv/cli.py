@@ -9,7 +9,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .imgcore import (
 )
 from .linops import BlurSpec
 from .solver import DivergenceError, SolverConfig
-
-SWEEP_FIELDS = ("tau", "r", "isnr", "ssim", "iterations", "wall_ms", "final_discrepancy")
 
 USAGE_ERROR = 2
 DIVERGENCE_ERROR = 3
@@ -42,6 +40,9 @@ class SweepRow:
     iterations: int
     wall_ms: float
     final_discrepancy: float
+
+
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def _load(path: str) -> ImageBuffer:
@@ -68,8 +69,10 @@ def _print_json(payload: dict) -> None:
 
 
 def parse_grid(text: str, cast):
-    """Parse "start:step:stop" (inclusive) or a comma-separated value list."""
-    values = []
+    """Parse "start:step:stop" (inclusive) or a comma-separated value list.
+
+    Numbers are read as floats, and must be finite before ``cast`` applies.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -77,13 +80,19 @@ def parse_grid(text: str, cast):
         start, step, stop = (float(part) for part in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [cast(start + i * step) for i in range(max(count, 0))]
+        # Not finite if a bound is not, or if the points are too many to count.
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ValueError(f"grid range must be finite, got {text!r}")
+        count = int(math.floor(span + 1e-9)) + 1
+        values = [start + i * step for i in range(max(count, 0))]
     else:
-        values = [cast(item) for item in text.split(",") if item.strip()]
+        values = [float(item) for item in text.split(",") if item.strip()]
     if not values:
         raise ValueError(f"empty grid: {text!r}")
-    return values
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    return [cast(value) for value in values]
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +206,7 @@ def cmd_sweep(args) -> int:
     truth = _load(args.true)
     degraded = _load(args.infile)
     tau_values = parse_grid(args.tau_grid, float)
-    r_values = parse_grid(args.radius_grid, lambda v: int(round(float(v))))
+    r_values = parse_grid(args.radius_grid, round)
     blur = _blur_from_args(args)
     # One cell per distinct (tau, r): rounding radii can repeat a value.
     # SolverConfig checks every (tau, r) here, before any cell runs.
@@ -215,8 +224,7 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_FIELDS)
-        for row in rows:
-            writer.writerow([getattr(row, name) for name in SWEEP_FIELDS])
+        writer.writerows(map(astuple, rows))
     return 0
 
 

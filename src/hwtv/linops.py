@@ -123,7 +123,7 @@ def pointwise_norm(
     iterate is reported as diverged either way. They underflow only below
     about 1e-154, where the norm reads as zero: ``prox_t`` then maps the
     pixel to zero, as it would for the exact norm, and ``eps_floor`` clamps
-    the weights ``estimate_alpha`` derives from it.
+    the weights ``alpha_from_norms`` derives from it.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
@@ -245,17 +245,17 @@ def half_spectrum_norm(plan: SpectralPlan, spectrum: np.ndarray) -> float:
     width), which ``restore`` reports as divergence.
     """
     _require_half_spectrum(plan, spectrum)
-    total = 2.0 * _power(spectrum) - _power(spectrum[:, :1])
+    total = 2.0 * _sum_squares(spectrum) - _sum_squares(spectrum[:, :1])
     if plan.width % 2 == 0:
-        total -= _power(spectrum[:, -1:])
+        total -= _sum_squares(spectrum[:, -1:])
     return math.sqrt(total / (plan.height * plan.width))
 
 
-def _power(spectrum: np.ndarray) -> float:
-    # Sum of squared magnitudes, |X|^2 = re^2 + im^2, over a real view of the
-    # (height, columns) spectrum. einsum sums without BLAS, whose threads
-    # would spin after the call and whose sum order depends on their count.
-    parts = spectrum.view(np.float64)
+def _sum_squares(arr: np.ndarray) -> float:
+    # Sum of |X|^2 = re^2 + im^2 over a 2-D real or complex array's float64
+    # view. einsum sums without BLAS, whose threads would spin after the call
+    # and whose sum order depends on their count.
+    parts = arr.view(np.float64)
     return float(np.einsum("ij,ij->", parts, parts))
 
 

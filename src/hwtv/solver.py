@@ -15,7 +15,7 @@ import csv
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ from .imgcore import ImageBuffer, _require_finite_positive
 from .linops import (
     BlurSpec,
     SpectralPlan,
+    _sum_squares,
     build_plan,
     divergence,
     gradient,
@@ -96,7 +97,7 @@ class TraceRow:
     wall_ms: float
 
 
-TRACE_FIELDS = ("k", "mu", "discrepancy", "rel_change", "wall_ms")
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass(eq=False)
@@ -116,8 +117,7 @@ def write_trace_csv(path, rows: list[TraceRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
-        for row in rows:
-            writer.writerow([row.k, row.mu, row.discrepancy, row.rel_change, row.wall_ms])
+        writer.writerows(map(astuple, rows))
 
 
 def prox_t(
@@ -171,20 +171,6 @@ def prox_t(
     np.multiply(q_v, scale, out=out_v)
     np.multiply(q_h, scale, out=out_h)
     return out
-
-
-def update_w(
-    z: np.ndarray, mu: float, beta_w: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Closed-form residual update: pointwise scaling by beta_w / (mu + beta_w).
-
-    ``out``, if given (``z`` itself is allowed), receives the result.
-    """
-    if beta_w <= 0:
-        raise ValueError(f"beta_w must be positive, got {beta_w}")
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    return np.multiply(z, beta_w / (mu + beta_w), out=out)
 
 
 class _Iterate(NamedTuple):
@@ -274,7 +260,8 @@ def _sweep(
     prox_t(grad, alpha, beta_t, p, variant, out=t)
     for t_c, work_c in zip(t, work):
         np.subtract(t_c, work_c, out=work_c)
-    w = update_w(x.z, mu, beta_w, out=x.z)
+    # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
+    w = np.multiply(x.z, beta_w / (mu + beta_w), out=x.z)
     # spare = w - rho_w / beta_w + G, which the u step then overwrites.
     np.multiply(rho_w, 1.0 / beta_w, out=spare)
     np.subtract(w, spare, out=spare)
@@ -293,11 +280,6 @@ def _sweep(
         np.subtract(t_c, grad_c, out=work_c)
         rho_c -= np.multiply(beta_t, work_c, out=work_c)
     return x._replace(u=u, residual=residual, z=z, w=w)
-
-
-def _norm(arr: np.ndarray) -> float:
-    # Euclidean norm summed by einsum, not BLAS: see linops._power.
-    return math.sqrt(float(np.einsum("ij,ij->", arr, arr)))
 
 
 def restore(
@@ -360,8 +342,8 @@ def restore(
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
         if cfg.mode == "hwtv":
-            # The weights of estimate_alpha(u), from the Du the last sweep
-            # formed for its dual update.
+            # The weights of u, from the Du the last sweep formed for its
+            # dual update.
             norms = pointwise_norm(x.grad, cfg.p, out=x.work[0])
             alpha = alpha_from_norms(norms, cfg.r, cfg.eps_floor)
         z_norm = half_spectrum_norm(plan, x.z)
@@ -374,10 +356,11 @@ def restore(
         # Holding the residual through the next sweep would keep one more
         # half spectrum alive while that sweep forms its own.
         x = x._replace(residual=None)
-        step = _norm(np.subtract(x.u, u_prev, out=x.work[0]))
+        step = math.sqrt(_sum_squares(np.subtract(x.u, u_prev, out=x.work[0])))
         if not math.isfinite(step):
             raise DivergenceError(k)
-        rel_change = step / max(_norm(u_prev), np.finfo(np.float64).tiny)
+        u_norm = math.sqrt(_sum_squares(u_prev))
+        rel_change = step / max(u_norm, np.finfo(np.float64).tiny)
         trace.append(
             TraceRow(
                 k=k,

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwtv.adapt import alpha_from_norms, estimate_alpha, update_mu
+from hwtv.adapt import alpha_from_norms, update_mu
+from hwtv.linops import gradient, pointwise_norm
 
 from half_laplacian import sample_half_laplacian
 
 
 class TestEstimateAlpha:
+    """The weights of an image u: alpha_from_norms(pointwise_norm(gradient(u), p), ...)."""
+
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("r", [1, 3, 7])
     def test_weights_within_floor_cap(self, p, r):
@@ -19,7 +22,7 @@ class TestEstimateAlpha:
         eps_floor = 1e-2
         for scale in (0.0, 1e-3, 1e-2, 1.0, 1e3):
             u = 0.5 + scale * rng.standard_normal((20, 24))
-            alpha = estimate_alpha(u, p=p, r=r, eps_floor=eps_floor)
+            alpha = alpha_from_norms(pointwise_norm(gradient(u), p), r, eps_floor)
             assert alpha.shape == u.shape
             assert np.all(alpha > 0.0)
             assert np.all(alpha <= 1.0 / eps_floor)
@@ -36,11 +39,12 @@ class TestEstimateAlpha:
         rows = np.arange(16)[:, None]
         cols = np.arange(16)[None, :]
         board = c * ((rows + cols) % 2).astype(np.float64)
-        alpha = estimate_alpha(board, p=1, r=2, eps_floor=1e-4)
+        alpha = alpha_from_norms(pointwise_norm(gradient(board), 1), 2, 1e-4)
         assert np.allclose(alpha, 1.0 / (2.0 * c), atol=1e-10)
 
     def test_constant_image_hits_clamp(self):
-        alpha = estimate_alpha(np.full((16, 16), 0.6), p=2, r=3, eps_floor=1e-4)
+        flat = np.full((16, 16), 0.6)
+        alpha = alpha_from_norms(pointwise_norm(gradient(flat), 2), 3, 1e-4)
         assert np.all(alpha == 1e4)
 
     def test_pooled_rate_estimate_within_two_percent(self):
@@ -53,15 +57,15 @@ class TestEstimateAlpha:
     def test_intensity_scale_covariance(self):
         rng = np.random.default_rng(51)
         u = rng.uniform(0.2, 0.8, (20, 20))
-        a1 = estimate_alpha(u, p=2, r=2, eps_floor=1e-12)
-        a2 = estimate_alpha(3.0 * u, p=2, r=2, eps_floor=1e-12)
+        a1 = alpha_from_norms(pointwise_norm(gradient(u), 2), 2, 1e-12)
+        a2 = alpha_from_norms(pointwise_norm(gradient(3.0 * u), 2), 2, 1e-12)
         assert np.allclose(a2, a1 / 3.0, rtol=1e-10)
 
     def test_p_selects_norm_flavor(self):
         rng = np.random.default_rng(52)
         u = rng.uniform(0, 1, (12, 12))
-        a1 = estimate_alpha(u, p=1, r=2, eps_floor=1e-12)
-        a2 = estimate_alpha(u, p=2, r=2, eps_floor=1e-12)
+        a1 = alpha_from_norms(pointwise_norm(gradient(u), 1), 2, 1e-12)
+        a2 = alpha_from_norms(pointwise_norm(gradient(u), 2), 2, 1e-12)
         # the 1-norm dominates the 2-norm, so its weights are smaller
         assert np.all(a1 <= a2 + 1e-15)
 

@@ -21,6 +21,9 @@ def phantom_files(tmp_path):
     return tmp_path, truth, truth_path
 
 
+SWEEP_HEADER = ["tau", "r", "isnr", "ssim", "iterations", "wall_ms", "final_discrepancy"]
+
+
 def _run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out.strip()
@@ -305,7 +308,7 @@ class TestSweepCommand:
         assert code == 0
         with open(out_csv, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(cli.SWEEP_FIELDS)
+        assert rows[0] == SWEEP_HEADER
         assert len(rows) == 1 + 6
         taus = [float(row[0]) for row in rows[1:]]
         radii = [int(row[1]) for row in rows[1:]]
@@ -335,7 +338,7 @@ class TestSweepCommand:
         assert sorted(calls) == [(1.0, 2), (1.0, 3), (1.0, 4)]
         with open(out_csv, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(cli.SWEEP_FIELDS)
+        assert rows[0] == SWEEP_HEADER
         assert [int(row[1]) for row in rows[1:]] == [2, 3, 4]
 
     def test_colon_grid_parsing(self):
@@ -365,7 +368,11 @@ class TestSweepCommand:
             raise AssertionError("a cell ran before the grid was checked")
 
         monkeypatch.setattr(cli.solver, "restore", no_restore)
-        for tau_grid, radius_grid in (("1.0,-0.5", "2"), ("1.0", "2,0")):
+        # non-finite values must not reach float-to-int casts or range counts
+        for tau_grid, radius_grid in (
+            ("1.0,-0.5", "2"), ("1.0", "2,0"),
+            ("0.9:0.1:inf", "2"), ("1.0", "2,inf"), ("1.0", "1e400"),
+        ):
             code, _ = _run(
                 ["sweep", "--true", str(truth_path), "--in", str(g_path),
                  "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hwtv import linops, solver
-from hwtv.adapt import estimate_alpha, update_mu
+from hwtv.adapt import alpha_from_norms, update_mu
 from hwtv.imgcore import ImageBuffer
 from hwtv.linops import BlurSpec
 from hwtv.solver import (
@@ -16,7 +16,6 @@ from hwtv.solver import (
     SolverConfig,
     prox_t,
     restore,
-    update_w,
     write_trace_csv,
 )
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
@@ -180,31 +179,6 @@ def test_prox_out_matches_allocating_and_reference(shape, p, variant):
         assert np.array_equal(got, ref)
 
 
-class TestUpdateW:
-    def test_out_matches_allocating(self):
-        z = np.random.default_rng(69).standard_normal((6, 4)) * (1 + 2j)
-        expected = update_w(z, 30.0, 100.0)
-        assert update_w(z, 30.0, 100.0, out=z) is z
-        assert np.array_equal(z, expected)
-
-    def test_zero_mu_identity(self):
-        z = np.array([[0.5, -1.0], [2.0, 0.0]])
-        assert np.array_equal(update_w(z, 0.0, 100.0), z)
-
-    def test_mu_equals_beta_halves(self):
-        z = np.array([[1.0, -2.0]])
-        assert np.allclose(update_w(z, 100.0, 100.0), z / 2.0)
-
-    def test_large_mu_limit(self):
-        z = np.array([[1.0, -3.0]])
-        out = update_w(z, 1e12 * 100.0, 100.0)
-        assert np.max(np.abs(out)) <= 1e-11 * np.max(np.abs(z))
-
-    def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
-            update_w(np.zeros((2, 2)), -1.0, 100.0)
-
-
 class TestObjective:
     def test_u_equals_g_identity_blur_is_pure_wtv(self):
         rng = np.random.default_rng(65)
@@ -295,12 +269,13 @@ class TestRestore:
         rho_h, rho_v = np.zeros((32, 32)), np.zeros((32, 32))
         for _ in range(steps):
             if mode == "hwtv":
-                alpha = estimate_alpha(u, p, cfg.r, cfg.eps_floor)
+                norms = linops.pointwise_norm(linops.gradient(u), p)
+                alpha = alpha_from_norms(norms, cfg.r, cfg.eps_floor)
             z = residual + rho_w / bw
             mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
             grad_h, grad_v = linops.gradient(u)
             t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), alpha, bt, p, prox)
-            w = update_w(z, mu, bw)
+            w = z * (bw / (mu + bw))
             u, spectrum = linops.spectral_step(
                 plan,
                 linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)),

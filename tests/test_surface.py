@@ -1,0 +1,60 @@
+import importlib
+
+import pytest
+
+import hwtv
+
+BOUNDARY = [
+    "BlurSpec",
+    "DegradationSpec",
+    "DimensionMismatchError",
+    "DivergenceError",
+    "FormatError",
+    "ImageBuffer",
+    "InfiniteIsnrError",
+    "PhantomSpec",
+    "RestoreResult",
+    "SolverConfig",
+    "TraceRow",
+    "add_awgn",
+    "degrade",
+    "detect_format",
+    "isnr",
+    "make_phantom",
+    "read_image",
+    "restore",
+    "ssim",
+    "write_image",
+    "write_trace_csv",
+]
+
+# Loop primitives: importable from their modules, not from the package.
+PRIMITIVES = [
+    ("linops", "SpectralPlan"),
+    ("linops", "build_plan"),
+    ("linops", "make_kernel"),
+    ("linops", "gradient"),
+    ("linops", "divergence"),
+    ("linops", "pointwise_norm"),
+    ("linops", "box_mean"),
+    ("solver", "prox_t"),
+    ("adapt", "alpha_from_norms"),
+    ("adapt", "update_mu"),
+]
+
+
+def test_all_is_the_library_boundary():
+    assert sorted(hwtv.__all__) == sorted(BOUNDARY)
+    for name in BOUNDARY:
+        assert getattr(hwtv, name) is not None
+
+
+@pytest.mark.parametrize("module,name", PRIMITIVES)
+def test_primitive_imports_from_its_module(module, name):
+    assert name not in hwtv.__all__
+    assert hasattr(importlib.import_module(f"hwtv.{module}"), name)
+
+
+@pytest.mark.parametrize("module,name", [("solver", "update_w"), ("adapt", "estimate_alpha")])
+def test_folded_wrapper_is_gone(module, name):
+    assert not hasattr(importlib.import_module(f"hwtv.{module}"), name)
