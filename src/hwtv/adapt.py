@@ -7,8 +7,6 @@ weight driven by the discrepancy principle for a known noise level.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .linops import box_mean
@@ -20,11 +18,10 @@ def alpha_from_norms(norms: np.ndarray, r: int, eps_floor: float) -> np.ndarray:
     Each pixel's weight is the maximum-likelihood scale of a half-Laplacian
     fitted to the (2r+1)^2 norms around it: one over their mean. Means below
     ``eps_floor`` (flat neighborhoods) are clamped, so for finite norms every
-    weight lies in (0, 1 / eps_floor]. The weights of an image u are
+    weight lies in (0, 1 / eps_floor]; the caller ensures eps_floor > 0 and
+    the window bounds of :func:`box_mean`. The weights of an image u are
     ``alpha_from_norms(pointwise_norm(gradient(u), p), r, eps_floor)``.
     """
-    if eps_floor <= 0:
-        raise ValueError(f"eps_floor must be positive, got {eps_floor}")
     return 1.0 / np.maximum(box_mean(norms, r), eps_floor)
 
 
@@ -34,14 +31,9 @@ def update_mu(z_norm: float, delta: float, beta_w: float) -> float:
     ``delta`` is the target residual norm, tau * sigma * sqrt(n) for noise
     level sigma over n pixels. Zero while the splitting residual norm is
     within ``delta``; above it, grows as beta_w * (z_norm / delta - 1) to pull
-    the data fit back toward the noise level.
+    the data fit back toward the noise level. The caller ensures delta > 0,
+    beta_w > 0 and a finite z_norm >= 0.
     """
-    if beta_w <= 0:
-        raise ValueError(f"beta_w must be positive, got {beta_w}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if z_norm < 0 or not math.isfinite(z_norm):
-        raise ValueError(f"z_norm must be finite and nonnegative, got {z_norm}")
     if z_norm <= delta:
         return 0.0
     return beta_w * (z_norm / delta - 1.0)

@@ -27,6 +27,7 @@ from .solver import DivergenceError, SolverConfig
 
 USAGE_ERROR = 2
 DIVERGENCE_ERROR = 3
+MAX_GRID_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,8 @@ def parse_grid(text: str, cast):
         if not math.isfinite(span):
             raise ValueError(f"grid range must be finite, got {text!r}")
         count = int(math.floor(span + 1e-9)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {count} points, more than {MAX_GRID_POINTS}")
         values = [start + i * step for i in range(max(count, 0))]
     else:
         values = [float(item) for item in text.split(",") if item.strip()]
@@ -205,6 +208,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     truth = _load(args.true)
     degraded = _load(args.infile)
+    # Every cell is scored against the truth, so check that scoring can run.
+    imgcore._require_ssim_pair(degraded, truth)
     tau_values = parse_grid(args.tau_grid, float)
     r_values = parse_grid(args.radius_grid, round)
     blur = _blur_from_args(args)
@@ -215,8 +220,9 @@ def cmd_sweep(args) -> int:
         for tau in sorted(set(tau_values))
         for radius in sorted(set(r_values))
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(cell) for cell in cells]

@@ -85,6 +85,14 @@ def _require_same_shape(*images: ImageBuffer) -> None:
         raise DimensionMismatchError(f"images differ in shape: {sorted(shapes)}")
 
 
+def _require_ssim_pair(a: ImageBuffer, b: ImageBuffer) -> None:
+    _require_same_shape(a, b)
+    if a.height < _SSIM_WINDOW or a.width < _SSIM_WINDOW:
+        raise ValueError(
+            f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM"
+        )
+
+
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
@@ -284,11 +292,7 @@ def ssim(a: ImageBuffer, b: ImageBuffer) -> float:
     std 1.5, C1 = 1e-4, C2 = 9e-4 on unit dynamic range) averaged over all
     window positions fully inside the images. Symmetric; ssim(a, a) == 1.
     """
-    _require_same_shape(a, b)
-    if a.height < _SSIM_WINDOW or a.width < _SSIM_WINDOW:
-        raise ValueError(
-            f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM"
-        )
+    _require_ssim_pair(a, b)
     window = _gaussian_window()
     x, y = a.data, b.data
     mean_x = _windowed_mean(x, window)

@@ -4,10 +4,11 @@ Forward differences, their exact adjoint, truncated Gaussian blur and the
 local box mean all wrap periodically, which diagonalizes the restoration
 normal equations in the 2-D DFT basis and keeps every operator pair
 (operator, adjoint) exact to rounding. Operators take and return plain
-float64 arrays, a gradient field being an (h, v) pair of them. They check
-shapes and scalar arguments but not finiteness: samples are checked where
-they enter the library, as ``ImageBuffer``, and once per sweep in ``restore``.
-An ``out=`` argument takes C-contiguous arrays (a pair for a field) of the
+float64 arrays, a gradient field being an (h, v) pair of them. The loop
+operators check no argument: the caller passes matching shapes and scalars
+in the documented ranges, as ``restore`` does once it has checked its
+inputs, and tests the iterate for finiteness once per sweep.
+An ``out=`` argument must be C-contiguous arrays (a pair for a field) of the
 result's shape, not overlapping the input; the result is written there and
 returned, with the same bits as without ``out=``.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import DimensionMismatchError, _require_finite_positive
+from .imgcore import _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -59,20 +60,6 @@ class SpectralPlan:
     eigen_DtD: np.ndarray
 
 
-def _require_plan_match(plan: SpectralPlan, arr: np.ndarray) -> None:
-    if arr.shape != (plan.height, plan.width):
-        raise DimensionMismatchError(
-            f"image is {'x'.join(map(str, arr.shape))}, plan is {plan.height}x{plan.width}"
-        )
-
-
-def _require_out(shape: tuple[int, ...], *arrays: np.ndarray) -> None:
-    # Results are written through 1-D views, which only a C-contiguous array has.
-    for arr in arrays:
-        if arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(f"out must be C-contiguous with shape {shape}")
-
-
 def gradient(
     u: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +67,6 @@ def gradient(
     if out is None:
         out = np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype)
     h, v = out
-    _require_out(u.shape, h, v)
     # Along a row, the difference is taken on the flattened raster and the
     # wrap column is then fixed: a strided slice per row is slower.
     flat = u.reshape(-1)
@@ -98,7 +84,6 @@ def divergence(
     h, v = t
     if out is None:
         out = np.empty(h.shape, np.result_type(h, v))
-    _require_out(h.shape, out)
     flat = h.reshape(-1)
     np.subtract(flat[:-1], flat[1:], out=out.reshape(-1)[1:])
     np.subtract(h[:, -1], h[:, 0], out=out[:, 0])
@@ -125,12 +110,9 @@ def pointwise_norm(
     pixel to zero, as it would for the exact norm, and ``eps_floor`` clamps
     the weights ``alpha_from_norms`` derives from it.
     """
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
     h, v = t
     if out is None:
         out = np.empty(h.shape, np.result_type(h, v, np.float64))
-    _require_out(h.shape, out)
     if p == 1:
         np.abs(h, out=out)
         out += np.abs(v)
@@ -180,16 +162,7 @@ def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
 
 def blur_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
     """Circular convolution with the planned kernel via its eigenvalues."""
-    _require_plan_match(plan, u)
     return np.fft.irfft2(np.fft.rfft2(u) * plan.eigen_K, s=u.shape)
-
-
-def _require_half_spectrum(plan: SpectralPlan, spectrum: np.ndarray) -> None:
-    if spectrum.shape != (plan.height, plan.width // 2 + 1):
-        raise DimensionMismatchError(
-            f"half spectrum is {'x'.join(map(str, spectrum.shape))}, plan is "
-            f"{plan.height}x{plan.width}"
-        )
 
 
 def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -209,23 +182,19 @@ def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarr
 
 
 def spectral_step(
-    plan: SpectralPlan,
-    d: np.ndarray,
-    v_spectrum: np.ndarray,
-    factors: tuple[np.ndarray, np.ndarray],
+    d: np.ndarray, v_spectrum: np.ndarray, factors: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, U)``.
 
-    ``factors`` is ``step_factors(plan, ratio)``. ``d`` is a real image;
-    ``v_spectrum`` is V = rfft2(v), which the solve overwrites. The returned
+    ``factors`` is ``step_factors(plan, ratio)``. The caller ensures that
+    ``d`` is a real image of the plan's size and that ``v_spectrum``, V =
+    rfft2(v), is on its half spectrum; the solve overwrites V. The returned
     U = rfft2(u) is on the same half spectrum, so a caller that keeps its
     linear terms there reads Ku as K U without another transform. One
     ``rfft2`` and one ``irfft2`` in all, and no other new array. Multiplying
     by the reciprocal of the real denominator gives the same bits as dividing
     by it, since numpy divides complex numbers that way.
     """
-    _require_plan_match(plan, d)
-    _require_half_spectrum(plan, v_spectrum)
     k_adjoint, inv_denom = factors
     spectrum = np.fft.rfft2(d)
     # k_adjoint first: numpy's complex product is not symmetric in rounding.
@@ -244,7 +213,6 @@ def half_spectrum_norm(plan: SpectralPlan, spectrum: np.ndarray) -> float:
     overflows for images whose norm exceeds about 1e154 / sqrt(2 height
     width), which ``restore`` reports as divergence.
     """
-    _require_half_spectrum(plan, spectrum)
     total = 2.0 * _sum_squares(spectrum) - _sum_squares(spectrum[:, :1])
     if plan.width % 2 == 0:
         total -= _sum_squares(spectrum[:, -1:])
@@ -281,15 +249,11 @@ def _periodic_window_sum(arr: np.ndarray, r: int, axis: int) -> np.ndarray:
 
 
 def box_mean(field_norms: np.ndarray, r: int) -> np.ndarray:
-    """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel."""
-    if r < 1:
-        raise ValueError(f"window radius must be a positive integer, got {r}")
+    """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
+
+    The caller ensures 1 <= r and 2r + 1 <= min(height, width).
+    """
     window = 2 * r + 1
-    height, width = field_norms.shape
-    if window > min(height, width):
-        raise ValueError(
-            f"window {window}x{window} larger than image {height}x{width}"
-        )
     sums = _periodic_window_sum(_periodic_window_sum(field_norms, r, axis=0), r, axis=1)
     out = sums / float(window * window)
     # The exact mean lies in [min, max]; clip the <=1 ulp summation excursions.

@@ -137,17 +137,10 @@ def prox_t(
     q_i = 0. The "exact" variant at p = 1 soft-thresholds each component,
     which is the true proximal map of the anisotropic penalty. ``out``, if
     given, is a pair of arrays of q's shape, not overlapping ``q``, that
-    receives t and is returned.
+    receives t and is returned. The caller ensures beta_t > 0, p in {1, 2}
+    and ``variant`` in ``PROX_VARIANTS``, as ``SolverConfig`` does.
     """
-    if beta_t <= 0:
-        raise ValueError(f"beta_t must be positive, got {beta_t}")
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    if variant not in PROX_VARIANTS:
-        raise ValueError(f"variant must be one of {PROX_VARIANTS}, got {variant!r}")
     q_h, q_v = q
-    if alpha.shape != q_h.shape:
-        raise ValueError("alpha and q shapes differ")
     if out is None:
         out = np.empty(q_h.shape), np.empty(q_v.shape)
     out_h, out_v = out
@@ -266,7 +259,7 @@ def _sweep(
     np.multiply(rho_w, 1.0 / beta_w, out=spare)
     np.subtract(w, spare, out=spare)
     spare += f.g_spectrum
-    u, residual = spectral_step(f.plan, divergence(work, out=grad[0]), spare, f.factors)
+    u, residual = spectral_step(divergence(work, out=grad[0]), spare, f.factors)
     residual *= f.plan.eigen_K
     residual -= f.g_spectrum
     gradient(u, out=grad)
@@ -334,6 +327,8 @@ def restore(
         )
     plan = build_plan(g.width, g.height, blur)
     delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
+    if delta <= 0:
+        raise ValueError(f"tau * sigma * sqrt(n) must be positive, got {delta}")
     g_arr = g.data
     alpha = np.ones_like(g_arr)
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest -v -s tests/test_acceptance.py` to see the per-criterion lines.
-The full suite is sized to finish in a few minutes on commodity hardware.
+The full suite is sized to finish in about a minute on commodity hardware.
 """
 
 import time
@@ -70,7 +70,7 @@ def test_criterion_1_operator_correctness():
     for _ in range(50):
         d, v = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
         rhs_img = d + ratio * circular_correlate(v, kernel)
-        u, _ = linops.spectral_step(plan, d, np.fft.rfft2(v), factors)
+        u, _ = linops.spectral_step(d, np.fft.rfft2(v), factors)
         applied = linops.divergence(linops.gradient(u)) + ratio * circular_correlate(
             linops.blur_via_plan(plan, u), kernel
         )

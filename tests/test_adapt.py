@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hwtv.adapt import alpha_from_norms, update_mu
 from hwtv.linops import gradient, pointwise_norm
+from hwtv.solver import SolverConfig
 
 from half_laplacian import sample_half_laplacian
 
@@ -88,12 +89,12 @@ class TestUpdateMu:
             assert update_mu(frac * self.DELTA, self.DELTA, beta_w=50.0) == 0.0
 
     def test_nonpositive_beta_rejected(self):
-        with pytest.raises(ValueError):
-            update_mu(1.0, self.DELTA, beta_w=0.0)
-
-    def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ValueError):
-            update_mu(1.0, 0.0, beta_w=100.0)
+        # update_mu trusts its beta_w; a nonpositive one is stopped where it
+        # enters, in SolverConfig, together with beta_t.
+        for name in ("beta_t", "beta_w"):
+            for bad in (0.0, -1.0):
+                with pytest.raises(ValueError, match=name):
+                    SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, name: bad})
 
     @settings(max_examples=200, deadline=None)
     @given(

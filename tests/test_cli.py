@@ -173,6 +173,18 @@ class TestRestoreCommand:
         )
         assert code == 2
 
+    def test_underflowing_discrepancy_target_is_usage_error(self, phantom_files, capsys):
+        # tau and sigma are each positive, but tau * sigma * sqrt(n) is 0
+        tmp_path, truth, truth_path = phantom_files
+        out_path = tmp_path / "rec.raw"
+        code, _ = _run(
+            ["restore", "--in", str(truth_path), "--out", str(out_path),
+             "--noise-sigma", "1e-200", "--tau", "1e-200", "--radius", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert not out_path.exists()
+
     def test_non_finite_tunable_is_usage_error(self, phantom_files, capsys):
         # a NaN tau or sigma is bad input (exit 2), not a diverged run (exit 3)
         tmp_path, truth, truth_path = phantom_files
@@ -346,6 +358,9 @@ class TestSweepCommand:
         assert cli.parse_grid("2,6,10", int) == [2, 6, 10]
         with pytest.raises(ValueError):
             cli.parse_grid(" ", float)
+        assert len(cli.parse_grid("1:1:1000", float)) == cli.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            cli.parse_grid("0:1e-6:1", float)
 
     def test_empty_grid_exit_two(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
@@ -372,11 +387,33 @@ class TestSweepCommand:
         for tau_grid, radius_grid in (
             ("1.0,-0.5", "2"), ("1.0", "2,0"),
             ("0.9:0.1:inf", "2"), ("1.0", "2,inf"), ("1.0", "1e400"),
+            ("0:1e-9:1", "2"),
         ):
             code, _ = _run(
                 ["sweep", "--true", str(truth_path), "--in", str(g_path),
                  "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
                  "--tau-grid", tau_grid, "--radius-grid", radius_grid],
+                capsys,
+            )
+            assert code == 2
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_unscorable_images_exit_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # every cell is scored by ISNR and SSIM, which need one shape and at
+        # least SSIM's 11x11 window; both are checked before any restore
+        def no_restore(*args, **kwargs):
+            raise AssertionError("a cell ran before the images were checked")
+
+        monkeypatch.setattr(cli.solver, "restore", no_restore)
+        paths = {}
+        for name, shape in (("square", (16, 16)), ("wide", (16, 20)), ("tiny", (8, 8))):
+            paths[name] = tmp_path / f"{name}.raw"
+            write_image(ImageBuffer(np.full(shape, 0.5)), paths[name], RAW_F32)
+        for truth, observed in (("square", "wide"), ("tiny", "tiny")):
+            code, _ = _run(
+                ["sweep", "--true", str(paths[truth]), "--in", str(paths[observed]),
+                 "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+                 "--tau-grid", "1.0", "--radius-grid", "2"],
                 capsys,
             )
             assert code == 2
@@ -443,6 +480,36 @@ class TestSweepCommand:
             return max(float(row["isnr"]) for row in rows)
 
         assert best_isnr("hwtv") > best_isnr("tv_scalar")
+        capsys.readouterr()
+
+    def test_worker_pool_sized_to_cells(self, phantom_files, capsys, monkeypatch):
+        # no more workers than cells, and a single cell runs without a pool
+        tmp_path, truth, truth_path = phantom_files
+        g_path = self._degraded(tmp_path, truth_path, capsys)
+        pools = []
+
+        class RecordingPool:
+            # records the requested size and runs the cells in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        argv = ["sweep", "--true", str(truth_path), "--in", str(g_path),
+                "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+                "--radius-grid", "3", "--max-iter", "2"]
+        assert cli.main(argv + ["--tau-grid", "0.95,1.0", "--jobs", "64"]) == 0
+        assert pools == [2]
+        assert cli.main(argv + ["--tau-grid", "1.0", "--jobs", "2"]) == 0
+        assert pools == [2]
         capsys.readouterr()
 
     def test_worker_pool_matches_serial(self, phantom_files, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hwtv.imgcore import DimensionMismatchError
 from hwtv.linops import (
     BlurSpec,
     blur_via_plan,
@@ -135,15 +134,6 @@ class TestOutPrimitives:
         assert np.array_equal(out, _reference_norm(t, p))
 
 
-def test_out_must_be_contiguous():
-    u = _rand_img(np.random.default_rng(43), 6, 8)
-    strided = np.empty((6, 16))[:, ::2]
-    with pytest.raises(ValueError, match="contiguous"):
-        gradient(u, out=(strided, np.empty((6, 8))))
-    with pytest.raises(ValueError, match="contiguous"):
-        divergence((u, u), out=strided)
-
-
 class TestKernel:
     def test_identity_spec(self):
         assert np.array_equal(make_kernel(BlurSpec(identity=True)), [[1.0]])
@@ -249,11 +239,6 @@ class TestSpectralPlan:
         expected = circular_convolve(u, make_kernel(spec))
         assert np.allclose(blur_via_plan(plan, u), expected, atol=1e-10)
 
-    def test_plan_shape_mismatch_rejected(self):
-        plan = build_plan(8, 6, BlurSpec(identity=True))
-        with pytest.raises(DimensionMismatchError):
-            blur_via_plan(plan, np.zeros((8, 6)))
-
     @pytest.mark.parametrize(
         "spec", [BlurSpec(identity=True), BlurSpec(band=3, sigma=0.5), BlurSpec(band=9, sigma=3.0)]
     )
@@ -272,7 +257,6 @@ class TestSpectralStep:
         ratio = 5.0
         u0 = _rand_img(rng, 8, 8)
         solved, spectrum = spectral_step(
-            plan,
             divergence(gradient(u0)),
             np.fft.rfft2(blur_via_plan(plan, u0)),
             step_factors(plan, ratio),
@@ -284,7 +268,6 @@ class TestSpectralStep:
     def test_dc_algebra_identity_blur(self):
         plan = build_plan(6, 6, BlurSpec(identity=True))
         u, spectrum = spectral_step(
-            plan,
             _img(np.full((6, 6), 0.7)),
             np.zeros((6, 4), dtype=complex),
             step_factors(plan, 1.0),
@@ -301,7 +284,7 @@ class TestSpectralStep:
         for _ in range(50):
             d, v = _rand_img(rng, 16, 16), _rand_img(rng, 16, 16)
             rhs = d + ratio * circular_correlate(v, kernel)
-            u, _ = spectral_step(plan, d, np.fft.rfft2(v), step_factors(plan, ratio))
+            u, _ = spectral_step(d, np.fft.rfft2(v), step_factors(plan, ratio))
             applied = divergence(gradient(u)) + ratio * circular_correlate(
                 blur_via_plan(plan, u), kernel
             )
@@ -311,7 +294,6 @@ class TestSpectralStep:
     def test_zero_rhs_gives_zero(self):
         plan = build_plan(4, 4, BlurSpec(identity=True))
         u, spectrum = spectral_step(
-            plan,
             _img(np.zeros((4, 4))),
             np.zeros((4, 3), dtype=complex),
             step_factors(plan, 2.0),
@@ -323,14 +305,6 @@ class TestSpectralStep:
         plan = build_plan(4, 4, BlurSpec(identity=True))
         with pytest.raises(ValueError):
             step_factors(plan, 0.0)
-
-    def test_real_image_in_place_of_spectrum_rejected(self):
-        plan = build_plan(4, 4, BlurSpec(identity=True))
-        with pytest.raises(DimensionMismatchError):
-            spectral_step(
-                plan, _img(np.zeros((4, 4))), np.zeros((4, 4)), step_factors(plan, 2.0)
-            )
-
 
 def _three_solve_reference(spec, d, v, ratio):
     # The u-step as three full-spectrum complex fft2/ifft2 pairs: K^T v,
@@ -365,7 +339,7 @@ class TestHalfSpectrum:
         rng = np.random.default_rng(35)
         d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
         plan = build_plan(width, height, spec)
-        u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), step_factors(plan, 5.0))
+        u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(plan, 5.0))
         blurred = _blur_from_step(plan, spectrum, d.shape)
         assert u.shape == blurred.shape == d.shape
         expected = blur_via_plan(plan, u)
@@ -377,7 +351,7 @@ class TestHalfSpectrum:
         plan = build_plan(width, height, spec)
         for ratio in (1e-3, 5.0, 1e3):
             d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
-            u, spectrum = spectral_step(plan, d, np.fft.rfft2(v), step_factors(plan, ratio))
+            u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(plan, ratio))
             blurred = _blur_from_step(plan, spectrum, d.shape)
             ref_u, ref_blurred = _three_solve_reference(spec, d, v, ratio)
             assert u.shape == blurred.shape == d.shape
@@ -396,12 +370,6 @@ def test_half_spectrum_norm_matches_real_norm(height, width):
         spectrum = np.fft.rfft2(scale * _rand_img(rng, height, width))
         expected = np.linalg.norm(np.fft.irfft2(spectrum, s=(height, width)))
         assert half_spectrum_norm(plan, spectrum) == pytest.approx(expected, rel=1e-13, abs=0)
-
-
-def test_half_spectrum_norm_rejects_full_spectrum():
-    plan = build_plan(8, 6, BlurSpec(identity=True))
-    with pytest.raises(DimensionMismatchError):
-        half_spectrum_norm(plan, np.zeros((6, 8), dtype=complex))
 
 
 def _box_mean_reference(field_norms, r):
@@ -456,10 +424,6 @@ class TestBoxMean:
         assert out.min() >= img.min()
         assert out.max() <= img.max()
 
-    def test_window_larger_than_image_rejected(self):
-        with pytest.raises(ValueError):
-            box_mean(_img(np.zeros((5, 5))), 3)
-
     @pytest.mark.parametrize("height,width", [(3, 3), (9, 9), (37, 45), (64, 33), (128, 128)])
     def test_bit_identical_to_reference(self, height, width):
         rng = np.random.default_rng(38)
@@ -485,8 +449,3 @@ class TestPointwiseNorm:
             exact = np.hypot(scale * h, scale * v)
             assert np.all(norms[:2] == 0.0)
             np.testing.assert_array_max_ulp(norms, exact, maxulp=2)
-
-    def test_invalid_p(self):
-        field = (np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            pointwise_norm(field, 3)

@@ -277,7 +277,6 @@ class TestRestore:
             t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), alpha, bt, p, prox)
             w = z * (bw / (mu + bw))
             u, spectrum = linops.spectral_step(
-                plan,
                 linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)),
                 w - rho_w / bw + g_hat,
                 factors,
@@ -318,11 +317,11 @@ class TestRestore:
         calls = {"n": 0}
         real_step = linops.spectral_step
 
-        def poisoned(plan, d, v, factors):
+        def poisoned(d, v, factors):
             calls["n"] += 1
             if calls["n"] >= 3:
                 return np.full((32, 32), np.nan), np.full((32, 17), np.nan, dtype=complex)
-            return real_step(plan, d, v, factors)
+            return real_step(d, v, factors)
 
         monkeypatch.setattr(solver, "spectral_step", poisoned)
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=50)
@@ -362,6 +361,18 @@ class TestRestore:
         cfg = SolverConfig(p=2, tau=1.0, r=2)
         with pytest.raises(ValueError, match="sigma"):
             restore(g, BlurSpec(identity=True), 0.0, cfg)
+
+    def test_underflowing_discrepancy_target_rejected_up_front(self, monkeypatch):
+        # tau and sigma each pass their checks, but tau * sigma * sqrt(n)
+        # underflows to 0; restore rejects it before the first sweep.
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(solver, "_sweep", no_sweep)
+        g = ImageBuffer(np.full((8, 8), 0.5))
+        cfg = SolverConfig(p=2, tau=1e-200, r=2)
+        with pytest.raises(ValueError, match="positive"):
+            restore(g, BlurSpec(identity=True), 1e-200, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
