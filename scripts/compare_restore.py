@@ -11,13 +11,17 @@ x both blurs. The fields compared are ``u_star``, ``iterations``,
 ``final_mu``, ``final_discrepancy``, ``alpha_final`` and the
 ``(k, mu, discrepancy, rel_change)`` of every trace row. For a run that is
 not bit-identical, each differing field is printed with the largest absolute
-difference between its two sides. Exits 0 when every field of every run has
-the same bytes on both sides, 1 otherwise.
+difference between its two sides. A last line but one gives, for each
+field, the largest absolute difference over all runs (inf where the shapes
+differ), and how many restore runs have equal ``iterations``: the deviation
+a change of rounding has to state. Exits 0 when every field of every run
+has the same bytes on both sides, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import pickle
 import subprocess
@@ -76,6 +80,27 @@ def describe_difference(name: str, old: np.ndarray, new: np.ndarray) -> str:
     return f"{name} (max |diff| {diff.max():.2e})"
 
 
+def field_summary(old: dict, new: dict) -> str:
+    diffs: dict[str, list[float]] = {}
+    for key in sorted(old, key=str):
+        for name, value in old[key].items():
+            other = new[key][name]
+            # A change of shape, such as a trace of another length, reads as inf.
+            diff = (
+                np.abs(value.astype(np.float64) - other.astype(np.float64)).max(initial=0.0)
+                if value.shape == other.shape else math.inf
+            )
+            diffs.setdefault(name, []).append(diff)
+    restores = [key for key in old if "iterations" in old[key]]
+    equal = sum(
+        np.array_equal(old[key]["iterations"], new[key]["iterations"]) for key in restores
+    )
+    # np.max, unlike max, lets a NaN difference show.
+    per_field = ", ".join(f"{name} {np.max(values):.2e}" for name, values in diffs.items())
+    return (f"max |diff| over all runs: {per_field}; "
+            f"iterations equal in {equal}/{len(restores)} restore runs")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--dump":
         dump(argv[1])
@@ -96,6 +121,7 @@ def main(argv: list[str]) -> int:
         mismatches += bool(differ)
         details = [describe_difference(name, old[key][name], new[key][name]) for name in differ]
         print(f"{'DIFFER' if differ else 'same  '} {key} {' '.join(details)}")
+    print(field_summary(old, new))
     print(f"{len(old) - mismatches}/{len(old)} runs bit-identical")
     return 1 if mismatches or old.keys() != new.keys() else 0
 

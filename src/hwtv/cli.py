@@ -214,12 +214,14 @@ def cmd_sweep(args) -> int:
     r_values = parse_grid(args.radius_grid, round)
     blur = _blur_from_args(args)
     # One cell per distinct (tau, r): rounding radii can repeat a value.
-    # SolverConfig checks every (tau, r) here, before any cell runs.
+    # SolverConfig and the window check see every (tau, r) before any cell runs.
     cells = [
         (_config_from_args(args, tau, radius), blur, args.noise_sigma, degraded, truth)
         for tau in sorted(set(tau_values))
         for radius in sorted(set(r_values))
     ]
+    for cell in cells:
+        solver._require_window_fits(cell[0], degraded)
     workers = min(args.jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -257,14 +259,14 @@ def _add_blur_flags(parser):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--mode", choices=solver.MODES, default="hwtv")
+    defaults = {f.name: f.default for f in fields(SolverConfig)}
+    parser.add_argument("--mode", choices=solver.MODES, default=defaults["mode"])
     parser.add_argument("--p", type=int, choices=(1, 2), default=2,
                         help="TV flavor: 1 anisotropic, 2 isotropic")
-    parser.add_argument("--beta-t", type=float, default=20.0)
-    parser.add_argument("--beta-w", type=float, default=100.0)
-    parser.add_argument("--eps-floor", type=float, default=1e-4)
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--tol", type=float, default=1e-5)
+    for name in ("beta_t", "beta_w", "eps_floor", "max_iter", "tol"):
+        # Each flag parses as its default's type: int for max_iter, else float.
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=type(defaults[name]), default=defaults[name])
     parser.add_argument("--aniso-prox", choices=("exact", "paper"), default="exact",
                         help="p=1 proximal map: exact soft-thresholding or the "
                              "verbatim shrinkage formula")

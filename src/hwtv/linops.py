@@ -16,6 +16,7 @@ returned, with the same bits as without ``out=``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class BlurSpec:
     def __post_init__(self):
         if self.identity:
             return
-        if self.band < 1 or self.band % 2 == 0:
-            raise ValueError(f"band must be an odd positive integer, got {self.band}")
+        band = self.band
+        if not isinstance(band, numbers.Integral) or band < 1 or band % 2 == 0:
+            raise ValueError(f"band must be an odd positive integer, got {band!r}")
         _require_finite_positive("sigma", self.sigma)
 
 

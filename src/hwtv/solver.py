@@ -169,23 +169,21 @@ def prox_t(
 class _Iterate(NamedTuple):
     """ADMM state between sweeps, unvalidated.
 
-    ``u``, ``grad`` (Du) and ``rho_t`` are real. The linear chain is kept on
-    the ``rfft2`` half spectrum: ``residual`` is the spectrum of Ku - g,
-    ``rho_w`` that of the residual dual, and ``z`` that of residual +
-    rho_w / beta_w, the point the next sweep's mu is chosen at. ``w`` (a
-    spectrum) and ``t`` (real) are the primal values of the sweep that
-    produced this state, and ``work`` is a pair of real images. Those three
-    are scratch that the next sweep overwrites, as it does ``grad``,
-    ``rho_w``, ``rho_t`` and ``z``; only ``u`` and ``residual`` are new
-    arrays after each sweep. :func:`restore` drops ``residual`` between
-    sweeps, since a sweep does not read it.
+    ``u``, ``grad`` (Du) and the scaled gradient dual ``y_t`` = rho_t /
+    beta_t are real. The linear chain is kept on the ``rfft2`` half
+    spectrum: ``y_w`` is the scaled residual dual rho_w / beta_w, and ``z``
+    is the spectrum of (Ku - g) + y_w, the point the next sweep's mu is
+    chosen at. ``w`` (a spectrum) and ``t`` (real) are the primal values of
+    the sweep that produced this state, and ``work`` is a pair of real
+    images. Those three are scratch that the next sweep overwrites, as it
+    does ``grad``, ``y_w``, ``y_t`` and ``z``; only ``u`` is a new array
+    after each sweep.
     """
 
     u: np.ndarray
-    residual: np.ndarray | None
     grad: tuple[np.ndarray, np.ndarray]
-    rho_w: np.ndarray
-    rho_t: tuple[np.ndarray, np.ndarray]
+    y_w: np.ndarray
+    y_t: tuple[np.ndarray, np.ndarray]
     z: np.ndarray
     w: np.ndarray
     t: tuple[np.ndarray, np.ndarray]
@@ -211,15 +209,12 @@ def _start(
 ) -> tuple[_Iterate, _Fixed]:
     """State at u = g with zero duals, its scratch, and the sweep's constants."""
     g_spectrum = np.fft.rfft2(g)
-    residual = g_spectrum * plan.eigen_K - g_spectrum
-    rho_w = np.zeros_like(g_spectrum)
     state = _Iterate(
         u=g,
-        residual=residual,
         grad=gradient(g),
-        rho_w=rho_w,
-        rho_t=(np.zeros_like(g), np.zeros_like(g)),
-        z=residual + rho_w / beta_w,
+        y_w=np.zeros_like(g_spectrum),
+        y_t=(np.zeros_like(g), np.zeros_like(g)),
+        z=g_spectrum * plan.eigen_K - g_spectrum,
         w=np.empty_like(g_spectrum),
         t=(np.empty_like(g), np.empty_like(g)),
         work=(np.empty_like(g), np.empty_like(g)),
@@ -230,49 +225,52 @@ def _start(
 
 def _sweep(
     x: _Iterate, f: _Fixed, alpha: np.ndarray, mu: float, p: int, variant: str
-) -> _Iterate:
+) -> tuple[_Iterate, float]:
     """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
 
-    Works in place: ``grad``, ``rho_t``, ``rho_w`` and the scratch of ``x``
-    are overwritten, and ``z`` and ``w`` swap buffers. The w step, the
+    Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
+    in place: ``grad``, ``y_t``, ``y_w`` and the scratch of ``x`` are
+    overwritten, and ``z`` and ``w`` swap buffers. The w step, the
     right-hand side of the u step, the residual and its dual are all formed
     on the half spectrum, so the only transforms are the two inside
-    ``spectral_step``, and the u and U they return are the only arrays that
-    outlive the sweep. Divisions by a penalty are multiplications by its
-    reciprocal, which is how numpy divides a complex array by a real one,
-    and rho_t / beta_t is formed once.
+    ``spectral_step``, and the u it returns is the only array that outlives
+    the sweep. The duals are scaled (Boyd et al. 2011, section 3.1.1), so
+    beta_t enters only the t step and beta_w only the w step.
     """
-    beta_t, beta_w = f.beta_t, f.beta_w
-    grad, rho_t, t, work = x.grad, x.rho_t, x.t, x.work
-    rho_w, spare = x.rho_w, x.w
-    # q = Du + rho_t / beta_t, formed in the buffers of Du, whose value the
-    # sweep recomputes from the new u; then t = prox(q).
-    for rho_c, grad_c, work_c in zip(rho_t, grad, work):
-        np.divide(rho_c, beta_t, out=work_c)
-        grad_c += work_c
-    prox_t(grad, alpha, beta_t, p, variant, out=t)
-    for t_c, work_c in zip(t, work):
-        np.subtract(t_c, work_c, out=work_c)
+    grad, y_t, t, work = x.grad, x.y_t, x.t, x.work
+    y_w, spare = x.y_w, x.w
+    # q = Du + y_t, formed in the buffers of Du, whose value the sweep
+    # recomputes from the new u; then t = prox(q) and work = t - y_t.
+    for y_c, grad_c in zip(y_t, grad):
+        grad_c += y_c
+    prox_t(grad, alpha, f.beta_t, p, variant, out=t)
+    for t_c, y_c, work_c in zip(t, y_t, work):
+        np.subtract(t_c, y_c, out=work_c)
     # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
-    w = np.multiply(x.z, beta_w / (mu + beta_w), out=x.z)
-    # spare = w - rho_w / beta_w + G, which the u step then overwrites.
-    np.multiply(rho_w, 1.0 / beta_w, out=spare)
-    np.subtract(w, spare, out=spare)
+    w = np.multiply(x.z, f.beta_w / (mu + f.beta_w), out=x.z)
+    # spare = w - y_w + G, which the u step then overwrites.
+    np.subtract(w, y_w, out=spare)
     spare += f.g_spectrum
     u, residual = spectral_step(divergence(work, out=grad[0]), spare, f.factors)
     residual *= f.plan.eigen_K
     residual -= f.g_spectrum
     gradient(u, out=grad)
-    # rho_w -= beta_w (w - residual); z = residual + rho_w / beta_w.
-    np.subtract(w, residual, out=spare)
-    rho_w -= np.multiply(beta_w, spare, out=spare)
-    z = np.multiply(rho_w, 1.0 / beta_w, out=spare)
-    z += residual
-    # rho_t -= beta_t (t - Du).
-    for rho_c, t_c, grad_c, work_c in zip(rho_t, t, grad, work):
-        np.subtract(t_c, grad_c, out=work_c)
-        rho_c -= np.multiply(beta_t, work_c, out=work_c)
-    return x._replace(u=u, residual=residual, z=z, w=w)
+    # y_w += (Ku - g) - w; z = (Ku - g) + y_w.
+    y_w += np.subtract(residual, w, out=spare)
+    z = np.add(residual, y_w, out=spare)
+    # y_t += Du - t.
+    for y_c, t_c, grad_c, work_c in zip(y_t, t, grad, work):
+        y_c += np.subtract(grad_c, t_c, out=work_c)
+    return x._replace(u=u, z=z, w=w), half_spectrum_norm(f.plan, residual)
+
+
+def _require_window_fits(cfg: SolverConfig, g: ImageBuffer) -> None:
+    """Reject an "hwtv" weight-estimation window wider than ``g``."""
+    if cfg.mode == "hwtv" and 2 * cfg.r + 1 > min(g.height, g.width):
+        raise ValueError(
+            f"estimation window {2 * cfg.r + 1} exceeds image "
+            f"{g.height}x{g.width}"
+        )
 
 
 def restore(
@@ -310,21 +308,17 @@ def restore(
     Each iteration performs, in order: parameter refresh (weight map from the
     current iterate in "hwtv" mode or the all-ones map in "tv_scalar" mode,
     then the discrepancy update of mu), primal updates t, w, u, then dual
-    ascent on rho_w and rho_t. The linear terms w, rho_w, Ku - g and z stay
-    on the real-FFT half spectrum, and their norms come from Parseval, so a
-    sweep runs two real transforms. The state is updated in place, in
-    scratch allocated once per call, and ``g`` is not modified. Starts from
-    u = g with zero duals; stops when the relative change of u falls to
-    ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic: identical
-    inputs give bit-identical iterates, whatever the BLAS thread count,
-    since no norm is summed by BLAS.
+    ascent on the scaled duals y_w and y_t. The linear terms w, y_w, Ku - g
+    and z stay on the real-FFT half spectrum, and their norms come from
+    Parseval, so a sweep runs two real transforms. The state is updated in
+    place, in scratch allocated once per call, and ``g`` is not modified.
+    Starts from u = g with zero duals; stops when the relative change of u
+    falls to ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic:
+    identical inputs give bit-identical iterates, whatever the BLAS thread
+    count, since no norm is summed by BLAS.
     """
     _require_finite_positive("sigma", sigma)
-    if cfg.mode == "hwtv" and 2 * cfg.r + 1 > min(g.height, g.width):
-        raise ValueError(
-            f"estimation window {2 * cfg.r + 1} exceeds image "
-            f"{g.height}x{g.width}"
-        )
+    _require_window_fits(cfg, g)
     plan = build_plan(g.width, g.height, blur)
     delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
     if delta <= 0:
@@ -346,11 +340,7 @@ def restore(
             raise DivergenceError(k)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
-        x = _sweep(x, fixed, alpha, mu, cfg.p, cfg.aniso_prox)
-        discrepancy = half_spectrum_norm(plan, x.residual)
-        # Holding the residual through the next sweep would keep one more
-        # half spectrum alive while that sweep forms its own.
-        x = x._replace(residual=None)
+        x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p, cfg.aniso_prox)
         step = math.sqrt(_sum_squares(np.subtract(x.u, u_prev, out=x.work[0])))
         if not math.isfinite(step):
             raise DivergenceError(k)

@@ -281,10 +281,11 @@ def test_criterion_8_frozen_parameter_stability():
         values = []
         for _ in range(150):
             # the shipped sweep; the Lagrangian takes the new primals, old duals,
-            # with w and rho_w read back from the sweep's half spectra. The
-            # sweep updates the duals in place, so the old ones are copied.
-            rho_w, rho_t = _real(x.rho_w, g.shape), tuple(c.copy() for c in x.rho_t)
-            x = solver._sweep(x, fixed, weights, mu, p, "exact")
+            # with w and y_w read back from the sweep's half spectra. It takes
+            # the unscaled duals rho = beta y, formed before the sweep updates
+            # y in place.
+            rho_w, rho_t = bw * _real(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
+            x, _ = solver._sweep(x, fixed, weights, mu, p, "exact")
             values.append(augmented_lagrangian(
                 x.u, _real(x.w, g.shape), x.t, rho_w, rho_t,
                 g, plan, weights, mu, bt, bw, p,

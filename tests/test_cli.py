@@ -243,6 +243,26 @@ class TestRestoreCommand:
         )
         assert code == 3
 
+    def test_no_solver_flags_give_config_defaults(self, phantom_files, capsys, monkeypatch):
+        # the CLI's solver defaults are SolverConfig's, not a copy of them
+        tmp_path, _, truth_path = phantom_files
+        from hwtv.solver import DivergenceError, SolverConfig
+
+        configs = []
+
+        def record(g, blur, sigma, cfg):
+            configs.append(cfg)
+            raise DivergenceError(0)
+
+        monkeypatch.setattr(cli.solver, "restore", record)
+        code, _ = _run(
+            ["restore", "--in", str(truth_path), "--out", str(tmp_path / "rec.pgm"),
+             "--noise-sigma", "0.1"],
+            capsys,
+        )
+        assert code == 3
+        assert configs == [SolverConfig(p=2, tau=1.0, r=5)]
+
 
 class TestMetricsCommand:
     def test_rec_equals_deg_zero_isnr(self, phantom_files, capsys):
@@ -387,7 +407,7 @@ class TestSweepCommand:
         for tau_grid, radius_grid in (
             ("1.0,-0.5", "2"), ("1.0", "2,0"),
             ("0.9:0.1:inf", "2"), ("1.0", "2,inf"), ("1.0", "1e400"),
-            ("0:1e-9:1", "2"),
+            ("0:1e-9:1", "2"), ("1.0", "2,40"),
         ):
             code, _ = _run(
                 ["sweep", "--true", str(truth_path), "--in", str(g_path),

@@ -158,8 +158,10 @@ class TestKernel:
             BlurSpec(band=5, sigma=bad)
 
     def test_even_band_rejected(self):
-        with pytest.raises(ValueError):
-            BlurSpec(band=4, sigma=1.0)
+        # an even, fractional, float-typed or non-finite band is not a kernel size
+        for band in (4, 4.5, 3.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="odd positive integer"):
+                BlurSpec(band=band, sigma=1.0)
 
     def test_normalized(self):
         kernel = make_kernel(BlurSpec(band=7, sigma=2.0))

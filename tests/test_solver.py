@@ -246,7 +246,9 @@ class TestRestore:
     def test_orchestration_matches_manual_loop(self, mode, p, prox):
         # drive the primitives by hand and compare iterates bit-for-bit; this is
         # the one written-out copy of the splitting outside solver.py. Like the
-        # solver, it keeps w, rho_w, Ku - g and z on the rfft2 half spectrum.
+        # solver, it carries the scaled duals y_t = rho_t / beta_t and
+        # y_w = rho_w / beta_w, and keeps w, y_w, Ku - g and z on the rfft2
+        # half spectrum.
         u_true = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
         sigma = 0.08
         blur = BlurSpec(band=3, sigma=1.0)
@@ -264,28 +266,28 @@ class TestRestore:
         g = g.data
         u = g.copy()
         g_hat = np.fft.rfft2(g)
-        residual = g_hat * plan.eigen_K - g_hat
-        rho_w = np.zeros_like(g_hat)
-        rho_h, rho_v = np.zeros((32, 32)), np.zeros((32, 32))
+        z = g_hat * plan.eigen_K - g_hat
+        y_w = np.zeros_like(g_hat)
+        y_h, y_v = np.zeros((32, 32)), np.zeros((32, 32))
         for _ in range(steps):
             if mode == "hwtv":
                 norms = linops.pointwise_norm(linops.gradient(u), p)
                 alpha = alpha_from_norms(norms, cfg.r, cfg.eps_floor)
-            z = residual + rho_w / bw
             mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
             grad_h, grad_v = linops.gradient(u)
-            t_h, t_v = prox_t((grad_h + rho_h / bt, grad_v + rho_v / bt), alpha, bt, p, prox)
+            t_h, t_v = prox_t((grad_h + y_h, grad_v + y_v), alpha, bt, p, prox)
             w = z * (bw / (mu + bw))
             u, spectrum = linops.spectral_step(
-                linops.divergence((t_h - rho_h / bt, t_v - rho_v / bt)),
-                w - rho_w / bw + g_hat,
+                linops.divergence((t_h - y_h, t_v - y_v)),
+                w - y_w + g_hat,
                 factors,
             )
             residual = spectrum * plan.eigen_K - g_hat
             grad_h, grad_v = linops.gradient(u)
-            rho_w = rho_w - bw * (w - residual)
-            rho_h = rho_h - bt * (t_h - grad_h)
-            rho_v = rho_v - bt * (t_v - grad_v)
+            y_w = y_w + (residual - w)
+            z = residual + y_w
+            y_h = y_h + (grad_h - t_h)
+            y_v = y_v + (grad_v - t_v)
         assert np.array_equal(result.u_star.data, u)
         assert np.array_equal(result.alpha_final, alpha)
         assert result.final_mu == mu
@@ -409,7 +411,7 @@ class TestRestore:
 @pytest.mark.parametrize("spec", [BlurSpec(identity=True), BlurSpec(band=5, sigma=1.0)])
 def test_spectral_state_matches_real_space(spec):
     # The half-spectrum residual chain read back in real space: after every
-    # sweep, residual is Ku - g and z is residual + rho_w / beta_w.
+    # sweep, the discrepancy is ||Ku - g|| and z is (Ku - g) + y_w.
     rng = np.random.default_rng(78)
     height, width = 37, 45
     g = rng.random((height, width))
@@ -418,12 +420,12 @@ def test_spectral_state_matches_real_space(spec):
     plan = linops.build_plan(width, height, spec)
     x, fixed = solver._start(g, plan, bt, bw)
     for _ in range(3):
-        x = solver._sweep(x, fixed, weights, mu, 2, "exact")
-        residual = _real(x.residual, g.shape)
-        expected = linops.blur_via_plan(plan, x.u) - g
-        assert np.linalg.norm(residual - expected) <= 1e-12 * np.linalg.norm(expected)
+        x, discrepancy = solver._sweep(x, fixed, weights, mu, 2, "exact")
+        residual = linops.blur_via_plan(plan, x.u) - g
+        expected = np.linalg.norm(residual)
+        assert abs(discrepancy - expected) <= 1e-12 * expected
         z = _real(x.z, g.shape)
-        expected = residual + _real(x.rho_w, g.shape) / bw
+        expected = residual + _real(x.y_w, g.shape)
         assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -444,7 +446,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
 
         x, fixed = solver._start(g, plan, bt, bw)
         for _ in range(4000):
-            x = solver._sweep(x, fixed, weights, mu, p, "exact")
+            x, _ = solver._sweep(x, fixed, weights, mu, p, "exact")
         admm_value = objective(x.u, g, plan, weights, mu, p)
 
         smoothing = 1e-12
@@ -485,9 +487,10 @@ class TestFrozenParameterStability:
             x, fixed = solver._start(g, plan, bt, bw)
             values = []
             for _ in range(120):
-                # the sweep updates the duals in place: keep the old ones
-                rho_w, rho_t = _real(x.rho_w, g.shape), tuple(c.copy() for c in x.rho_t)
-                x = solver._sweep(x, fixed, weights, mu, p, "exact")
+                # the textbook Lagrangian takes the unscaled duals rho = beta y,
+                # formed before the sweep updates y in place
+                rho_w, rho_t = bw * _real(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
+                x, _ = solver._sweep(x, fixed, weights, mu, p, "exact")
                 values.append(augmented_lagrangian(
                     x.u, _real(x.w, g.shape), x.t, rho_w, rho_t,
                     g, plan, weights, mu, bt, bw, p,
