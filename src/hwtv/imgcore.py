@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -71,6 +72,11 @@ class ImageBuffer:
 
     def copy(self) -> "ImageBuffer":
         return ImageBuffer(self.data.copy())
+
+
+def _is_integer(value) -> bool:
+    # bool is an Integral, but True is no count, size or norm order.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _require_finite_positive(name: str, value: float) -> None:

@@ -10,18 +10,18 @@ in the documented ranges, as ``restore`` does once it has checked its
 inputs, and tests the iterate for finiteness once per sweep.
 An ``out=`` argument must be C-contiguous arrays (a pair for a field) of the
 result's shape, not overlapping the input; the result is written there and
-returned, with the same bits as without ``out=``.
+returned, with the same bits as without ``out=``; ``box_mean`` and ``spectral_step``
+take scratch there too, ``divergence`` and ``pointwise_norm`` in ``scratch=``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import _require_finite_positive
+from .imgcore import _is_integer, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class BlurSpec:
         if self.identity:
             return
         band = self.band
-        if not isinstance(band, numbers.Integral) or band < 1 or band % 2 == 0:
+        if not _is_integer(band) or band < 1 or band % 2 == 0:
             raise ValueError(f"band must be an odd positive integer, got {band!r}")
         _require_finite_positive("sigma", self.sigma)
 
@@ -80,7 +80,7 @@ def gradient(
 
 
 def divergence(
-    t: tuple[np.ndarray, np.ndarray], out: np.ndarray | None = None
+    t: tuple[np.ndarray, np.ndarray], out: np.ndarray | None = None, scratch=None
 ) -> np.ndarray:
     """Exact adjoint of :func:`gradient`: <gradient(u), t> == <u, divergence(t)>."""
     h, v = t
@@ -91,7 +91,7 @@ def divergence(
     np.subtract(h[:, -1], h[:, 0], out=out[:, 0])
     # The two differences are rounded separately before they are summed, so
     # the second one needs an array of its own.
-    v_diff = np.empty_like(out)
+    v_diff = np.empty_like(out) if scratch is None else scratch
     np.subtract(v[:-1], v[1:], out=v_diff[1:])
     np.subtract(v[-1], v[0], out=v_diff[0])
     out += v_diff
@@ -99,7 +99,7 @@ def divergence(
 
 
 def pointwise_norm(
-    t: tuple[np.ndarray, np.ndarray], p: int, out: np.ndarray | None = None
+    t: tuple[np.ndarray, np.ndarray], p: int, out: np.ndarray | None = None, scratch=None
 ) -> np.ndarray:
     """Per-pixel p-norm of the two gradient channels, p in {1, 2}.
 
@@ -117,10 +117,10 @@ def pointwise_norm(
         out = np.empty(h.shape, np.result_type(h, v, np.float64))
     if p == 1:
         np.abs(h, out=out)
-        out += np.abs(v)
+        out += np.abs(v, out=scratch)
         return out
     np.multiply(h, h, out=out)
-    out += v * v
+    out += np.multiply(v, v, out=scratch)
     return np.sqrt(out, out=out)
 
 
@@ -184,7 +184,10 @@ def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarr
 
 
 def spectral_step(
-    d: np.ndarray, v_spectrum: np.ndarray, factors: tuple[np.ndarray, np.ndarray]
+    d: np.ndarray,
+    v_spectrum: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
+    out=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, U)``.
 
@@ -192,17 +195,22 @@ def spectral_step(
     ``d`` is a real image of the plan's size and that ``v_spectrum``, V =
     rfft2(v), is on its half spectrum; the solve overwrites V. The returned
     U = rfft2(u) is on the same half spectrum, so a caller that keeps its
-    linear terms there reads Ku as K U without another transform. One
-    ``rfft2`` and one ``irfft2`` in all, and no other new array. Multiplying
-    by the reciprocal of the real denominator gives the same bits as dividing
-    by it, since numpy divides complex numbers that way.
+    linear terms there reads Ku as K U without another transform; ``out`` is
+    the pair (u, U). One ``rfft2`` and one inverse in all. Multiplying by the
+    reciprocal of the real denominator gives the same bits as dividing by
+    it, since numpy divides complex numbers that way.
     """
     k_adjoint, inv_denom = factors
-    spectrum = np.fft.rfft2(d)
+    if out is None:
+        out = np.empty(d.shape), np.empty(v_spectrum.shape, np.complex128)
+    u, spectrum = out
+    np.fft.rfft2(d, out=spectrum)
     # k_adjoint first: numpy's complex product is not symmetric in rounding.
     spectrum += np.multiply(k_adjoint, v_spectrum, out=v_spectrum)
     spectrum *= inv_denom
-    return np.fft.irfft2(spectrum, s=d.shape), spectrum
+    # irfftn: numpy's irfft2 drops its out argument and allocates.
+    np.fft.irfftn(spectrum, s=d.shape, axes=(-2, -1), out=u)
+    return out
 
 
 def half_spectrum_norm(plan: SpectralPlan, spectrum: np.ndarray) -> float:
@@ -229,35 +237,41 @@ def _sum_squares(arr: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", parts, parts))
 
 
-def _periodic_window_sum(arr: np.ndarray, r: int, axis: int) -> np.ndarray:
-    # Sums over a (2r+1)-wide periodic window along one axis, read off one
-    # running sum of the wrapped array: entry i is csum[i + 2r] - csum[i - 1]
+def _periodic_window_sum(arr, r: int, axis: int, sums, running) -> None:
+    # Sums over a (2r+1)-wide periodic window along one axis, written to
+    # ``sums`` and read off one running sum of the wrapped array, formed at
+    # the head of the flat ``running``: entry i is csum[i + 2r] - csum[i - 1]
     # and entry 0 is csum[2r]. The axis is moved in views only, so every
     # array keeps the input's layout and nothing is copied transposed.
     length = arr.shape[axis]
     shape = list(arr.shape)
     shape[axis] += 2 * r
-    csum = np.empty(shape, dtype=arr.dtype)
+    csum = running[: math.prod(shape)].reshape(shape)
     src, wrapped = np.moveaxis(arr, axis, 0), np.moveaxis(csum, axis, 0)
     wrapped[:r] = src[length - r :]
     wrapped[r : length + r] = src
     wrapped[length + r :] = src[:r]
     np.cumsum(csum, axis=axis, out=csum)
-    sums = np.empty_like(arr)
     moved = np.moveaxis(sums, axis, 0)
     moved[0] = wrapped[2 * r]
     np.subtract(wrapped[2 * r + 1 :], wrapped[: length - 1], out=moved[1:])
-    return sums
 
 
-def box_mean(field_norms: np.ndarray, r: int) -> np.ndarray:
+def box_mean(field_norms: np.ndarray, r: int, out=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
-    The caller ensures 1 <= r and 2r + 1 <= min(height, width).
+    The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``out`` is
+    ``(mean, sums, running)``: the result, an image-sized scratch and a flat
+    float64 scratch of at least height width + 2r max(height, width).
     """
+    if out is None:
+        size = field_norms.size + 2 * r * max(field_norms.shape)
+        out = np.empty_like(field_norms), np.empty_like(field_norms), np.empty(size)
+    mean, sums, running = out
     window = 2 * r + 1
-    sums = _periodic_window_sum(_periodic_window_sum(field_norms, r, axis=0), r, axis=1)
-    out = sums / float(window * window)
+    _periodic_window_sum(field_norms, r, 0, sums, running)
+    _periodic_window_sum(sums, r, 1, mean, running)
+    mean /= float(window * window)
     # The exact mean lies in [min, max]; clip the <=1 ulp summation excursions.
-    np.clip(out, field_norms.min(), field_norms.max(), out=out)
-    return out
+    np.clip(mean, field_norms.min(), field_norms.max(), out=mean)
+    return mean

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple
@@ -21,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adapt import alpha_from_norms, update_mu
-from .imgcore import ImageBuffer, _require_finite_positive
+from .imgcore import ImageBuffer, _is_integer, _require_finite_positive
 from .linops import (
     BlurSpec,
     SpectralPlan,
@@ -70,15 +69,15 @@ class SolverConfig:
     aniso_prox: str = "exact"
 
     def __post_init__(self):
-        if self.p not in (1, 2):
-            raise ValueError(f"p must be 1 or 2, got {self.p}")
+        if not _is_integer(self.p) or self.p not in (1, 2):
+            raise ValueError(f"p must be the integer 1 or 2, got {self.p!r}")
         for name in ("tau", "beta_t", "beta_w", "eps_floor", "tol"):
             _require_finite_positive(name, getattr(self, name))
-        if not isinstance(self.r, numbers.Integral) or self.r < 1:
+        if not _is_integer(self.r) or self.r < 1:
             raise ValueError(f"r must be a positive integer, got {self.r!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not _is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.aniso_prox not in PROX_VARIANTS:
             raise ValueError(
@@ -152,10 +151,10 @@ def prox_t(
             np.maximum(dest, 0.0, out=dest)
             dest *= np.sign(comp)
         return out
-    # The scale is built in out_h. Where the norm is zero it reads -inf, or
-    # NaN if alpha is zero as well, and fmax clamps both to the 0 that makes
-    # t_i = 0 there.
-    scale = pointwise_norm(q, p, out=out_h)
+    # The scale is built in out_h, out_v being scratch. Where the norm is
+    # zero it reads -inf, or NaN if alpha is zero as well, and fmax clamps
+    # both to the 0 that makes t_i = 0 there.
+    scale = pointwise_norm(q, p, out=out_h, scratch=out_v)
     np.multiply(beta_t, scale, out=scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, scale, out=scale)
@@ -174,10 +173,11 @@ class _Iterate(NamedTuple):
     spectrum: ``y_w`` is the scaled residual dual rho_w / beta_w, and ``z``
     is the spectrum of (Ku - g) + y_w, the point the next sweep's mu is
     chosen at. ``w`` (a spectrum) and ``t`` (real) are the primal values of
-    the sweep that produced this state, and ``work`` is a pair of real
-    images. Those three are scratch that the next sweep overwrites, as it
-    does ``grad``, ``y_w``, ``y_t`` and ``z``; only ``u`` is a new array
-    after each sweep.
+    the sweep that produced this state; ``work`` is a pair of real images,
+    and the next sweep writes u into ``u_next`` and U = rfft2(u) into
+    ``spectrum``. Those five are scratch that the next sweep overwrites, as
+    it does ``grad``, ``y_w``, ``y_t`` and ``z``. :func:`_start` allocates
+    every array; a sweep trades ``u`` with ``u_next`` and ``z`` with ``w``.
     """
 
     u: np.ndarray
@@ -188,6 +188,8 @@ class _Iterate(NamedTuple):
     w: np.ndarray
     t: tuple[np.ndarray, np.ndarray]
     work: tuple[np.ndarray, np.ndarray]
+    u_next: np.ndarray
+    spectrum: np.ndarray
 
 
 class _Fixed(NamedTuple):
@@ -207,10 +209,10 @@ class _Fixed(NamedTuple):
 def _start(
     g: np.ndarray, plan: SpectralPlan, beta_t: float, beta_w: float
 ) -> tuple[_Iterate, _Fixed]:
-    """State at u = g with zero duals, its scratch, and the sweep's constants."""
+    """State at u = g (a copy) with zero duals, its scratch, and the constants."""
     g_spectrum = np.fft.rfft2(g)
     state = _Iterate(
-        u=g,
+        u=g.copy(),
         grad=gradient(g),
         y_w=np.zeros_like(g_spectrum),
         y_t=(np.zeros_like(g), np.zeros_like(g)),
@@ -218,6 +220,8 @@ def _start(
         w=np.empty_like(g_spectrum),
         t=(np.empty_like(g), np.empty_like(g)),
         work=(np.empty_like(g), np.empty_like(g)),
+        u_next=np.empty_like(g),
+        spectrum=np.empty_like(g_spectrum),
     )
     fixed = _Fixed(plan, g_spectrum, step_factors(plan, beta_w / beta_t), beta_t, beta_w)
     return state, fixed
@@ -229,13 +233,14 @@ def _sweep(
     """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
 
     Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
-    in place: ``grad``, ``y_t``, ``y_w`` and the scratch of ``x`` are
-    overwritten, and ``z`` and ``w`` swap buffers. The w step, the
-    right-hand side of the u step, the residual and its dual are all formed
-    on the half spectrum, so the only transforms are the two inside
-    ``spectral_step``, and the u it returns is the only array that outlives
-    the sweep. The duals are scaled (Boyd et al. 2011, section 3.1.1), so
-    beta_t enters only the t step and beta_w only the w step.
+    in place, with no image-sized array of its own outside the exact p = 1
+    prox's temporaries: ``grad``, ``y_t``, ``y_w`` and the scratch of ``x``
+    are overwritten, and ``u``/``u_next`` and ``z``/``w`` swap buffers, so
+    the old u stays readable. The w step, the right-hand side of the u
+    step, the residual and its dual are all formed on the half spectrum, so
+    the only transforms are the two inside ``spectral_step``. The duals are
+    scaled (Boyd et al. 2011, section 3.1.1), so beta_t enters only the t
+    step and beta_w only the w step.
     """
     grad, y_t, t, work = x.grad, x.y_t, x.t, x.work
     y_w, spare = x.y_w, x.w
@@ -251,7 +256,10 @@ def _sweep(
     # spare = w - y_w + G, which the u step then overwrites.
     np.subtract(w, y_w, out=spare)
     spare += f.g_spectrum
-    u, residual = spectral_step(divergence(work, out=grad[0]), spare, f.factors)
+    # d = div(work) in grad[0], grad[1] as scratch: prox_t has read q, and
+    # the gradient of the new u is written over both below.
+    d = divergence(work, out=grad[0], scratch=grad[1])
+    u, residual = spectral_step(d, spare, f.factors, out=(x.u_next, x.spectrum))
     residual *= f.plan.eigen_K
     residual -= f.g_spectrum
     gradient(u, out=grad)
@@ -261,7 +269,7 @@ def _sweep(
     # y_t += Du - t.
     for y_c, t_c, grad_c, work_c in zip(y_t, t, grad, work):
         y_c += np.subtract(grad_c, t_c, out=work_c)
-    return x._replace(u=u, z=z, w=w), half_spectrum_norm(f.plan, residual)
+    return x._replace(u=u, u_next=x.u, z=z, w=w), half_spectrum_norm(f.plan, residual)
 
 
 def _require_window_fits(cfg: SolverConfig, g: ImageBuffer) -> None:
@@ -311,7 +319,10 @@ def restore(
     ascent on the scaled duals y_w and y_t. The linear terms w, y_w, Ku - g
     and z stay on the real-FFT half spectrum, and their norms come from
     Parseval, so a sweep runs two real transforms. The state is updated in
-    place, in scratch allocated once per call, and ``g`` is not modified.
+    place, in buffers allocated once per call before the first sweep, so a
+    sweep (see :func:`_sweep`) and a weight refresh allocate no image-sized
+    array of their own; ``g`` is not modified, and ``u_star`` and
+    ``alpha_final`` are buffers, not copies.
     Starts from u = g with zero duals; stops when the relative change of u
     falls to ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic:
     identical inputs give bit-identical iterates, whatever the BLAS thread
@@ -326,6 +337,10 @@ def restore(
     g_arr = g.data
     alpha = np.ones_like(g_arr)
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
+    if cfg.mode == "hwtv":
+        # The weights go over alpha, box_mean's first-axis sums in t, which
+        # the next prox_t overwrites, and its running sums in a new buffer.
+        box = alpha, x.t[0], np.empty(g.pixel_count + 2 * cfg.r * max(g_arr.shape))
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):
@@ -333,8 +348,8 @@ def restore(
         if cfg.mode == "hwtv":
             # The weights of u, from the Du the last sweep formed for its
             # dual update.
-            norms = pointwise_norm(x.grad, cfg.p, out=x.work[0])
-            alpha = alpha_from_norms(norms, cfg.r, cfg.eps_floor)
+            norms = pointwise_norm(x.grad, cfg.p, out=x.work[0], scratch=x.work[1])
+            alpha_from_norms(norms, cfg.r, cfg.eps_floor, out=box)
         z_norm = half_spectrum_norm(plan, x.z)
         if not math.isfinite(z_norm):
             raise DivergenceError(k)

@@ -28,6 +28,16 @@ class TestEstimateAlpha:
             assert np.all(alpha > 0.0)
             assert np.all(alpha <= 1.0 / eps_floor)
 
+    @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (12, 16)])
+    def test_out_gives_allocating_bits(self, shape):
+        # written over the mean in out[0], the bits of the allocating form
+        norms = np.abs(np.random.default_rng(47).standard_normal(shape))
+        for r in range(1, (min(shape) - 1) // 2 + 1):
+            out = (np.empty(shape), np.empty(shape),
+                   np.empty(shape[0] * shape[1] + 2 * r * max(shape)))
+            assert alpha_from_norms(norms, r, 1e-2, out=out) is out[0]
+            assert np.array_equal(out[0], alpha_from_norms(norms, r, 1e-2))
+
     def test_constant_norm_raster_gives_reciprocal(self):
         c = 0.25
         norms = np.full((16, 16), c)

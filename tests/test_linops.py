@@ -124,6 +124,10 @@ class TestOutPrimitives:
         assert divergence(t, out=out) is out
         assert np.array_equal(out, divergence(t))
         assert np.array_equal(out, _roll_divergence(t))
+        # the separately rounded term in caller-supplied scratch
+        out = np.full(shape, np.nan)
+        assert divergence(t, out=out, scratch=np.empty(shape)) is out
+        assert np.array_equal(out, _roll_divergence(t))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_pointwise_norm(self, shape, p):
@@ -132,6 +136,38 @@ class TestOutPrimitives:
         assert pointwise_norm(t, p, out=out) is out
         assert np.array_equal(out, pointwise_norm(t, p))
         assert np.array_equal(out, _reference_norm(t, p))
+        out = np.full(shape, np.nan)
+        assert pointwise_norm(t, p, out=out, scratch=np.empty(shape)) is out
+        assert np.array_equal(out, _reference_norm(t, p))
+
+
+# Odd and even widths, with room for a window wider than 3.
+BOX_SHAPES = [(37, 45), (15, 9), (12, 16), (9, 8)]
+
+
+@pytest.mark.parametrize("shape", BOX_SHAPES)
+class TestOutWorkspace:
+    # The per-restore workspace forms: written through out=, the same bits
+    # as the allocating form, into the given buffers.
+    def test_box_mean(self, shape):
+        height, width = shape
+        norms = np.abs(_rand_img(np.random.default_rng(45), *shape))
+        for r in range(1, (min(shape) - 1) // 2 + 1):
+            out = (np.empty(shape), np.empty(shape),
+                   np.empty(height * width + 2 * r * max(shape)))
+            assert box_mean(norms, r, out=out) is out[0]
+            assert np.array_equal(out[0], box_mean(norms, r))
+
+    @pytest.mark.parametrize("spec", [BlurSpec(identity=True), BlurSpec(band=5, sigma=1.0)])
+    def test_spectral_step(self, shape, spec):
+        rng = np.random.default_rng(46)
+        plan = build_plan(shape[1], shape[0], spec)
+        d, v = _rand_img(rng, *shape), _rand_img(rng, *shape)
+        factors = step_factors(plan, 5.0)
+        out = np.empty(shape), np.empty((shape[0], shape[1] // 2 + 1), complex)
+        assert spectral_step(d, np.fft.rfft2(v), factors, out=out) is out
+        for got, alloc in zip(out, spectral_step(d, np.fft.rfft2(v), factors)):
+            assert np.array_equal(got, alloc)
 
 
 class TestKernel:
@@ -158,8 +194,9 @@ class TestKernel:
             BlurSpec(band=5, sigma=bad)
 
     def test_even_band_rejected(self):
-        # an even, fractional, float-typed or non-finite band is not a kernel size
-        for band in (4, 4.5, 3.0, float("nan"), float("inf")):
+        # an even, fractional, float-typed, non-finite or bool band is not a
+        # kernel size
+        for band in (4, 4.5, 3.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match="odd positive integer"):
                 BlurSpec(band=band, sigma=1.0)
 
