@@ -7,8 +7,10 @@ Each checkout's ``src/`` is imported in its own subprocess. There ``degrade``
 runs for the identity and the band-5 sigma=1 blur, and ``restore`` runs for
 150 sweeps on the 128x128 mixed phantom in 12 configurations: modes ``hwtv``
 and ``tv_scalar`` x (p, prox) in (2, exact), (1, exact), (1, paper_verbatim)
-x both blurs. The fields compared are ``u_star``, ``iterations``,
-``final_mu``, ``final_discrepancy``, ``alpha_final`` and the
+x both blurs. The identity is ``BlurSpec(identity=True)`` in a checkout
+whose ``BlurSpec`` has that field, and ``BlurSpec(band=1)`` otherwise. The
+fields compared are ``u_star``, ``iterations``, ``final_mu``,
+``final_discrepancy``, ``alpha_final`` and the
 ``(k, mu, discrepancy, rel_change)`` of every trace row. For a run that is
 not bit-identical, each differing field is printed with the largest absolute
 difference between its two sides. A last line but one gives, for each
@@ -20,6 +22,7 @@ has the same bytes on both sides, 1 otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -42,7 +45,12 @@ def dump(out_path: str) -> None:
     truth = hwtv.make_phantom(
         hwtv.PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0)
     )
-    blurs = {"identity": hwtv.BlurSpec(identity=True), "band5": hwtv.BlurSpec(band=5, sigma=1.0)}
+    # K = I was a flag of BlurSpec before it became the band-1 kernel.
+    if "identity" in {f.name for f in dataclasses.fields(hwtv.BlurSpec)}:
+        identity = hwtv.BlurSpec(identity=True)
+    else:
+        identity = hwtv.BlurSpec(band=1)
+    blurs = {"identity": identity, "band5": hwtv.BlurSpec(band=5, sigma=1.0)}
     runs = {}
     for blur_name, blur in blurs.items():
         g = hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))

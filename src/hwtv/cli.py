@@ -51,10 +51,8 @@ def _load(path: str) -> ImageBuffer:
 
 
 def _blur_from_args(args) -> BlurSpec:
-    band = getattr(args, "blur_band", 0) or 0
-    if band == 0:
-        return BlurSpec(identity=True)
-    return BlurSpec(band=band, sigma=args.blur_sigma)
+    # --blur-band 0 names the identity, which is the band-1 kernel.
+    return BlurSpec(band=args.blur_band or 1, sigma=args.blur_sigma)
 
 
 def _isnr_or_inf(g: ImageBuffer, truth: ImageBuffer, rec: ImageBuffer) -> float:
@@ -113,8 +111,8 @@ def cmd_degrade(args) -> int:
         {
             "in": args.infile,
             "out": args.out,
-            "blur_band": 0 if spec.blur.identity else spec.blur.band,
-            "blur_sigma": None if spec.blur.identity else spec.blur.sigma,
+            "blur_band": args.blur_band,
+            "blur_sigma": None if args.blur_band == 0 else spec.blur.sigma,
             "noise_sigma": spec.sigma,
             "seed": spec.seed,
         }
@@ -187,19 +185,20 @@ def _sweep_cell(payload) -> SweepRow:
         result = solver.restore(g, blur, noise_sigma, cfg)
     except DivergenceError as exc:
         # flag the diverged cell with NaN metrics; the sweep itself goes on
-        nan = float("nan")
-        return SweepRow(
-            tau=cfg.tau, r=cfg.r, isnr=nan, ssim=nan, iterations=exc.iteration,
-            wall_ms=(time.perf_counter() - tick) * 1e3, final_discrepancy=nan,
-        )
+        isnr = ssim = discrepancy = float("nan")
+        iterations = exc.iteration
+    else:
+        isnr = _isnr_or_inf(g, truth, result.u_star)
+        ssim = imgcore.ssim(result.u_star, truth)
+        iterations, discrepancy = result.iterations, result.final_discrepancy
     return SweepRow(
         tau=cfg.tau,
         r=cfg.r,
-        isnr=_isnr_or_inf(g, truth, result.u_star),
-        ssim=imgcore.ssim(result.u_star, truth),
-        iterations=result.iterations,
+        isnr=isnr,
+        ssim=ssim,
+        iterations=iterations,
         wall_ms=(time.perf_counter() - tick) * 1e3,
-        final_discrepancy=result.final_discrepancy,
+        final_discrepancy=discrepancy,
     )
 
 
@@ -250,7 +249,7 @@ def _add_io_format(parser):
 def _add_blur_flags(parser):
     parser.add_argument(
         "--blur-band", type=int, default=0, metavar="N",
-        help="blur kernel side length; 0 means identity (pure denoising)",
+        help="blur kernel side length; 0 or 1 means identity (pure denoising)",
     )
     parser.add_argument(
         "--blur-sigma", type=float, default=1.0, metavar="S",

@@ -28,17 +28,14 @@ from .imgcore import _is_integer, _require_finite_positive
 class BlurSpec:
     """Truncated Gaussian blur kernel: ``band`` x ``band`` support, std ``sigma``.
 
-    ``identity=True`` selects K = I (pure denoising); band and sigma are then
-    ignored.
+    ``band = 1``, the default, is the one-tap kernel [[1]], that is K = I
+    (pure denoising), whatever the sigma.
     """
 
     band: int = 1
     sigma: float = 1.0
-    identity: bool = False
 
     def __post_init__(self):
-        if self.identity:
-            return
         band = self.band
         if not _is_integer(band) or band < 1 or band % 2 == 0:
             raise ValueError(f"band must be an odd positive integer, got {band!r}")
@@ -126,8 +123,6 @@ def pointwise_norm(
 
 def make_kernel(spec: BlurSpec) -> np.ndarray:
     """Sampled Gaussian kernel on the band x band grid, normalized to sum 1."""
-    if spec.identity:
-        return np.ones((1, 1))
     half = (spec.band - 1) // 2
     offsets = np.arange(-half, half + 1, dtype=np.float64)
     profile = np.exp(-(offsets**2) / (2.0 * spec.sigma**2))
@@ -152,10 +147,7 @@ def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
     """Precompute the DFT factors used by :func:`step_factors` and the blur."""
     if width < 1 or height < 1:
         raise ValueError("plan dimensions must be positive")
-    if spec.identity:
-        eigen_k = np.ones((height, width // 2 + 1), dtype=np.complex128)
-    else:
-        eigen_k = _otf(make_kernel(spec), height, width)
+    eigen_k = _otf(make_kernel(spec), height, width)
     sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
     sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
     eigen_dtd = sym_y[:, None] + sym_x[None, :]

@@ -126,6 +126,7 @@ def prox_t(
     p: int,
     variant: str = "exact",
     out: tuple[np.ndarray, np.ndarray] | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel minimizer of alpha_i ||t_i||_p + (beta_t/2) ||t_i - q_i||_2^2.
 
@@ -136,7 +137,9 @@ def prox_t(
     q_i = 0. The "exact" variant at p = 1 soft-thresholds each component,
     which is the true proximal map of the anisotropic penalty. ``out``, if
     given, is a pair of arrays of q's shape, not overlapping ``q``, that
-    receives t and is returned. The caller ensures beta_t > 0, p in {1, 2}
+    receives t and is returned. ``scratch``, if given, is a pair of arrays
+    of q's shape overlapping neither, which the exact p = 1 map overwrites
+    with its threshold and signs. The caller ensures beta_t > 0, p in {1, 2}
     and ``variant`` in ``PROX_VARIANTS``, as ``SolverConfig`` does.
     """
     q_h, q_v = q
@@ -144,12 +147,15 @@ def prox_t(
         out = np.empty(q_h.shape), np.empty(q_v.shape)
     out_h, out_v = out
     if p == 1 and variant == "exact":
-        threshold = alpha / beta_t
+        if scratch is None:
+            scratch = np.empty(q_h.shape), np.empty(q_h.shape)
+        threshold, sign = scratch
+        np.divide(alpha, beta_t, out=threshold)
         for comp, dest in ((q_h, out_h), (q_v, out_v)):
             np.abs(comp, out=dest)
             dest -= threshold
             np.maximum(dest, 0.0, out=dest)
-            dest *= np.sign(comp)
+            dest *= np.sign(comp, out=sign)
         return out
     # The scale is built in out_h, out_v being scratch. Where the norm is
     # zero it reads -inf, or NaN if alpha is zero as well, and fmax clamps
@@ -233,10 +239,9 @@ def _sweep(
     """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
 
     Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
-    in place, with no image-sized array of its own outside the exact p = 1
-    prox's temporaries: ``grad``, ``y_t``, ``y_w`` and the scratch of ``x``
-    are overwritten, and ``u``/``u_next`` and ``z``/``w`` swap buffers, so
-    the old u stays readable. The w step, the right-hand side of the u
+    in place, with no image-sized array of its own: ``grad``, ``y_t``,
+    ``y_w`` and the scratch of ``x`` are overwritten, and ``u``/``u_next``
+    and ``z``/``w`` swap buffers, so the old u stays readable. The w step, the right-hand side of the u
     step, the residual and its dual are all formed on the half spectrum, so
     the only transforms are the two inside ``spectral_step``. The duals are
     scaled (Boyd et al. 2011, section 3.1.1), so beta_t enters only the t
@@ -245,10 +250,11 @@ def _sweep(
     grad, y_t, t, work = x.grad, x.y_t, x.t, x.work
     y_w, spare = x.y_w, x.w
     # q = Du + y_t, formed in the buffers of Du, whose value the sweep
-    # recomputes from the new u; then t = prox(q) and work = t - y_t.
+    # recomputes from the new u; then t = prox(q), with work as the prox's
+    # scratch, and work = t - y_t.
     for y_c, grad_c in zip(y_t, grad):
         grad_c += y_c
-    prox_t(grad, alpha, f.beta_t, p, variant, out=t)
+    prox_t(grad, alpha, f.beta_t, p, variant, out=t, scratch=work)
     for t_c, y_c, work_c in zip(t, y_t, work):
         np.subtract(t_c, y_c, out=work_c)
     # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
@@ -291,7 +297,7 @@ def restore(
     g : ImageBuffer
         Observed image (blurred and noisy).
     blur : BlurSpec
-        The known blur operator; identity for pure denoising.
+        The known blur operator; band 1, the identity, for pure denoising.
     sigma : float
         Known noise standard deviation, used only through the discrepancy
         target tau * sigma * sqrt(n).

@@ -111,10 +111,10 @@ def add_awgn(u: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
 def degrade(u: ImageBuffer, spec: DegradationSpec) -> ImageBuffer:
     """Forward model: blur first, then additive noise.
 
-    The identity blur passes ``u`` through untouched, so denoising problems
-    see exactly u + noise.
+    The band-1 blur is the identity and passes ``u`` through untouched, so
+    denoising problems see exactly u + noise.
     """
-    if not spec.blur.identity:
+    if spec.blur.band != 1:
         plan = build_plan(u.width, u.height, spec.blur)
         u = ImageBuffer(blur_via_plan(plan, u.data))
     return add_awgn(u, spec.sigma, spec.seed)

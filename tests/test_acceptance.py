@@ -172,7 +172,7 @@ def test_criterion_3_ml_estimator_consistency():
 def test_criterion_4_discrepancy_principle_denoising():
     tick = time.perf_counter()
     truth = make_phantom(BENCH_PHANTOM)
-    identity = BlurSpec(identity=True)
+    identity = BlurSpec(band=1)
     details = []
     ok = True
     for sigma in (0.05, 0.1):
@@ -273,7 +273,7 @@ def test_criterion_8_frozen_parameter_stability():
     for trial in range(10):
         n = 32
         g = rng.random((n, n))
-        blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(identity=True)
+        blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(band=1)
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 30.0, 20.0, 100.0, 2
         plan = linops.build_plan(n, n, blur)

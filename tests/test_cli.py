@@ -62,6 +62,24 @@ class TestDegrade:
         assert 0.08 <= residual.std() <= 0.12
         assert json.loads(out)["blur_band"] == 0
 
+    def test_band_zero_and_one_write_the_same_bytes(self, phantom_files, capsys):
+        # Both name K = I; the echo keeps the band as given, with no sigma for 0.
+        tmp_path, _, truth_path = phantom_files
+        echoes, files = {}, {}
+        for band in ("0", "1"):
+            out_path = tmp_path / f"g{band}.raw"
+            code, out = _run(
+                ["degrade", "--in", str(truth_path), "--out", str(out_path),
+                 "--blur-band", band, "--noise-sigma", "0.1", "--seed", "1",
+                 "--format", RAW_F32],
+                capsys,
+            )
+            assert code == 0
+            echoes[band], files[band] = json.loads(out), out_path.read_bytes()
+        assert files["0"] == files["1"]
+        assert (echoes["0"]["blur_band"], echoes["0"]["blur_sigma"]) == (0, None)
+        assert (echoes["1"]["blur_band"], echoes["1"]["blur_sigma"]) == (1, 1.0)
+
     def test_missing_noise_sigma_usage_error(self, phantom_files, capsys):
         tmp_path, _, truth_path = phantom_files
         with pytest.raises(SystemExit) as err:
@@ -202,27 +220,29 @@ class TestRestoreCommand:
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_blur_sigma_is_usage_error(self, phantom_files, capsys, bad):
         # a NaN blur width is bad input, not a diverged run; an infinite one
-        # is not a box blur
+        # is not a box blur. Sigma is checked for every band, the identity's
+        # 0 included.
         tmp_path, truth, truth_path = phantom_files
         g_path = tmp_path / "g.pgm"
         _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
               "--noise-sigma", "0.1", "--seed", "6"], capsys)
-        blur = ["--blur-band", "5", "--blur-sigma", bad]
-        code, _ = _run(
-            ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
-             "--noise-sigma", "0.1", "--tau", "1.0", "--radius", "4", "--max-iter", "3",
-             *blur],
-            capsys,
-        )
-        assert code == 2
-        out_path = tmp_path / "g2.pgm"
-        code, _ = _run(
-            ["degrade", "--in", str(truth_path), "--out", str(out_path),
-             "--noise-sigma", "0.1", *blur],
-            capsys,
-        )
-        assert code == 2
-        assert not out_path.exists()
+        for band in ("5", "0"):
+            blur = ["--blur-band", band, "--blur-sigma", bad]
+            code, _ = _run(
+                ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
+                 "--noise-sigma", "0.1", "--tau", "1.0", "--radius", "4", "--max-iter", "3",
+                 *blur],
+                capsys,
+            )
+            assert code == 2, band
+            out_path = tmp_path / "g2.pgm"
+            code, _ = _run(
+                ["degrade", "--in", str(truth_path), "--out", str(out_path),
+                 "--noise-sigma", "0.1", *blur],
+                capsys,
+            )
+            assert code == 2, band
+            assert not out_path.exists()
 
     def test_divergence_exit_code(self, phantom_files, capsys, monkeypatch):
         tmp_path, truth, truth_path = phantom_files

@@ -158,7 +158,7 @@ class TestOutWorkspace:
             assert box_mean(norms, r, out=out) is out[0]
             assert np.array_equal(out[0], box_mean(norms, r))
 
-    @pytest.mark.parametrize("spec", [BlurSpec(identity=True), BlurSpec(band=5, sigma=1.0)])
+    @pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
     def test_spectral_step(self, shape, spec):
         rng = np.random.default_rng(46)
         plan = build_plan(shape[1], shape[0], spec)
@@ -172,7 +172,9 @@ class TestOutWorkspace:
 
 class TestKernel:
     def test_identity_spec(self):
-        assert np.array_equal(make_kernel(BlurSpec(identity=True)), [[1.0]])
+        # Band 1 is K = I whatever the sigma.
+        for sigma in (1e-3, 1.0, 1e6):
+            assert np.array_equal(make_kernel(BlurSpec(band=1, sigma=sigma)), [[1.0]])
 
     def test_flat_limit(self):
         kernel = make_kernel(BlurSpec(band=3, sigma=1e6))
@@ -189,9 +191,11 @@ class TestKernel:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_non_finite_sigma_rejected(self, bad):
-        # a NaN or infinite width would give a NaN or box kernel
-        with pytest.raises(ValueError, match="sigma"):
-            BlurSpec(band=5, sigma=bad)
+        # a NaN or infinite width would give a NaN or box kernel; band 1 is
+        # checked as well
+        for band in (5, 1):
+            with pytest.raises(ValueError, match="sigma"):
+                BlurSpec(band=band, sigma=bad)
 
     def test_even_band_rejected(self):
         # an even, fractional, float-typed, non-finite or bool band is not a
@@ -210,7 +214,7 @@ class TestBlur:
     def test_identity_returns_input(self):
         rng = np.random.default_rng(23)
         u = _rand_img(rng, 6, 6)
-        out = blur_via_plan(_plan_for(u, BlurSpec(identity=True)), u)
+        out = blur_via_plan(_plan_for(u, BlurSpec(band=1)), u)
         assert np.allclose(out, u, atol=1e-13)
 
     def test_constant_preserved(self):
@@ -258,13 +262,18 @@ class TestBlur:
 
 class TestSpectralPlan:
     def test_dtd_symbol_zero_at_dc(self):
-        plan = build_plan(8, 6, BlurSpec(identity=True))
+        plan = build_plan(8, 6, BlurSpec(band=1))
         assert plan.eigen_DtD[0, 0] == 0.0
         assert np.all(plan.eigen_DtD.ravel()[1:] > 0.0)
 
     def test_identity_eigenvalues_are_one(self):
-        plan = build_plan(5, 5, BlurSpec(identity=True))
-        assert np.allclose(plan.eigen_K, 1.0)
+        # Exactly, at odd and even sizes: restore treats band 1 as K = I to
+        # the bit.
+        for width, height in ((5, 5), (8, 8), (45, 37), (9, 15), (16, 1), (256, 256)):
+            plan = build_plan(width, height, BlurSpec(band=1))
+            assert plan.eigen_K.shape == (height, width // 2 + 1)
+            assert np.all(plan.eigen_K.real == 1.0)
+            assert np.all(plan.eigen_K.imag == 0.0)
 
     def test_otf_magnitude_at_most_one(self):
         plan = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
@@ -279,7 +288,7 @@ class TestSpectralPlan:
         assert np.allclose(blur_via_plan(plan, u), expected, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "spec", [BlurSpec(identity=True), BlurSpec(band=3, sigma=0.5), BlurSpec(band=9, sigma=3.0)]
+        "spec", [BlurSpec(band=1), BlurSpec(band=3, sigma=0.5), BlurSpec(band=9, sigma=3.0)]
     )
     @pytest.mark.parametrize("ratio", [1e-6, 1.0, 5.0, 1e6])
     def test_solve_denominator_strictly_positive(self, spec, ratio):
@@ -305,7 +314,7 @@ class TestSpectralStep:
         assert np.allclose(blurred, blur_via_plan(plan, u0), atol=1e-9)
 
     def test_dc_algebra_identity_blur(self):
-        plan = build_plan(6, 6, BlurSpec(identity=True))
+        plan = build_plan(6, 6, BlurSpec(band=1))
         u, spectrum = spectral_step(
             _img(np.full((6, 6), 0.7)),
             np.zeros((6, 4), dtype=complex),
@@ -331,7 +340,7 @@ class TestSpectralStep:
             assert residual <= 1e-10 * np.linalg.norm(rhs)
 
     def test_zero_rhs_gives_zero(self):
-        plan = build_plan(4, 4, BlurSpec(identity=True))
+        plan = build_plan(4, 4, BlurSpec(band=1))
         u, spectrum = spectral_step(
             _img(np.zeros((4, 4))),
             np.zeros((4, 3), dtype=complex),
@@ -341,7 +350,7 @@ class TestSpectralStep:
         assert np.all(spectrum == 0.0)
 
     def test_nonpositive_ratio_rejected(self):
-        plan = build_plan(4, 4, BlurSpec(identity=True))
+        plan = build_plan(4, 4, BlurSpec(band=1))
         with pytest.raises(ValueError):
             step_factors(plan, 0.0)
 
@@ -362,7 +371,7 @@ def _three_solve_reference(spec, d, v, ratio):
     return u, np.fft.ifft2(np.fft.fft2(u) * eigen_k).real
 
 
-@pytest.mark.parametrize("spec", [BlurSpec(identity=True), BlurSpec(band=5, sigma=1.0)])
+@pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
 @pytest.mark.parametrize("height,width", [(37, 45), (15, 9)])
 class TestHalfSpectrum:
     # Odd widths are the sizes an irfft2 without its output shape gets wrong.
@@ -404,7 +413,7 @@ def test_half_spectrum_norm_matches_real_norm(height, width):
     # helper that counts it twice, or drops the last column of an odd width,
     # is off by percents here.
     rng = np.random.default_rng(37)
-    plan = build_plan(width, height, BlurSpec(identity=True))
+    plan = build_plan(width, height, BlurSpec(band=1))
     for scale in (1e-3, 1.0, 1e3):
         spectrum = np.fft.rfft2(scale * _rand_img(rng, height, width))
         expected = np.linalg.norm(np.fft.irfft2(spectrum, s=(height, width)))

@@ -167,15 +167,17 @@ def test_prox_out_matches_allocating_and_reference(shape, p, variant):
     rng = np.random.default_rng(68)
     q = _field(rng.standard_normal(shape), rng.standard_normal(shape))
     alpha = rng.uniform(0.0, 40.0, shape)
-    # zero-norm pixels, one of them with a zero weight as well
+    # zero-norm pixels, one of them with a zero weight as well, and -0.0
     for arr in q:
         arr.flat[::3] = 0.0
+        arr.flat[1::5] = -0.0
     alpha.flat[::6] = 0.0
     out = np.empty(shape), np.empty(shape)
-    assert prox_t(q, alpha, 20.0, p, variant, out=out) is out
+    scratch = np.empty(shape), np.empty(shape)
+    assert prox_t(q, alpha, 20.0, p, variant, out=out, scratch=scratch) is out
     for got, alloc, ref in zip(out, prox_t(q, alpha, 20.0, p, variant),
                                _reference_prox(q, alpha, 20.0, p, variant)):
-        assert np.array_equal(got, alloc)
+        assert got.tobytes() == alloc.tobytes()
         assert np.array_equal(got, ref)
 
 
@@ -184,7 +186,7 @@ class TestObjective:
         rng = np.random.default_rng(65)
         g = rng.uniform(0, 1, (8, 8))
         weights = rng.uniform(0.5, 2.0, (8, 8))
-        plan = linops.build_plan(8, 8, BlurSpec(identity=True))
+        plan = linops.build_plan(8, 8, BlurSpec(band=1))
         val = objective(g, g, plan, weights, mu=7.0, p=2)
         norms = linops.pointwise_norm(linops.gradient(g), 2)
         assert val == pytest.approx(float(np.sum(weights * norms)), rel=1e-14)
@@ -194,7 +196,7 @@ class TestObjective:
         g = rng.uniform(0, 1, (8, 8))
         u = np.full((8, 8), 0.4)
         mu = 3.0
-        plan = linops.build_plan(8, 8, BlurSpec(identity=True))
+        plan = linops.build_plan(8, 8, BlurSpec(band=1))
         val = objective(u, g, plan, np.ones((8, 8)), mu=mu, p=2)
         assert val == pytest.approx(0.5 * mu * float(np.sum((u - g) ** 2)), rel=1e-14)
 
@@ -221,24 +223,24 @@ class TestRestore:
     def test_constant_image_identity_blur_fixed_point(self):
         g = ImageBuffer(np.full((32, 32), 0.5))
         cfg = SolverConfig(p=2, tau=1.0, r=3, mode="hwtv")
-        result = restore(g, BlurSpec(identity=True), 0.1, cfg)
+        result = restore(g, BlurSpec(band=1), 0.1, cfg)
         assert result.iterations <= 3
         assert np.max(np.abs(result.u_star.data - g.data)) <= 1e-12
 
     def test_denoising_discrepancy_self_check(self):
         u = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
         sigma = 0.1
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=sigma, seed=2))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=sigma, seed=2))
         cfg = SolverConfig(p=2, tau=1.0, r=4, mode="tv_scalar")
-        result = restore(g, BlurSpec(identity=True), sigma, cfg)
+        result = restore(g, BlurSpec(band=1), sigma, cfg)
         delta = sigma * np.sqrt(u.pixel_count)
         assert result.final_discrepancy <= 1.05 * delta
 
     def test_scalar_mode_fixes_alpha_at_one(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="texture"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.05, seed=3))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.05, seed=3))
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="tv_scalar", max_iter=5)
-        result = restore(g, BlurSpec(identity=True), 0.05, cfg)
+        result = restore(g, BlurSpec(band=1), 0.05, cfg)
         assert np.all(result.alpha_final == 1.0)
 
     @pytest.mark.parametrize("p,prox", [(2, "exact"), (1, "paper_verbatim")])
@@ -295,10 +297,10 @@ class TestRestore:
 
     def test_bit_identical_traces(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=5))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=5))
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=20)
-        r1 = restore(g, BlurSpec(identity=True), 0.1, cfg)
-        r2 = restore(g, BlurSpec(identity=True), 0.1, cfg)
+        r1 = restore(g, BlurSpec(band=1), 0.1, cfg)
+        r2 = restore(g, BlurSpec(band=1), 0.1, cfg)
         assert np.array_equal(r1.u_star.data, r2.u_star.data)
         numeric = lambda res: [(t.k, t.mu, t.discrepancy, t.rel_change) for t in res.trace]
         assert numeric(r1) == numeric(r2)
@@ -314,7 +316,7 @@ class TestRestore:
 
     def test_divergence_reported_with_iteration_index(self, monkeypatch):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=6))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=6))
 
         calls = {"n": 0}
         real_step = linops.spectral_step
@@ -330,13 +332,13 @@ class TestRestore:
         monkeypatch.setattr(solver, "spectral_step", poisoned)
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=50)
         with pytest.raises(DivergenceError) as err:
-            restore(g, BlurSpec(identity=True), 0.1, cfg)
+            restore(g, BlurSpec(band=1), 0.1, cfg)
         assert err.value.iteration == 2
 
     def test_value_error_is_not_reported_as_divergence(self, monkeypatch):
         # a failing primitive is a bug, not a diverged run
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=6))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=6))
 
         def broken(*args, **kwargs):
             raise ValueError("boom")
@@ -344,13 +346,13 @@ class TestRestore:
         monkeypatch.setattr(solver, "prox_t", broken)
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=5)
         with pytest.raises(ValueError, match="boom"):
-            restore(g, BlurSpec(identity=True), 0.1, cfg)
+            restore(g, BlurSpec(band=1), 0.1, cfg)
 
     def test_iterations_bounded_by_max_iter(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="texture"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=7))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=7))
         cfg = SolverConfig(p=1, tau=1.0, r=2, mode="hwtv", max_iter=7)
-        result = restore(g, BlurSpec(identity=True), 0.1, cfg)
+        result = restore(g, BlurSpec(band=1), 0.1, cfg)
         assert result.iterations <= 7
         assert len(result.trace) == result.iterations
 
@@ -358,13 +360,13 @@ class TestRestore:
         g = ImageBuffer(np.random.default_rng(9).random((32, 32)))
         cfg = SolverConfig(p=2, tau=1.0, r=16, mode="hwtv")
         with pytest.raises(ValueError, match="window"):
-            restore(g, BlurSpec(identity=True), 0.1, cfg)
+            restore(g, BlurSpec(band=1), 0.1, cfg)
 
     def test_nonpositive_sigma_rejected(self):
         g = ImageBuffer(np.full((8, 8), 0.5))
         cfg = SolverConfig(p=2, tau=1.0, r=2)
         with pytest.raises(ValueError, match="sigma"):
-            restore(g, BlurSpec(identity=True), 0.0, cfg)
+            restore(g, BlurSpec(band=1), 0.0, cfg)
 
     def test_underflowing_discrepancy_target_rejected_up_front(self, monkeypatch):
         # tau and sigma each pass their checks, but tau * sigma * sqrt(n)
@@ -376,7 +378,7 @@ class TestRestore:
         g = ImageBuffer(np.full((8, 8), 0.5))
         cfg = SolverConfig(p=2, tau=1e-200, r=2)
         with pytest.raises(ValueError, match="positive"):
-            restore(g, BlurSpec(identity=True), 1e-200, cfg)
+            restore(g, BlurSpec(band=1), 1e-200, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -399,7 +401,7 @@ class TestRestore:
     def test_non_finite_sigma_rejected(self, bad):
         g = ImageBuffer(np.full((8, 8), 0.5))
         with pytest.raises(ValueError, match="sigma"):
-            restore(g, BlurSpec(identity=True), bad, SolverConfig(p=2, tau=1.0, r=2))
+            restore(g, BlurSpec(band=1), bad, SolverConfig(p=2, tau=1.0, r=2))
 
     def test_non_integer_counts_rejected(self):
         # a fractional radius or sweep cap, or a non-integer or bool norm
@@ -414,7 +416,7 @@ class TestRestore:
         assert (cfg.r, cfg.max_iter) == (2, 5)
 
 
-@pytest.mark.parametrize("spec", [BlurSpec(identity=True), BlurSpec(band=5, sigma=1.0)])
+@pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
 def test_spectral_state_matches_real_space(spec):
     # The half-spectrum residual chain read back in real space: after every
     # sweep, the discrepancy is ||Ku - g|| and z is (Ku - g) + y_w.
@@ -435,7 +437,8 @@ def test_spectral_state_matches_real_space(spec):
         assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_loop_allocates_no_image(monkeypatch):
+@pytest.mark.parametrize("p, prox", [(2, "exact"), (1, "exact"), (1, "paper_verbatim")])
+def test_loop_allocates_no_image(monkeypatch, p, prox):
     # After warm-up sweeps of a 128x128 "hwtv" restore, the transient
     # tracemalloc peak of each sweep and of the work between two sweeps (the
     # weight refresh, the mu update and the step norm), in 128x128 float64
@@ -447,6 +450,8 @@ def test_loop_allocates_no_image(monkeypatch):
     #   second axis, whose strided operands numpy iterates buffered;
     # - in a sweep: the complex half spectrum that irfftn's first-axis
     #   inverse transform returns, before the last-axis one writes into out.
+    # The exact p = 1 prox, which read 2.00 in a sweep when it allocated its
+    # threshold and signs, now writes them into the sweep's work pair.
     import tracemalloc
 
     size, warmup = 128, 3
@@ -478,7 +483,8 @@ def test_loop_allocates_no_image(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "_sweep", measured)
-    cfg = SolverConfig(p=2, tau=0.94, r=14, mode="hwtv", max_iter=warmup + 6, tol=1e-14)
+    cfg = SolverConfig(p=p, tau=0.94, r=14, mode="hwtv", max_iter=warmup + 6, tol=1e-14,
+                       aniso_prox=prox)
     try:
         restore(g, blur, 0.05, cfg)
     finally:
@@ -539,7 +545,7 @@ class TestFrozenParameterStability:
         for trial in range(3):
             n = 24
             g = rng.random((n, n))
-            blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(identity=True)
+            blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(band=1)
             weights = rng.uniform(0.5, 2.0, (n, n))
             mu, bt, bw, p = 30.0, 20.0, 100.0, 2
             plan = linops.build_plan(n, n, blur)
@@ -591,9 +597,9 @@ def test_result_independent_of_blas_thread_count():
 class TestTraceExport:
     def test_trace_csv_schema(self, tmp_path):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=8))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=8))
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=5)
-        result = restore(g, BlurSpec(identity=True), 0.1, cfg)
+        result = restore(g, BlurSpec(band=1), 0.1, cfg)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, result.trace)
         with open(path, newline="") as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -58,3 +59,11 @@ def test_primitive_imports_from_its_module(module, name):
 @pytest.mark.parametrize("module,name", [("solver", "update_w"), ("adapt", "estimate_alpha")])
 def test_folded_wrapper_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"hwtv.{module}"), name)
+
+
+def test_blur_spec_has_no_identity_flag():
+    # K = I is the band-1 kernel, the default; there is no second spelling.
+    assert [f.name for f in dataclasses.fields(hwtv.BlurSpec)] == ["band", "sigma"]
+    assert hwtv.BlurSpec().band == 1
+    with pytest.raises(TypeError):
+        hwtv.BlurSpec(identity=True)

@@ -44,7 +44,7 @@ class TestAwgn:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, bad):
         with pytest.raises(ValueError, match="sigma"):
-            DegradationSpec(blur=BlurSpec(identity=True), sigma=bad)
+            DegradationSpec(blur=BlurSpec(band=1), sigma=bad)
         with pytest.raises(ValueError, match="sigma"):
             add_awgn(ImageBuffer(np.zeros((4, 4))), bad, seed=0)
 
@@ -75,15 +75,15 @@ class TestAwgn:
 class TestDegrade:
     def test_identity_blur_noise_std(self):
         u = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
-        spec = DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=6)
+        spec = DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=6)
         g = degrade(u, spec)
         residual = g.data - u.data
         assert 0.9 * 0.1 <= residual.std() <= 1.1 * 0.1
 
     def test_identity_blur_adds_noise_only(self):
-        # no spectral round trip on the identity path: g is exactly u + noise
+        # no spectral round trip for the band-1 identity: g is exactly u + noise
         u = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(identity=True), sigma=0.1, seed=6))
+        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=6))
         assert np.array_equal(g.data, add_awgn(u, 0.1, seed=6).data)
 
     def test_tiny_noise_limit(self):
