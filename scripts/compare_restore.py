@@ -4,11 +4,9 @@
     python3 scripts/compare_restore.py OLD_CHECKOUT NEW_CHECKOUT
 
 Each checkout's ``src/`` is imported in its own subprocess. There ``degrade``
-runs for the identity and the band-5 sigma=1 blur, and ``restore`` runs for
-150 sweeps on the 128x128 mixed phantom in 12 configurations: modes ``hwtv``
-and ``tv_scalar`` x (p, prox) in (2, exact), (1, exact), (1, paper_verbatim)
-x both blurs. The identity is ``BlurSpec(identity=True)`` in a checkout
-whose ``BlurSpec`` has that field, and ``BlurSpec(band=1)`` otherwise. The
+runs for the identity (band 1) and the band-5 sigma=1 blur, and ``restore``
+runs for 150 sweeps on the 128x128 mixed phantom in 8 configurations: modes
+``hwtv`` and ``tv_scalar`` x p in (2, 1) x both blurs, 10 runs in all. The
 fields compared are ``u_star``, ``iterations``, ``final_mu``,
 ``final_discrepancy``, ``alpha_final`` and the
 ``(k, mu, discrepancy, rel_change)`` of every trace row. For a run that is
@@ -22,7 +20,6 @@ has the same bytes on both sides, 1 otherwise.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
@@ -36,7 +33,7 @@ import numpy as np
 SWEEPS = 150
 SIGMA = 0.05
 MODES = ("hwtv", "tv_scalar")
-PROX = ((2, "exact"), (1, "exact"), (1, "paper_verbatim"))
+P_VALUES = (2, 1)
 
 
 def dump(out_path: str) -> None:
@@ -45,27 +42,21 @@ def dump(out_path: str) -> None:
     truth = hwtv.make_phantom(
         hwtv.PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0)
     )
-    # K = I was a flag of BlurSpec before it became the band-1 kernel.
-    if "identity" in {f.name for f in dataclasses.fields(hwtv.BlurSpec)}:
-        identity = hwtv.BlurSpec(identity=True)
-    else:
-        identity = hwtv.BlurSpec(band=1)
-    blurs = {"identity": identity, "band5": hwtv.BlurSpec(band=5, sigma=1.0)}
+    blurs = {"identity": hwtv.BlurSpec(band=1), "band5": hwtv.BlurSpec(band=5, sigma=1.0)}
     runs = {}
     for blur_name, blur in blurs.items():
         g = hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))
         runs[("degrade", blur_name)] = {"g": g.data}
-        for mode, (p, prox) in itertools.product(MODES, PROX):
+        for mode, p in itertools.product(MODES, P_VALUES):
             cfg = hwtv.SolverConfig(p=p, tau=0.94, r=14, mode=mode, max_iter=SWEEPS,
-                                    tol=1e-300, aniso_prox=prox)
+                                    tol=1e-300)
             res = hwtv.restore(g, blur, SIGMA, cfg)
-            runs[(mode, p, prox, blur_name)] = {
+            runs[(mode, p, blur_name)] = {
                 "u_star": res.u_star.data,
                 "iterations": np.array(res.iterations),
                 "final_mu": np.array(res.final_mu),
                 "final_discrepancy": np.array(res.final_discrepancy),
-                # alpha_final was an AlphaMap container before it became an array
-                "alpha_final": np.asarray(getattr(res.alpha_final, "values", res.alpha_final)),
+                "alpha_final": res.alpha_final,
                 "trace": np.array([(r.k, r.mu, r.discrepancy, r.rel_change) for r in res.trace]),
             }
     with open(out_path, "wb") as fh:

@@ -15,7 +15,6 @@ from .imgcore import (
     FormatError,
     ImageBuffer,
     InfiniteIsnrError,
-    detect_format,
     isnr,
     read_image,
     ssim,
@@ -48,7 +47,6 @@ __all__ = [
     "TraceRow",
     "add_awgn",
     "degrade",
-    "detect_format",
     "isnr",
     "make_phantom",
     "read_image",

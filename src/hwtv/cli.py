@@ -46,10 +46,6 @@ class SweepRow:
 SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-def _load(path: str) -> ImageBuffer:
-    return imgcore.read_image(path, imgcore.detect_format(path))
-
-
 def _blur_from_args(args) -> BlurSpec:
     # --blur-band 0 names the identity, which is the band-1 kernel.
     return BlurSpec(band=args.blur_band or 1, sigma=args.blur_sigma)
@@ -101,7 +97,7 @@ def parse_grid(text: str, cast):
 # ---------------------------------------------------------------------------
 
 def cmd_degrade(args) -> int:
-    clean = _load(args.infile)
+    clean = imgcore.read_image(args.infile)
     spec = synth.DegradationSpec(
         blur=_blur_from_args(args), sigma=args.noise_sigma, seed=args.seed
     )
@@ -131,7 +127,6 @@ def _config_from_args(args, tau: float, r: int) -> SolverConfig:
         eps_floor=args.eps_floor,
         max_iter=args.max_iter,
         tol=args.tol,
-        aniso_prox="paper_verbatim" if args.aniso_prox == "paper" else "exact",
     )
 
 
@@ -147,7 +142,7 @@ def _export_alpha(alpha_values: np.ndarray, path: str, fmt: str) -> None:
 
 
 def cmd_restore(args) -> int:
-    degraded = _load(args.infile)
+    degraded = imgcore.read_image(args.infile)
     cfg = _config_from_args(args, args.tau, args.radius)
     result = solver.restore(degraded, _blur_from_args(args), args.noise_sigma, cfg)
     imgcore.write_image(result.u_star, args.out, args.format)
@@ -166,9 +161,9 @@ def cmd_restore(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    reference = _load(args.ref)
-    degraded = _load(args.deg)
-    reconstructed = _load(args.rec)
+    reference = imgcore.read_image(args.ref)
+    degraded = imgcore.read_image(args.deg)
+    reconstructed = imgcore.read_image(args.rec)
     _print_json(
         {
             "isnr": _isnr_or_inf(degraded, reference, reconstructed),
@@ -205,8 +200,8 @@ def _sweep_cell(payload) -> SweepRow:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    truth = _load(args.true)
-    degraded = _load(args.infile)
+    truth = imgcore.read_image(args.true)
+    degraded = imgcore.read_image(args.infile)
     # Every cell is scored against the truth, so check that scoring can run.
     imgcore._require_ssim_pair(degraded, truth)
     tau_values = parse_grid(args.tau_grid, float)
@@ -266,9 +261,6 @@ def _add_solver_flags(parser):
         # Each flag parses as its default's type: int for max_iter, else float.
         parser.add_argument("--" + name.replace("_", "-"),
                             type=type(defaults[name]), default=defaults[name])
-    parser.add_argument("--aniso-prox", choices=("exact", "paper"), default="exact",
-                        help="p=1 proximal map: exact soft-thresholding or the "
-                             "verbatim shrinkage formula")
 
 
 def build_parser() -> argparse.ArgumentParser:

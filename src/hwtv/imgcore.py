@@ -70,9 +70,6 @@ class ImageBuffer:
     def pixel_count(self) -> int:
         return self.data.size
 
-    def copy(self) -> "ImageBuffer":
-        return ImageBuffer(self.data.copy())
-
 
 def _is_integer(value) -> bool:
     # bool is an Integral, but True is no count, size or norm order.
@@ -129,8 +126,6 @@ def _next_pgm_int(buf: bytes, pos: int, what: str) -> tuple[int, int, int]:
 
 
 def _read_pgm8(buf: bytes) -> ImageBuffer:
-    if buf[:2] != b"P5":
-        raise FormatError("not a binary PGM (P5) file", 0)
     width, w_off, pos = _next_pgm_int(buf, 2, "width")
     height, h_off, pos = _next_pgm_int(buf, pos, "height")
     maxval, m_off, pos = _next_pgm_int(buf, pos, "maxval")
@@ -159,8 +154,6 @@ def _read_pgm8(buf: bytes) -> ImageBuffer:
 
 
 def _read_raw_f32(buf: bytes) -> ImageBuffer:
-    if buf[:4] != _RAW_MAGIC:
-        raise FormatError("missing TVF1 magic", 0)
     if len(buf) < 12:
         raise FormatError("truncated header", len(buf))
     width, height = struct.unpack_from("<II", buf, 4)
@@ -183,30 +176,27 @@ def _read_raw_f32(buf: bytes) -> ImageBuffer:
     return ImageBuffer(samples.astype(np.float64).reshape(height, width))
 
 
-def read_image(path, format: str) -> ImageBuffer:
-    """Load an image from ``path`` in the declared ``format``.
+def read_image(path) -> ImageBuffer:
+    """Load an image from ``path``, in the format its leading magic bytes name.
 
-    Parameters
-    ----------
-    path : str or Path
-        File to read.
-    format : {"pgm8", "raw-f32"}
-        "pgm8" is 8-bit binary PGM (P5, maxval 255), mapped to [0, 1] by
-        v / 255. "raw-f32" is the TVF1 container: magic ``TVF1``, width and
-        height as little-endian uint32, then row-major little-endian float32
-        samples loaded verbatim.
+    ``P5`` is 8-bit binary PGM (maxval 255), mapped to [0, 1] by v / 255.
+    ``TVF1`` is the raw-f32 container: the magic, width and height as
+    little-endian uint32, then row-major little-endian float32 samples
+    loaded verbatim.
 
     Raises
     ------
     FormatError
-        Malformed header, truncated payload or dimension overflow; the
-        exception carries the failing byte offset.
+        Unrecognized magic, malformed header, truncated payload or dimension
+        overflow; the exception carries the failing byte offset.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     with open(path, "rb") as fh:
         buf = fh.read()
-    return _read_pgm8(buf) if format == PGM8 else _read_raw_f32(buf)
+    if buf[:2] == b"P5":
+        return _read_pgm8(buf)
+    if buf[:4] == _RAW_MAGIC:
+        return _read_raw_f32(buf)
+    raise FormatError("unrecognized image file magic", 0)
 
 
 def write_image(img: ImageBuffer, path, format: str) -> None:
@@ -232,17 +222,6 @@ def write_image(img: ImageBuffer, path, format: str) -> None:
         )
     with open(path, "wb") as fh:
         fh.write(blob)
-
-
-def detect_format(path) -> str:
-    """Sniff the on-disk format from the leading magic bytes."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head[:2] == b"P5":
-        return PGM8
-    if head == _RAW_MAGIC:
-        return RAW_F32
-    raise FormatError("unrecognized image file magic", 0)
 
 
 # ---------------------------------------------------------------------------

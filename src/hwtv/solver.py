@@ -35,7 +35,6 @@ from .linops import (
 )
 
 MODES = ("hwtv", "tv_scalar")
-PROX_VARIANTS = ("exact", "paper_verbatim")
 
 
 class DivergenceError(RuntimeError):
@@ -50,11 +49,10 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """All tunables of one restoration run.
 
-    ``p`` selects anisotropic (1) or isotropic (2) TV; ``tau`` and ``r`` feed
-    the parameter updates; ``mode`` chooses adaptive weights ("hwtv") or the
-    scalar baseline ("tv_scalar"). ``aniso_prox`` picks the exact
-    soft-thresholding proximal map for p = 1 or the verbatim shrinkage
-    formula ("paper_verbatim").
+    ``p`` selects anisotropic (1) TV, whose t-step soft-thresholds each
+    gradient component (see :func:`prox_t`), or isotropic (2) TV; ``tau``
+    and ``r`` feed the parameter updates; ``mode`` chooses adaptive weights
+    ("hwtv") or the scalar baseline ("tv_scalar").
     """
 
     p: int
@@ -66,7 +64,6 @@ class SolverConfig:
     eps_floor: float = 1e-4
     max_iter: int = 500
     tol: float = 1e-5
-    aniso_prox: str = "exact"
 
     def __post_init__(self):
         if not _is_integer(self.p) or self.p not in (1, 2):
@@ -79,10 +76,6 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not _is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if self.aniso_prox not in PROX_VARIANTS:
-            raise ValueError(
-                f"aniso_prox must be one of {PROX_VARIANTS}, got {self.aniso_prox!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -124,29 +117,27 @@ def prox_t(
     alpha: np.ndarray,
     beta_t: float,
     p: int,
-    variant: str = "exact",
     out: tuple[np.ndarray, np.ndarray] | None = None,
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel minimizer of alpha_i ||t_i||_p + (beta_t/2) ||t_i - q_i||_2^2.
 
     ``q`` and the result are (h, v) gradient-field pairs; ``alpha`` is the
-    nonnegative weight array of the same shape. For p = 2 (and for the
-    "paper_verbatim" variant at p = 1) this is the shrinkage
-    t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_p), 0), with t_i = 0 when
-    q_i = 0. The "exact" variant at p = 1 soft-thresholds each component,
-    which is the true proximal map of the anisotropic penalty. ``out``, if
-    given, is a pair of arrays of q's shape, not overlapping ``q``, that
-    receives t and is returned. ``scratch``, if given, is a pair of arrays
-    of q's shape overlapping neither, which the exact p = 1 map overwrites
-    with its threshold and signs. The caller ensures beta_t > 0, p in {1, 2}
-    and ``variant`` in ``PROX_VARIANTS``, as ``SolverConfig`` does.
+    nonnegative weight array of the same shape. For p = 1 it soft-thresholds
+    each component by alpha_i / beta_t, the proximal map of the anisotropic
+    penalty. For p = 2 it is the shrinkage
+    t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_2), 0), with t_i = 0 when
+    q_i = 0. ``out``, if given, is a pair of arrays of q's shape, not
+    overlapping ``q``, that receives t and is returned. ``scratch``, if
+    given, is a pair of arrays of q's shape overlapping neither, which the
+    p = 1 map overwrites with its threshold and signs. The caller ensures
+    beta_t > 0 and p in {1, 2}, as ``SolverConfig`` does.
     """
     q_h, q_v = q
     if out is None:
         out = np.empty(q_h.shape), np.empty(q_v.shape)
     out_h, out_v = out
-    if p == 1 and variant == "exact":
+    if p == 1:
         if scratch is None:
             scratch = np.empty(q_h.shape), np.empty(q_h.shape)
         threshold, sign = scratch
@@ -160,7 +151,7 @@ def prox_t(
     # The scale is built in out_h, out_v being scratch. Where the norm is
     # zero it reads -inf, or NaN if alpha is zero as well, and fmax clamps
     # both to the 0 that makes t_i = 0 there.
-    scale = pointwise_norm(q, p, out=out_h, scratch=out_v)
+    scale = pointwise_norm(q, 2, out=out_h, scratch=out_v)
     np.multiply(beta_t, scale, out=scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, scale, out=scale)
@@ -234,7 +225,7 @@ def _start(
 
 
 def _sweep(
-    x: _Iterate, f: _Fixed, alpha: np.ndarray, mu: float, p: int, variant: str
+    x: _Iterate, f: _Fixed, alpha: np.ndarray, mu: float, p: int
 ) -> tuple[_Iterate, float]:
     """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
 
@@ -254,7 +245,7 @@ def _sweep(
     # scratch, and work = t - y_t.
     for y_c, grad_c in zip(y_t, grad):
         grad_c += y_c
-    prox_t(grad, alpha, f.beta_t, p, variant, out=t, scratch=work)
+    prox_t(grad, alpha, f.beta_t, p, out=t, scratch=work)
     for t_c, y_c, work_c in zip(t, y_t, work):
         np.subtract(t_c, y_c, out=work_c)
     # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
@@ -361,7 +352,7 @@ def restore(
             raise DivergenceError(k)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
-        x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p, cfg.aniso_prox)
+        x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)
         step = math.sqrt(_sum_squares(np.subtract(x.u, u_prev, out=x.work[0])))
         if not math.isfinite(step):
             raise DivergenceError(k)

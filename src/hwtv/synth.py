@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import ImageBuffer, _require_finite_positive
+from .imgcore import ImageBuffer, _is_integer, _require_finite_positive
 from .linops import BlurSpec, blur_via_plan, build_plan
 
 PHANTOM_KINDS = ("cartoon", "texture", "mixed")
@@ -22,6 +22,8 @@ class DegradationSpec:
 
     def __post_init__(self):
         _require_finite_positive("sigma", self.sigma)
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -35,12 +37,15 @@ class PhantomSpec:
     contrast: float = 1.0
 
     def __post_init__(self):
+        if not (_is_integer(self.width) and _is_integer(self.height)):
+            raise ValueError(
+                f"phantom dimensions must be integers, got {self.width!r}x{self.height!r}"
+            )
         if self.width < 32 or self.height < 32:
             raise ValueError("phantom dimensions must be at least 32")
         if self.kind not in PHANTOM_KINDS:
             raise ValueError(f"kind must be one of {PHANTOM_KINDS}, got {self.kind!r}")
-        if self.texture_freq <= 0:
-            raise ValueError(f"texture_freq must be positive, got {self.texture_freq}")
+        _require_finite_positive("texture_freq", self.texture_freq)
         if not 0.0 < self.contrast <= 1.0:
             raise ValueError(f"contrast must be in (0, 1], got {self.contrast}")
 

@@ -143,7 +143,6 @@ def test_criterion_2_prox_oracles():
             np.array([[alpha]]),
             beta_t=beta,
             p=1,
-            variant="exact",
         )
         worst_aniso = max(worst_aniso, abs(out_h[0, 0] - _prox1_bisection_oracle(q, alpha, beta)))
     elapsed = time.perf_counter() - tick
@@ -285,7 +284,7 @@ def test_criterion_8_frozen_parameter_stability():
             # the unscaled duals rho = beta y, formed before the sweep updates
             # y in place.
             rho_w, rho_t = bw * _real(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
-            x, _ = solver._sweep(x, fixed, weights, mu, p, "exact")
+            x, _ = solver._sweep(x, fixed, weights, mu, p)
             values.append(augmented_lagrangian(
                 x.u, _real(x.w, g.shape), x.t, rho_w, rho_t,
                 g, plan, weights, mu, bt, bw, p,

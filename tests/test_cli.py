@@ -9,7 +9,7 @@ import pytest
 
 import hwtv
 from hwtv import cli
-from hwtv.imgcore import PGM8, RAW_F32, ImageBuffer, read_image, write_image
+from hwtv.imgcore import RAW_F32, ImageBuffer, read_image, write_image
 from hwtv.synth import PhantomSpec, make_phantom
 
 
@@ -57,7 +57,7 @@ class TestDegrade:
             capsys,
         )
         assert code == 0
-        g = read_image(out_path, RAW_F32)
+        g = read_image(out_path)
         residual = g.data - truth.data.astype(np.float32).astype(np.float64)
         assert 0.08 <= residual.std() <= 0.12
         assert json.loads(out)["blur_band"] == 0
@@ -127,7 +127,7 @@ class TestRestoreCommand:
         assert rows[0] == ["k", "mu", "discrepancy", "rel_change", "wall_ms"]
         assert len(rows) == 1 + payload["iterations"]
         # raw alpha export carries the actual weights (positive, within cap)
-        alpha = read_image(alpha_path, RAW_F32)
+        alpha = read_image(alpha_path)
         assert alpha.data.min() > 0.0
 
     def test_alpha_pgm_export_is_rescaled(self, phantom_files, capsys):
@@ -143,7 +143,7 @@ class TestRestoreCommand:
             capsys,
         )
         assert code == 0
-        alpha = read_image(alpha_path, PGM8)
+        alpha = read_image(alpha_path)
         assert alpha.data.min() == 0.0
         assert alpha.data.max() == 1.0
 
@@ -173,11 +173,19 @@ class TestRestoreCommand:
             ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.raw"),
              "--noise-sigma", "0.1", "--mode", "hwtv", "--p", "1",
              "--tau", "0.86", "--radius", "40", "--max-iter", "40",
-             "--aniso-prox", "paper", "--format", RAW_F32],
+             "--format", RAW_F32],
             capsys,
         )
         assert code == 0
         assert json.loads(out)["iterations"] >= 1
+
+    def test_aniso_prox_flag_is_gone(self, phantom_files, capsys):
+        # p = 1 has one prox map, so there is no flag to choose it
+        tmp_path, _, truth_path = phantom_files
+        with pytest.raises(SystemExit) as err:
+            cli.main(["restore", "--in", str(truth_path), "--out", str(tmp_path / "rec.pgm"),
+                      "--noise-sigma", "0.1", "--p", "1", "--aniso-prox", "exact"])
+        assert err.value.code == 2
 
     def test_oversized_radius_is_usage_error(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files

@@ -12,7 +12,6 @@ from hwtv.imgcore import (
     FormatError,
     ImageBuffer,
     InfiniteIsnrError,
-    detect_format,
     isnr,
     read_image,
     ssim,
@@ -50,14 +49,14 @@ class TestPgmIO:
     def test_read_2x2(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
-        img = read_image(path, PGM8)
+        img = read_image(path)
         expected = np.array([[0.0, 1.0], [128 / 255, 64 / 255]])
         assert np.array_equal(img.data, expected)
 
     def test_read_handles_comments(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1 # inline\n255\n" + bytes([7, 9]))
-        img = read_image(path, PGM8)
+        img = read_image(path)
         assert np.array_equal(img.data, np.array([[7 / 255, 9 / 255]]))
 
     def test_truncated_payload_reports_offset(self, tmp_path):
@@ -65,27 +64,27 @@ class TestPgmIO:
         blob = b"P5\n4 4\n255\n" + bytes(8)
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="truncated") as err:
-            read_image(path, PGM8)
+            read_image(path)
         assert err.value.offset == len(blob)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00")
         with pytest.raises(FormatError) as err:
-            read_image(path, PGM8)
+            read_image(path)
         assert err.value.offset == 0
 
     def test_bad_maxval(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(FormatError, match="maxval"):
-            read_image(path, PGM8)
+            read_image(path)
 
     def test_dimension_overflow(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n70000 70000\n255\n")
         with pytest.raises(FormatError, match="overflow"):
-            read_image(path, PGM8)
+            read_image(path)
 
     def test_write_quantizes_round_half_up(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -102,9 +101,9 @@ class TestPgmIO:
         img = _rand_img(rng, 7, 9)
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
         write_image(img, p1, PGM8)
-        once = read_image(p1, PGM8)
+        once = read_image(p1)
         write_image(once, p2, PGM8)
-        twice = read_image(p2, PGM8)
+        twice = read_image(p2)
         assert np.array_equal(once.data, twice.data)
 
 
@@ -115,14 +114,14 @@ class TestRawF32IO:
         samples = rng.uniform(-2, 2, (6, 4)).astype(np.float32).astype(np.float64)
         path = tmp_path / "t.raw"
         write_image(ImageBuffer(samples), path, RAW_F32)
-        back = read_image(path, RAW_F32)
+        back = read_image(path)
         assert np.array_equal(back.data, samples)
 
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "t.raw"
         path.write_bytes(b"XXXX" + bytes(8))
         with pytest.raises(FormatError) as err:
-            read_image(path, RAW_F32)
+            read_image(path)
         assert err.value.offset == 0
 
     def test_truncated_payload(self, tmp_path):
@@ -131,7 +130,7 @@ class TestRawF32IO:
         path = tmp_path / "t.raw"
         path.write_bytes(b"TVF1" + struct.pack("<II", 4, 4) + bytes(8))
         with pytest.raises(FormatError, match="truncated"):
-            read_image(path, RAW_F32)
+            read_image(path)
 
     def test_nonfinite_sample_rejected_with_offset(self, tmp_path):
         import struct
@@ -140,15 +139,22 @@ class TestRawF32IO:
         payload = np.array([1.0, np.nan], dtype="<f4").tobytes()
         path.write_bytes(b"TVF1" + struct.pack("<II", 2, 1) + payload)
         with pytest.raises(FormatError) as err:
-            read_image(path, RAW_F32)
+            read_image(path)
         assert err.value.offset == 12 + 4
 
-    def test_detect_format(self, tmp_path):
-        p1, p2 = tmp_path / "a.pgm", tmp_path / "b.raw"
-        write_image(_img([[0.5]]), p1, PGM8)
-        write_image(_img([[0.5]]), p2, RAW_F32)
-        assert detect_format(p1) == PGM8
-        assert detect_format(p2) == RAW_F32
+    def test_read_image_dispatches_on_magic(self, tmp_path):
+        # the leading bytes alone pick the reader, whatever the file is called
+        p1, p2 = tmp_path / "a.raw", tmp_path / "b.pgm"
+        write_image(_img([[0.2, 0.6]]), p1, PGM8)
+        write_image(_img([[0.2, 0.6]]), p2, RAW_F32)
+        assert np.array_equal(read_image(p1).data, [[51 / 255, 153 / 255]])
+        assert np.array_equal(read_image(p2).data, np.float32([[0.2, 0.6]]))
+        for head in (b"", b"P", b"P6", b"TVF", b"TVF2", b"\x00P5"):
+            p3 = tmp_path / "c.img"
+            p3.write_bytes(head + bytes(16))
+            with pytest.raises(FormatError, match="unrecognized image file magic") as err:
+                read_image(p3)
+            assert err.value.offset == 0
 
     def test_write_validates_finiteness(self, tmp_path):
         # a buffer whose data was mutated behind the constructor still fails
@@ -199,7 +205,7 @@ class TestIsnr:
         g = _rand_img(rng, 8, 8)
         truth = _rand_img(rng, 8, 8)
         with pytest.raises(InfiniteIsnrError):
-            isnr(g, truth, truth.copy())
+            isnr(g, truth, ImageBuffer(truth.data.copy()))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -236,7 +242,7 @@ class TestSsim:
     def test_identity_is_exactly_one(self):
         rng = np.random.default_rng(3)
         img = _rand_img(rng, 16, 16)
-        assert ssim(img, img.copy()) == 1.0
+        assert ssim(img, ImageBuffer(img.data.copy())) == 1.0
 
     def test_inverted_checkerboard_negative(self):
         rows = np.arange(16)[:, None]
@@ -271,5 +277,5 @@ def test_pgm_quantization_preserves_bytes(tmp_path_factory, byte_value):
     path = tmp_path_factory.mktemp("pgm") / "q.pgm"
     img = _img([[byte_value / 255.0]])
     write_image(img, path, PGM8)
-    back = read_image(path, PGM8)
+    back = read_image(path)
     assert back.data[0, 0] == byte_value / 255.0

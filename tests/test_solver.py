@@ -24,6 +24,11 @@ from objectives import augmented_lagrangian, objective
 from spatial_blur import circular_correlate
 
 
+def _prox_id(p):
+    # A case id names p and its prox map, which is the exact one for both.
+    return f"{p}-exact"
+
+
 def _real(spectrum, shape):
     """The real image behind an rfft2 half spectrum."""
     return np.fft.irfft2(spectrum, s=shape)
@@ -79,9 +84,8 @@ class TestProxT:
         q = _field(np.zeros((3, 3)), np.zeros((3, 3)))
         weights = np.full((3, 3), 2.0)
         for p in (1, 2):
-            for variant in ("exact", "paper_verbatim"):
-                out_h, out_v = prox_t(q, weights, beta_t=20.0, p=p, variant=variant)
-                assert np.all(out_h == 0.0) and np.all(out_v == 0.0)
+            out_h, out_v = prox_t(q, weights, beta_t=20.0, p=p)
+            assert np.all(out_h == 0.0) and np.all(out_v == 0.0)
 
     def test_zero_weight_passes_through(self):
         rng = np.random.default_rng(60)
@@ -111,29 +115,18 @@ class TestProxT:
             alpha = rng.uniform(0.0, 3.0)
             beta = rng.uniform(5.0, 50.0)
             out_h, out_v = prox_t(
-                _field([[qx]], [[qy]]), np.array([[alpha]]), beta_t=beta, p=1, variant="exact"
+                _field([[qx]], [[qy]]), np.array([[alpha]]), beta_t=beta, p=1
             )
             assert abs(out_h[0, 0] - _prox1_bisection_oracle(qx, alpha, beta)) <= 1e-10
             assert abs(out_v[0, 0] - _prox1_bisection_oracle(qy, alpha, beta)) <= 1e-10
 
-    def test_paper_verbatim_anisotropic_formula(self):
-        rng = np.random.default_rng(63)
-        q = _field(rng.standard_normal((5, 5)), rng.standard_normal((5, 5)))
-        weights = rng.uniform(0.1, 2.0, (5, 5))
-        beta = 20.0
-        out_h, out_v = prox_t(q, weights, beta_t=beta, p=1, variant="paper_verbatim")
-        norms = np.abs(q[0]) + np.abs(q[1])
-        factor = np.maximum(1.0 - weights / (beta * norms), 0.0)
-        assert np.allclose(out_h, q[0] * factor, atol=1e-14)
-        assert np.allclose(out_v, q[1] * factor, atol=1e-14)
-
-    @pytest.mark.parametrize("p,variant", [(2, "exact"), (1, "exact")])
-    def test_prox_optimality_under_perturbation(self, p, variant):
+    @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
+    def test_prox_optimality_under_perturbation(self, p):
         rng = np.random.default_rng(64)
         q = _field(rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8)))
         weights = rng.uniform(0.0, 5.0, (8, 8))
         beta = 20.0
-        out_h, out_v = prox_t(q, weights, beta_t=beta, p=p, variant=variant)
+        out_h, out_v = prox_t(q, weights, beta_t=beta, p=p)
 
         def split_objective(th, tv):
             norm = np.abs(th) + np.abs(tv) if p == 1 else np.hypot(th, tv)
@@ -145,15 +138,15 @@ class TestProxT:
             assert np.all(perturbed >= base - 1e-9)
 
 
-def _reference_prox(q, alpha, beta_t, p, variant):
+def _reference_prox(q, alpha, beta_t, p):
     # prox_t as it was written before it took out=: np.where guards the
     # zero-norm pixels.
     q_h, q_v = q
-    if p == 1 and variant == "exact":
+    if p == 1:
         threshold = alpha / beta_t
         return (np.sign(q_h) * np.maximum(np.abs(q_h) - threshold, 0.0),
                 np.sign(q_v) * np.maximum(np.abs(q_v) - threshold, 0.0))
-    norms = np.abs(q_h) + np.abs(q_v) if p == 1 else np.sqrt(q_h * q_h + q_v * q_v)
+    norms = np.sqrt(q_h * q_h + q_v * q_v)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > 0.0, 1.0 - alpha / (beta_t * norms), 0.0)
     scale = np.maximum(scale, 0.0)
@@ -161,9 +154,8 @@ def _reference_prox(q, alpha, beta_t, p, variant):
 
 
 @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (1, 16), (16, 1)])
-@pytest.mark.parametrize("p,variant", [(2, "exact"), (2, "paper_verbatim"),
-                                       (1, "exact"), (1, "paper_verbatim")])
-def test_prox_out_matches_allocating_and_reference(shape, p, variant):
+@pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
+def test_prox_out_matches_allocating_and_reference(shape, p):
     rng = np.random.default_rng(68)
     q = _field(rng.standard_normal(shape), rng.standard_normal(shape))
     alpha = rng.uniform(0.0, 40.0, shape)
@@ -174,9 +166,9 @@ def test_prox_out_matches_allocating_and_reference(shape, p, variant):
     alpha.flat[::6] = 0.0
     out = np.empty(shape), np.empty(shape)
     scratch = np.empty(shape), np.empty(shape)
-    assert prox_t(q, alpha, 20.0, p, variant, out=out, scratch=scratch) is out
-    for got, alloc, ref in zip(out, prox_t(q, alpha, 20.0, p, variant),
-                               _reference_prox(q, alpha, 20.0, p, variant)):
+    assert prox_t(q, alpha, 20.0, p, out=out, scratch=scratch) is out
+    for got, alloc, ref in zip(out, prox_t(q, alpha, 20.0, p),
+                               _reference_prox(q, alpha, 20.0, p)):
         assert got.tobytes() == alloc.tobytes()
         assert np.array_equal(got, ref)
 
@@ -243,9 +235,9 @@ class TestRestore:
         result = restore(g, BlurSpec(band=1), 0.05, cfg)
         assert np.all(result.alpha_final == 1.0)
 
-    @pytest.mark.parametrize("p,prox", [(2, "exact"), (1, "paper_verbatim")])
+    @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
     @pytest.mark.parametrize("mode", ["hwtv", "tv_scalar"])
-    def test_orchestration_matches_manual_loop(self, mode, p, prox):
+    def test_orchestration_matches_manual_loop(self, mode, p):
         # drive the primitives by hand and compare iterates bit-for-bit; this is
         # the one written-out copy of the splitting outside solver.py. Like the
         # solver, it carries the scaled duals y_t = rho_t / beta_t and
@@ -256,8 +248,7 @@ class TestRestore:
         blur = BlurSpec(band=3, sigma=1.0)
         g = degrade(u_true, DegradationSpec(blur=blur, sigma=sigma, seed=4))
         steps = 6
-        cfg = SolverConfig(p=p, tau=1.0, r=2, mode=mode, max_iter=steps, tol=1e-300,
-                           aniso_prox=prox)
+        cfg = SolverConfig(p=p, tau=1.0, r=2, mode=mode, max_iter=steps, tol=1e-300)
         result = restore(g, blur, sigma, cfg)
 
         bt, bw = cfg.beta_t, cfg.beta_w
@@ -277,7 +268,7 @@ class TestRestore:
                 alpha = alpha_from_norms(norms, cfg.r, cfg.eps_floor)
             mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
             grad_h, grad_v = linops.gradient(u)
-            t_h, t_v = prox_t((grad_h + y_h, grad_v + y_v), alpha, bt, p, prox)
+            t_h, t_v = prox_t((grad_h + y_h, grad_v + y_v), alpha, bt, p)
             w = z * (bw / (mu + bw))
             u, spectrum = linops.spectral_step(
                 linops.divergence((t_h - y_h, t_v - y_v)),
@@ -387,8 +378,6 @@ class TestRestore:
             SolverConfig(p=2, tau=1.0, r=2, mode="other")
         with pytest.raises(ValueError):
             SolverConfig(p=2, tau=-1.0, r=2)
-        with pytest.raises(ValueError):
-            SolverConfig(p=2, tau=1.0, r=2, aniso_prox="sloppy")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_tunables_rejected(self, bad):
@@ -428,7 +417,7 @@ def test_spectral_state_matches_real_space(spec):
     plan = linops.build_plan(width, height, spec)
     x, fixed = solver._start(g, plan, bt, bw)
     for _ in range(3):
-        x, discrepancy = solver._sweep(x, fixed, weights, mu, 2, "exact")
+        x, discrepancy = solver._sweep(x, fixed, weights, mu, 2)
         residual = linops.blur_via_plan(plan, x.u) - g
         expected = np.linalg.norm(residual)
         assert abs(discrepancy - expected) <= 1e-12 * expected
@@ -437,8 +426,8 @@ def test_spectral_state_matches_real_space(spec):
         assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("p, prox", [(2, "exact"), (1, "exact"), (1, "paper_verbatim")])
-def test_loop_allocates_no_image(monkeypatch, p, prox):
+@pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
+def test_loop_allocates_no_image(monkeypatch, p):
     # After warm-up sweeps of a 128x128 "hwtv" restore, the transient
     # tracemalloc peak of each sweep and of the work between two sweeps (the
     # weight refresh, the mu update and the step norm), in 128x128 float64
@@ -483,8 +472,7 @@ def test_loop_allocates_no_image(monkeypatch, p, prox):
         return out
 
     monkeypatch.setattr(solver, "_sweep", measured)
-    cfg = SolverConfig(p=p, tau=0.94, r=14, mode="hwtv", max_iter=warmup + 6, tol=1e-14,
-                       aniso_prox=prox)
+    cfg = SolverConfig(p=p, tau=0.94, r=14, mode="hwtv", max_iter=warmup + 6, tol=1e-14)
     try:
         restore(g, blur, 0.05, cfg)
     finally:
@@ -511,7 +499,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
 
         x, fixed = solver._start(g, plan, bt, bw)
         for _ in range(4000):
-            x, _ = solver._sweep(x, fixed, weights, mu, p, "exact")
+            x, _ = solver._sweep(x, fixed, weights, mu, p)
         admm_value = objective(x.u, g, plan, weights, mu, p)
 
         smoothing = 1e-12
@@ -555,7 +543,7 @@ class TestFrozenParameterStability:
                 # the textbook Lagrangian takes the unscaled duals rho = beta y,
                 # formed before the sweep updates y in place
                 rho_w, rho_t = bw * _real(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
-                x, _ = solver._sweep(x, fixed, weights, mu, p, "exact")
+                x, _ = solver._sweep(x, fixed, weights, mu, p)
                 values.append(augmented_lagrangian(
                     x.u, _real(x.w, g.shape), x.t, rho_w, rho_t,
                     g, plan, weights, mu, bt, bw, p,

@@ -19,7 +19,6 @@ BOUNDARY = [
     "TraceRow",
     "add_awgn",
     "degrade",
-    "detect_format",
     "isnr",
     "make_phantom",
     "read_image",
@@ -67,3 +66,19 @@ def test_blur_spec_has_no_identity_flag():
     assert hwtv.BlurSpec().band == 1
     with pytest.raises(TypeError):
         hwtv.BlurSpec(identity=True)
+
+
+def test_solver_config_has_no_prox_choice():
+    # p = 1 always runs the exact soft-threshold; there is nothing to pick.
+    assert [f.name for f in dataclasses.fields(hwtv.SolverConfig)] == [
+        "p", "tau", "r", "mode", "beta_t", "beta_w", "eps_floor", "max_iter", "tol",
+    ]
+    with pytest.raises(TypeError):
+        hwtv.SolverConfig(p=2, tau=1.0, r=2, aniso_prox="exact")
+    assert not hasattr(importlib.import_module("hwtv.solver"), "PROX_VARIANTS")
+
+
+def test_read_image_is_the_only_format_sniffer():
+    # read_image dispatches on the magic bytes; no separate detector remains.
+    assert not hasattr(hwtv, "detect_format")
+    assert not hasattr(importlib.import_module("hwtv.imgcore"), "detect_format")

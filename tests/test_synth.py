@@ -40,6 +40,29 @@ class TestPhantoms:
             PhantomSpec(width=64, height=64, kind="noise")
 
 
+_PHANTOM = {"width": 64, "height": 64, "kind": "texture"}
+_DEGRADATION = {"blur": BlurSpec(band=1), "sigma": 0.1}
+
+
+@pytest.mark.parametrize(
+    "spec, fields, match",
+    [
+        pytest.param(PhantomSpec, {"width": 64.0}, "integers", id="width-float"),
+        pytest.param(PhantomSpec, {"height": np.float64(64)}, "integers", id="height-float"),
+        pytest.param(PhantomSpec, {"texture_freq": float("nan")}, "texture_freq", id="freq-nan"),
+        pytest.param(PhantomSpec, {"texture_freq": float("inf")}, "texture_freq", id="freq-inf"),
+        pytest.param(DegradationSpec, {"seed": True}, "seed", id="seed-bool"),
+        pytest.param(DegradationSpec, {"seed": 1.5}, "seed", id="seed-float"),
+        pytest.param(DegradationSpec, {"seed": -1}, "seed", id="seed-negative"),
+    ],
+)
+def test_spec_rejects_bad_field_when_constructed(spec, fields, match):
+    # rejected here, not later inside make_phantom, numpy or the RNG
+    base = _PHANTOM if spec is PhantomSpec else _DEGRADATION
+    with pytest.raises(ValueError, match=match):
+        spec(**{**base, **fields})
+
+
 class TestAwgn:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, bad):
