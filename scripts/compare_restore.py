@@ -8,8 +8,9 @@ runs for the identity (band 1) and the band-5 sigma=1 blur, and ``restore``
 runs for 150 sweeps on the 128x128 mixed phantom in 8 configurations: modes
 ``hwtv`` and ``tv_scalar`` x p in (2, 1) x both blurs, 10 runs in all. The
 fields compared are ``u_star``, ``iterations``, ``final_mu``,
-``final_discrepancy``, ``alpha_final`` and the
-``(k, mu, discrepancy, rel_change)`` of every trace row. For a run that is
+``final_discrepancy``, ``alpha_final``, the ``isnr`` and ``ssim`` of
+``u_star`` against the truth (so a change to the metrics shows as well), and
+the ``(k, mu, discrepancy, rel_change)`` of every trace row. For a run that is
 not bit-identical, each differing field is printed with the largest absolute
 difference between its two sides. A last line but one gives, for each
 field, the largest absolute difference over all runs (inf where the shapes
@@ -57,6 +58,8 @@ def dump(out_path: str) -> None:
                 "final_mu": np.array(res.final_mu),
                 "final_discrepancy": np.array(res.final_discrepancy),
                 "alpha_final": res.alpha_final,
+                "isnr": np.array(hwtv.isnr(g, truth, res.u_star)),
+                "ssim": np.array(hwtv.ssim(res.u_star, truth)),
                 "trace": np.array([(r.k, r.mu, r.discrepancy, r.rel_change) for r in res.trace]),
             }
     with open(out_path, "wb") as fh:

@@ -11,10 +11,8 @@ are imported from ``linops``, ``adapt`` and ``solver``.
 """
 
 from .imgcore import (
-    DimensionMismatchError,
     FormatError,
     ImageBuffer,
-    InfiniteIsnrError,
     isnr,
     read_image,
     ssim,
@@ -29,23 +27,20 @@ from .solver import (
     restore,
     write_trace_csv,
 )
-from .synth import DegradationSpec, PhantomSpec, add_awgn, degrade, make_phantom
+from .synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlurSpec",
     "DegradationSpec",
-    "DimensionMismatchError",
     "DivergenceError",
     "FormatError",
     "ImageBuffer",
-    "InfiniteIsnrError",
     "PhantomSpec",
     "RestoreResult",
     "SolverConfig",
     "TraceRow",
-    "add_awgn",
     "degrade",
     "isnr",
     "make_phantom",

@@ -14,20 +14,16 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import imgcore, solver, synth
-from .imgcore import (
-    PGM8,
-    RAW_F32,
-    DimensionMismatchError,
-    FormatError,
-    ImageBuffer,
-    InfiniteIsnrError,
-)
+from .imgcore import PGM8, RAW_F32, ImageBuffer
 from .linops import BlurSpec
 from .solver import DivergenceError, SolverConfig
 
 USAGE_ERROR = 2
 DIVERGENCE_ERROR = 3
 MAX_GRID_POINTS = 1000
+# The SolverConfig fields set by a flag of their own name; tau and r come
+# from --tau and --radius, or from the sweep's grids.
+SOLVER_FLAGS = ("p", "mode", "beta_t", "beta_w", "max_iter", "tol")
 
 
 @dataclass(frozen=True)
@@ -47,16 +43,7 @@ SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def _blur_from_args(args) -> BlurSpec:
-    # --blur-band 0 names the identity, which is the band-1 kernel.
-    return BlurSpec(band=args.blur_band or 1, sigma=args.blur_sigma)
-
-
-def _isnr_or_inf(g: ImageBuffer, truth: ImageBuffer, rec: ImageBuffer) -> float:
-    # An exact reconstruction has unbounded ISNR; report it as infinity.
-    try:
-        return imgcore.isnr(g, truth, rec)
-    except InfiniteIsnrError:
-        return float("inf")
+    return BlurSpec(band=args.blur_band, sigma=args.blur_sigma)
 
 
 def _print_json(payload: dict) -> None:
@@ -107,8 +94,8 @@ def cmd_degrade(args) -> int:
         {
             "in": args.infile,
             "out": args.out,
-            "blur_band": args.blur_band,
-            "blur_sigma": None if args.blur_band == 0 else spec.blur.sigma,
+            "blur_band": spec.blur.band,
+            "blur_sigma": spec.blur.sigma,
             "noise_sigma": spec.sigma,
             "seed": spec.seed,
         }
@@ -117,17 +104,7 @@ def cmd_degrade(args) -> int:
 
 
 def _config_from_args(args, tau: float, r: int) -> SolverConfig:
-    return SolverConfig(
-        p=args.p,
-        tau=tau,
-        r=r,
-        mode=args.mode,
-        beta_t=args.beta_t,
-        beta_w=args.beta_w,
-        eps_floor=args.eps_floor,
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
+    return SolverConfig(tau=tau, r=r, **{name: getattr(args, name) for name in SOLVER_FLAGS})
 
 
 def _export_alpha(alpha_values: np.ndarray, path: str, fmt: str) -> None:
@@ -166,7 +143,7 @@ def cmd_metrics(args) -> int:
     reconstructed = imgcore.read_image(args.rec)
     _print_json(
         {
-            "isnr": _isnr_or_inf(degraded, reference, reconstructed),
+            "isnr": imgcore.isnr(degraded, reference, reconstructed),
             "ssim": imgcore.ssim(reconstructed, reference),
         }
     )
@@ -183,7 +160,7 @@ def _sweep_cell(payload) -> SweepRow:
         isnr = ssim = discrepancy = float("nan")
         iterations = exc.iteration
     else:
-        isnr = _isnr_or_inf(g, truth, result.u_star)
+        isnr = imgcore.isnr(g, truth, result.u_star)
         ssim = imgcore.ssim(result.u_star, truth)
         iterations, discrepancy = result.iterations, result.final_discrepancy
     return SweepRow(
@@ -243,8 +220,8 @@ def _add_io_format(parser):
 
 def _add_blur_flags(parser):
     parser.add_argument(
-        "--blur-band", type=int, default=0, metavar="N",
-        help="blur kernel side length; 0 or 1 means identity (pure denoising)",
+        "--blur-band", type=int, default=1, metavar="N",
+        help="blur kernel side length, odd; 1 means identity (pure denoising)",
     )
     parser.add_argument(
         "--blur-sigma", type=float, default=1.0, metavar="S",
@@ -257,8 +234,9 @@ def _add_solver_flags(parser):
     parser.add_argument("--mode", choices=solver.MODES, default=defaults["mode"])
     parser.add_argument("--p", type=int, choices=(1, 2), default=2,
                         help="TV flavor: 1 anisotropic, 2 isotropic")
-    for name in ("beta_t", "beta_w", "eps_floor", "max_iter", "tol"):
-        # Each flag parses as its default's type: int for max_iter, else float.
+    for name in SOLVER_FLAGS[2:]:
+        # p and mode, above, take choices; each of the rest parses as its
+        # default's type: int for max_iter, else float.
         parser.add_argument("--" + name.replace("_", "-"),
                             type=type(defaults[name]), default=defaults[name])
 
@@ -327,7 +305,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"hwtv: {exc}", file=sys.stderr)
         return DIVERGENCE_ERROR
-    except (FormatError, DimensionMismatchError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"hwtv: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -32,14 +32,6 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-class DimensionMismatchError(ValueError):
-    """Operands do not share raster dimensions."""
-
-
-class InfiniteIsnrError(ArithmeticError):
-    """Reconstruction coincides with the ground truth, so ISNR is unbounded."""
-
-
 @dataclass(eq=False)
 class ImageBuffer:
     """Real-valued raster stored row-major as a (height, width) float64 array.
@@ -51,6 +43,9 @@ class ImageBuffer:
     data: np.ndarray
 
     def __post_init__(self):
+        # The float64 cast would drop an imaginary part with only a warning.
+        if np.iscomplexobj(self.data):
+            raise ValueError("image samples must be real")
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("image data must be a non-empty 2-D array")
@@ -85,7 +80,7 @@ def _require_finite_positive(name: str, value: float) -> None:
 def _require_same_shape(*images: ImageBuffer) -> None:
     shapes = {img.data.shape for img in images}
     if len(shapes) > 1:
-        raise DimensionMismatchError(f"images differ in shape: {sorted(shapes)}")
+        raise ValueError(f"images differ in shape: {sorted(shapes)}")
 
 
 def _require_ssim_pair(a: ImageBuffer, b: ImageBuffer) -> None:
@@ -232,20 +227,19 @@ def isnr(g: ImageBuffer, u_true: ImageBuffer, u_rec: ImageBuffer) -> float:
     """Improvement in signal-to-noise ratio of ``u_rec`` over ``g``, in dB.
 
     isnr = 10 log10(||g - u_true||^2 / ||u_rec - u_true||^2); positive iff
-    the reconstruction is closer to the truth than the observation.
+    the reconstruction is closer to the truth than the observation. It is
+    +inf when ``u_rec`` equals ``u_true`` exactly, and -inf when ``g`` does.
 
     Raises
     ------
-    DimensionMismatchError
+    ValueError
         The three images do not share dimensions.
-    InfiniteIsnrError
-        ``u_rec`` equals ``u_true`` exactly.
     """
     _require_same_shape(g, u_true, u_rec)
     num = float(np.sum((g.data - u_true.data) ** 2))
     den = float(np.sum((u_rec.data - u_true.data) ** 2))
     if den == 0.0:
-        raise InfiniteIsnrError("reconstruction equals ground truth")
+        return float("inf")
     if num == 0.0:
         return float("-inf")
     return 10.0 * math.log10(num / den)

@@ -165,10 +165,9 @@ def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarr
     Returns ``(ratio conj(eigen_K), 1 / denom)`` on the half spectrum, with
     denom = eigen_DtD + ratio |eigen_K|^2. The denominator is strictly
     positive for a normalized kernel and ratio > 0 (eigen_K equals 1 at the
-    zero frequency), so the solve is exact to rounding.
+    zero frequency), so the solve is exact to rounding. The caller ensures a
+    finite ratio > 0, as ``SolverConfig`` does for beta_w / beta_t.
     """
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise ValueError(f"ratio must be finite and positive, got {ratio}")
     eigen_k = plan.eigen_K
     # |eigen_K|^2 as re^2 + im^2: np.abs of a complex array calls hypot.
     denom = plan.eigen_DtD + ratio * (eigen_k.real**2 + eigen_k.imag**2)

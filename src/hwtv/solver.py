@@ -35,6 +35,8 @@ from .linops import (
 )
 
 MODES = ("hwtv", "tv_scalar")
+# Window means of the gradient norms are clamped here, so no weight exceeds 1e4.
+EPS_FLOOR = 1e-4
 
 
 class DivergenceError(RuntimeError):
@@ -61,15 +63,17 @@ class SolverConfig:
     mode: str = "hwtv"
     beta_t: float = 20.0
     beta_w: float = 100.0
-    eps_floor: float = 1e-4
     max_iter: int = 500
     tol: float = 1e-5
 
     def __post_init__(self):
         if not _is_integer(self.p) or self.p not in (1, 2):
             raise ValueError(f"p must be the integer 1 or 2, got {self.p!r}")
-        for name in ("tau", "beta_t", "beta_w", "eps_floor", "tol"):
+        for name in ("tau", "beta_t", "beta_w", "tol"):
             _require_finite_positive(name, getattr(self, name))
+        # Each penalty can be finite and positive while the ratio the u step
+        # takes overflows or underflows.
+        _require_finite_positive("beta_w / beta_t", self.beta_w / self.beta_t)
         if not _is_integer(self.r) or self.r < 1:
             raise ValueError(f"r must be a positive integer, got {self.r!r}")
         if self.mode not in MODES:
@@ -346,7 +350,7 @@ def restore(
             # The weights of u, from the Du the last sweep formed for its
             # dual update.
             norms = pointwise_norm(x.grad, cfg.p, out=x.work[0], scratch=x.work[1])
-            alpha_from_norms(norms, cfg.r, cfg.eps_floor, out=box)
+            alpha_from_norms(norms, cfg.r, EPS_FLOOR, out=box)
         z_norm = half_spectrum_norm(plan, x.z)
         if not math.isfinite(z_norm):
             raise DivergenceError(k)

@@ -34,7 +34,6 @@ class PhantomSpec:
     height: int
     kind: str
     texture_freq: float = 8.0
-    contrast: float = 1.0
 
     def __post_init__(self):
         if not (_is_integer(self.width) and _is_integer(self.height)):
@@ -46,11 +45,9 @@ class PhantomSpec:
         if self.kind not in PHANTOM_KINDS:
             raise ValueError(f"kind must be one of {PHANTOM_KINDS}, got {self.kind!r}")
         _require_finite_positive("texture_freq", self.texture_freq)
-        if not 0.0 < self.contrast <= 1.0:
-            raise ValueError(f"contrast must be in (0, 1], got {self.contrast}")
 
 
-def _cartoon(width: int, height: int, contrast: float) -> np.ndarray:
+def _cartoon(width: int, height: int) -> np.ndarray:
     # Disk plus rectangle on a flat background: exactly three intensities.
     base = 0.15
     canvas = np.full((height, width), base)
@@ -58,39 +55,36 @@ def _cartoon(width: int, height: int, contrast: float) -> np.ndarray:
     cols = np.arange(width)[None, :]
     radius = 0.16 * min(width, height)
     disk = (rows - 0.30 * height) ** 2 + (cols - 0.50 * width) ** 2 <= radius**2
-    canvas[disk] = base + 0.70 * contrast
+    canvas[disk] = base + 0.70
     top, bottom = int(0.60 * height), int(0.85 * height)
     left, right = int(0.25 * width), int(0.75 * width)
-    canvas[top:bottom, left:right] = base + 0.35 * contrast
+    canvas[top:bottom, left:right] = base + 0.35
     return canvas
 
 
-def _texture(width: int, height: int, freq: float, contrast: float) -> np.ndarray:
+def _texture(width: int, height: int, freq: float) -> np.ndarray:
     # Sinusoidal grid; each column carries a vertical tone at ``freq``
     # cycles per canvas, so its DFT peaks at that bin.
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
-    amplitude = 0.25 * contrast
     return (
         0.5
-        + amplitude * np.sin(2.0 * np.pi * freq * cols / width)
-        + amplitude * np.sin(2.0 * np.pi * freq * rows / height)
+        + 0.25 * np.sin(2.0 * np.pi * freq * cols / width)
+        + 0.25 * np.sin(2.0 * np.pi * freq * rows / height)
     )
 
 
 def make_phantom(spec: PhantomSpec) -> ImageBuffer:
     """Build the requested phantom; mixed places cartoon left, texture right."""
     if spec.kind == "cartoon":
-        data = _cartoon(spec.width, spec.height, spec.contrast)
+        data = _cartoon(spec.width, spec.height)
     elif spec.kind == "texture":
-        data = _texture(spec.width, spec.height, spec.texture_freq, spec.contrast)
+        data = _texture(spec.width, spec.height, spec.texture_freq)
     else:
         split = spec.width // 2
         data = np.empty((spec.height, spec.width))
-        data[:, :split] = _cartoon(split, spec.height, spec.contrast)
-        data[:, split:] = _texture(
-            spec.width - split, spec.height, spec.texture_freq, spec.contrast
-        )
+        data[:, :split] = _cartoon(split, spec.height)
+        data[:, split:] = _texture(spec.width - split, spec.height, spec.texture_freq)
     return ImageBuffer(data)
 
 
@@ -105,21 +99,16 @@ def _standard_normal(gen: np.random.Generator, count: int) -> np.ndarray:
     return draws[:count]
 
 
-def add_awgn(u: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
-    """Add i.i.d. Gaussian noise of std ``sigma``; deterministic per seed, no clipping."""
-    _require_finite_positive("sigma", sigma)
-    gen = np.random.Generator(np.random.Philox(seed))
-    noise = _standard_normal(gen, u.pixel_count).reshape(u.data.shape)
-    return ImageBuffer(u.data + sigma * noise)
-
-
 def degrade(u: ImageBuffer, spec: DegradationSpec) -> ImageBuffer:
-    """Forward model: blur first, then additive noise.
+    """Forward model: blur first, then i.i.d. Gaussian noise of std ``spec.sigma``.
 
-    The band-1 blur is the identity and passes ``u`` through untouched, so
+    The noise is deterministic per ``spec.seed`` and nothing is clipped. The
+    band-1 blur is the identity and passes ``u`` through untouched, so
     denoising problems see exactly u + noise.
     """
+    data = u.data
     if spec.blur.band != 1:
-        plan = build_plan(u.width, u.height, spec.blur)
-        u = ImageBuffer(blur_via_plan(plan, u.data))
-    return add_awgn(u, spec.sigma, spec.seed)
+        data = blur_via_plan(build_plan(u.width, u.height, spec.blur), data)
+    gen = np.random.Generator(np.random.Philox(spec.seed))
+    noise = _standard_normal(gen, u.pixel_count).reshape(data.shape)
+    return ImageBuffer(data + spec.sigma * noise)

@@ -22,7 +22,7 @@ from spatial_blur import circular_correlate
 
 # Shared deblurring benchmark: half piecewise-constant, half fine sinusoidal
 # texture that plain TV oversmooths while the adaptive weights protect it.
-BENCH_PHANTOM = PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0, contrast=1.0)
+BENCH_PHANTOM = PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0)
 BENCH_BLUR = BlurSpec(band=5, sigma=1.0)
 BENCH_SEED = 11
 # Penalty parameters for the ordering benchmark. The adaptive loop does not
@@ -254,7 +254,7 @@ def test_criterion_6_alpha_map_separates_halves():
 
 def test_criterion_7_efficiency_256():
     truth = make_phantom(
-        PhantomSpec(width=256, height=256, kind="mixed", texture_freq=20.0, contrast=1.0)
+        PhantomSpec(width=256, height=256, kind="mixed", texture_freq=20.0)
     )
     sigma = 0.05
     g = degrade(truth, DegradationSpec(blur=BENCH_BLUR, sigma=sigma, seed=1))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -52,7 +53,7 @@ class TestDegrade:
         out_path = tmp_path / "g.raw"
         code, out = _run(
             ["degrade", "--in", str(truth_path), "--out", str(out_path),
-             "--blur-band", "0", "--noise-sigma", "0.1", "--seed", "1",
+             "--blur-band", "1", "--noise-sigma", "0.1", "--seed", "1",
              "--format", RAW_F32],
             capsys,
         )
@@ -60,25 +61,37 @@ class TestDegrade:
         g = read_image(out_path)
         residual = g.data - truth.data.astype(np.float32).astype(np.float64)
         assert 0.08 <= residual.std() <= 0.12
-        assert json.loads(out)["blur_band"] == 0
+        assert json.loads(out)["blur_band"] == 1
 
-    def test_band_zero_and_one_write_the_same_bytes(self, phantom_files, capsys):
-        # Both name K = I; the echo keeps the band as given, with no sigma for 0.
+    def test_default_echo_is_band_one(self, phantom_files, capsys):
+        # K = I is the band-1 kernel, the default; the echo reports the spec
         tmp_path, _, truth_path = phantom_files
-        echoes, files = {}, {}
-        for band in ("0", "1"):
-            out_path = tmp_path / f"g{band}.raw"
-            code, out = _run(
-                ["degrade", "--in", str(truth_path), "--out", str(out_path),
-                 "--blur-band", band, "--noise-sigma", "0.1", "--seed", "1",
-                 "--format", RAW_F32],
+        code, out = _run(
+            ["degrade", "--in", str(truth_path), "--out", str(tmp_path / "g.raw"),
+             "--noise-sigma", "0.1", "--seed", "1", "--format", RAW_F32],
+            capsys,
+        )
+        assert code == 0
+        echo = json.loads(out)
+        assert (echo["blur_band"], echo["blur_sigma"]) == (1, 1.0)
+
+    def test_band_zero_is_usage_error(self, phantom_files, capsys):
+        # the band must be odd and positive: every subcommand that takes a
+        # blur rejects 0, and writes nothing
+        tmp_path, _, truth_path = phantom_files
+        out_path = tmp_path / "out"
+        for argv in (
+            ["degrade", "--in", str(truth_path)],
+            ["restore", "--in", str(truth_path), "--max-iter", "1"],
+            ["sweep", "--true", str(truth_path), "--in", str(truth_path),
+             "--tau-grid", "1.0", "--radius-grid", "2", "--max-iter", "1"],
+        ):
+            code, _ = _run(
+                argv + ["--out", str(out_path), "--noise-sigma", "0.1", "--blur-band", "0"],
                 capsys,
             )
-            assert code == 0
-            echoes[band], files[band] = json.loads(out), out_path.read_bytes()
-        assert files["0"] == files["1"]
-        assert (echoes["0"]["blur_band"], echoes["0"]["blur_sigma"]) == (0, None)
-        assert (echoes["1"]["blur_band"], echoes["1"]["blur_sigma"]) == (1, 1.0)
+            assert code == 2, argv[0]
+            assert not out_path.exists(), argv[0]
 
     def test_missing_noise_sigma_usage_error(self, phantom_files, capsys):
         tmp_path, _, truth_path = phantom_files
@@ -101,7 +114,7 @@ class TestRestoreCommand:
         g_path = tmp_path / "g.raw"
         code, _ = _run(
             ["degrade", "--in", str(truth_path), "--out", str(g_path),
-             "--blur-band", "0", "--noise-sigma", "0.1", "--seed", "3",
+             "--blur-band", "1", "--noise-sigma", "0.1", "--seed", "3",
              "--format", RAW_F32],
             capsys,
         )
@@ -187,6 +200,21 @@ class TestRestoreCommand:
                       "--noise-sigma", "0.1", "--p", "1", "--aniso-prox", "exact"])
         assert err.value.code == 2
 
+    def test_eps_floor_flag_is_gone(self, phantom_files, capsys):
+        # the weight floor is a constant of the method, not a tunable
+        tmp_path, _, truth_path = phantom_files
+        with pytest.raises(SystemExit) as err:
+            cli.main(["restore", "--in", str(truth_path), "--out", str(tmp_path / "rec.pgm"),
+                      "--noise-sigma", "0.1", "--eps-floor", "1e-3"])
+        assert err.value.code == 2
+
+    def test_solver_flags_cover_config_fields(self):
+        # a new SolverConfig field cannot miss its flag
+        from hwtv.solver import SolverConfig
+
+        names = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(cli.SOLVER_FLAGS) | {"tau", "r"} == names
+
     def test_oversized_radius_is_usage_error(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
         g_path = tmp_path / "g.pgm"
@@ -229,12 +257,12 @@ class TestRestoreCommand:
     def test_non_finite_blur_sigma_is_usage_error(self, phantom_files, capsys, bad):
         # a NaN blur width is bad input, not a diverged run; an infinite one
         # is not a box blur. Sigma is checked for every band, the identity's
-        # 0 included.
+        # 1 included.
         tmp_path, truth, truth_path = phantom_files
         g_path = tmp_path / "g.pgm"
         _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
               "--noise-sigma", "0.1", "--seed", "6"], capsys)
-        for band in ("5", "0"):
+        for band in ("5", "1"):
             blur = ["--blur-band", band, "--blur-sigma", bad]
             code, _ = _run(
                 ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),

@@ -265,7 +265,7 @@ class TestRestore:
         for _ in range(steps):
             if mode == "hwtv":
                 norms = linops.pointwise_norm(linops.gradient(u), p)
-                alpha = alpha_from_norms(norms, cfg.r, cfg.eps_floor)
+                alpha = alpha_from_norms(norms, cfg.r, solver.EPS_FLOOR)
             mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
             grad_h, grad_v = linops.gradient(u)
             t_h, t_v = prox_t((grad_h + y_h, grad_v + y_v), alpha, bt, p)
@@ -382,9 +382,18 @@ class TestRestore:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_tunables_rejected(self, bad):
         # NaN passes a "<= 0" test; each tunable must be finite and positive
-        for name in ("tau", "beta_t", "beta_w", "eps_floor", "tol"):
+        for name in ("tau", "beta_t", "beta_w", "tol"):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, name: bad})
+
+    @pytest.mark.parametrize(
+        "beta_t, beta_w", [(1e-300, 1e300), (1e300, 1e-300)], ids=["overflow", "underflow"]
+    )
+    def test_beta_ratio_must_be_finite_and_positive(self, beta_t, beta_w):
+        # each penalty is finite and positive, but the u step's beta_w / beta_t
+        # is not: rejected when the config is built, not inside restore
+        with pytest.raises(ValueError, match="beta_w / beta_t"):
+            SolverConfig(p=2, tau=1.0, r=2, beta_t=beta_t, beta_w=beta_w)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, bad):

@@ -8,16 +8,13 @@ import hwtv
 BOUNDARY = [
     "BlurSpec",
     "DegradationSpec",
-    "DimensionMismatchError",
     "DivergenceError",
     "FormatError",
     "ImageBuffer",
-    "InfiniteIsnrError",
     "PhantomSpec",
     "RestoreResult",
     "SolverConfig",
     "TraceRow",
-    "add_awgn",
     "degrade",
     "isnr",
     "make_phantom",
@@ -44,6 +41,7 @@ PRIMITIVES = [
 
 
 def test_all_is_the_library_boundary():
+    assert len(BOUNDARY) == 17
     assert sorted(hwtv.__all__) == sorted(BOUNDARY)
     for name in BOUNDARY:
         assert getattr(hwtv, name) is not None
@@ -71,11 +69,34 @@ def test_blur_spec_has_no_identity_flag():
 def test_solver_config_has_no_prox_choice():
     # p = 1 always runs the exact soft-threshold; there is nothing to pick.
     assert [f.name for f in dataclasses.fields(hwtv.SolverConfig)] == [
-        "p", "tau", "r", "mode", "beta_t", "beta_w", "eps_floor", "max_iter", "tol",
+        "p", "tau", "r", "mode", "beta_t", "beta_w", "max_iter", "tol",
     ]
     with pytest.raises(TypeError):
         hwtv.SolverConfig(p=2, tau=1.0, r=2, aniso_prox="exact")
     assert not hasattr(importlib.import_module("hwtv.solver"), "PROX_VARIANTS")
+
+
+def test_eps_floor_is_a_constant():
+    # the weight floor is fixed; SolverConfig carries only what a caller varies
+    assert importlib.import_module("hwtv.solver").EPS_FLOOR == 1e-4
+    with pytest.raises(TypeError):
+        hwtv.SolverConfig(p=2, tau=1.0, r=2, eps_floor=1e-3)
+
+
+def test_phantom_spec_has_no_contrast():
+    assert [f.name for f in dataclasses.fields(hwtv.PhantomSpec)] == [
+        "width", "height", "kind", "texture_freq",
+    ]
+    with pytest.raises(TypeError):
+        hwtv.PhantomSpec(width=64, height=64, kind="mixed", contrast=0.5)
+
+
+@pytest.mark.parametrize("name", ["add_awgn", "InfiniteIsnrError", "DimensionMismatchError"])
+def test_removed_name_is_gone(name):
+    # degrade adds the noise, isnr returns inf, a shape mismatch is a ValueError
+    assert not hasattr(hwtv, name)
+    for module in ("imgcore", "synth"):
+        assert not hasattr(importlib.import_module(f"hwtv.{module}"), name)
 
 
 def test_read_image_is_the_only_format_sniffer():

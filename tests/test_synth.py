@@ -3,7 +3,7 @@ import pytest
 
 from hwtv.imgcore import ImageBuffer
 from hwtv.linops import BlurSpec, blur_via_plan, build_plan, gradient, pointwise_norm
-from hwtv.synth import DegradationSpec, PhantomSpec, add_awgn, degrade, make_phantom
+from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
 
 class TestPhantoms:
@@ -63,35 +63,39 @@ def test_spec_rejects_bad_field_when_constructed(spec, fields, match):
         spec(**{**base, **fields})
 
 
+def _add_noise(u, sigma, seed):
+    # The noise alone: degrade with the band-1 identity blur.
+    return degrade(u, DegradationSpec(BlurSpec(), sigma, seed))
+
+
 class TestAwgn:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, bad):
+        # the spec is the one place sigma is checked, before degrade runs
         with pytest.raises(ValueError, match="sigma"):
             DegradationSpec(blur=BlurSpec(band=1), sigma=bad)
-        with pytest.raises(ValueError, match="sigma"):
-            add_awgn(ImageBuffer(np.zeros((4, 4))), bad, seed=0)
 
     def test_sample_std_near_sigma(self):
         base = ImageBuffer(np.zeros((256, 256)))
         sigma = 0.07
-        noisy = add_awgn(base, sigma, seed=123)
+        noisy = _add_noise(base, sigma, seed=123)
         assert 0.99 * sigma <= noisy.data.std() <= 1.01 * sigma
 
     def test_sample_mean_within_clt_bound(self):
         base = ImageBuffer(np.zeros((256, 256)))
         sigma = 0.07
-        noisy = add_awgn(base, sigma, seed=123)
+        noisy = _add_noise(base, sigma, seed=123)
         assert abs(noisy.data.mean()) <= 3.0 * sigma / 256.0
 
     def test_deterministic(self):
         base = ImageBuffer(np.full((32, 32), 0.5))
-        a = add_awgn(base, 0.1, seed=4)
-        b = add_awgn(base, 0.1, seed=4)
+        a = _add_noise(base, 0.1, seed=4)
+        b = _add_noise(base, 0.1, seed=4)
         assert np.array_equal(a.data, b.data)
 
     def test_no_clipping(self):
         base = ImageBuffer(np.zeros((64, 64)))
-        noisy = add_awgn(base, 0.5, seed=5)
+        noisy = _add_noise(base, 0.5, seed=5)
         assert noisy.data.min() < 0.0
 
 
@@ -107,7 +111,8 @@ class TestDegrade:
         # no spectral round trip for the band-1 identity: g is exactly u + noise
         u = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
         g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=6))
-        assert np.array_equal(g.data, add_awgn(u, 0.1, seed=6).data)
+        noise = _add_noise(ImageBuffer(np.zeros_like(u.data)), 0.1, seed=6)
+        assert np.array_equal(g.data, u.data + noise.data)
 
     def test_tiny_noise_limit(self):
         u = make_phantom(PhantomSpec(width=64, height=64, kind="cartoon"))
