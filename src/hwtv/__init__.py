@@ -25,7 +25,6 @@ from .solver import (
     SolverConfig,
     TraceRow,
     restore,
-    write_trace_csv,
 )
 from .synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
@@ -48,5 +47,4 @@ __all__ = [
     "restore",
     "ssim",
     "write_image",
-    "write_trace_csv",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 from . import imgcore, solver, synth
 from .imgcore import PGM8, RAW_F32, ImageBuffer
 from .linops import BlurSpec
-from .solver import DivergenceError, SolverConfig
+from .solver import DivergenceError, SolverConfig, TraceRow
 
 USAGE_ERROR = 2
 DIVERGENCE_ERROR = 3
@@ -39,15 +39,20 @@ class SweepRow:
     final_discrepancy: float
 
 
-SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
-
-
 def _blur_from_args(args) -> BlurSpec:
     return BlurSpec(band=args.blur_band, sigma=args.blur_sigma)
 
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _write_csv(path, row_type, rows) -> None:
+    """Write dataclass ``rows`` as CSV, headed by ``row_type``'s field names."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(f.name for f in fields(row_type))
+        writer.writerows(map(astuple, rows))
 
 
 def parse_grid(text: str, cast):
@@ -126,7 +131,7 @@ def cmd_restore(args) -> int:
     if args.alpha_out:
         _export_alpha(result.alpha_final, args.alpha_out, args.format)
     if args.trace:
-        solver.write_trace_csv(args.trace, result.trace)
+        _write_csv(args.trace, TraceRow, result.trace)
     _print_json(
         {
             "iterations": result.iterations,
@@ -184,8 +189,9 @@ def cmd_sweep(args) -> int:
     tau_values = parse_grid(args.tau_grid, float)
     r_values = parse_grid(args.radius_grid, round)
     blur = _blur_from_args(args)
-    # One cell per distinct (tau, r): rounding radii can repeat a value.
-    # SolverConfig and the window check see every (tau, r) before any cell runs.
+    # One cell per distinct (tau, r), in (tau, r) order, which pool.map and the
+    # serial loop keep, so the rows need no sort. Rounding radii can repeat a
+    # value; SolverConfig and the window check see every cell before any runs.
     cells = [
         (_config_from_args(args, tau, radius), blur, args.noise_sigma, degraded, truth)
         for tau in sorted(set(tau_values))
@@ -199,11 +205,7 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(cell) for cell in cells]
-    rows = sorted(results, key=lambda row: (row.tau, row.r))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_FIELDS)
-        writer.writerows(map(astuple, rows))
+    _write_csv(args.out, SweepRow, results)
     return 0
 
 
@@ -213,7 +215,7 @@ def cmd_sweep(args) -> int:
 
 def _add_io_format(parser):
     parser.add_argument(
-        "--format", choices=[PGM8, RAW_F32], default=PGM8,
+        "--format", choices=imgcore.FORMATS, default=PGM8,
         help="output image format (inputs are sniffed from their magic bytes)",
     )
 

@@ -120,31 +120,36 @@ def _next_pgm_int(buf: bytes, pos: int, what: str) -> tuple[int, int, int]:
     return int(buf[start:pos]), start, pos
 
 
-def _read_pgm8(buf: bytes) -> ImageBuffer:
-    width, w_off, pos = _next_pgm_int(buf, 2, "width")
-    height, h_off, pos = _next_pgm_int(buf, pos, "height")
-    maxval, m_off, pos = _next_pgm_int(buf, pos, "maxval")
+def _require_dims(width: int, height: int, w_off: int, h_off: int) -> None:
     if width < 1:
         raise FormatError("width must be positive", w_off)
     if height < 1:
         raise FormatError("height must be positive", h_off)
     if width * height > _MAX_PIXELS:
         raise FormatError("dimension overflow", w_off)
+
+
+def _require_length(buf: bytes, end: int) -> None:
+    if len(buf) < end:
+        raise FormatError(
+            f"truncated payload: expected {end} bytes, got {len(buf)}", len(buf)
+        )
+    if len(buf) > end:
+        raise FormatError("payload exceeds declared dimensions", end)
+
+
+def _read_pgm8(buf: bytes) -> ImageBuffer:
+    width, w_off, pos = _next_pgm_int(buf, 2, "width")
+    height, h_off, pos = _next_pgm_int(buf, pos, "height")
+    maxval, m_off, pos = _next_pgm_int(buf, pos, "maxval")
+    _require_dims(width, height, w_off, h_off)
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} (need 255)", m_off)
     if pos >= len(buf) or buf[pos] not in b" \t\r\n":
         raise FormatError("expected single whitespace after maxval", pos)
     pos += 1
-    expected = width * height
-    payload = buf[pos:]
-    if len(payload) < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}",
-            len(buf),
-        )
-    if len(payload) > expected:
-        raise FormatError("payload exceeds declared dimensions", pos + expected)
-    data = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+    _require_length(buf, pos + width * height)
+    data = np.frombuffer(buf, dtype=np.uint8, offset=pos).astype(np.float64) / 255.0
     return ImageBuffer(data.reshape(height, width))
 
 
@@ -152,18 +157,8 @@ def _read_raw_f32(buf: bytes) -> ImageBuffer:
     if len(buf) < 12:
         raise FormatError("truncated header", len(buf))
     width, height = struct.unpack_from("<II", buf, 4)
-    if width < 1 or height < 1:
-        raise FormatError("dimensions must be positive", 4)
-    if width * height > _MAX_PIXELS:
-        raise FormatError("dimension overflow", 4)
-    expected = 12 + 4 * width * height
-    if len(buf) < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(buf)}",
-            len(buf),
-        )
-    if len(buf) > expected:
-        raise FormatError("payload exceeds declared dimensions", expected)
+    _require_dims(width, height, 4, 4)
+    _require_length(buf, 12 + 4 * width * height)
     samples = np.frombuffer(buf, dtype="<f4", count=width * height, offset=12)
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
@@ -182,8 +177,10 @@ def read_image(path) -> ImageBuffer:
     Raises
     ------
     FormatError
-        Unrecognized magic, malformed header, truncated payload or dimension
-        overflow; the exception carries the failing byte offset.
+        Unrecognized magic, malformed header, zero width or height, dimension
+        overflow, or a file length other than the header declares; the
+        exception carries the failing byte offset. Both formats share these
+        checks, and a truncated file reports the file bytes expected and read.
     """
     with open(path, "rb") as fh:
         buf = fh.read()

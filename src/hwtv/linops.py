@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import _is_integer, _require_finite_positive
+from .imgcore import _gaussian_window, _is_integer, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,8 @@ def pointwise_norm(
 
 
 def make_kernel(spec: BlurSpec) -> np.ndarray:
-    """Sampled Gaussian kernel on the band x band grid, normalized to sum 1."""
-    half = (spec.band - 1) // 2
-    offsets = np.arange(-half, half + 1, dtype=np.float64)
-    profile = np.exp(-(offsets**2) / (2.0 * spec.sigma**2))
-    kernel = np.outer(profile, profile)
-    return kernel / kernel.sum()
+    """Sampled Gaussian of sum 1 on the band x band grid, built as SSIM's window is."""
+    return _gaussian_window(spec.band, spec.sigma)
 
 
 def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -145,8 +141,6 @@ def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
 
 def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
     """Precompute the DFT factors used by :func:`step_factors` and the blur."""
-    if width < 1 or height < 1:
-        raise ValueError("plan dimensions must be positive")
     eigen_k = _otf(make_kernel(spec), height, width)
     sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
     sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2

@@ -11,10 +11,9 @@ is the same loop with alpha frozen at one everywhere.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -93,9 +92,6 @@ class TraceRow:
     wall_ms: float
 
 
-TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
-
-
 @dataclass(eq=False)
 class RestoreResult:
     """Output of :func:`restore`: the restored image plus run diagnostics."""
@@ -106,14 +102,6 @@ class RestoreResult:
     final_discrepancy: float
     alpha_final: np.ndarray
     trace: list[TraceRow] = field(default_factory=list)
-
-
-def write_trace_csv(path, rows: list[TraceRow]) -> None:
-    """Export trace rows as CSV with the stable column set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        writer.writerows(map(astuple, rows))
 
 
 def prox_t(
@@ -303,7 +291,7 @@ def restore(
     -------
     RestoreResult
         Restored image, iteration count, final fidelity weight and residual
-        norm, the last weight map used, and the per-iteration trace.
+        norm, the last weight map used, and one ``TraceRow`` per iteration.
 
     Raises
     ------
@@ -314,16 +302,17 @@ def restore(
 
     Notes
     -----
-    Each iteration performs, in order: parameter refresh (weight map from the
-    current iterate in "hwtv" mode or the all-ones map in "tv_scalar" mode,
-    then the discrepancy update of mu), primal updates t, w, u, then dual
-    ascent on the scaled duals y_w and y_t. The linear terms w, y_w, Ku - g
-    and z stay on the real-FFT half spectrum, and their norms come from
-    Parseval, so a sweep runs two real transforms. The state is updated in
-    place, in buffers allocated once per call before the first sweep, so a
-    sweep (see :func:`_sweep`) and a weight refresh allocate no image-sized
-    array of their own; ``g`` is not modified, and ``u_star`` and
-    ``alpha_final`` are buffers, not copies.
+    Each iteration performs, in order: the finiteness test of ||z||, which
+    precedes the weights so an overflow raises in both modes; parameter
+    refresh (weight map from the current iterate in "hwtv" mode or the
+    all-ones map in "tv_scalar" mode, then the discrepancy update of mu);
+    primal updates t, w, u; dual ascent on the scaled duals y_w and y_t.
+    The linear terms w, y_w, Ku - g and z stay on the real-FFT half
+    spectrum, and their norms come from Parseval, so a sweep runs two real
+    transforms. The state is updated in place, in buffers allocated once
+    per call before the first sweep, so a sweep (see :func:`_sweep`) and a
+    weight refresh allocate no image-sized array of their own; ``g`` is not
+    modified, and ``u_star`` and ``alpha_final`` are buffers, not copies.
     Starts from u = g with zero duals; stops when the relative change of u
     falls to ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic:
     identical inputs give bit-identical iterates, whatever the BLAS thread
@@ -346,14 +335,15 @@ def restore(
 
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
+        # Tested before the refresh, so an overflow raises here in both modes.
+        z_norm = half_spectrum_norm(plan, x.z)
+        if not math.isfinite(z_norm):
+            raise DivergenceError(k)
         if cfg.mode == "hwtv":
             # The weights of u, from the Du the last sweep formed for its
             # dual update.
             norms = pointwise_norm(x.grad, cfg.p, out=x.work[0], scratch=x.work[1])
             alpha_from_norms(norms, cfg.r, EPS_FLOOR, out=box)
-        z_norm = half_spectrum_norm(plan, x.z)
-        if not math.isfinite(z_norm):
-            raise DivergenceError(k)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)

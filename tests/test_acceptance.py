@@ -7,7 +7,6 @@ The full suite is sized to finish in about a minute on commodity hardware.
 import time
 
 import numpy as np
-import pytest
 
 from hwtv import linops, solver
 from hwtv.adapt import alpha_from_norms

@@ -474,6 +474,59 @@ class TestSweepCommand:
             assert code == 2
         assert not (tmp_path / "s.csv").exists()
 
+    def test_bad_jobs_or_grid_form_exit_two_before_any_cell(
+        self, phantom_files, capsys, monkeypatch
+    ):
+        tmp_path, truth, truth_path = phantom_files
+        g_path = self._degraded(tmp_path, truth_path, capsys)
+
+        def no_restore(*args, **kwargs):
+            raise AssertionError("a cell ran before the arguments were checked")
+
+        monkeypatch.setattr(cli.solver, "restore", no_restore)
+        for extra in (["--jobs", "0"], ["--tau-grid", "1:2"], ["--tau-grid", "0:0:1"]):
+            code, _ = _run(
+                ["sweep", "--true", str(truth_path), "--in", str(g_path),
+                 "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+                 "--radius-grid", "2", *extra],
+                capsys,
+            )
+            assert code == 2
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_diverged_cell_is_a_nan_row(self, phantom_files, capsys, monkeypatch):
+        # a diverged cell is reported in its row; the sweep goes on and exits 0
+        tmp_path, truth, truth_path = phantom_files
+        g_path = self._degraded(tmp_path, truth_path, capsys)
+        real_restore = cli.solver.restore
+
+        def diverge_at_r4(g, blur, sigma, cfg):
+            if cfg.r == 4:
+                raise hwtv.DivergenceError(7)
+            return real_restore(g, blur, sigma, cfg)
+
+        monkeypatch.setattr(cli.solver, "restore", diverge_at_r4)
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = _run(
+            ["sweep", "--true", str(truth_path), "--in", str(g_path),
+             "--out", str(out_csv), "--noise-sigma", "0.1",
+             "--tau-grid", "1.0", "--radius-grid", "2,4,6", "--max-iter", "5"],
+            capsys,
+        )
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            rows = [dict(zip(SWEEP_HEADER, map(float, row))) for row in list(csv.reader(fh))[1:]]
+        assert [row["r"] for row in rows] == [2, 4, 6]
+        for row in rows:
+            assert np.isfinite(row["wall_ms"])
+            metrics = [row[name] for name in ("isnr", "ssim", "final_discrepancy")]
+            if row["r"] == 4:
+                assert np.isnan(metrics).all()
+                assert row["iterations"] == 7
+            else:
+                assert np.isfinite(metrics).all()
+                assert row["iterations"] == 5
+
     def test_unscorable_images_exit_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
         # every cell is scored by ISNR and SSIM, which need one shape and at
         # least SSIM's 11x11 window; both are checked before any restore

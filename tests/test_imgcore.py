@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -159,12 +160,50 @@ class TestRawF32IO:
                 read_image(p3)
             assert err.value.offset == 0
 
+    def test_write_rejects_unknown_format_and_creates_no_file(self, tmp_path):
+        path = tmp_path / "t.png"
+        with pytest.raises(ValueError, match="unknown format"):
+            write_image(_img([[0.5]]), path, "png")
+        assert not path.exists()
+
     def test_write_validates_finiteness(self, tmp_path):
         # a buffer whose data was mutated behind the constructor still fails
         img = _img([[0.5, 0.5]])
         img.data[0, 0] = np.nan
         with pytest.raises(ValueError):
             write_image(img, tmp_path / "bad.raw", RAW_F32)
+
+
+def _tvf1(width, height, payload=b""):
+    return b"TVF1" + struct.pack("<II", width, height) + payload
+
+
+# Each malformed file with the byte offset its FormatError reports and a
+# fragment of the message.
+MALFORMED = [
+    (b"P5\n4", 4, "end of file while reading height"),
+    (b"P5\nx 4\n255\n", 3, "expected unsigned integer for width"),
+    (b"P5\n0 4\n255\n", 3, "width must be positive"),
+    (b"P5\n4 0\n255\n", 5, "height must be positive"),
+    (b"P5\n1 1\n255x\x00", 10, "expected single whitespace after maxval"),
+    (b"P5\n1 1\n255\n\x00\x00", 12, "payload exceeds declared dimensions"),
+    (b"P5\n4 4\n255\n" + bytes(8), 19, "truncated payload: expected 27 bytes, got 19"),
+    (b"TVF1" + bytes(4), 8, "truncated header"),
+    (_tvf1(0, 4), 4, "width must be positive"),
+    (_tvf1(4, 0), 4, "height must be positive"),
+    (_tvf1(70000, 70000), 4, "dimension overflow"),
+    (_tvf1(1, 1, bytes(8)), 16, "payload exceeds declared dimensions"),
+    (_tvf1(2, 2, bytes(8)), 20, "truncated payload: expected 28 bytes, got 20"),
+]
+
+
+@pytest.mark.parametrize("blob,offset,message", MALFORMED)
+def test_malformed_file_reports_offset(tmp_path, blob, offset, message):
+    path = tmp_path / "bad.img"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=message) as err:
+        read_image(path)
+    assert err.value.offset == offset
 
 
 class TestIsnr:
@@ -208,6 +247,12 @@ class TestIsnr:
         g = _rand_img(rng, 8, 8)
         truth = _rand_img(rng, 8, 8)
         assert isnr(g, truth, ImageBuffer(truth.data.copy())) == math.inf
+
+    def test_observation_equal_to_truth_is_minus_infinite(self):
+        rng = np.random.default_rng(2)
+        truth = _rand_img(rng, 8, 8)
+        rec = _rand_img(rng, 8, 8)
+        assert isnr(ImageBuffer(truth.data.copy()), truth, rec) == -math.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="differ in shape"):

@@ -1,4 +1,3 @@
-import csv
 import math
 import os
 import subprocess
@@ -16,7 +15,6 @@ from hwtv.solver import (
     SolverConfig,
     prox_t,
     restore,
-    write_trace_csv,
 )
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
@@ -326,6 +324,18 @@ class TestRestore:
             restore(g, BlurSpec(band=1), 0.1, cfg)
         assert err.value.iteration == 2
 
+    @pytest.mark.parametrize("mode", ["hwtv", "tv_scalar"])
+    @pytest.mark.parametrize("scale", [1e200, 1e155])
+    def test_overflowing_iterate_diverges_at_zero_in_both_modes(self, mode, scale):
+        # A finite image whose norm overflows: ||z|| is tested before the
+        # weight refresh, whose norms would otherwise warn first.
+        rng = np.random.default_rng(0)
+        g = ImageBuffer(scale * rng.random((32, 32)))
+        cfg = SolverConfig(p=2, tau=1.0, r=2, mode=mode, max_iter=5)
+        with pytest.raises(DivergenceError) as err:
+            restore(g, BlurSpec(band=3, sigma=1.0), 0.1, cfg)
+        assert err.value.iteration == 0
+
     def test_value_error_is_not_reported_as_divergence(self, monkeypatch):
         # a failing primitive is a bug, not a diverged run
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
@@ -590,16 +600,3 @@ def test_result_independent_of_blas_thread_count():
     ]
     assert digests[0] == digests[1]
 
-
-class TestTraceExport:
-    def test_trace_csv_schema(self, tmp_path):
-        u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
-        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=8))
-        cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=5)
-        result = restore(g, BlurSpec(band=1), 0.1, cfg)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, result.trace)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["k", "mu", "discrepancy", "rel_change", "wall_ms"]
-        assert len(rows) == 1 + result.iterations

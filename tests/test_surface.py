@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import importlib
+import pathlib
 
 import pytest
 
@@ -22,7 +24,6 @@ BOUNDARY = [
     "restore",
     "ssim",
     "write_image",
-    "write_trace_csv",
 ]
 
 # Loop primitives: importable from their modules, not from the package.
@@ -41,7 +42,7 @@ PRIMITIVES = [
 
 
 def test_all_is_the_library_boundary():
-    assert len(BOUNDARY) == 17
+    assert len(BOUNDARY) == 16
     assert sorted(hwtv.__all__) == sorted(BOUNDARY)
     for name in BOUNDARY:
         assert getattr(hwtv, name) is not None
@@ -99,7 +100,45 @@ def test_removed_name_is_gone(name):
         assert not hasattr(importlib.import_module(f"hwtv.{module}"), name)
 
 
+@pytest.mark.parametrize("name", ["write_trace_csv", "TRACE_FIELDS"])
+def test_trace_csv_writer_is_gone(name):
+    # the CLI writes the trace; the library returns it as TraceRow rows
+    assert not hasattr(hwtv, name)
+    assert not hasattr(importlib.import_module("hwtv.solver"), name)
+
+
 def test_read_image_is_the_only_format_sniffer():
     # read_image dispatches on the magic bytes; no separate detector remains.
     assert not hasattr(hwtv, "detect_format")
     assert not hasattr(importlib.import_module("hwtv.imgcore"), "detect_format")
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted(ROOT.glob("src/hwtv/*.py")) + sorted(ROOT.glob("tests/*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    # The project carries no linter, so this stands in for one check of it:
+    # every imported name must be read somewhere in its file.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds the name a.
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        # names listed in __all__ are exported, which counts as a read
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    unused = sorted(name for name in imported if name not in read)
+    assert not unused, f"unused imports in {path.name}: " + ", ".join(
+        f"{name} (line {imported[name]})" for name in unused
+    )
