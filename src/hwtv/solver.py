@@ -110,35 +110,32 @@ def prox_t(
     beta_t: float,
     p: int,
     out: tuple[np.ndarray, np.ndarray] | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel minimizer of alpha_i ||t_i||_p + (beta_t/2) ||t_i - q_i||_2^2.
 
     ``q`` and the result are (h, v) gradient-field pairs; ``alpha`` is the
     nonnegative weight array of the same shape. For p = 1 it soft-thresholds
     each component by alpha_i / beta_t, the proximal map of the anisotropic
-    penalty. For p = 2 it is the shrinkage
-    t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_2), 0), with t_i = 0 when
-    q_i = 0. ``out``, if given, is a pair of arrays of q's shape, not
-    overlapping ``q``, that receives t and is returned. ``scratch``, if
-    given, is a pair of arrays of q's shape overlapping neither, which the
-    p = 1 map overwrites with its threshold and signs. The caller ensures
-    beta_t > 0 and p in {1, 2}, as ``SolverConfig`` does.
+    penalty, and gives it q's sign by ``copysign``, so -0.0 in q is -0.0 in
+    t. For p = 2 it is the shrinkage t_i = q_i max(1 - alpha_i / (beta_t
+    ||q_i||_2), 0), with t_i = 0 when q_i = 0. ``out``, if given, is a pair
+    of arrays of q's shape, not overlapping ``q``, that receives t and is
+    returned. ``scratch``, if given, is one array of q's shape overlapping
+    neither, which the p = 1 map overwrites with its threshold. The caller
+    ensures beta_t > 0 and p in {1, 2}, as ``SolverConfig`` does.
     """
     q_h, q_v = q
     if out is None:
         out = np.empty(q_h.shape), np.empty(q_v.shape)
     out_h, out_v = out
     if p == 1:
-        if scratch is None:
-            scratch = np.empty(q_h.shape), np.empty(q_h.shape)
-        threshold, sign = scratch
-        np.divide(alpha, beta_t, out=threshold)
+        threshold = np.divide(alpha, beta_t, out=scratch)
         for comp, dest in ((q_h, out_h), (q_v, out_v)):
             np.abs(comp, out=dest)
             dest -= threshold
             np.maximum(dest, 0.0, out=dest)
-            dest *= np.sign(comp, out=sign)
+            np.copysign(dest, comp, out=dest)
         return out
     # The scale is built in out_h, out_v being scratch. Where the norm is
     # zero it reads -inf, or NaN if alpha is zero as well, and fmax clamps
@@ -161,12 +158,12 @@ class _Iterate(NamedTuple):
     beta_t are real. The linear chain is kept on the ``rfft2`` half
     spectrum: ``y_w`` is the scaled residual dual rho_w / beta_w, and ``z``
     is the spectrum of (Ku - g) + y_w, the point the next sweep's mu is
-    chosen at. ``w`` (a spectrum) and ``t`` (real) are the primal values of
-    the sweep that produced this state; ``work`` is a pair of real images,
-    and the next sweep writes u into ``u_next`` and U = rfft2(u) into
-    ``spectrum``. Those five are scratch that the next sweep overwrites, as
-    it does ``grad``, ``y_w``, ``y_t`` and ``z``. :func:`_start` allocates
-    every array; a sweep trades ``u`` with ``u_next`` and ``z`` with ``w``.
+    chosen at. No primal t or w is kept: the next sweep reads neither.
+    ``work`` is a pair of real images, and the next sweep writes u into
+    ``u_next`` and U = rfft2(u) into ``spectrum``. Those three are scratch
+    that the next sweep overwrites, as it does ``grad``, ``y_w``, ``y_t``
+    and ``z``. :func:`_start` allocates every array; a sweep trades ``u``
+    with ``u_next``.
     """
 
     u: np.ndarray
@@ -174,8 +171,6 @@ class _Iterate(NamedTuple):
     y_w: np.ndarray
     y_t: tuple[np.ndarray, np.ndarray]
     z: np.ndarray
-    w: np.ndarray
-    t: tuple[np.ndarray, np.ndarray]
     work: tuple[np.ndarray, np.ndarray]
     u_next: np.ndarray
     spectrum: np.ndarray
@@ -206,8 +201,6 @@ def _start(
         y_w=np.zeros_like(g_spectrum),
         y_t=(np.zeros_like(g), np.zeros_like(g)),
         z=g_spectrum * plan.eigen_K - g_spectrum,
-        w=np.empty_like(g_spectrum),
-        t=(np.empty_like(g), np.empty_like(g)),
         work=(np.empty_like(g), np.empty_like(g)),
         u_next=np.empty_like(g),
         spectrum=np.empty_like(g_spectrum),
@@ -223,42 +216,43 @@ def _sweep(
 
     Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
     in place, with no image-sized array of its own: ``grad``, ``y_t``,
-    ``y_w`` and the scratch of ``x`` are overwritten, and ``u``/``u_next``
-    and ``z``/``w`` swap buffers, so the old u stays readable. The w step, the right-hand side of the u
-    step, the residual and its dual are all formed on the half spectrum, so
-    the only transforms are the two inside ``spectral_step``. The duals are
-    scaled (Boyd et al. 2011, section 3.1.1), so beta_t enters only the t
-    step and beta_w only the w step.
+    ``y_w``, ``z`` and the scratch of ``x`` are overwritten, and ``u`` and
+    ``u_next`` swap buffers, so the old u stays readable. t lives only in
+    ``work``, as t - y_t, and w only in z's buffer until the u step; each
+    scaled dual (Boyd et al. 2011, section 3.1.1) then becomes
+    y' = Ax - (t - y), which rounds differently from y + (Ax - t). The
+    linear chain stays on the half spectrum, so the only transforms are the
+    two inside ``spectral_step``; beta_t enters only the t step and beta_w
+    only the w step.
     """
-    grad, y_t, t, work = x.grad, x.y_t, x.t, x.work
-    y_w, spare = x.y_w, x.w
+    grad, y_t, y_w, work = x.grad, x.y_t, x.y_w, x.work
     # q = Du + y_t, formed in the buffers of Du, whose value the sweep
-    # recomputes from the new u; then t = prox(q), with work as the prox's
-    # scratch, and work = t - y_t.
+    # recomputes from the new u; then t = prox(q) in work, with u_next, free
+    # until the u step, as the prox's scratch, and work = t - y_t.
     for y_c, grad_c in zip(y_t, grad):
         grad_c += y_c
-    prox_t(grad, alpha, f.beta_t, p, out=t, scratch=work)
-    for t_c, y_c, work_c in zip(t, y_t, work):
-        np.subtract(t_c, y_c, out=work_c)
+    prox_t(grad, alpha, f.beta_t, p, out=work, scratch=x.u_next)
+    for work_c, y_c in zip(work, y_t):
+        work_c -= y_c
     # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
+    # y_w = w - y_w, and v = y_w + G over w, which the u step then consumes.
     w = np.multiply(x.z, f.beta_w / (mu + f.beta_w), out=x.z)
-    # spare = w - y_w + G, which the u step then overwrites.
-    np.subtract(w, y_w, out=spare)
-    spare += f.g_spectrum
+    np.subtract(w, y_w, out=y_w)
+    v = np.add(y_w, f.g_spectrum, out=w)
     # d = div(work) in grad[0], grad[1] as scratch: prox_t has read q, and
     # the gradient of the new u is written over both below.
     d = divergence(work, out=grad[0], scratch=grad[1])
-    u, residual = spectral_step(d, spare, f.factors, out=(x.u_next, x.spectrum))
+    u, residual = spectral_step(d, v, f.factors, out=(x.u_next, x.spectrum))
     residual *= f.plan.eigen_K
     residual -= f.g_spectrum
     gradient(u, out=grad)
-    # y_w += (Ku - g) - w; z = (Ku - g) + y_w.
-    y_w += np.subtract(residual, w, out=spare)
-    z = np.add(residual, y_w, out=spare)
-    # y_t += Du - t.
-    for y_c, t_c, grad_c, work_c in zip(y_t, t, grad, work):
-        y_c += np.subtract(grad_c, t_c, out=work_c)
-    return x._replace(u=u, u_next=x.u, z=z, w=w), half_spectrum_norm(f.plan, residual)
+    # y_w = (Ku - g) - (w - y_w); z = (Ku - g) + y_w, over v.
+    np.subtract(residual, y_w, out=y_w)
+    np.add(residual, y_w, out=v)
+    # y_t = Du - (t - y_t).
+    for y_c, grad_c, work_c in zip(y_t, grad, work):
+        np.subtract(grad_c, work_c, out=y_c)
+    return x._replace(u=u, u_next=x.u), half_spectrum_norm(f.plan, residual)
 
 
 def _require_window_fits(cfg: SolverConfig, g: ImageBuffer) -> None:
@@ -307,6 +301,8 @@ def restore(
     refresh (weight map from the current iterate in "hwtv" mode or the
     all-ones map in "tv_scalar" mode, then the discrepancy update of mu);
     primal updates t, w, u; dual ascent on the scaled duals y_w and y_t.
+    Only u, Du, the two duals and z are carried from one sweep to the next;
+    t and w live in scratch within a sweep.
     The linear terms w, y_w, Ku - g and z stay on the real-FFT half
     spectrum, and their norms come from Parseval, so a sweep runs two real
     transforms. The state is updated in place, in buffers allocated once
@@ -328,9 +324,9 @@ def restore(
     alpha = np.ones_like(g_arr)
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
     if cfg.mode == "hwtv":
-        # The weights go over alpha, box_mean's first-axis sums in t, which
-        # the next prox_t overwrites, and its running sums in a new buffer.
-        box = alpha, x.t[0], np.empty(g.pixel_count + 2 * cfg.r * max(g_arr.shape))
+        # The weights go over alpha, box_mean's first-axis sums in work[1],
+        # which the next prox_t overwrites, and its running sums in a new buffer.
+        box = alpha, x.work[1], np.empty(g.pixel_count + 2 * cfg.r * max(g_arr.shape))
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):

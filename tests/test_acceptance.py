@@ -281,11 +281,15 @@ def test_criterion_8_frozen_parameter_stability():
             # the shipped sweep; the Lagrangian takes the new primals, old duals,
             # with w and y_w read back from the sweep's half spectra. It takes
             # the unscaled duals rho = beta y, formed before the sweep updates
-            # y in place.
+            # y in place. The sweep keeps neither primal: w is the scaled z it
+            # reads, and t = Du' - y_t' + y_t, from its dual update.
             rho_w, rho_t = bw * _real(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
+            w = _real(x.z, g.shape) * (bw / (mu + bw))
+            y_t = tuple(c.copy() for c in x.y_t)
             x, _ = solver._sweep(x, fixed, weights, mu, p)
+            t = tuple(d - y_new + y_old for d, y_new, y_old in zip(x.grad, x.y_t, y_t))
             values.append(augmented_lagrangian(
-                x.u, _real(x.w, g.shape), x.t, rho_w, rho_t,
+                x.u, w, t, rho_w, rho_t,
                 g, plan, weights, mu, bt, bw, p,
             ))
         diffs = np.diff(values)
