@@ -1,22 +1,45 @@
 #!/usr/bin/env python3
-"""Check that two checkouts of hwtv restore and degrade bit for bit alike.
+"""Check that two checkouts of hwtv restore and degrade bit for bit alike,
+and compare the memory a restore takes in each.
 
     python3 scripts/compare_restore.py OLD_CHECKOUT NEW_CHECKOUT
 
-Each checkout's ``src/`` is imported in its own subprocess. There ``degrade``
-runs for the identity (band 1) and the band-5 sigma=1 blur, and ``restore``
-runs for 150 sweeps on the 128x128 mixed phantom in 8 configurations: modes
-``hwtv`` and ``tv_scalar`` x p in (2, 1) x both blurs, 10 runs in all. The
-fields compared are ``u_star``, ``iterations``, ``final_mu``,
-``final_discrepancy``, ``alpha_final``, the ``isnr`` and ``ssim`` of
-``u_star`` against the truth (so a change to the metrics shows as well), and
-the ``(k, mu, discrepancy, rel_change)`` of every trace row. For a run that is
-not bit-identical, each differing field is printed with the largest absolute
-difference between its two sides. A last line but one gives, for each
-field, the largest absolute difference over all runs (inf where the shapes
-differ), and how many restore runs have equal ``iterations``: the deviation
-a change of rounding has to state. Exits 0 when every field of every run
-has the same bytes on both sides, 1 otherwise.
+Every problem is the mixed phantom (texture frequency 20) degraded with
+noise sigma 0.05 (seed 1), by the band-5 sigma=1 blur or the identity
+(band 1). Each measurement imports a checkout's ``src/`` in a subprocess of
+its own.
+
+The bit table. At 128x128, ``degrade`` runs for both blurs, and ``restore``
+for 150 sweeps in 8 configurations: modes ``hwtv`` and ``tv_scalar`` x p in
+(2, 1) x both blurs, 10 runs in all. The fields compared are ``u_star``,
+``iterations``, ``final_mu``, ``final_discrepancy``, ``alpha_final``, the
+``isnr`` and ``ssim`` of ``u_star`` against the truth (so a change to the
+metrics shows as well), and the ``(k, mu, discrepancy, rel_change)`` of
+every trace row. For a run that is not bit-identical, each differing field
+is printed with the largest absolute difference between its two sides. A
+summary line gives, for each field, the largest absolute difference over
+all runs (inf where the shapes differ), and how many restore runs have
+equal ``iterations``: the deviation a change of rounding has to state.
+
+The memory lines. A 5-sweep p = 2 ``restore`` with the band-5 blur runs in
+two cases, ``tv_scalar`` at 512x512 and ``hwtv`` at 256x256. Each line
+gives three figures for both checkouts:
+
+- the ``tracemalloc`` peak, started after the degraded image is built: the
+  largest amount of memory the restore itself held at once, its state, its
+  temporaries and its result;
+- the process's peak resident set (``ru_maxrss``), imports and problem set-up
+  included. It also counts what tracemalloc cannot see: blocks the allocator
+  keeps after they are freed, and their reuse, so two layouts with the same
+  tracemalloc peak can differ here;
+- the minor page faults per sweep (``ru_minflt``) of a 50-sweep restore
+  with ``tol`` 1e-14, run untraced after the two above and an untraced
+  warm-up restore. An array above the allocator's mapping threshold that a
+  sweep allocates and frees is mapped afresh, and each of its pages faults
+  on first touch, so this counts the image-sized arrays a sweep allocates.
+
+Exits 0 when every field of every run has the same bytes on both sides,
+1 otherwise; the memory figures do not change the exit status.
 """
 
 from __future__ import annotations
@@ -25,28 +48,40 @@ import itertools
 import math
 import os
 import pickle
+import resource
 import subprocess
 import sys
-import tempfile
+from dataclasses import replace
 
 import numpy as np
 
-SWEEPS = 150
 SIGMA = 0.05
+SWEEPS = 150
 MODES = ("hwtv", "tv_scalar")
 P_VALUES = (2, 1)
+MEMORY_CASES = (("tv_scalar", 512), ("hwtv", 256))
+MEMORY_SWEEPS = 5
+FAULT_SWEEPS = 50
+MIB = 1024.0 * 1024.0
 
 
-def dump(out_path: str) -> None:
+def problem(size: int, band: int):
+    """The blur, truth and degraded image of one size and blur band."""
     import hwtv
 
+    blur = hwtv.BlurSpec(band=band, sigma=1.0)
     truth = hwtv.make_phantom(
-        hwtv.PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0)
+        hwtv.PhantomSpec(width=size, height=size, kind="mixed", texture_freq=20.0)
     )
-    blurs = {"identity": hwtv.BlurSpec(band=1), "band5": hwtv.BlurSpec(band=5, sigma=1.0)}
+    return blur, truth, hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))
+
+
+def bit_runs() -> dict:
+    import hwtv
+
     runs = {}
-    for blur_name, blur in blurs.items():
-        g = hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))
+    for blur_name, band in (("identity", 1), ("band5", 5)):
+        blur, truth, g = problem(128, band)
         runs[("degrade", blur_name)] = {"g": g.data}
         for mode, p in itertools.product(MODES, P_VALUES):
             cfg = hwtv.SolverConfig(p=p, tau=0.94, r=14, mode=mode, max_iter=SWEEPS,
@@ -62,17 +97,37 @@ def dump(out_path: str) -> None:
                 "ssim": np.array(hwtv.ssim(res.u_star, truth)),
                 "trace": np.array([(r.k, r.mu, r.discrepancy, r.rel_change) for r in res.trace]),
             }
-    with open(out_path, "wb") as fh:
-        pickle.dump(runs, fh)
+    return runs
 
 
-def load(checkout: str, workdir: str, tag: str) -> dict:
-    out_path = os.path.join(workdir, tag + ".pkl")
+def memory(mode: str, size: int) -> dict:
+    import tracemalloc
+
+    import hwtv
+
+    blur, _, g = problem(size, 5)
+    cfg = hwtv.SolverConfig(p=2, tau=0.94, r=14, mode=mode, max_iter=MEMORY_SWEEPS, tol=1e-300)
+    tracemalloc.start()
+    try:
+        hwtv.restore(g, blur, SIGMA, cfg)
+        traced = tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+    # ru_maxrss is in KiB on Linux.
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    hwtv.restore(g, blur, SIGMA, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = hwtv.restore(g, blur, SIGMA, replace(cfg, max_iter=FAULT_SWEEPS, tol=1e-14))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return {"traced_mib": traced, "rss_mib": rss, "faults": faults / result.iterations}
+
+
+def run(checkout: str, *args: str):
+    """What ``--child ARGS`` returns with the checkout's ``src/`` on the path."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", out_path],
-                   env=env, check=True)
-    with open(out_path, "rb") as fh:
-        return pickle.load(fh)
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", *args],
+                         env=env, check=True, stdout=subprocess.PIPE)
+    return pickle.loads(out.stdout)
 
 
 def describe_difference(name: str, old: np.ndarray, new: np.ndarray) -> str:
@@ -103,15 +158,19 @@ def field_summary(old: dict, new: dict) -> str:
             f"iterations equal in {equal}/{len(restores)} restore runs")
 
 
+def change(old: float, new: float) -> str:
+    return f"{old:.2f} -> {new:.2f} MiB ({new - old:+.2f} MiB, {100.0 * (new - old) / old:+.2f}%)"
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--dump":
-        dump(argv[1])
+    if argv[:1] == ["--child"]:
+        result = bit_runs() if argv[1:] == ["bits"] else memory(argv[1], int(argv[2]))
+        pickle.dump(result, sys.stdout.buffer)
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as workdir:
-        old, new = load(argv[0], workdir, "old"), load(argv[1], workdir, "new")
+    old, new = run(argv[0], "bits"), run(argv[1], "bits")
     mismatches = 0
     for key in sorted(old, key=str):
         differ = [
@@ -125,6 +184,11 @@ def main(argv: list[str]) -> int:
         print(f"{'DIFFER' if differ else 'same  '} {key} {' '.join(details)}")
     print(field_summary(old, new))
     print(f"{len(old) - mismatches}/{len(old)} runs bit-identical")
+    for mode, size in MEMORY_CASES:
+        was, now = (run(checkout, mode, str(size)) for checkout in argv)
+        print(f"{mode} {size}x{size}: tracemalloc {change(was['traced_mib'], now['traced_mib'])}; "
+              f"peak RSS {change(was['rss_mib'], now['rss_mib'])}; "
+              f"minor faults/sweep {was['faults']:.1f} -> {now['faults']:.1f}")
     return 1 if mismatches or old.keys() != new.keys() else 0
 
 

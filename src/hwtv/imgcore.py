@@ -195,7 +195,8 @@ def write_image(img: ImageBuffer, path, format: str) -> None:
     """Write ``img`` to ``path``.
 
     pgm8 clamps samples to [0, 1] and quantizes with round-half-up to one
-    byte; raw-f32 stores single-precision samples losslessly.
+    byte; raw-f32 stores float32 samples losslessly and refuses, before it
+    creates the file, a sample that would round to infinity.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -207,11 +208,11 @@ def write_image(img: ImageBuffer, path, format: str) -> None:
         header = b"P5\n%d %d\n255\n" % (img.width, img.height)
         blob = header + payload
     else:
-        blob = (
-            _RAW_MAGIC
-            + struct.pack("<II", img.width, img.height)
-            + np.ascontiguousarray(img.data, dtype="<f4").tobytes()
-        )
+        with np.errstate(over="ignore"):
+            samples = np.ascontiguousarray(img.data, dtype="<f4")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("image samples must lie within float32 range for raw-f32")
+        blob = _RAW_MAGIC + struct.pack("<II", img.width, img.height) + samples.tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 

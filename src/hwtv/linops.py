@@ -246,17 +246,17 @@ def box_mean(field_norms: np.ndarray, r: int, out=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
     The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``out`` is
-    ``(mean, sums, running)``: the result, an image-sized scratch and a flat
-    float64 scratch of at least height width + 2r max(height, width).
+    ``(mean, running)``: the result and a flat float64 scratch of at least
+    height width + 2r max(height, width).
     """
     if out is None:
         size = field_norms.size + 2 * r * max(field_norms.shape)
-        out = np.empty_like(field_norms), np.empty_like(field_norms), np.empty(size)
-    mean, sums, running = out
-    window = 2 * r + 1
-    _periodic_window_sum(field_norms, r, 0, sums, running)
-    _periodic_window_sum(sums, r, 1, mean, running)
-    mean /= float(window * window)
+        out = np.empty_like(field_norms), np.empty(size)
+    mean, running = out
+    # mean takes the first-axis sums; the second pass copies them out first.
+    _periodic_window_sum(field_norms, r, 0, mean, running)
+    _periodic_window_sum(mean, r, 1, mean, running)
+    mean /= float((2 * r + 1) ** 2)
     # The exact mean lies in [min, max]; clip the <=1 ulp summation excursions.
     np.clip(mean, field_norms.min(), field_norms.max(), out=mean)
     return mean

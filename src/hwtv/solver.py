@@ -324,9 +324,8 @@ def restore(
     alpha = np.ones_like(g_arr)
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
     if cfg.mode == "hwtv":
-        # The weights go over alpha, box_mean's first-axis sums in work[1],
-        # which the next prox_t overwrites, and its running sums in a new buffer.
-        box = alpha, x.work[1], np.empty(g.pixel_count + 2 * cfg.r * max(g_arr.shape))
+        # The weights go over alpha, box_mean's running sums in a new buffer.
+        box = alpha, np.empty(g.pixel_count + 2 * cfg.r * max(g_arr.shape))
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):

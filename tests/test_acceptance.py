@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from hwtv import linops, solver
+from hwtv import linops
 from hwtv.adapt import alpha_from_norms
 from hwtv.imgcore import isnr, ssim
 from hwtv.linops import BlurSpec
@@ -16,7 +16,7 @@ from hwtv.solver import SolverConfig, prox_t, restore
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
 from half_laplacian import sample_half_laplacian
-from objectives import augmented_lagrangian
+from objectives import frozen_nonincrease_share, prox1_bisection_oracle, prox2_grid_oracle
 from spatial_blur import circular_correlate
 
 # Shared deblurring benchmark: half piecewise-constant, half fine sinusoidal
@@ -31,11 +31,6 @@ BENCH_SEED = 11
 # penalties raised five-fold, which is what the benchmark runs with.
 BENCH_BETA_T = 100.0
 BENCH_BETA_W = 500.0
-
-
-def _real(spectrum, shape):
-    """The real image behind an rfft2 half spectrum."""
-    return np.fft.irfft2(spectrum, s=shape)
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -84,38 +79,6 @@ def test_criterion_1_operator_correctness():
     )
 
 
-def _prox2_grid_oracle(qx, qy, alpha, beta):
-    def value(tx, ty):
-        return alpha * np.hypot(tx, ty) + 0.5 * beta * ((tx - qx) ** 2 + (ty - qy) ** 2)
-
-    span = max(abs(qx), abs(qy)) + 1.0
-    best = (0.5 * qx, 0.5 * qy)
-    npts = 25
-    for _ in range(16):
-        xs = np.linspace(best[0] - span, best[0] + span, npts)
-        ys = np.linspace(best[1] - span, best[1] + span, npts)
-        gx, gy = np.meshgrid(xs, ys)
-        vals = value(gx, gy)
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        best = (float(gx[idx]), float(gy[idx]))
-        span *= 0.25
-    return best
-
-
-def _prox1_bisection_oracle(q, alpha, beta):
-    def right_derivative(t):
-        return beta * (t - q) + (alpha if t >= 0.0 else -alpha)
-
-    lo, hi = min(0.0, q) - 1.0, max(0.0, q) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if right_derivative(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_criterion_2_prox_oracles():
     tick = time.perf_counter()
     rng = np.random.default_rng(202)
@@ -130,7 +93,7 @@ def test_criterion_2_prox_oracles():
             beta_t=beta,
             p=2,
         )
-        ex, ey = _prox2_grid_oracle(qx, qy, alpha, beta)
+        ex, ey = prox2_grid_oracle(qx, qy, alpha, beta)
         worst_iso = max(worst_iso, abs(out_h[0, 0] - ex), abs(out_v[0, 0] - ey))
     worst_aniso = 0.0
     for _ in range(1000):
@@ -143,7 +106,7 @@ def test_criterion_2_prox_oracles():
             beta_t=beta,
             p=1,
         )
-        worst_aniso = max(worst_aniso, abs(out_h[0, 0] - _prox1_bisection_oracle(q, alpha, beta)))
+        worst_aniso = max(worst_aniso, abs(out_h[0, 0] - prox1_bisection_oracle(q, alpha, beta)))
     elapsed = time.perf_counter() - tick
     ok = worst_iso <= 1e-6 and worst_aniso <= 1e-10 and elapsed < 30.0
     _report(
@@ -266,35 +229,5 @@ def test_criterion_7_efficiency_256():
 
 
 def test_criterion_8_frozen_parameter_stability():
-    rng = np.random.Generator(np.random.Philox(99))
-    total = good = 0
-    for trial in range(10):
-        n = 32
-        g = rng.random((n, n))
-        blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(band=1)
-        weights = rng.uniform(0.5, 2.0, (n, n))
-        mu, bt, bw, p = 30.0, 20.0, 100.0, 2
-        plan = linops.build_plan(n, n, blur)
-        x, fixed = solver._start(g, plan, bt, bw)
-        values = []
-        for _ in range(150):
-            # the shipped sweep; the Lagrangian takes the new primals, old duals,
-            # with w and y_w read back from the sweep's half spectra. It takes
-            # the unscaled duals rho = beta y, formed before the sweep updates
-            # y in place. The sweep keeps neither primal: w is the scaled z it
-            # reads, and t = Du' - y_t' + y_t, from its dual update.
-            rho_w, rho_t = bw * _real(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
-            w = _real(x.z, g.shape) * (bw / (mu + bw))
-            y_t = tuple(c.copy() for c in x.y_t)
-            x, _ = solver._sweep(x, fixed, weights, mu, p)
-            t = tuple(d - y_new + y_old for d, y_new, y_old in zip(x.grad, x.y_t, y_t))
-            values.append(augmented_lagrangian(
-                x.u, w, t, rho_w, rho_t,
-                g, plan, weights, mu, bt, bw, p,
-            ))
-        diffs = np.diff(values)
-        tol = 1e-10 * (1.0 + np.abs(np.asarray(values[:-1])))
-        good += int(np.sum(diffs <= tol))
-        total += diffs.size
-    fraction = good / total
+    fraction = frozen_nonincrease_share(trials=10, n=32, sweeps=150)
     _report(8, fraction >= 0.95, f"{100 * fraction:.2f}% of primal sweeps non-increasing")

@@ -33,8 +33,7 @@ class TestEstimateAlpha:
         # written over the mean in out[0], the bits of the allocating form
         norms = np.abs(np.random.default_rng(47).standard_normal(shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out = (np.empty(shape), np.empty(shape),
-                   np.empty(shape[0] * shape[1] + 2 * r * max(shape)))
+            out = np.empty(shape), np.empty(shape[0] * shape[1] + 2 * r * max(shape))
             assert alpha_from_norms(norms, r, 1e-2, out=out) is out[0]
             assert np.array_equal(out[0], alpha_from_norms(norms, r, 1e-2))
 

@@ -166,6 +166,13 @@ class TestRawF32IO:
             write_image(_img([[0.5]]), path, "png")
         assert not path.exists()
 
+    def test_write_rejects_sample_beyond_float32_and_creates_no_file(self, tmp_path):
+        # finite in float64, it would round to +inf in the file
+        path = tmp_path / "big.raw"
+        with pytest.raises(ValueError, match="float32 range"):
+            write_image(ImageBuffer(np.full((3, 3), 1e39)), path, RAW_F32)
+        assert not path.exists()
+
     def test_write_validates_finiteness(self, tmp_path):
         # a buffer whose data was mutated behind the constructor still fails
         img = _img([[0.5, 0.5]])

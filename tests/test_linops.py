@@ -153,8 +153,7 @@ class TestOutWorkspace:
         height, width = shape
         norms = np.abs(_rand_img(np.random.default_rng(45), *shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out = (np.empty(shape), np.empty(shape),
-                   np.empty(height * width + 2 * r * max(shape)))
+            out = np.empty(shape), np.empty(height * width + 2 * r * max(shape))
             assert box_mean(norms, r, out=out) is out[0]
             assert np.array_equal(out[0], box_mean(norms, r))
 

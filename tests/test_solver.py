@@ -18,7 +18,13 @@ from hwtv.solver import (
 )
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
-from objectives import augmented_lagrangian, objective
+from objectives import (
+    frozen_nonincrease_share,
+    objective,
+    prox1_bisection_oracle,
+    prox2_grid_oracle,
+    real_image,
+)
 from spatial_blur import circular_correlate
 
 
@@ -27,54 +33,8 @@ def _prox_id(p):
     return f"{p}-exact"
 
 
-def _real(spectrum, shape):
-    """The real image behind an rfft2 half spectrum."""
-    return np.fft.irfft2(spectrum, s=shape)
-
-
 def _field(h, v):
     return np.asarray(h, dtype=np.float64), np.asarray(v, dtype=np.float64)
-
-
-def _prox2_grid_oracle(qx, qy, alpha, beta):
-    """Dense 2-D grid search plus iterative zoom for the isotropic prox."""
-
-    def value(tx, ty):
-        return alpha * np.hypot(tx, ty) + 0.5 * beta * ((tx - qx) ** 2 + (ty - qy) ** 2)
-
-    lo_x, hi_x = min(0.0, qx) - 0.5, max(0.0, qx) + 0.5
-    lo_y, hi_y = min(0.0, qy) - 0.5, max(0.0, qy) + 0.5
-    cx, cy = 0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)
-    span_x, span_y = hi_x - lo_x, hi_y - lo_y
-    npts = 25
-    best = (cx, cy)
-    for _ in range(16):
-        xs = np.linspace(best[0] - span_x / 2, best[0] + span_x / 2, npts)
-        ys = np.linspace(best[1] - span_y / 2, best[1] + span_y / 2, npts)
-        grid_x, grid_y = np.meshgrid(xs, ys)
-        vals = value(grid_x, grid_y)
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        best = (float(grid_x[idx]), float(grid_y[idx]))
-        span_x *= 0.25
-        span_y *= 0.25
-    return best
-
-
-def _prox1_bisection_oracle(q, alpha, beta):
-    """Scalar prox of alpha |t| + (beta/2)(t - q)^2 via subgradient bisection."""
-
-    def right_derivative(t):
-        return beta * (t - q) + (alpha if t >= 0.0 else -alpha)
-
-    lo, hi = min(0.0, q) - 1.0, max(0.0, q) + 1.0
-    assert right_derivative(lo) < 0.0 <= right_derivative(hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if right_derivative(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 class TestProxT:
@@ -102,7 +62,7 @@ class TestProxT:
             out_h, out_v = prox_t(
                 _field([[qx]], [[qy]]), np.array([[alpha]]), beta_t=beta, p=2
             )
-            ex, ey = _prox2_grid_oracle(qx, qy, alpha, beta)
+            ex, ey = prox2_grid_oracle(qx, qy, alpha, beta)
             assert abs(out_h[0, 0] - ex) <= 1e-6
             assert abs(out_v[0, 0] - ey) <= 1e-6
 
@@ -115,8 +75,8 @@ class TestProxT:
             out_h, out_v = prox_t(
                 _field([[qx]], [[qy]]), np.array([[alpha]]), beta_t=beta, p=1
             )
-            assert abs(out_h[0, 0] - _prox1_bisection_oracle(qx, alpha, beta)) <= 1e-10
-            assert abs(out_v[0, 0] - _prox1_bisection_oracle(qy, alpha, beta)) <= 1e-10
+            assert abs(out_h[0, 0] - prox1_bisection_oracle(qx, alpha, beta)) <= 1e-10
+            assert abs(out_v[0, 0] - prox1_bisection_oracle(qy, alpha, beta)) <= 1e-10
 
     @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
     def test_prox_optimality_under_perturbation(self, p):
@@ -439,8 +399,8 @@ def test_spectral_state_matches_real_space(spec):
         residual = linops.blur_via_plan(plan, x.u) - g
         expected = np.linalg.norm(residual)
         assert abs(discrepancy - expected) <= 1e-12 * expected
-        z = _real(x.z, g.shape)
-        expected = residual + _real(x.y_w, g.shape)
+        z = real_image(x.z, g.shape)
+        expected = residual + real_image(x.y_w, g.shape)
         assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -571,36 +531,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
 
 class TestFrozenParameterStability:
     def test_augmented_lagrangian_mostly_nonincreasing(self):
-        rng = np.random.Generator(np.random.Philox(99))
-        total, good = 0, 0
-        for trial in range(3):
-            n = 24
-            g = rng.random((n, n))
-            blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(band=1)
-            weights = rng.uniform(0.5, 2.0, (n, n))
-            mu, bt, bw, p = 30.0, 20.0, 100.0, 2
-            plan = linops.build_plan(n, n, blur)
-            x, fixed = solver._start(g, plan, bt, bw)
-            values = []
-            for _ in range(120):
-                # the textbook Lagrangian takes the unscaled duals rho = beta y,
-                # formed before the sweep updates y in place
-                rho_w, rho_t = bw * _real(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
-                # the sweep keeps neither primal: w is the scaled z it reads,
-                # and t = Du' - y_t' + y_t, from its dual update
-                w = _real(x.z, g.shape) * (bw / (mu + bw))
-                y_t = tuple(c.copy() for c in x.y_t)
-                x, _ = solver._sweep(x, fixed, weights, mu, p)
-                t = tuple(d - y_new + y_old for d, y_new, y_old in zip(x.grad, x.y_t, y_t))
-                values.append(augmented_lagrangian(
-                    x.u, w, t, rho_w, rho_t,
-                    g, plan, weights, mu, bt, bw, p,
-                ))
-            diffs = np.diff(values)
-            tol = 1e-10 * (1.0 + np.abs(np.asarray(values[:-1])))
-            good += int(np.sum(diffs <= tol))
-            total += diffs.size
-        assert good / total >= 0.95
+        assert frozen_nonincrease_share(trials=3, n=24, sweeps=120) >= 0.95
 
 
 _THREAD_PROBE = """
