@@ -242,16 +242,19 @@ def _periodic_window_sum(arr, r: int, axis: int, sums, running) -> None:
     np.subtract(wrapped[2 * r + 1 :], wrapped[: length - 1], out=moved[1:])
 
 
+def _box_scratch(shape: tuple[int, int], r: int) -> np.ndarray:
+    """The running-sum scratch of ``box_mean`` at radius ``r`` for ``shape``."""
+    return np.empty(math.prod(shape) + 2 * r * max(shape))
+
+
 def box_mean(field_norms: np.ndarray, r: int, out=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
     The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``out`` is
-    ``(mean, running)``: the result and a flat float64 scratch of at least
-    height width + 2r max(height, width).
+    ``(mean, running)``: the result and a scratch from ``_box_scratch``.
     """
     if out is None:
-        size = field_norms.size + 2 * r * max(field_norms.shape)
-        out = np.empty_like(field_norms), np.empty(size)
+        out = np.empty_like(field_norms), _box_scratch(field_norms.shape, r)
     mean, running = out
     # mean takes the first-axis sums; the second pass copies them out first.
     _periodic_window_sum(field_norms, r, 0, mean, running)

@@ -23,6 +23,7 @@ from .imgcore import ImageBuffer, _is_integer, _require_finite_positive
 from .linops import (
     BlurSpec,
     SpectralPlan,
+    _box_scratch,
     _sum_squares,
     build_plan,
     divergence,
@@ -325,7 +326,7 @@ def restore(
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
     if cfg.mode == "hwtv":
         # The weights go over alpha, box_mean's running sums in a new buffer.
-        box = alpha, np.empty(g.pixel_count + 2 * cfg.r * max(g_arr.shape))
+        box = alpha, _box_scratch(g_arr.shape, cfg.r)
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):

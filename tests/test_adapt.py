@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwtv.adapt import alpha_from_norms, update_mu
-from hwtv.linops import gradient, pointwise_norm
-from hwtv.solver import SolverConfig
+from hwtv.linops import _box_scratch, gradient, pointwise_norm
+from hwtv.solver import EPS_FLOOR, SolverConfig
 
 from half_laplacian import sample_half_laplacian
 
 
-class TestEstimateAlpha:
+class TestAlphaFromNorms:
     """The weights of an image u: alpha_from_norms(pointwise_norm(gradient(u), p), ...)."""
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -33,7 +33,7 @@ class TestEstimateAlpha:
         # written over the mean in out[0], the bits of the allocating form
         norms = np.abs(np.random.default_rng(47).standard_normal(shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out = np.empty(shape), np.empty(shape[0] * shape[1] + 2 * r * max(shape))
+            out = np.empty(shape), _box_scratch(shape, r)
             assert alpha_from_norms(norms, r, 1e-2, out=out) is out[0]
             assert np.array_equal(out[0], alpha_from_norms(norms, r, 1e-2))
 
@@ -53,8 +53,10 @@ class TestEstimateAlpha:
         assert np.allclose(alpha, 1.0 / (2.0 * c), atol=1e-10)
 
     def test_constant_image_hits_clamp(self):
+        # the weight floor is a constant, 1e-4, so no weight exceeds 1e4
+        assert EPS_FLOOR == 1e-4
         flat = np.full((16, 16), 0.6)
-        alpha = alpha_from_norms(pointwise_norm(gradient(flat), 2), 3, 1e-4)
+        alpha = alpha_from_norms(pointwise_norm(gradient(flat), 2), 3, EPS_FLOOR)
         assert np.all(alpha == 1e4)
 
     def test_pooled_rate_estimate_within_two_percent(self):

@@ -24,11 +24,47 @@ def phantom_files(tmp_path):
 
 SWEEP_HEADER = ["tau", "r", "isnr", "ssim", "iterations", "wall_ms", "final_discrepancy"]
 
+# The options of each subcommand, besides --help, sorted; a flag joins or
+# leaves the command line by an edit here.
+FLAGS = {
+    "degrade": ["--blur-band", "--blur-sigma", "--format", "--in", "--noise-sigma", "--out",
+                "--seed"],
+    "metrics": ["--deg", "--rec", "--ref"],
+    "restore": ["--alpha-out", "--beta-t", "--beta-w", "--blur-band", "--blur-sigma", "--format",
+                "--in", "--max-iter", "--mode", "--noise-sigma", "--out", "--p", "--radius",
+                "--tau", "--tol", "--trace"],
+    "sweep": ["--beta-t", "--beta-w", "--blur-band", "--blur-sigma", "--in", "--jobs",
+              "--max-iter", "--mode", "--noise-sigma", "--out", "--p", "--radius-grid",
+              "--tau-grid", "--tol", "--true"],
+}
+
 
 def _run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out.strip()
     return code, out
+
+
+def _degrade(capsys, truth_path, name, seed, *flags):
+    # Setup for another command's test: `hwtv degrade` at noise sigma 0.1
+    # into `name` next to the truth, as raw-f32 for a .raw name, else PGM.
+    g_path = truth_path.with_name(name)
+    fmt = ["--format", RAW_F32] if g_path.suffix == ".raw" else []
+    code, _ = _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
+                    "--noise-sigma", "0.1", "--seed", str(seed), *flags, *fmt], capsys)
+    assert code == 0
+    return g_path
+
+
+def test_subcommand_flags():
+    (subcommands,) = [action.choices for action in cli.build_parser()._actions
+                      if isinstance(action.choices, dict)]
+    flags = {
+        name: sorted(option for action in parser._actions for option in action.option_strings
+                     if option not in ("-h", "--help"))
+        for name, parser in subcommands.items()
+    }
+    assert flags == FLAGS
 
 
 class TestDegrade:
@@ -111,14 +147,7 @@ class TestDegrade:
 class TestRestoreCommand:
     def test_restore_writes_artifacts_and_json(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.raw"
-        code, _ = _run(
-            ["degrade", "--in", str(truth_path), "--out", str(g_path),
-             "--blur-band", "1", "--noise-sigma", "0.1", "--seed", "3",
-             "--format", RAW_F32],
-            capsys,
-        )
-        assert code == 0
+        g_path = _degrade(capsys, truth_path, "g.raw", 3, "--blur-band", "1")
         out_path = tmp_path / "rec.raw"
         alpha_path = tmp_path / "alpha.raw"
         trace_path = tmp_path / "trace.csv"
@@ -145,9 +174,7 @@ class TestRestoreCommand:
 
     def test_alpha_pgm_export_is_rescaled(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.pgm"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "3"], capsys)
+        g_path = _degrade(capsys, truth_path, "g.pgm", 3)
         alpha_path = tmp_path / "alpha.pgm"
         code, _ = _run(
             ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
@@ -162,9 +189,7 @@ class TestRestoreCommand:
 
     def test_scalar_baseline_runs(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.pgm"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "5"], capsys)
+        g_path = _degrade(capsys, truth_path, "g.pgm", 5)
         code, out = _run(
             ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
              "--noise-sigma", "0.1", "--mode", "tv_scalar", "--tau", "0.98",
@@ -179,9 +204,7 @@ class TestRestoreCommand:
         truth = make_phantom(PhantomSpec(width=96, height=96, kind="mixed"))
         truth_path = tmp_path / "t.raw"
         write_image(truth, truth_path, RAW_F32)
-        g_path = tmp_path / "g.raw"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "12", "--format", RAW_F32], capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 12)
         code, out = _run(
             ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.raw"),
              "--noise-sigma", "0.1", "--mode", "hwtv", "--p", "1",
@@ -192,22 +215,6 @@ class TestRestoreCommand:
         assert code == 0
         assert json.loads(out)["iterations"] >= 1
 
-    def test_aniso_prox_flag_is_gone(self, phantom_files, capsys):
-        # p = 1 has one prox map, so there is no flag to choose it
-        tmp_path, _, truth_path = phantom_files
-        with pytest.raises(SystemExit) as err:
-            cli.main(["restore", "--in", str(truth_path), "--out", str(tmp_path / "rec.pgm"),
-                      "--noise-sigma", "0.1", "--p", "1", "--aniso-prox", "exact"])
-        assert err.value.code == 2
-
-    def test_eps_floor_flag_is_gone(self, phantom_files, capsys):
-        # the weight floor is a constant of the method, not a tunable
-        tmp_path, _, truth_path = phantom_files
-        with pytest.raises(SystemExit) as err:
-            cli.main(["restore", "--in", str(truth_path), "--out", str(tmp_path / "rec.pgm"),
-                      "--noise-sigma", "0.1", "--eps-floor", "1e-3"])
-        assert err.value.code == 2
-
     def test_solver_flags_cover_config_fields(self):
         # a new SolverConfig field cannot miss its flag
         from hwtv.solver import SolverConfig
@@ -217,9 +224,7 @@ class TestRestoreCommand:
 
     def test_oversized_radius_is_usage_error(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.pgm"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "11"], capsys)
+        g_path = _degrade(capsys, truth_path, "g.pgm", 11)
         code, _ = _run(
             ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
              "--noise-sigma", "0.1", "--tau", "1.0", "--radius", "40"],
@@ -242,9 +247,7 @@ class TestRestoreCommand:
     def test_non_finite_tunable_is_usage_error(self, phantom_files, capsys):
         # a NaN tau or sigma is bad input (exit 2), not a diverged run (exit 3)
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.pgm"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "6"], capsys)
+        g_path = _degrade(capsys, truth_path, "g.pgm", 6)
         options = {"--noise-sigma": "0.1", "--tau": "1.0", "--radius": "4", "--max-iter": "3"}
         for flag in ("--tau", "--noise-sigma", "--tol"):
             argv = ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm")]
@@ -259,9 +262,7 @@ class TestRestoreCommand:
         # is not a box blur. Sigma is checked for every band, the identity's
         # 1 included.
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.pgm"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "6"], capsys)
+        g_path = _degrade(capsys, truth_path, "g.pgm", 6)
         for band in ("5", "1"):
             blur = ["--blur-band", band, "--blur-sigma", bad]
             code, _ = _run(
@@ -282,9 +283,7 @@ class TestRestoreCommand:
 
     def test_divergence_exit_code(self, phantom_files, capsys, monkeypatch):
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.pgm"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "6"], capsys)
+        g_path = _degrade(capsys, truth_path, "g.pgm", 6)
 
         from hwtv.solver import DivergenceError
 
@@ -323,9 +322,7 @@ class TestRestoreCommand:
 class TestMetricsCommand:
     def test_rec_equals_deg_zero_isnr(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.raw"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "7", "--format", RAW_F32], capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 7)
         code, out = _run(
             ["metrics", "--ref", str(truth_path), "--deg", str(g_path), "--rec", str(g_path)],
             capsys,
@@ -335,9 +332,7 @@ class TestMetricsCommand:
 
     def test_rec_equals_ref_reports_infinity_sentinel(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = tmp_path / "g.raw"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "8", "--format", RAW_F32], capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 8)
         code, out = _run(
             ["metrics", "--ref", str(truth_path), "--deg", str(g_path), "--rec", str(truth_path)],
             capsys,
@@ -360,9 +355,7 @@ class TestMetricsCommand:
 
     def test_end_to_end_pipeline_improves_isnr(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path, rec_path = tmp_path / "g.raw", tmp_path / "rec.raw"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "9", "--format", RAW_F32], capsys)
+        g_path, rec_path = _degrade(capsys, truth_path, "g.raw", 9), tmp_path / "rec.raw"
         _run(["restore", "--in", str(g_path), "--out", str(rec_path),
               "--noise-sigma", "0.1", "--tau", "1.0", "--radius", "4",
               "--max-iter", "120", "--format", RAW_F32], capsys)
@@ -376,15 +369,9 @@ class TestMetricsCommand:
 
 
 class TestSweepCommand:
-    def _degraded(self, tmp_path, truth_path, capsys):
-        g_path = tmp_path / "g.raw"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "10", "--format", RAW_F32], capsys)
-        return g_path
-
     def test_grid_cardinality_and_schema(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
         out_csv = tmp_path / "sweep.csv"
         code, _ = _run(
             ["sweep", "--true", str(truth_path), "--in", str(g_path),
@@ -406,7 +393,7 @@ class TestSweepCommand:
     def test_repeated_grid_values_run_once(self, phantom_files, capsys, monkeypatch):
         # 2:0.5:4 rounds to radii 2, 2, 3, 4, 4; each distinct cell runs once
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
         calls = []
         real_restore = cli.solver.restore
 
@@ -440,7 +427,7 @@ class TestSweepCommand:
 
     def test_empty_grid_exit_two(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
         code, _ = _run(
             ["sweep", "--true", str(truth_path), "--in", str(g_path),
              "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
@@ -453,7 +440,7 @@ class TestSweepCommand:
         self, phantom_files, capsys, monkeypatch
     ):
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
 
         def no_restore(*args, **kwargs):
             raise AssertionError("a cell ran before the grid was checked")
@@ -478,7 +465,7 @@ class TestSweepCommand:
         self, phantom_files, capsys, monkeypatch
     ):
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
 
         def no_restore(*args, **kwargs):
             raise AssertionError("a cell ran before the arguments were checked")
@@ -497,7 +484,7 @@ class TestSweepCommand:
     def test_diverged_cell_is_a_nan_row(self, phantom_files, capsys, monkeypatch):
         # a diverged cell is reported in its row; the sweep goes on and exits 0
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
         real_restore = cli.solver.restore
 
         def diverge_at_r4(g, blur, sigma, cfg):
@@ -568,7 +555,7 @@ class TestSweepCommand:
 
     def test_deterministic_rows_modulo_timing(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
         csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--true", str(truth_path), "--in", str(g_path),
                 "--noise-sigma", "0.1", "--tau-grid", "0.95,1.0",
@@ -592,9 +579,7 @@ class TestSweepCommand:
         )
         truth_path = tmp_path / "t.raw"
         write_image(truth, truth_path, RAW_F32)
-        g_path = tmp_path / "g.raw"
-        _run(["degrade", "--in", str(truth_path), "--out", str(g_path),
-              "--noise-sigma", "0.1", "--seed", "3", "--format", RAW_F32], capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 3)
 
         def best_isnr(mode):
             out_csv = tmp_path / f"{mode}.csv"
@@ -614,7 +599,7 @@ class TestSweepCommand:
     def test_worker_pool_sized_to_cells(self, phantom_files, capsys, monkeypatch):
         # no more workers than cells, and a single cell runs without a pool
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
         pools = []
 
         class RecordingPool:
@@ -643,7 +628,7 @@ class TestSweepCommand:
 
     def test_worker_pool_matches_serial(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
-        g_path = self._degraded(tmp_path, truth_path, capsys)
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
         csv_a, csv_b = tmp_path / "serial.csv", tmp_path / "pool.csv"
         argv = ["sweep", "--true", str(truth_path), "--in", str(g_path),
                 "--noise-sigma", "0.1", "--tau-grid", "0.95,1.0",

@@ -3,6 +3,7 @@ import pytest
 
 from hwtv.linops import (
     BlurSpec,
+    _box_scratch,
     blur_via_plan,
     box_mean,
     build_plan,
@@ -150,10 +151,9 @@ class TestOutWorkspace:
     # The per-restore workspace forms: written through out=, the same bits
     # as the allocating form, into the given buffers.
     def test_box_mean(self, shape):
-        height, width = shape
         norms = np.abs(_rand_img(np.random.default_rng(45), *shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out = np.empty(shape), np.empty(height * width + 2 * r * max(shape))
+            out = np.empty(shape), _box_scratch(shape, r)
             assert box_mean(norms, r, out=out) is out[0]
             assert np.array_equal(out[0], box_mean(norms, r))
 
@@ -221,13 +221,6 @@ class TestBlur:
         out = blur_via_plan(_plan_for(u, BlurSpec(band=5, sigma=1.0)), u)
         assert np.allclose(out, 0.42, atol=1e-13)
 
-    def test_matches_spatial_oracle(self):
-        rng = np.random.default_rng(24)
-        u = _rand_img(rng, 8, 8)
-        spec = BlurSpec(band=3, sigma=0.8)
-        expected = circular_convolve(u, make_kernel(spec))
-        assert np.allclose(blur_via_plan(_plan_for(u, spec), u), expected, atol=1e-10)
-
     def test_linear(self):
         rng = np.random.default_rng(25)
         u, v = _rand_img(rng, 8, 8), _rand_img(rng, 8, 8)
@@ -278,14 +271,6 @@ class TestSpectralPlan:
         plan = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
         assert np.max(np.abs(plan.eigen_K)) <= 1.0 + 1e-12
 
-    def test_plan_blur_matches_spatial_oracle(self):
-        rng = np.random.default_rng(29)
-        u = _rand_img(rng, 16, 16)
-        spec = BlurSpec(band=5, sigma=1.0)
-        plan = build_plan(16, 16, spec)
-        expected = circular_convolve(u, make_kernel(spec))
-        assert np.allclose(blur_via_plan(plan, u), expected, atol=1e-10)
-
     @pytest.mark.parametrize(
         "spec", [BlurSpec(band=1), BlurSpec(band=3, sigma=0.5), BlurSpec(band=9, sigma=3.0)]
     )
@@ -322,22 +307,6 @@ class TestSpectralStep:
         assert np.allclose(u, 0.7, atol=1e-13)
         assert np.allclose(_blur_from_step(plan, spectrum, u.shape), 0.7, atol=1e-13)
 
-    def test_residual_bound(self):
-        rng = np.random.default_rng(31)
-        spec = BlurSpec(band=5, sigma=1.0)
-        kernel = make_kernel(spec)
-        plan = build_plan(16, 16, spec)
-        ratio = 100.0 / 20.0
-        for _ in range(50):
-            d, v = _rand_img(rng, 16, 16), _rand_img(rng, 16, 16)
-            rhs = d + ratio * circular_correlate(v, kernel)
-            u, _ = spectral_step(d, np.fft.rfft2(v), step_factors(plan, ratio))
-            applied = divergence(gradient(u)) + ratio * circular_correlate(
-                blur_via_plan(plan, u), kernel
-            )
-            residual = np.linalg.norm(applied - rhs)
-            assert residual <= 1e-10 * np.linalg.norm(rhs)
-
     def test_zero_rhs_gives_zero(self):
         plan = build_plan(4, 4, BlurSpec(band=1))
         u, spectrum = spectral_step(
@@ -347,6 +316,7 @@ class TestSpectralStep:
         )
         assert np.all(u == 0.0)
         assert np.all(spectrum == 0.0)
+
 
 def _three_solve_reference(spec, d, v, ratio):
     # The u-step as three full-spectrum complex fft2/ifft2 pairs: K^T v,
@@ -365,18 +335,30 @@ def _three_solve_reference(spec, d, v, ratio):
     return u, np.fft.ifft2(np.fft.fft2(u) * eigen_k).real
 
 
+@pytest.mark.parametrize(
+    "seed, height, width, spec",
+    [
+        (24, 8, 8, BlurSpec(band=3, sigma=0.8)),
+        (29, 16, 16, BlurSpec(band=5, sigma=1.0)),
+        # the sizes and blurs of TestHalfSpectrum below
+        *[(34, height, width, spec)
+          for spec in (BlurSpec(band=1), BlurSpec(band=5, sigma=1.0))
+          for height, width in ((37, 45), (15, 9))],
+    ],
+)
+def test_blur_matches_spatial_oracle(seed, height, width, spec):
+    u = _rand_img(np.random.default_rng(seed), height, width)
+    plan = build_plan(width, height, spec)
+    assert plan.eigen_K.shape == plan.eigen_DtD.shape == (height, width // 2 + 1)
+    out = blur_via_plan(plan, u)
+    assert out.shape == u.shape
+    assert np.allclose(out, circular_convolve(u, make_kernel(spec)), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
 @pytest.mark.parametrize("height,width", [(37, 45), (15, 9)])
 class TestHalfSpectrum:
     # Odd widths are the sizes an irfft2 without its output shape gets wrong.
-    def test_blur_matches_spatial_oracle(self, spec, height, width):
-        u = _rand_img(np.random.default_rng(34), height, width)
-        plan = build_plan(width, height, spec)
-        assert plan.eigen_K.shape == plan.eigen_DtD.shape == (height, width // 2 + 1)
-        out = blur_via_plan(plan, u)
-        assert out.shape == u.shape
-        assert np.allclose(out, circular_convolve(u, make_kernel(spec)), rtol=0, atol=1e-12)
-
     def test_step_blur_matches_blur_via_plan(self, spec, height, width):
         rng = np.random.default_rng(35)
         d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)

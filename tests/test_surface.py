@@ -27,19 +27,44 @@ BOUNDARY = [
     "write_image",
 ]
 
-# Loop primitives: importable from their modules, not from the package.
-PRIMITIVES = [
-    ("linops", "SpectralPlan"),
-    ("linops", "build_plan"),
-    ("linops", "make_kernel"),
-    ("linops", "gradient"),
-    ("linops", "divergence"),
-    ("linops", "pointwise_norm"),
-    ("linops", "box_mean"),
-    ("solver", "prox_t"),
-    ("adapt", "alpha_from_norms"),
-    ("adapt", "update_mu"),
-]
+# What each library module defines for its callers: its public functions and
+# classes, and its upper-case constants. The loop primitives among them are
+# imported from their modules, not from the package. A name joins or leaves
+# the surface by an edit here.
+SURFACE = {
+    "adapt": ["alpha_from_norms", "update_mu"],
+    "imgcore": [
+        "FORMATS", "FormatError", "ImageBuffer", "PGM8", "RAW_F32",
+        "isnr", "read_image", "ssim", "write_image",
+    ],
+    "linops": [
+        "BlurSpec", "SpectralPlan", "blur_via_plan", "box_mean", "build_plan", "divergence",
+        "gradient", "half_spectrum_norm", "make_kernel", "pointwise_norm", "spectral_step",
+        "step_factors",
+    ],
+    "solver": [
+        "DivergenceError", "EPS_FLOOR", "MODES", "RestoreResult", "SolverConfig", "TraceRow",
+        "prox_t", "restore",
+    ],
+    "synth": ["DegradationSpec", "PHANTOM_KINDS", "PhantomSpec", "degrade", "make_phantom"],
+}
+
+REQUIRED = dataclasses.MISSING
+# Each boundary record's fields, in order, with their defaults; a field with a
+# default factory is listed with what the factory returns.
+FIELDS = {
+    "BlurSpec": {"band": 1, "sigma": 1.0},
+    "DegradationSpec": {"blur": REQUIRED, "sigma": REQUIRED, "seed": 0},
+    "PhantomSpec": {"width": REQUIRED, "height": REQUIRED, "kind": REQUIRED, "texture_freq": 8.0},
+    "SolverConfig": {
+        "p": REQUIRED, "tau": REQUIRED, "r": REQUIRED, "mode": "hwtv",
+        "beta_t": 20.0, "beta_w": 100.0, "max_iter": 500, "tol": 1e-5,
+    },
+    "RestoreResult": {
+        "u_star": REQUIRED, "iterations": REQUIRED, "final_mu": REQUIRED,
+        "final_discrepancy": REQUIRED, "alpha_final": REQUIRED, "trace": [],
+    },
+}
 
 
 def test_all_is_the_library_boundary():
@@ -49,69 +74,37 @@ def test_all_is_the_library_boundary():
         assert getattr(hwtv, name) is not None
 
 
-@pytest.mark.parametrize("module,name", PRIMITIVES)
-def test_primitive_imports_from_its_module(module, name):
-    assert name not in hwtv.__all__
-    assert hasattr(importlib.import_module(f"hwtv.{module}"), name)
+def test_package_namespace_is_the_boundary():
+    # besides its modules, the package holds the exported names and no other
+    public = [name for name, value in vars(hwtv).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(public) == sorted(BOUNDARY)
 
 
-@pytest.mark.parametrize("module,name", [("solver", "update_w"), ("adapt", "estimate_alpha")])
-def test_folded_wrapper_is_gone(module, name):
-    assert not hasattr(importlib.import_module(f"hwtv.{module}"), name)
-
-
-def test_blur_spec_has_no_identity_flag():
-    # K = I is the band-1 kernel, the default; there is no second spelling.
-    assert [f.name for f in dataclasses.fields(hwtv.BlurSpec)] == ["band", "sigma"]
-    assert hwtv.BlurSpec().band == 1
-    with pytest.raises(TypeError):
-        hwtv.BlurSpec(identity=True)
-
-
-def test_solver_config_has_no_prox_choice():
-    # p = 1 always runs the exact soft-threshold; there is nothing to pick.
-    assert [f.name for f in dataclasses.fields(hwtv.SolverConfig)] == [
-        "p", "tau", "r", "mode", "beta_t", "beta_w", "max_iter", "tol",
+@pytest.mark.parametrize("module_name", sorted(SURFACE))
+def test_module_surface(module_name):
+    module = importlib.import_module(f"hwtv.{module_name}")
+    defined = [
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and (
+            name.isupper()
+            or ((inspect.isfunction(value) or inspect.isclass(value))
+                and value.__module__ == module.__name__)
+        )
     ]
-    with pytest.raises(TypeError):
-        hwtv.SolverConfig(p=2, tau=1.0, r=2, aniso_prox="exact")
-    assert not hasattr(importlib.import_module("hwtv.solver"), "PROX_VARIANTS")
+    assert sorted(defined) == SURFACE[module_name]
 
 
-def test_eps_floor_is_a_constant():
-    # the weight floor is fixed; SolverConfig carries only what a caller varies
-    assert importlib.import_module("hwtv.solver").EPS_FLOOR == 1e-4
-    with pytest.raises(TypeError):
-        hwtv.SolverConfig(p=2, tau=1.0, r=2, eps_floor=1e-3)
-
-
-def test_phantom_spec_has_no_contrast():
-    assert [f.name for f in dataclasses.fields(hwtv.PhantomSpec)] == [
-        "width", "height", "kind", "texture_freq",
-    ]
-    with pytest.raises(TypeError):
-        hwtv.PhantomSpec(width=64, height=64, kind="mixed", contrast=0.5)
-
-
-@pytest.mark.parametrize("name", ["add_awgn", "InfiniteIsnrError", "DimensionMismatchError"])
-def test_removed_name_is_gone(name):
-    # degrade adds the noise, isnr returns inf, a shape mismatch is a ValueError
-    assert not hasattr(hwtv, name)
-    for module in ("imgcore", "synth"):
-        assert not hasattr(importlib.import_module(f"hwtv.{module}"), name)
-
-
-@pytest.mark.parametrize("name", ["write_trace_csv", "TRACE_FIELDS"])
-def test_trace_csv_writer_is_gone(name):
-    # the CLI writes the trace; the library returns it as TraceRow rows
-    assert not hasattr(hwtv, name)
-    assert not hasattr(importlib.import_module("hwtv.solver"), name)
-
-
-def test_read_image_is_the_only_format_sniffer():
-    # read_image dispatches on the magic bytes; no separate detector remains.
-    assert not hasattr(hwtv, "detect_format")
-    assert not hasattr(importlib.import_module("hwtv.imgcore"), "detect_format")
+@pytest.mark.parametrize("record", sorted(FIELDS))
+def test_record_fields(record):
+    cls = getattr(hwtv, record)
+    fields = {
+        f.name: f.default if f.default_factory is REQUIRED else f.default_factory()
+        for f in dataclasses.fields(cls)
+    }
+    assert fields == FIELDS[record]
+    # the constructor takes exactly these names, in this order
+    assert list(inspect.signature(cls).parameters) == list(FIELDS[record])
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -145,6 +138,40 @@ def test_every_import_is_used(path):
     assert not unused, f"unused imports in {path.name}: " + ", ".join(
         f"{name} (line {imported[name]})" for name in unused
     )
+
+
+def _private_definitions(tree):
+    # Module-level functions, classes and constants named with one leading
+    # underscore.
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_helper_is_used():
+    # A private helper that lost its last caller is dead code: each one must
+    # be read, as a name, an attribute or an import, in some source file.
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unused = sorted(
+        f"{path.parent.name}/{path.name}: {name}"
+        for path, tree in trees.items() for name in _private_definitions(tree)
+        if name not in read
+    )
+    assert not unused, "unused private helpers: " + ", ".join(unused)
 
 
 # Span names that bench/run.py maps but that name no function or class today,

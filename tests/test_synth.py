@@ -68,7 +68,7 @@ def _add_noise(u, sigma, seed):
     return degrade(u, DegradationSpec(BlurSpec(), sigma, seed))
 
 
-class TestAwgn:
+class TestDegradeNoise:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, bad):
         # the spec is the one place sigma is checked, before degrade runs
