@@ -12,7 +12,7 @@ from hwtv.solver import EPS_FLOOR, SolverConfig
 from half_laplacian import sample_half_laplacian
 
 
-class TestAlphaFromNorms:
+class TestEstimateAlpha:
     """The weights of an image u: alpha_from_norms(pointwise_norm(gradient(u), p), ...)."""
 
     @pytest.mark.parametrize("p", [1, 2])

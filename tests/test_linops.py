@@ -335,30 +335,30 @@ def _three_solve_reference(spec, d, v, ratio):
     return u, np.fft.ifft2(np.fft.fft2(u) * eigen_k).real
 
 
-@pytest.mark.parametrize(
-    "seed, height, width, spec",
-    [
-        (24, 8, 8, BlurSpec(band=3, sigma=0.8)),
-        (29, 16, 16, BlurSpec(band=5, sigma=1.0)),
-        # the sizes and blurs of TestHalfSpectrum below
-        *[(34, height, width, spec)
-          for spec in (BlurSpec(band=1), BlurSpec(band=5, sigma=1.0))
-          for height, width in ((37, 45), (15, 9))],
-    ],
-)
-def test_blur_matches_spatial_oracle(seed, height, width, spec):
-    u = _rand_img(np.random.default_rng(seed), height, width)
-    plan = build_plan(width, height, spec)
-    assert plan.eigen_K.shape == plan.eigen_DtD.shape == (height, width // 2 + 1)
-    out = blur_via_plan(plan, u)
-    assert out.shape == u.shape
-    assert np.allclose(out, circular_convolve(u, make_kernel(spec)), rtol=0, atol=1e-12)
+_HALF_SPECTRUM_CASES = [
+    pytest.param(height, width, spec, id=f"{height}-{width}-spec{i}")
+    for height, width in ((37, 45), (15, 9))
+    for i, spec in enumerate((BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)))
+]
 
 
-@pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
-@pytest.mark.parametrize("height,width", [(37, 45), (15, 9)])
 class TestHalfSpectrum:
     # Odd widths are the sizes an irfft2 without its output shape gets wrong.
+    @pytest.mark.parametrize(
+        "seed, height, width, spec",
+        [pytest.param(34, *case.values, id=case.id) for case in _HALF_SPECTRUM_CASES]
+        + [pytest.param(24, 8, 8, BlurSpec(band=3, sigma=0.8), id="8-8-band3"),
+           pytest.param(29, 16, 16, BlurSpec(band=5, sigma=1.0), id="16-16-band5")],
+    )
+    def test_blur_matches_spatial_oracle(self, seed, height, width, spec):
+        u = _rand_img(np.random.default_rng(seed), height, width)
+        plan = build_plan(width, height, spec)
+        assert plan.eigen_K.shape == plan.eigen_DtD.shape == (height, width // 2 + 1)
+        out = blur_via_plan(plan, u)
+        assert out.shape == u.shape
+        assert np.allclose(out, circular_convolve(u, make_kernel(spec)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("height, width, spec", _HALF_SPECTRUM_CASES)
     def test_step_blur_matches_blur_via_plan(self, spec, height, width):
         rng = np.random.default_rng(35)
         d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
@@ -369,6 +369,7 @@ class TestHalfSpectrum:
         expected = blur_via_plan(plan, u)
         assert np.linalg.norm(blurred - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("height, width, spec", _HALF_SPECTRUM_CASES)
     def test_step_matches_three_solve_reference(self, spec, height, width):
         # Same solve, different transforms: agreement to 1e-12 relative.
         rng = np.random.default_rng(36)

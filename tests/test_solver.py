@@ -28,6 +28,11 @@ from objectives import (
 from spatial_blur import circular_correlate
 
 
+def _prox_id(p):
+    # A case id names p and its prox map, which is the exact one for both.
+    return f"{p}-exact"
+
+
 def _field(h, v):
     return np.asarray(h, dtype=np.float64), np.asarray(v, dtype=np.float64)
 
@@ -73,7 +78,7 @@ class TestProxT:
             assert abs(out_h[0, 0] - prox1_bisection_oracle(qx, alpha, beta)) <= 1e-10
             assert abs(out_v[0, 0] - prox1_bisection_oracle(qy, alpha, beta)) <= 1e-10
 
-    @pytest.mark.parametrize("p", [2, 1])
+    @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
     def test_prox_optimality_under_perturbation(self, p):
         rng = np.random.default_rng(64)
         q = _field(rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8)))
@@ -107,7 +112,7 @@ def _reference_prox(q, alpha, beta_t, p):
 
 
 @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (1, 16), (16, 1)])
-@pytest.mark.parametrize("p", [2, 1])
+@pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
 def test_prox_out_matches_allocating_and_reference(shape, p):
     rng = np.random.default_rng(68)
     q = _field(rng.standard_normal(shape), rng.standard_normal(shape))
@@ -187,7 +192,7 @@ class TestRestore:
         result = restore(g, BlurSpec(band=1), 0.05, cfg)
         assert np.all(result.alpha_final == 1.0)
 
-    @pytest.mark.parametrize("p", [2, 1])
+    @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
     @pytest.mark.parametrize("mode", ["hwtv", "tv_scalar"])
     def test_orchestration_matches_manual_loop(self, mode, p):
         # drive the primitives by hand and compare iterates bit-for-bit; this is
@@ -399,7 +404,7 @@ def test_spectral_state_matches_real_space(spec):
         assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("p", [2, 1])
+@pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
 def test_loop_allocates_no_image(monkeypatch, p):
     # After warm-up sweeps of a 128x128 "hwtv" restore, the transient
     # tracemalloc peak of each sweep and of the work between two sweeps (the
@@ -456,7 +461,7 @@ def test_loop_allocates_no_image(monkeypatch, p):
     assert max(peaks["sweep"]) <= 1.1
 
 
-@pytest.mark.parametrize("p", [2, 1])
+@pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
 @pytest.mark.parametrize("mode, bound", [("tv_scalar", 17.5), ("hwtv", 19.2)])
 def test_restore_workspace_images(mode, bound, p):
     # The tracemalloc peak of a warmed 5-sweep 128x128 restore, in 128x128
