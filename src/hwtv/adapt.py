@@ -12,7 +12,9 @@ import numpy as np
 from .linops import box_mean
 
 
-def alpha_from_norms(norms: np.ndarray, r: int, eps_floor: float, out=None) -> np.ndarray:
+def alpha_from_norms(
+    norms: np.ndarray, r: int, eps_floor: float, out=None, scratch=None
+) -> np.ndarray:
     """Reciprocal windowed means of a gradient-norm raster.
 
     Each pixel's weight is the maximum-likelihood scale of a half-Laplacian
@@ -21,9 +23,10 @@ def alpha_from_norms(norms: np.ndarray, r: int, eps_floor: float, out=None) -> n
     weight lies in (0, 1 / eps_floor]; the caller ensures eps_floor > 0 and
     the window bounds of :func:`box_mean`. The weights of an image u are
     ``alpha_from_norms(pointwise_norm(gradient(u), p), r, eps_floor)``.
-    ``out`` is as for :func:`box_mean`; the weights overwrite the mean in it.
+    ``out`` and ``scratch`` are as for :func:`box_mean`; the weights
+    overwrite the mean in ``out``.
     """
-    alpha = box_mean(norms, r, out=out)
+    alpha = box_mean(norms, r, out=out, scratch=scratch)
     np.maximum(alpha, eps_floor, out=alpha)
     return np.divide(1.0, alpha, out=alpha)
 

@@ -310,7 +310,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"hwtv: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

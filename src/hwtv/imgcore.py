@@ -157,7 +157,7 @@ def _read_raw_f32(buf: bytes) -> ImageBuffer:
     if len(buf) < 12:
         raise FormatError("truncated header", len(buf))
     width, height = struct.unpack_from("<II", buf, 4)
-    _require_dims(width, height, 4, 4)
+    _require_dims(width, height, 4, 8)
     _require_length(buf, 12 + 4 * width * height)
     samples = np.frombuffer(buf, dtype="<f4", count=width * height, offset=12)
     bad = np.flatnonzero(~np.isfinite(samples))

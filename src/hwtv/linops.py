@@ -4,14 +4,16 @@ Forward differences, their exact adjoint, truncated Gaussian blur and the
 local box mean all wrap periodically, which diagonalizes the restoration
 normal equations in the 2-D DFT basis and keeps every operator pair
 (operator, adjoint) exact to rounding. Operators take and return plain
-float64 arrays, a gradient field being an (h, v) pair of them. The loop
-operators check no argument: the caller passes matching shapes and scalars
-in the documented ranges, as ``restore`` does once it has checked its
-inputs, and tests the iterate for finiteness once per sweep.
-An ``out=`` argument must be C-contiguous arrays (a pair for a field) of the
-result's shape, not overlapping the input; the result is written there and
-returned, with the same bits as without ``out=``; ``box_mean`` and ``spectral_step``
-take scratch there too, ``divergence`` and ``pointwise_norm`` in ``scratch=``.
+float64 arrays; a gradient field is one C-contiguous (2, h, w) array whose
+channel 0 is h and channel 1 is v. The loop operators check no argument:
+the caller passes matching shapes and scalars in the documented ranges, as
+``restore`` does once it has checked its inputs, and tests the iterate for
+finiteness once per sweep.
+Every loop primitive takes its buffers by one rule: ``out=`` is the result
+array and ``scratch=`` the workspace, both C-contiguous and not overlapping
+the input. The result is written into ``out`` and returned, with the same
+bits as the allocating form. Only ``spectral_step``'s ``out`` is the pair
+``(u, U)`` it returns.
 """
 
 from __future__ import annotations
@@ -59,12 +61,10 @@ class SpectralPlan:
     eigen_DtD: np.ndarray
 
 
-def gradient(
-    u: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences (h, v) with periodic wrap in both directions."""
+def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward differences (h, v), stacked, with periodic wrap in both directions."""
     if out is None:
-        out = np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype)
+        out = np.empty((2, *u.shape), u.dtype)
     h, v = out
     # Along a row, the difference is taken on the flattened raster and the
     # wrap column is then fixed: a strided slice per row is slower.
@@ -76,9 +76,7 @@ def gradient(
     return out
 
 
-def divergence(
-    t: tuple[np.ndarray, np.ndarray], out: np.ndarray | None = None, scratch=None
-) -> np.ndarray:
+def divergence(t: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
     """Exact adjoint of :func:`gradient`: <gradient(u), t> == <u, divergence(t)>."""
     h, v = t
     if out is None:
@@ -96,7 +94,7 @@ def divergence(
 
 
 def pointwise_norm(
-    t: tuple[np.ndarray, np.ndarray], p: int, out: np.ndarray | None = None, scratch=None
+    t: np.ndarray, p: int, out: np.ndarray | None = None, scratch=None
 ) -> np.ndarray:
     """Per-pixel p-norm of the two gradient channels, p in {1, 2}.
 
@@ -247,18 +245,18 @@ def _box_scratch(shape: tuple[int, int], r: int) -> np.ndarray:
     return np.empty(math.prod(shape) + 2 * r * max(shape))
 
 
-def box_mean(field_norms: np.ndarray, r: int, out=None) -> np.ndarray:
+def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
-    The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``out`` is
-    ``(mean, running)``: the result and a scratch from ``_box_scratch``.
+    The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``scratch``
+    holds the running sums, as ``_box_scratch`` sizes it.
     """
-    if out is None:
-        out = np.empty_like(field_norms), _box_scratch(field_norms.shape, r)
-    mean, running = out
+    mean = np.empty_like(field_norms) if out is None else out
+    if scratch is None:
+        scratch = _box_scratch(field_norms.shape, r)
     # mean takes the first-axis sums; the second pass copies them out first.
-    _periodic_window_sum(field_norms, r, 0, mean, running)
-    _periodic_window_sum(mean, r, 1, mean, running)
+    _periodic_window_sum(field_norms, r, 0, mean, scratch)
+    _periodic_window_sum(mean, r, 1, mean, scratch)
     mean /= float((2 * r + 1) ** 2)
     # The exact mean lies in [min, max]; clip the <=1 ulp summation excursions.
     np.clip(mean, field_norms.min(), field_norms.max(), out=mean)

@@ -106,49 +106,43 @@ class RestoreResult:
 
 
 def prox_t(
-    q: tuple[np.ndarray, np.ndarray],
+    q: np.ndarray,
     alpha: np.ndarray,
     beta_t: float,
     p: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-pixel minimizer of alpha_i ||t_i||_p + (beta_t/2) ||t_i - q_i||_2^2.
 
-    ``q`` and the result are (h, v) gradient-field pairs; ``alpha`` is the
-    nonnegative weight array of the same shape. For p = 1 it soft-thresholds
-    each component by alpha_i / beta_t, the proximal map of the anisotropic
+    ``q`` and the result are (2, h, w) gradient fields; ``alpha`` is the
+    nonnegative (h, w) weight array. For p = 1 it soft-thresholds each
+    component by alpha_i / beta_t, the proximal map of the anisotropic
     penalty, and gives it q's sign by ``copysign``, so -0.0 in q is -0.0 in
     t. For p = 2 it is the shrinkage t_i = q_i max(1 - alpha_i / (beta_t
-    ||q_i||_2), 0), with t_i = 0 when q_i = 0. ``out``, if given, is a pair
-    of arrays of q's shape, not overlapping ``q``, that receives t and is
-    returned. ``scratch``, if given, is one array of q's shape overlapping
-    neither, which the p = 1 map overwrites with its threshold. The caller
+    ||q_i||_2), 0), with t_i = 0 when q_i = 0. ``out`` receives t, and the
+    p = 1 map writes its threshold into the (h, w) ``scratch``. The caller
     ensures beta_t > 0 and p in {1, 2}, as ``SolverConfig`` does.
     """
-    q_h, q_v = q
     if out is None:
-        out = np.empty(q_h.shape), np.empty(q_v.shape)
-    out_h, out_v = out
+        out = np.empty(q.shape)
     if p == 1:
-        threshold = np.divide(alpha, beta_t, out=scratch)
-        for comp, dest in ((q_h, out_h), (q_v, out_v)):
-            np.abs(comp, out=dest)
-            dest -= threshold
-            np.maximum(dest, 0.0, out=dest)
-            np.copysign(dest, comp, out=dest)
-        return out
-    # The scale is built in out_h, out_v being scratch. Where the norm is
-    # zero it reads -inf, or NaN if alpha is zero as well, and fmax clamps
-    # both to the 0 that makes t_i = 0 there.
-    scale = pointwise_norm(q, 2, out=out_h, scratch=out_v)
+        np.abs(q, out=out)
+        out -= np.divide(alpha, beta_t, out=scratch)
+        np.maximum(out, 0.0, out=out)
+        return np.copysign(out, q, out=out)
+    # The scale is built in out[0], out[1] being scratch, so t's second
+    # channel is written first. Where the norm is zero the scale reads -inf,
+    # or NaN if alpha is zero as well, and fmax clamps both to the 0 that
+    # makes t_i = 0 there.
+    scale = pointwise_norm(q, 2, out=out[0], scratch=out[1])
     np.multiply(beta_t, scale, out=scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
     np.fmax(scale, 0.0, out=scale)
-    np.multiply(q_v, scale, out=out_v)
-    np.multiply(q_h, scale, out=out_h)
+    np.multiply(q[1], scale, out=out[1])
+    np.multiply(q[0], scale, out=out[0])
     return out
 
 
@@ -156,23 +150,24 @@ class _Iterate(NamedTuple):
     """ADMM state between sweeps, unvalidated.
 
     ``u``, ``grad`` (Du) and the scaled gradient dual ``y_t`` = rho_t /
-    beta_t are real. The linear chain is kept on the ``rfft2`` half
+    beta_t are real; the fields ``grad``, ``y_t`` and ``work`` are each one
+    (2, h, w) array. The linear chain is kept on the ``rfft2`` half
     spectrum: ``y_w`` is the scaled residual dual rho_w / beta_w, and ``z``
     is the spectrum of (Ku - g) + y_w, the point the next sweep's mu is
-    chosen at. No primal t or w is kept: the next sweep reads neither.
-    ``work`` is a pair of real images, and the next sweep writes u into
-    ``u_next`` and U = rfft2(u) into ``spectrum``. Those three are scratch
-    that the next sweep overwrites, as it does ``grad``, ``y_w``, ``y_t``
-    and ``z``. :func:`_start` allocates every array; a sweep trades ``u``
-    with ``u_next``.
+    chosen at. No primal t or w is kept: the next sweep reads neither. The
+    next sweep writes a field into ``work``, u into ``u_next`` and
+    U = rfft2(u) into ``spectrum``. Those three are scratch that the next
+    sweep overwrites, as it does ``grad``, ``y_w``, ``y_t`` and ``z``.
+    :func:`_start` allocates every array; a sweep trades ``u`` with
+    ``u_next``.
     """
 
     u: np.ndarray
-    grad: tuple[np.ndarray, np.ndarray]
+    grad: np.ndarray
     y_w: np.ndarray
-    y_t: tuple[np.ndarray, np.ndarray]
+    y_t: np.ndarray
     z: np.ndarray
-    work: tuple[np.ndarray, np.ndarray]
+    work: np.ndarray
     u_next: np.ndarray
     spectrum: np.ndarray
 
@@ -200,9 +195,9 @@ def _start(
         u=g.copy(),
         grad=gradient(g),
         y_w=np.zeros_like(g_spectrum),
-        y_t=(np.zeros_like(g), np.zeros_like(g)),
+        y_t=np.zeros((2, *g.shape)),
         z=g_spectrum * plan.eigen_K - g_spectrum,
-        work=(np.empty_like(g), np.empty_like(g)),
+        work=np.empty((2, *g.shape)),
         u_next=np.empty_like(g),
         spectrum=np.empty_like(g_spectrum),
     )
@@ -218,7 +213,8 @@ def _sweep(
     Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
     in place, with no image-sized array of its own: ``grad``, ``y_t``,
     ``y_w``, ``z`` and the scratch of ``x`` are overwritten, and ``u`` and
-    ``u_next`` swap buffers, so the old u stays readable. t lives only in
+    ``u_next`` swap buffers, so the old u stays readable. Each field is one
+    (2, h, w) array, updated by whole-array operations. t lives only in
     ``work``, as t - y_t, and w only in z's buffer until the u step; each
     scaled dual (Boyd et al. 2011, section 3.1.1) then becomes
     y' = Ax - (t - y), which rounds differently from y + (Ax - t). The
@@ -230,11 +226,9 @@ def _sweep(
     # q = Du + y_t, formed in the buffers of Du, whose value the sweep
     # recomputes from the new u; then t = prox(q) in work, with u_next, free
     # until the u step, as the prox's scratch, and work = t - y_t.
-    for y_c, grad_c in zip(y_t, grad):
-        grad_c += y_c
+    grad += y_t
     prox_t(grad, alpha, f.beta_t, p, out=work, scratch=x.u_next)
-    for work_c, y_c in zip(work, y_t):
-        work_c -= y_c
+    work -= y_t
     # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
     # y_w = w - y_w, and v = y_w + G over w, which the u step then consumes.
     w = np.multiply(x.z, f.beta_w / (mu + f.beta_w), out=x.z)
@@ -251,8 +245,7 @@ def _sweep(
     np.subtract(residual, y_w, out=y_w)
     np.add(residual, y_w, out=v)
     # y_t = Du - (t - y_t).
-    for y_c, grad_c, work_c in zip(y_t, grad, work):
-        np.subtract(grad_c, work_c, out=y_c)
+    np.subtract(grad, work, out=y_t)
     return x._replace(u=u, u_next=x.u), half_spectrum_norm(f.plan, residual)
 
 
@@ -326,7 +319,7 @@ def restore(
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
     if cfg.mode == "hwtv":
         # The weights go over alpha, box_mean's running sums in a new buffer.
-        box = alpha, _box_scratch(g_arr.shape, cfg.r)
+        running = _box_scratch(g_arr.shape, cfg.r)
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):
@@ -339,7 +332,7 @@ def restore(
             # The weights of u, from the Du the last sweep formed for its
             # dual update.
             norms = pointwise_norm(x.grad, cfg.p, out=x.work[0], scratch=x.work[1])
-            alpha_from_norms(norms, cfg.r, EPS_FLOOR, out=box)
+            alpha_from_norms(norms, cfg.r, EPS_FLOOR, out=alpha, scratch=running)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)

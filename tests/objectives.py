@@ -39,9 +39,9 @@ def objective(
 def augmented_lagrangian(
     u: np.ndarray,
     w: np.ndarray,
-    t: tuple[np.ndarray, np.ndarray],
+    t: np.ndarray,
     rho_w: np.ndarray,
-    rho_t: tuple[np.ndarray, np.ndarray],
+    rho_t: np.ndarray,
     g: np.ndarray,
     plan: SpectralPlan,
     alpha: np.ndarray,
@@ -130,11 +130,11 @@ def frozen_nonincrease_share(trials: int, n: int, sweeps: int) -> float:
             # unscaled rho = beta y formed before the sweep updates y in
             # place. The sweep keeps neither primal: w is the scaled z it
             # reads, and t = Du' - y_t' + y_t, from its dual update.
-            rho_w, rho_t = bw * real_image(x.y_w, g.shape), tuple(bt * c for c in x.y_t)
+            rho_w, rho_t = bw * real_image(x.y_w, g.shape), bt * x.y_t
             w = real_image(x.z, g.shape) * (bw / (mu + bw))
-            y_t = tuple(c.copy() for c in x.y_t)
+            y_t = x.y_t.copy()
             x, _ = solver._sweep(x, fixed, weights, mu, p)
-            t = tuple(d - y_new + y_old for d, y_new, y_old in zip(x.grad, x.y_t, y_t))
+            t = x.grad - x.y_t + y_t
             values.append(augmented_lagrangian(
                 x.u, w, t, rho_w, rho_t,
                 g, plan, weights, mu, bt, bw, p,

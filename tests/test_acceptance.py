@@ -88,12 +88,7 @@ def test_criterion_2_prox_oracles():
         qx, qy = rng.uniform(-2, 2, 2)
         alpha = rng.uniform(0.0, 3.0)
         beta = rng.uniform(5.0, 50.0)
-        out_h, out_v = prox_t(
-            (np.array([[qx]]), np.array([[qy]])),
-            np.array([[alpha]]),
-            beta_t=beta,
-            p=2,
-        )
+        out_h, out_v = prox_t(np.array([[[qx]], [[qy]]]), np.array([[alpha]]), beta_t=beta, p=2)
         ex, ey = prox2_grid_oracle(qx, qy, alpha, beta)
         worst_iso = max(worst_iso, abs(out_h[0, 0] - ex), abs(out_v[0, 0] - ey))
     worst_aniso = 0.0
@@ -101,12 +96,7 @@ def test_criterion_2_prox_oracles():
         q = rng.uniform(-2, 2)
         alpha = rng.uniform(0.0, 3.0)
         beta = rng.uniform(5.0, 50.0)
-        out_h, _ = prox_t(
-            (np.array([[q]]), np.array([[0.0]])),
-            np.array([[alpha]]),
-            beta_t=beta,
-            p=1,
-        )
+        out_h, _ = prox_t(np.array([[[q]], [[0.0]]]), np.array([[alpha]]), beta_t=beta, p=1)
         worst_aniso = max(worst_aniso, abs(out_h[0, 0] - prox1_bisection_oracle(q, alpha, beta)))
     elapsed = time.perf_counter() - tick
     ok = worst_iso <= 1e-6 and worst_aniso <= 1e-10 and elapsed < 30.0

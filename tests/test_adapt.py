@@ -30,12 +30,12 @@ class TestEstimateAlpha:
 
     @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (12, 16)])
     def test_out_gives_allocating_bits(self, shape):
-        # written over the mean in out[0], the bits of the allocating form
+        # written over the mean in out, the bits of the allocating form
         norms = np.abs(np.random.default_rng(47).standard_normal(shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out = np.empty(shape), _box_scratch(shape, r)
-            assert alpha_from_norms(norms, r, 1e-2, out=out) is out[0]
-            assert np.array_equal(out[0], alpha_from_norms(norms, r, 1e-2))
+            out, scratch = np.empty(shape), _box_scratch(shape, r)
+            assert alpha_from_norms(norms, r, 1e-2, out=out, scratch=scratch) is out
+            assert np.array_equal(out, alpha_from_norms(norms, r, 1e-2))
 
     def test_constant_norm_raster_gives_reciprocal(self):
         c = 0.25

@@ -197,7 +197,7 @@ MALFORMED = [
     (b"P5\n4 4\n255\n" + bytes(8), 19, "truncated payload: expected 27 bytes, got 19"),
     (b"TVF1" + bytes(4), 8, "truncated header"),
     (_tvf1(0, 4), 4, "width must be positive"),
-    (_tvf1(4, 0), 4, "height must be positive"),
+    (_tvf1(4, 0), 8, "height must be positive"),
     (_tvf1(70000, 70000), 4, "dimension overflow"),
     (_tvf1(1, 1, bytes(8)), 16, "payload exceeds declared dimensions"),
     (_tvf1(2, 2, bytes(8)), 20, "truncated payload: expected 28 bytes, got 20"),

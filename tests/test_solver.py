@@ -34,7 +34,7 @@ def _prox_id(p):
 
 
 def _field(h, v):
-    return np.asarray(h, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    return np.array([h, v], dtype=np.float64)
 
 
 class TestProxT:
@@ -99,16 +99,13 @@ class TestProxT:
 def _reference_prox(q, alpha, beta_t, p):
     # prox_t as it was written before it took out=: np.where guards the
     # zero-norm pixels.
-    q_h, q_v = q
     if p == 1:
-        threshold = alpha / beta_t
-        return (np.sign(q_h) * np.maximum(np.abs(q_h) - threshold, 0.0),
-                np.sign(q_v) * np.maximum(np.abs(q_v) - threshold, 0.0))
-    norms = np.sqrt(q_h * q_h + q_v * q_v)
+        return np.sign(q) * np.maximum(np.abs(q) - alpha / beta_t, 0.0)
+    norms = np.sqrt(q[0] * q[0] + q[1] * q[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > 0.0, 1.0 - alpha / (beta_t * norms), 0.0)
     scale = np.maximum(scale, 0.0)
-    return q_h * scale, q_v * scale
+    return q * scale
 
 
 @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (1, 16), (16, 1)])
@@ -122,7 +119,7 @@ def test_prox_out_matches_allocating_and_reference(shape, p):
         arr.flat[::3] = 0.0
         arr.flat[1::5] = -0.0
     alpha.flat[::6] = 0.0
-    out = np.empty(shape), np.empty(shape)
+    out = np.empty((2, *shape))
     assert prox_t(q, alpha, 20.0, p, out=out, scratch=np.empty(shape)) is out
     for got, alloc, ref in zip(out, prox_t(q, alpha, 20.0, p),
                                _reference_prox(q, alpha, 20.0, p)):
@@ -218,26 +215,20 @@ class TestRestore:
         g_hat = np.fft.rfft2(g)
         z = g_hat * plan.eigen_K - g_hat
         y_w = np.zeros_like(g_hat)
-        y_h, y_v = np.zeros((32, 32)), np.zeros((32, 32))
+        y_t = np.zeros((2, 32, 32))
         for _ in range(steps):
             if mode == "hwtv":
                 norms = linops.pointwise_norm(linops.gradient(u), p)
                 alpha = alpha_from_norms(norms, cfg.r, solver.EPS_FLOOR)
             mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
-            grad_h, grad_v = linops.gradient(u)
-            t_h, t_v = prox_t((grad_h + y_h, grad_v + y_v), alpha, bt, p)
+            t = prox_t(linops.gradient(u) + y_t, alpha, bt, p)
             w = z * (bw / (mu + bw))
-            u, spectrum = linops.spectral_step(
-                linops.divergence((t_h - y_h, t_v - y_v)),
-                w - y_w + g_hat,
-                factors,
-            )
+            d, v = linops.divergence(t - y_t), w - y_w + g_hat
+            u, spectrum = linops.spectral_step(d, v, factors)
             residual = spectrum * plan.eigen_K - g_hat
-            grad_h, grad_v = linops.gradient(u)
             y_w = residual - (w - y_w)
             z = residual + y_w
-            y_h = grad_h - (t_h - y_h)
-            y_v = grad_v - (t_v - y_v)
+            y_t = linops.gradient(u) - (t - y_t)
         assert np.array_equal(result.u_star.data, u)
         assert np.array_equal(result.alpha_final, alpha)
         assert result.final_mu == mu
@@ -509,13 +500,11 @@ class TestFrozenProblemAgainstGenericMinimizer:
 
         def func_and_grad(x):
             img = x.reshape(n, n)
-            gr_h, gr_v = linops.gradient(img)
-            mag = np.sqrt(gr_h**2 + gr_v**2 + smoothing)
+            gr = linops.gradient(img)
+            mag = np.sqrt(gr[0]**2 + gr[1]**2 + smoothing)
             resid = linops.blur_via_plan(plan, img) - g
             value = float(np.sum(weights * mag) + 0.5 * mu * np.sum(resid**2))
-            grad = linops.divergence(
-                (weights * gr_h / mag, weights * gr_v / mag)
-            ) + mu * circular_correlate(resid, kernel)
+            grad = linops.divergence(weights * gr / mag) + mu * circular_correlate(resid, kernel)
             return value, grad.ravel()
 
         res = minimize(

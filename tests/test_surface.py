@@ -66,6 +66,19 @@ FIELDS = {
     },
 }
 
+# The buffers each loop primitive takes last, defaulting to None: ``out=`` the
+# result (``spectral_step``'s is the pair it returns), ``scratch=`` workspace.
+# No other parameter defaults to None, so a third convention fails here.
+BUFFERS = {
+    "adapt.alpha_from_norms": ["out", "scratch"],
+    "linops.box_mean": ["out", "scratch"],
+    "linops.divergence": ["out", "scratch"],
+    "linops.gradient": ["out"],
+    "linops.pointwise_norm": ["out", "scratch"],
+    "linops.spectral_step": ["out"],
+    "solver.prox_t": ["out", "scratch"],
+}
+
 
 def test_all_is_the_library_boundary():
     assert len(BOUNDARY) == 16
@@ -105,6 +118,16 @@ def test_record_fields(record):
     assert fields == FIELDS[record]
     # the constructor takes exactly these names, in this order
     assert list(inspect.signature(cls).parameters) == list(FIELDS[record])
+
+
+@pytest.mark.parametrize("primitive", sorted(BUFFERS))
+def test_buffer_keywords(primitive):
+    module_name, _, name = primitive.partition(".")
+    function = getattr(importlib.import_module(f"hwtv.{module_name}"), name)
+    params = list(inspect.signature(function).parameters.values())
+    buffers = BUFFERS[primitive]
+    assert [param.name for param in params[-len(buffers):]] == buffers
+    assert [param.name for param in params if param.default is None] == buffers
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
