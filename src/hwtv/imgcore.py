@@ -43,10 +43,12 @@ class ImageBuffer:
     data: np.ndarray
 
     def __post_init__(self):
-        # The float64 cast would drop an imaginary part with only a warning.
-        if np.iscomplexobj(self.data):
-            raise ValueError("image samples must be real")
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
+        # Only bools, integers and reals cast to float64 as numbers: the cast
+        # would drop an imaginary part, parse strings and count dates.
+        arr = np.asarray(self.data)
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"image samples must be real numbers, got dtype {arr.dtype}")
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("image data must be a non-empty 2-D array")
         if not np.all(np.isfinite(arr)):
@@ -72,8 +74,9 @@ def _is_integer(value) -> bool:
 
 
 def _require_finite_positive(name: str, value: float) -> None:
-    # NaN fails every comparison, so "value <= 0" alone would let it through.
-    if not (math.isfinite(value) and value > 0):
+    # NaN fails every comparison, so "value <= 0" alone would let it through;
+    # True is no real, as it is no count.
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 

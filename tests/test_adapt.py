@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hwtv.adapt import alpha_from_norms, update_mu
 from hwtv.linops import _box_scratch, gradient, pointwise_norm
-from hwtv.solver import EPS_FLOOR, SolverConfig
+from hwtv.solver import EPS_FLOOR
 
 from half_laplacian import sample_half_laplacian
 
@@ -98,14 +98,6 @@ class TestUpdateMu:
     def test_zero_on_interval_below_delta(self):
         for frac in (0.0, 0.3, 0.9999, 1.0):
             assert update_mu(frac * self.DELTA, self.DELTA, beta_w=50.0) == 0.0
-
-    def test_nonpositive_beta_rejected(self):
-        # update_mu trusts its beta_w; a nonpositive one is stopped where it
-        # enters, in SolverConfig, together with beta_t.
-        for name in ("beta_t", "beta_w"):
-            for bad in (0.0, -1.0):
-                with pytest.raises(ValueError, match=name):
-                    SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, name: bad})
 
     @settings(max_examples=200, deadline=None)
     @given(

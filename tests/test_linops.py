@@ -185,21 +185,6 @@ class TestKernel:
         kernel = make_kernel(BlurSpec(band=band, sigma=sigma))
         assert kernel[2, 2] == pytest.approx(1.0 / total, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
-    def test_non_finite_sigma_rejected(self, bad):
-        # a NaN or infinite width would give a NaN or box kernel; band 1 is
-        # checked as well
-        for band in (5, 1):
-            with pytest.raises(ValueError, match="sigma"):
-                BlurSpec(band=band, sigma=bad)
-
-    def test_even_band_rejected(self):
-        # an even, fractional, float-typed, non-finite or bool band is not a
-        # kernel size
-        for band in (4, 4.5, 3.0, float("nan"), float("inf"), True):
-            with pytest.raises(ValueError, match="odd positive integer"):
-                BlurSpec(band=band, sigma=1.0)
-
     def test_normalized(self):
         kernel = make_kernel(BlurSpec(band=7, sigma=2.0))
         assert kernel.min() >= 0.0
@@ -225,10 +210,6 @@ class TestBlur:
         lhs = blur_via_plan(plan, 2.0 * u - 3.0 * v)
         rhs = 2.0 * blur_via_plan(plan, u) - 3.0 * blur_via_plan(plan, v)
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_kernel_larger_than_image_rejected(self):
-        with pytest.raises(ValueError):
-            _plan_for(_img(np.zeros((3, 3))), BlurSpec(band=5, sigma=1.0))
 
     def test_adjoint_equals_forward_for_symmetric_kernel(self):
         rng = np.random.default_rng(26)

@@ -307,69 +307,7 @@ class TestRestore:
         assert result.iterations <= 7
         assert len(result.trace) == result.iterations
 
-    def test_oversized_window_rejected_up_front(self):
-        g = ImageBuffer(np.random.default_rng(9).random((32, 32)))
-        cfg = SolverConfig(p=2, tau=1.0, r=16, mode="hwtv")
-        with pytest.raises(ValueError, match="window"):
-            restore(g, BlurSpec(band=1), 0.1, cfg)
-
-    def test_nonpositive_sigma_rejected(self):
-        g = ImageBuffer(np.full((8, 8), 0.5))
-        cfg = SolverConfig(p=2, tau=1.0, r=2)
-        with pytest.raises(ValueError, match="sigma"):
-            restore(g, BlurSpec(band=1), 0.0, cfg)
-
-    def test_underflowing_discrepancy_target_rejected_up_front(self, monkeypatch):
-        # tau and sigma each pass their checks, but tau * sigma * sqrt(n)
-        # underflows to 0; restore rejects it before the first sweep.
-        def no_sweep(*args):
-            raise AssertionError("a sweep ran")
-
-        monkeypatch.setattr(solver, "_sweep", no_sweep)
-        g = ImageBuffer(np.full((8, 8), 0.5))
-        cfg = SolverConfig(p=2, tau=1e-200, r=2)
-        with pytest.raises(ValueError, match="positive"):
-            restore(g, BlurSpec(band=1), 1e-200, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(p=3, tau=1.0, r=2)
-        with pytest.raises(ValueError):
-            SolverConfig(p=2, tau=1.0, r=2, mode="other")
-        with pytest.raises(ValueError):
-            SolverConfig(p=2, tau=-1.0, r=2)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_tunables_rejected(self, bad):
-        # NaN passes a "<= 0" test; each tunable must be finite and positive
-        for name in ("tau", "beta_t", "beta_w", "tol"):
-            with pytest.raises(ValueError, match=name):
-                SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, name: bad})
-
-    @pytest.mark.parametrize(
-        "beta_t, beta_w", [(1e-300, 1e300), (1e300, 1e-300)], ids=["overflow", "underflow"]
-    )
-    def test_beta_ratio_must_be_finite_and_positive(self, beta_t, beta_w):
-        # each penalty is finite and positive, but the u step's beta_w / beta_t
-        # is not: rejected when the config is built, not inside restore
-        with pytest.raises(ValueError, match="beta_w / beta_t"):
-            SolverConfig(p=2, tau=1.0, r=2, beta_t=beta_t, beta_w=beta_w)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_sigma_rejected(self, bad):
-        g = ImageBuffer(np.full((8, 8), 0.5))
-        with pytest.raises(ValueError, match="sigma"):
-            restore(g, BlurSpec(band=1), bad, SolverConfig(p=2, tau=1.0, r=2))
-
-    def test_non_integer_counts_rejected(self):
-        # a fractional radius or sweep cap, or a non-integer or bool norm
-        # order, is rejected here, not deep in the loop; True would pass
-        # as 1
-        bad_counts = ({"r": 2.5}, {"max_iter": 2.5}, {"r": 2.0}, {"p": 2.0},
-                      {"p": True}, {"r": True}, {"max_iter": True})
-        for bad in bad_counts:
-            with pytest.raises(ValueError, match="integer"):
-                SolverConfig(**{"p": 2, "tau": 1.0, "r": 2, **bad})
+    def test_numpy_integer_counts_accepted(self):
         cfg = SolverConfig(p=2, tau=1.0, r=np.int64(2), max_iter=np.int32(5))
         assert (cfg.r, cfg.max_iter) == (2, 5)
 

@@ -4,9 +4,14 @@ import importlib
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 import hwtv
+from hwtv import (
+    BlurSpec, DegradationSpec, ImageBuffer, PhantomSpec, SolverConfig, isnr, restore, solver, ssim,
+)
+from hwtv.linops import build_plan
 
 BOUNDARY = [
     "BlurSpec",
@@ -66,6 +71,120 @@ FIELDS = {
     },
 }
 
+NAN, INF = float("nan"), float("inf")
+# Valid arguments for the callables whose rows name only the bad ones: a
+# row's arguments are laid over these, so they alone are what is rejected.
+VALID = {
+    DegradationSpec: {"blur": BlurSpec(band=1), "sigma": 0.1},
+    PhantomSpec: {"width": 64, "height": 64, "kind": "texture"},
+    SolverConfig: {"p": 2, "tau": 1.0, "r": 2},
+    restore: {
+        "g": ImageBuffer(np.full((8, 8), 0.5)), "blur": BlurSpec(band=1), "sigma": 0.1,
+        "cfg": SolverConfig(p=2, tau=1.0, r=2),
+    },
+}
+# Each input the library boundary rejects: the callable, the arguments that
+# make it bad (over VALID's), the exception and a fragment of its message.
+# An invariant joins the boundary by a row here.
+REJECTED = {
+    "SolverConfig-p-3": (SolverConfig, {"p": 3}, ValueError, "p must be the integer 1 or 2"),
+    "SolverConfig-p-float": (SolverConfig, {"p": 2.0}, ValueError, "integer"),
+    "SolverConfig-p-bool": (SolverConfig, {"p": True}, ValueError, "integer"),
+    "SolverConfig-tau-negative":
+        (SolverConfig, {"tau": -1.0}, ValueError, "tau must be finite and positive"),
+    "SolverConfig-tau-nan": (SolverConfig, {"tau": NAN}, ValueError, "tau"),
+    "SolverConfig-tau-inf": (SolverConfig, {"tau": INF}, ValueError, "tau"),
+    "SolverConfig-tau-bool": (SolverConfig, {"tau": True}, ValueError, "tau"),
+    "SolverConfig-r-fractional": (SolverConfig, {"r": 2.5}, ValueError, "integer"),
+    "SolverConfig-r-float": (SolverConfig, {"r": 2.0}, ValueError, "integer"),
+    "SolverConfig-r-bool": (SolverConfig, {"r": True}, ValueError, "integer"),
+    "SolverConfig-mode-other": (SolverConfig, {"mode": "other"}, ValueError, "mode must be"),
+    "SolverConfig-beta_t-zero": (SolverConfig, {"beta_t": 0.0}, ValueError, "beta_t"),
+    "SolverConfig-beta_t-negative": (SolverConfig, {"beta_t": -1.0}, ValueError, "beta_t"),
+    "SolverConfig-beta_t-nan": (SolverConfig, {"beta_t": NAN}, ValueError, "beta_t"),
+    "SolverConfig-beta_t-inf": (SolverConfig, {"beta_t": INF}, ValueError, "beta_t"),
+    "SolverConfig-beta_t-bool": (SolverConfig, {"beta_t": True}, ValueError, "beta_t"),
+    "SolverConfig-beta_w-zero": (SolverConfig, {"beta_w": 0.0}, ValueError, "beta_w"),
+    "SolverConfig-beta_w-negative": (SolverConfig, {"beta_w": -1.0}, ValueError, "beta_w"),
+    "SolverConfig-beta_w-nan": (SolverConfig, {"beta_w": NAN}, ValueError, "beta_w"),
+    "SolverConfig-beta_w-inf": (SolverConfig, {"beta_w": INF}, ValueError, "beta_w"),
+    "SolverConfig-beta_w-bool": (SolverConfig, {"beta_w": True}, ValueError, "beta_w"),
+    # each penalty is finite and positive, but the u step's ratio is not
+    "SolverConfig-beta-ratio-overflow":
+        (SolverConfig, {"beta_t": 1e-300, "beta_w": 1e300}, ValueError, "beta_w / beta_t"),
+    "SolverConfig-beta-ratio-underflow":
+        (SolverConfig, {"beta_t": 1e300, "beta_w": 1e-300}, ValueError, "beta_w / beta_t"),
+    "SolverConfig-max_iter-fractional": (SolverConfig, {"max_iter": 2.5}, ValueError, "integer"),
+    "SolverConfig-max_iter-bool": (SolverConfig, {"max_iter": True}, ValueError, "integer"),
+    "SolverConfig-tol-nan": (SolverConfig, {"tol": NAN}, ValueError, "tol"),
+    "SolverConfig-tol-inf": (SolverConfig, {"tol": INF}, ValueError, "tol"),
+    "SolverConfig-tol-bool": (SolverConfig, {"tol": True}, ValueError, "tol"),
+    "restore-window-oversized": (restore, {
+        "g": ImageBuffer(np.random.default_rng(9).random((32, 32))),
+        "cfg": SolverConfig(p=2, tau=1.0, r=16, mode="hwtv"),
+    }, ValueError, "window"),
+    "restore-sigma-zero": (restore, {"sigma": 0.0}, ValueError, "sigma"),
+    "restore-sigma-nan": (restore, {"sigma": NAN}, ValueError, "sigma"),
+    "restore-sigma-inf": (restore, {"sigma": INF}, ValueError, "sigma"),
+    "restore-sigma-bool": (restore, {"sigma": True}, ValueError, "sigma"),
+    # tau and sigma each pass their checks, but tau * sigma * sqrt(n) is 0
+    "restore-target-underflow": (restore, {
+        "sigma": 1e-200, "cfg": SolverConfig(p=2, tau=1e-200, r=2),
+    }, ValueError, "positive"),
+    "BlurSpec-band-even": (BlurSpec, {"band": 4}, ValueError, "odd positive integer"),
+    "BlurSpec-band-fractional": (BlurSpec, {"band": 4.5}, ValueError, "odd positive integer"),
+    "BlurSpec-band-float": (BlurSpec, {"band": 3.0}, ValueError, "odd positive integer"),
+    "BlurSpec-band-nan": (BlurSpec, {"band": NAN}, ValueError, "odd positive integer"),
+    "BlurSpec-band-inf": (BlurSpec, {"band": INF}, ValueError, "odd positive integer"),
+    "BlurSpec-band-bool": (BlurSpec, {"band": True}, ValueError, "odd positive integer"),
+    # a NaN or infinite width would give a NaN or box kernel; band 1 is checked too
+    "BlurSpec-sigma-nan": (BlurSpec, {"band": 5, "sigma": NAN}, ValueError, "sigma"),
+    "BlurSpec-sigma-inf": (BlurSpec, {"band": 5, "sigma": INF}, ValueError, "sigma"),
+    "BlurSpec-sigma-zero": (BlurSpec, {"band": 5, "sigma": 0.0}, ValueError, "sigma"),
+    "BlurSpec-sigma-nan-band1": (BlurSpec, {"band": 1, "sigma": NAN}, ValueError, "sigma"),
+    "BlurSpec-sigma-inf-band1": (BlurSpec, {"band": 1, "sigma": INF}, ValueError, "sigma"),
+    "BlurSpec-sigma-zero-band1": (BlurSpec, {"band": 1, "sigma": 0.0}, ValueError, "sigma"),
+    "BlurSpec-sigma-bool": (BlurSpec, {"sigma": True}, ValueError, "sigma"),
+    "BlurSpec-sigma-numpy-bool": (BlurSpec, {"sigma": np.True_}, ValueError, "sigma"),
+    "build_plan-kernel-larger-than-image": (build_plan, {
+        "width": 3, "height": 3, "spec": BlurSpec(band=5, sigma=1.0),
+    }, ValueError, "larger than image"),
+    "DegradationSpec-sigma-nan": (DegradationSpec, {"sigma": NAN}, ValueError, "sigma"),
+    "DegradationSpec-sigma-inf": (DegradationSpec, {"sigma": INF}, ValueError, "sigma"),
+    "DegradationSpec-sigma-bool": (DegradationSpec, {"sigma": True}, ValueError, "sigma"),
+    "DegradationSpec-seed-bool": (DegradationSpec, {"seed": True}, ValueError, "seed"),
+    "DegradationSpec-seed-float": (DegradationSpec, {"seed": 1.5}, ValueError, "seed"),
+    "DegradationSpec-seed-negative": (DegradationSpec, {"seed": -1}, ValueError, "seed"),
+    "PhantomSpec-width-float": (PhantomSpec, {"width": 64.0}, ValueError, "integers"),
+    "PhantomSpec-height-float": (PhantomSpec, {"height": np.float64(64)}, ValueError, "integers"),
+    "PhantomSpec-width-too-small":
+        (PhantomSpec, {"width": 16, "kind": "cartoon"}, ValueError, "at least 32"),
+    "PhantomSpec-kind-unknown": (PhantomSpec, {"kind": "noise"}, ValueError, "kind must be"),
+    "PhantomSpec-freq-nan": (PhantomSpec, {"texture_freq": NAN}, ValueError, "texture_freq"),
+    "PhantomSpec-freq-inf": (PhantomSpec, {"texture_freq": INF}, ValueError, "texture_freq"),
+    "PhantomSpec-freq-bool": (PhantomSpec, {"texture_freq": True}, ValueError, "texture_freq"),
+    "ImageBuffer-nan":
+        (ImageBuffer, {"data": np.array([[0.0, NAN], [0.0, 0.0]])}, ValueError, "finite"),
+    "ImageBuffer-inf": (ImageBuffer, {"data": np.array([[INF]])}, ValueError, "finite"),
+    "ImageBuffer-1d": (ImageBuffer, {"data": np.zeros(4)}, ValueError, "2-D"),
+    # a float64 cast would drop the imaginary part, parse the strings or count the days
+    "ImageBuffer-complex": (ImageBuffer, {"data": np.array([[1 + 2j, 0.5]])}, ValueError, "real"),
+    "ImageBuffer-str": (ImageBuffer, {"data": np.array([["0.5", "1"]])}, ValueError, "real"),
+    "ImageBuffer-bytes": (ImageBuffer, {"data": np.array([[b"0.5", b"1"]])}, ValueError, "real"),
+    "ImageBuffer-datetime64": (ImageBuffer, {
+        "data": np.array([["2020-01-01"]], dtype="datetime64[D]"),
+    }, ValueError, "real"),
+    "ssim-image-too-small": (ssim, {
+        "a": ImageBuffer(np.zeros((10, 10))), "b": ImageBuffer(np.zeros((10, 10))),
+    }, ValueError, "at least 11x11"),
+    "isnr-shape-mismatch": (isnr, {
+        "g": ImageBuffer(np.zeros((4, 4))), "u_true": ImageBuffer(np.zeros((4, 5))),
+        "u_rec": ImageBuffer(np.zeros((4, 4))),
+    }, ValueError, "differ in shape"),
+}
+# The record fields no constructor checks: any value of them builds a record.
+UNCHECKED = {"DegradationSpec": ["blur"]}
+
 # The buffers each loop primitive takes last, defaulting to None: ``out=`` the
 # result (``spectral_step``'s is the pair it returns), ``scratch=`` workspace.
 # No other parameter defaults to None, so a third convention fails here.
@@ -118,6 +237,26 @@ def test_record_fields(record):
     assert fields == FIELDS[record]
     # the constructor takes exactly these names, in this order
     assert list(inspect.signature(cls).parameters) == list(FIELDS[record])
+
+
+@pytest.mark.parametrize("call, arguments, error, message", REJECTED.values(), ids=list(REJECTED))
+def test_rejected(monkeypatch, call, arguments, error, message):
+    # rejected where it enters, before any sweep runs
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran before the input was checked")
+
+    monkeypatch.setattr(solver, "_sweep", no_sweep)
+    with pytest.raises(error, match=message):
+        call(**{**VALID.get(call, {}), **arguments})
+
+
+@pytest.mark.parametrize("record", ["BlurSpec", "DegradationSpec", "PhantomSpec", "SolverConfig"])
+def test_every_checked_field_has_a_rejected_row(record):
+    cls = getattr(hwtv, record)
+    named = {name for call, arguments, *_ in REJECTED.values() if call is cls
+             for name in arguments}
+    unnamed = [field.name for field in dataclasses.fields(cls) if field.name not in named]
+    assert unnamed == UNCHECKED.get(record, [])
 
 
 @pytest.mark.parametrize("primitive", sorted(BUFFERS))

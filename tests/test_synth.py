@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from hwtv.imgcore import ImageBuffer
 from hwtv.linops import BlurSpec, blur_via_plan, build_plan, gradient, pointwise_norm
@@ -31,37 +30,6 @@ class TestPhantoms:
         assert np.mean(left == 0.0) > 0.8
         assert np.mean(right != 0.0) > 0.5
 
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            PhantomSpec(width=16, height=64, kind="cartoon")
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            PhantomSpec(width=64, height=64, kind="noise")
-
-
-_PHANTOM = {"width": 64, "height": 64, "kind": "texture"}
-_DEGRADATION = {"blur": BlurSpec(band=1), "sigma": 0.1}
-
-
-@pytest.mark.parametrize(
-    "spec, fields, match",
-    [
-        pytest.param(PhantomSpec, {"width": 64.0}, "integers", id="width-float"),
-        pytest.param(PhantomSpec, {"height": np.float64(64)}, "integers", id="height-float"),
-        pytest.param(PhantomSpec, {"texture_freq": float("nan")}, "texture_freq", id="freq-nan"),
-        pytest.param(PhantomSpec, {"texture_freq": float("inf")}, "texture_freq", id="freq-inf"),
-        pytest.param(DegradationSpec, {"seed": True}, "seed", id="seed-bool"),
-        pytest.param(DegradationSpec, {"seed": 1.5}, "seed", id="seed-float"),
-        pytest.param(DegradationSpec, {"seed": -1}, "seed", id="seed-negative"),
-    ],
-)
-def test_spec_rejects_bad_field_when_constructed(spec, fields, match):
-    # rejected here, not later inside make_phantom, numpy or the RNG
-    base = _PHANTOM if spec is PhantomSpec else _DEGRADATION
-    with pytest.raises(ValueError, match=match):
-        spec(**{**base, **fields})
-
 
 def _add_noise(u, sigma, seed):
     # The noise alone: degrade with the band-1 identity blur.
@@ -69,12 +37,6 @@ def _add_noise(u, sigma, seed):
 
 
 class TestDegradeNoise:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_sigma_rejected(self, bad):
-        # the spec is the one place sigma is checked, before degrade runs
-        with pytest.raises(ValueError, match="sigma"):
-            DegradationSpec(blur=BlurSpec(band=1), sigma=bad)
-
     def test_sample_std_near_sigma(self):
         base = ImageBuffer(np.zeros((256, 256)))
         sigma = 0.07
