@@ -208,6 +208,39 @@ class TestDegrade:
         echo = json.loads(out)
         assert (echo["blur_band"], echo["blur_sigma"]) == (1, 1.0)
 
+    def test_band_zero_is_usage_error(self, phantom_files, capsys):
+        # the band must be odd and positive: every subcommand that takes a
+        # blur rejects 0, and writes nothing
+        tmp_path, _, truth_path = phantom_files
+        out_path = tmp_path / "out"
+        for argv in (
+            ["degrade", "--in", str(truth_path)],
+            ["restore", "--in", str(truth_path), "--max-iter", "1"],
+            ["sweep", "--true", str(truth_path), "--in", str(truth_path),
+             "--tau-grid", "1.0", "--radius-grid", "2", "--max-iter", "1"],
+        ):
+            code, _ = _run(
+                argv + ["--out", str(out_path), "--noise-sigma", "0.1", "--blur-band", "0"],
+                capsys,
+            )
+            assert code == 2, argv[0]
+            assert not out_path.exists(), argv[0]
+
+    def test_missing_noise_sigma_usage_error(self, phantom_files, capsys):
+        tmp_path, _, truth_path = phantom_files
+        with pytest.raises(SystemExit) as err:
+            cli.main(["degrade", "--in", str(truth_path), "--out", str(tmp_path / "g.pgm")])
+        assert err.value.code == 2
+
+    def test_unreadable_input_is_reported(self, tmp_path, capsys):
+        code, _ = _run(
+            ["degrade", "--in", str(tmp_path / "missing.pgm"),
+             "--out", str(tmp_path / "g.pgm"), "--noise-sigma", "0.1"],
+            capsys,
+        )
+        assert code == 2
+
+
 class TestRestoreCommand:
     def test_restore_writes_artifacts_and_json(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
@@ -286,6 +319,65 @@ class TestRestoreCommand:
         names = {f.name for f in dataclasses.fields(SolverConfig)}
         assert set(cli.SOLVER_FLAGS) | {"tau", "r"} == names
 
+    def test_oversized_radius_is_usage_error(self, phantom_files, capsys):
+        tmp_path, truth, truth_path = phantom_files
+        g_path = _degrade(capsys, truth_path, "g.pgm", 11)
+        code, _ = _run(
+            ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
+             "--noise-sigma", "0.1", "--tau", "1.0", "--radius", "40"],
+            capsys,
+        )
+        assert code == 2
+
+    def test_underflowing_discrepancy_target_is_usage_error(self, phantom_files, capsys):
+        # tau and sigma are each positive, but tau * sigma * sqrt(n) is 0
+        tmp_path, truth, truth_path = phantom_files
+        out_path = tmp_path / "rec.raw"
+        code, _ = _run(
+            ["restore", "--in", str(truth_path), "--out", str(out_path),
+             "--noise-sigma", "1e-200", "--tau", "1e-200", "--radius", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert not out_path.exists()
+
+    def test_non_finite_tunable_is_usage_error(self, phantom_files, capsys):
+        # a NaN tau or sigma is bad input (exit 2), not a diverged run (exit 3)
+        tmp_path, truth, truth_path = phantom_files
+        g_path = _degrade(capsys, truth_path, "g.pgm", 6)
+        options = {"--noise-sigma": "0.1", "--tau": "1.0", "--radius": "4", "--max-iter": "3"}
+        for flag in ("--tau", "--noise-sigma", "--tol"):
+            argv = ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm")]
+            for key, value in dict(options, **{flag: "nan"}).items():
+                argv += [key, value]
+            code, _ = _run(argv, capsys)
+            assert code == 2, flag
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_blur_sigma_is_usage_error(self, phantom_files, capsys, bad):
+        # a NaN blur width is bad input, not a diverged run; an infinite one
+        # is not a box blur. Sigma is checked for every band, the identity's
+        # 1 included.
+        tmp_path, truth, truth_path = phantom_files
+        g_path = _degrade(capsys, truth_path, "g.pgm", 6)
+        for band in ("5", "1"):
+            blur = ["--blur-band", band, "--blur-sigma", bad]
+            code, _ = _run(
+                ["restore", "--in", str(g_path), "--out", str(tmp_path / "rec.pgm"),
+                 "--noise-sigma", "0.1", "--tau", "1.0", "--radius", "4", "--max-iter", "3",
+                 *blur],
+                capsys,
+            )
+            assert code == 2, band
+            out_path = tmp_path / "g2.pgm"
+            code, _ = _run(
+                ["degrade", "--in", str(truth_path), "--out", str(out_path),
+                 "--noise-sigma", "0.1", *blur],
+                capsys,
+            )
+            assert code == 2, band
+            assert not out_path.exists()
+
     def test_divergence_exit_code(self, phantom_files, capsys, monkeypatch):
         tmp_path, truth, truth_path = phantom_files
         g_path = _degrade(capsys, truth_path, "g.pgm", 6)
@@ -345,6 +437,18 @@ class TestMetricsCommand:
         assert code == 0
         assert "Infinity" in out
         assert json.loads(out)["ssim"] == 1.0
+
+    def test_dimension_mismatch_exit_two(self, phantom_files, capsys):
+        tmp_path, truth, truth_path = phantom_files
+        small = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
+        small_path = tmp_path / "small.raw"
+        write_image(small, small_path, RAW_F32)
+        code, _ = _run(
+            ["metrics", "--ref", str(truth_path), "--deg", str(truth_path),
+             "--rec", str(small_path)],
+            capsys,
+        )
+        assert code == 2
 
     def test_end_to_end_pipeline_improves_isnr(self, phantom_files, capsys):
         tmp_path, truth, truth_path = phantom_files
@@ -418,6 +522,62 @@ class TestSweepCommand:
         with pytest.raises(ValueError, match="points"):
             cli.parse_grid("0:1e-6:1", float)
 
+    def test_empty_grid_exit_two(self, phantom_files, capsys):
+        tmp_path, truth, truth_path = phantom_files
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
+        code, _ = _run(
+            ["sweep", "--true", str(truth_path), "--in", str(g_path),
+             "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+             "--tau-grid", ",", "--radius-grid", "2"],
+            capsys,
+        )
+        assert code == 2
+
+    def test_nonpositive_grid_value_exit_two_before_any_cell(
+        self, phantom_files, capsys, monkeypatch
+    ):
+        tmp_path, truth, truth_path = phantom_files
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
+
+        def no_restore(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(cli.solver, "restore", no_restore)
+        # non-finite values must not reach float-to-int casts or range counts
+        for tau_grid, radius_grid in (
+            ("1.0,-0.5", "2"), ("1.0", "2,0"),
+            ("0.9:0.1:inf", "2"), ("1.0", "2,inf"), ("1.0", "1e400"),
+            ("0:1e-9:1", "2"), ("1.0", "2,40"),
+        ):
+            code, _ = _run(
+                ["sweep", "--true", str(truth_path), "--in", str(g_path),
+                 "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+                 "--tau-grid", tau_grid, "--radius-grid", radius_grid],
+                capsys,
+            )
+            assert code == 2
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_bad_jobs_or_grid_form_exit_two_before_any_cell(
+        self, phantom_files, capsys, monkeypatch
+    ):
+        tmp_path, truth, truth_path = phantom_files
+        g_path = _degrade(capsys, truth_path, "g.raw", 10)
+
+        def no_restore(*args, **kwargs):
+            raise AssertionError("a cell ran before the arguments were checked")
+
+        monkeypatch.setattr(cli.solver, "restore", no_restore)
+        for extra in (["--jobs", "0"], ["--tau-grid", "1:2"], ["--tau-grid", "0:0:1"]):
+            code, _ = _run(
+                ["sweep", "--true", str(truth_path), "--in", str(g_path),
+                 "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+                 "--radius-grid", "2", *extra],
+                capsys,
+            )
+            assert code == 2
+        assert not (tmp_path / "s.csv").exists()
+
     def test_diverged_cell_is_a_nan_row(self, phantom_files, capsys, monkeypatch):
         # a diverged cell is reported in its row; the sweep goes on and exits 0
         tmp_path, truth, truth_path = phantom_files
@@ -450,6 +610,27 @@ class TestSweepCommand:
             else:
                 assert np.isfinite(metrics).all()
                 assert row["iterations"] == 5
+
+    def test_unscorable_images_exit_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # every cell is scored by ISNR and SSIM, which need one shape and at
+        # least SSIM's 11x11 window; both are checked before any restore
+        def no_restore(*args, **kwargs):
+            raise AssertionError("a cell ran before the images were checked")
+
+        monkeypatch.setattr(cli.solver, "restore", no_restore)
+        paths = {}
+        for name, shape in (("square", (16, 16)), ("wide", (16, 20)), ("tiny", (8, 8))):
+            paths[name] = tmp_path / f"{name}.raw"
+            write_image(ImageBuffer(np.full(shape, 0.5)), paths[name], RAW_F32)
+        for truth, observed in (("square", "wide"), ("tiny", "tiny")):
+            code, _ = _run(
+                ["sweep", "--true", str(paths[truth]), "--in", str(paths[observed]),
+                 "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
+                 "--tau-grid", "1.0", "--radius-grid", "2"],
+                capsys,
+            )
+            assert code == 2
+        assert not (tmp_path / "s.csv").exists()
 
     def test_exact_reconstruction_reports_infinite_isnr(self, tmp_path, capsys):
         # a constant image is a fixed point of restore, so every cell

@@ -27,6 +27,23 @@ def _rand_img(rng, h, w, lo=0.0, hi=1.0):
 
 
 class TestImageBuffer:
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            _img([[0.0, np.nan], [0.0, 0.0]])
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError):
+            _img([[np.inf]])
+
+    def test_rejects_complex(self):
+        # a float64 cast would keep only the real part, with a mere warning
+        with pytest.raises(ValueError, match="real"):
+            ImageBuffer(np.array([[1 + 2j, 0.5]]))
+
+    def test_rejects_1d(self):
+        with pytest.raises(ValueError):
+            ImageBuffer(np.zeros(4))
+
     def test_shape_accessors(self):
         img = _img(np.zeros((3, 5)))
         assert (img.width, img.height, img.pixel_count) == (5, 3, 15)
@@ -45,6 +62,33 @@ class TestPgmIO:
         path.write_bytes(b"P5\n# a comment\n2 1 # inline\n255\n" + bytes([7, 9]))
         img = read_image(path)
         assert np.array_equal(img.data, np.array([[7 / 255, 9 / 255]]))
+
+    def test_truncated_payload_reports_offset(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        blob = b"P5\n4 4\n255\n" + bytes(8)
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="truncated") as err:
+            read_image(path)
+        assert err.value.offset == len(blob)
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P6\n1 1\n255\n\x00")
+        with pytest.raises(FormatError) as err:
+            read_image(path)
+        assert err.value.offset == 0
+
+    def test_bad_maxval(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
+        with pytest.raises(FormatError, match="maxval"):
+            read_image(path)
+
+    def test_dimension_overflow(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n70000 70000\n255\n")
+        with pytest.raises(FormatError, match="overflow"):
+            read_image(path)
 
     def test_write_quantizes_round_half_up(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -76,6 +120,31 @@ class TestRawF32IO:
         write_image(ImageBuffer(samples), path, RAW_F32)
         back = read_image(path)
         assert np.array_equal(back.data, samples)
+
+    def test_bad_magic_offset_zero(self, tmp_path):
+        path = tmp_path / "t.raw"
+        path.write_bytes(b"XXXX" + bytes(8))
+        with pytest.raises(FormatError) as err:
+            read_image(path)
+        assert err.value.offset == 0
+
+    def test_truncated_payload(self, tmp_path):
+        import struct
+
+        path = tmp_path / "t.raw"
+        path.write_bytes(b"TVF1" + struct.pack("<II", 4, 4) + bytes(8))
+        with pytest.raises(FormatError, match="truncated"):
+            read_image(path)
+
+    def test_nonfinite_sample_rejected_with_offset(self, tmp_path):
+        import struct
+
+        path = tmp_path / "t.raw"
+        payload = np.array([1.0, np.nan], dtype="<f4").tobytes()
+        path.write_bytes(b"TVF1" + struct.pack("<II", 2, 1) + payload)
+        with pytest.raises(FormatError) as err:
+            read_image(path)
+        assert err.value.offset == 12 + 4
 
     def test_read_image_dispatches_on_magic(self, tmp_path):
         # the leading bytes alone pick the reader, whatever the file is called
@@ -196,6 +265,10 @@ class TestIsnr:
         rec = _rand_img(rng, 8, 8)
         assert isnr(ImageBuffer(truth.data.copy()), truth, rec) == -math.inf
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            isnr(_img(np.zeros((4, 4))), _img(np.zeros((4, 5))), _img(np.zeros((4, 4))))
+
 
 def _ssim_oracle(a, b):
     # Independent per-window scalar evaluation of the standard formula.
@@ -244,6 +317,10 @@ class TestSsim:
         rng = np.random.default_rng(13)
         a, b = _rand_img(rng, 20, 20), _rand_img(rng, 20, 20)
         assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-14)
+
+    def test_small_image_rejected(self):
+        with pytest.raises(ValueError):
+            ssim(_img(np.zeros((10, 10))), _img(np.zeros((10, 10))))
 
     def test_value_at_most_one(self):
         rng = np.random.default_rng(14)
