@@ -74,10 +74,12 @@ def _is_integer(value) -> bool:
 
 
 def _require_finite_positive(name: str, value: float) -> None:
-    # NaN fails every comparison, so "value <= 0" alone would let it through;
-    # True is no real, as it is no count.
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    # NaN fails every comparison, so "value <= 0" alone would let it through.
+    # bool is a Real, but True is no real, as it is no count; numpy's bool, a
+    # string, None and a complex are no Real at all.
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _require_same_shape(*images: ImageBuffer) -> None:

@@ -308,6 +308,8 @@ def restore(
     identical inputs give bit-identical iterates, whatever the BLAS thread
     count, since no norm is summed by BLAS.
     """
+    if not isinstance(blur, BlurSpec):
+        raise ValueError(f"blur must be a BlurSpec, got {blur!r}")
     _require_finite_positive("sigma", sigma)
     _require_window_fits(cfg, g)
     plan = build_plan(g.width, g.height, blur)

@@ -21,6 +21,8 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.blur, BlurSpec):
+            raise ValueError(f"blur must be a BlurSpec, got {self.blur!r}")
         _require_finite_positive("sigma", self.sigma)
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")

@@ -95,6 +95,7 @@ REJECTED = {
     "SolverConfig-tau-nan": (SolverConfig, {"tau": NAN}, ValueError, "tau"),
     "SolverConfig-tau-inf": (SolverConfig, {"tau": INF}, ValueError, "tau"),
     "SolverConfig-tau-bool": (SolverConfig, {"tau": True}, ValueError, "tau"),
+    "SolverConfig-tau-str": (SolverConfig, {"tau": "1"}, ValueError, "tau .* got '1'"),
     "SolverConfig-r-fractional": (SolverConfig, {"r": 2.5}, ValueError, "integer"),
     "SolverConfig-r-float": (SolverConfig, {"r": 2.0}, ValueError, "integer"),
     "SolverConfig-r-bool": (SolverConfig, {"r": True}, ValueError, "integer"),
@@ -104,11 +105,13 @@ REJECTED = {
     "SolverConfig-beta_t-nan": (SolverConfig, {"beta_t": NAN}, ValueError, "beta_t"),
     "SolverConfig-beta_t-inf": (SolverConfig, {"beta_t": INF}, ValueError, "beta_t"),
     "SolverConfig-beta_t-bool": (SolverConfig, {"beta_t": True}, ValueError, "beta_t"),
+    "SolverConfig-beta_t-str": (SolverConfig, {"beta_t": "1"}, ValueError, "beta_t .* got '1'"),
     "SolverConfig-beta_w-zero": (SolverConfig, {"beta_w": 0.0}, ValueError, "beta_w"),
     "SolverConfig-beta_w-negative": (SolverConfig, {"beta_w": -1.0}, ValueError, "beta_w"),
     "SolverConfig-beta_w-nan": (SolverConfig, {"beta_w": NAN}, ValueError, "beta_w"),
     "SolverConfig-beta_w-inf": (SolverConfig, {"beta_w": INF}, ValueError, "beta_w"),
     "SolverConfig-beta_w-bool": (SolverConfig, {"beta_w": True}, ValueError, "beta_w"),
+    "SolverConfig-beta_w-str": (SolverConfig, {"beta_w": "1"}, ValueError, "beta_w .* got '1'"),
     # each penalty is finite and positive, but the u step's ratio is not
     "SolverConfig-beta-ratio-overflow":
         (SolverConfig, {"beta_t": 1e-300, "beta_w": 1e300}, ValueError, "beta_w / beta_t"),
@@ -119,6 +122,7 @@ REJECTED = {
     "SolverConfig-tol-nan": (SolverConfig, {"tol": NAN}, ValueError, "tol"),
     "SolverConfig-tol-inf": (SolverConfig, {"tol": INF}, ValueError, "tol"),
     "SolverConfig-tol-bool": (SolverConfig, {"tol": True}, ValueError, "tol"),
+    "SolverConfig-tol-str": (SolverConfig, {"tol": "1"}, ValueError, "tol .* got '1'"),
     "restore-window-oversized": (restore, {
         "g": ImageBuffer(np.random.default_rng(9).random((32, 32))),
         "cfg": SolverConfig(p=2, tau=1.0, r=16, mode="hwtv"),
@@ -127,6 +131,8 @@ REJECTED = {
     "restore-sigma-nan": (restore, {"sigma": NAN}, ValueError, "sigma"),
     "restore-sigma-inf": (restore, {"sigma": INF}, ValueError, "sigma"),
     "restore-sigma-bool": (restore, {"sigma": True}, ValueError, "sigma"),
+    "restore-sigma-str": (restore, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
+    "restore-blur-none": (restore, {"blur": None}, ValueError, "blur must be a BlurSpec"),
     # tau and sigma each pass their checks, but tau * sigma * sqrt(n) is 0
     "restore-target-underflow": (restore, {
         "sigma": 1e-200, "cfg": SolverConfig(p=2, tau=1e-200, r=2),
@@ -146,12 +152,17 @@ REJECTED = {
     "BlurSpec-sigma-zero-band1": (BlurSpec, {"band": 1, "sigma": 0.0}, ValueError, "sigma"),
     "BlurSpec-sigma-bool": (BlurSpec, {"sigma": True}, ValueError, "sigma"),
     "BlurSpec-sigma-numpy-bool": (BlurSpec, {"sigma": np.True_}, ValueError, "sigma"),
+    "BlurSpec-sigma-str": (BlurSpec, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
     "build_plan-kernel-larger-than-image": (build_plan, {
         "width": 3, "height": 3, "spec": BlurSpec(band=5, sigma=1.0),
     }, ValueError, "larger than image"),
+    "DegradationSpec-blur-none":
+        (DegradationSpec, {"blur": None}, ValueError, "blur must be a BlurSpec"),
     "DegradationSpec-sigma-nan": (DegradationSpec, {"sigma": NAN}, ValueError, "sigma"),
     "DegradationSpec-sigma-inf": (DegradationSpec, {"sigma": INF}, ValueError, "sigma"),
     "DegradationSpec-sigma-bool": (DegradationSpec, {"sigma": True}, ValueError, "sigma"),
+    "DegradationSpec-sigma-str":
+        (DegradationSpec, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
     "DegradationSpec-seed-bool": (DegradationSpec, {"seed": True}, ValueError, "seed"),
     "DegradationSpec-seed-float": (DegradationSpec, {"seed": 1.5}, ValueError, "seed"),
     "DegradationSpec-seed-negative": (DegradationSpec, {"seed": -1}, ValueError, "seed"),
@@ -163,6 +174,8 @@ REJECTED = {
     "PhantomSpec-freq-nan": (PhantomSpec, {"texture_freq": NAN}, ValueError, "texture_freq"),
     "PhantomSpec-freq-inf": (PhantomSpec, {"texture_freq": INF}, ValueError, "texture_freq"),
     "PhantomSpec-freq-bool": (PhantomSpec, {"texture_freq": True}, ValueError, "texture_freq"),
+    "PhantomSpec-freq-str":
+        (PhantomSpec, {"texture_freq": "1"}, ValueError, "texture_freq .* got '1'"),
     "ImageBuffer-nan":
         (ImageBuffer, {"data": np.array([[0.0, NAN], [0.0, 0.0]])}, ValueError, "finite"),
     "ImageBuffer-inf": (ImageBuffer, {"data": np.array([[INF]])}, ValueError, "finite"),
@@ -182,8 +195,6 @@ REJECTED = {
         "u_rec": ImageBuffer(np.zeros((4, 4))),
     }, ValueError, "differ in shape"),
 }
-# The record fields no constructor checks: any value of them builds a record.
-UNCHECKED = {"DegradationSpec": ["blur"]}
 
 # The buffers each loop primitive takes last, defaulting to None: ``out=`` the
 # result (``spectral_step``'s is the pair it returns), ``scratch=`` workspace.
@@ -250,13 +261,17 @@ def test_rejected(monkeypatch, call, arguments, error, message):
         call(**{**VALID.get(call, {}), **arguments})
 
 
-@pytest.mark.parametrize("record", ["BlurSpec", "DegradationSpec", "PhantomSpec", "SolverConfig"])
-def test_every_checked_field_has_a_rejected_row(record):
-    cls = getattr(hwtv, record)
-    named = {name for call, arguments, *_ in REJECTED.values() if call is cls
+@pytest.mark.parametrize(
+    "boundary", ["BlurSpec", "DegradationSpec", "PhantomSpec", "SolverConfig", "restore"]
+)
+def test_every_checked_field_has_a_rejected_row(boundary):
+    # each argument of a checked record or of restore is named by a row, so
+    # a field or keyword cannot join it without one
+    call = getattr(hwtv, boundary)
+    named = {name for row_call, arguments, *_ in REJECTED.values() if row_call is call
              for name in arguments}
-    unnamed = [field.name for field in dataclasses.fields(cls) if field.name not in named]
-    assert unnamed == UNCHECKED.get(record, [])
+    unnamed = [name for name in inspect.signature(call).parameters if name not in named]
+    assert unnamed == []
 
 
 @pytest.mark.parametrize("primitive", sorted(BUFFERS))
