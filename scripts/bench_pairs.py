@@ -10,11 +10,15 @@ The first form runs ``python3 bench/run.py --trace 0`` in each checkout
 once per seed, the two sides of a pair in alternating order, and stores
 every run's result line in RUNS_JSON as it finishes. The second form reads
 RUNS_JSON and prints, per workload and end-to-end metric, each side's
-median and quartiles and how many pairs the new side won (ties count for
-neither side), with the direction each metric improves in taken from
-``BENCHMARK.json``. With ``--record`` it appends one record per side to the
-trajectory file: the commit, the benchmark command, those medians and
-quartiles, the tier-1 wall time, the numpy version and the core count.
+median and quartiles, each side's spread (the distance between its
+quartiles over its median) and how many pairs the new side won (ties count
+for neither side), with the direction each metric improves in and its bound
+taken from ``BENCHMARK.json``. A metric whose old-side spread exceeds its
+bound is marked ``unresolved``, unless every new run beats every old run:
+such a spread cannot tell a change within the bound from none. With
+``--record`` it appends one record per side to the trajectory file: the
+commit, the benchmark command, those medians and quartiles, the tier-1 wall
+time, the numpy version and the core count.
 """
 
 from __future__ import annotations
@@ -57,12 +61,17 @@ def quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def spread(q: dict) -> float:
+    """Distance between the quartiles as a fraction of the median."""
+    return (q["q3"] - q["q1"]) / abs(q["median"])
+
+
 def summarize(args) -> None:
     with open(args.runs) as fh:
         stored = json.load(fh)
     runs = stored["runs"]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -71,14 +80,19 @@ def summarize(args) -> None:
     for name in pairs[0]["old"]["metrics"]:
         workload, metric = name.rsplit(".", 1) if "." in name else ("", name)
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        sign = 1.0 if better[metric] == "higher" else -1.0
+        sign = 1.0 if declared[metric]["better"] == "higher" else -1.0
         wins = sum(sign * (new - old) > 0 for old, new in zip(values["old"], values["new"]))
         for side in SIDES:
             stats[side].setdefault(workload, {})[metric] = quartiles(values[side])
         old, new = (stats[side][workload][metric] for side in SIDES)
-        print(f"{name}: old {old['median']:.6g} [{old['q1']:.6g}, {old['q3']:.6g}]  "
-              f"new {new['median']:.6g} [{new['q1']:.6g}, {new['q3']:.6g}]  "
-              f"new better in {wins}/{len(pairs)}")
+        bound = declared[metric]["bound"]
+        separated = all(sign * (n - o) > 0 for n in values["new"] for o in values["old"])
+        verdict = "  unresolved" if spread(old) > bound and not separated else ""
+        print(f"{name}: old {old['median']:.6g} [{old['q1']:.6g}, {old['q3']:.6g}] "
+              f"spread {spread(old):.3f}  "
+              f"new {new['median']:.6g} [{new['q1']:.6g}, {new['q3']:.6g}] "
+              f"spread {spread(new):.3f}  bound {bound:g}  "
+              f"new better in {wins}/{len(pairs)}{verdict}")
     failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     print(f"{len(pairs)} pairs; failed cells old {failed['old']}, new {failed['new']}; "
           f"all correct: {all(p[s]['correct'] for p in pairs for s in SIDES)}")

@@ -11,23 +11,24 @@ import numpy as np
 
 from .linops import box_mean
 
+# Window means of the gradient norms are clamped here, so no weight exceeds 1e4.
+EPS_FLOOR = 1e-4
 
-def alpha_from_norms(
-    norms: np.ndarray, r: int, eps_floor: float, out=None, scratch=None
-) -> np.ndarray:
+
+def alpha_from_norms(norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndarray:
     """Reciprocal windowed means of a gradient-norm raster.
 
     Each pixel's weight is the maximum-likelihood scale of a half-Laplacian
     fitted to the (2r+1)^2 norms around it: one over their mean. Means below
-    ``eps_floor`` (flat neighborhoods) are clamped, so for finite norms every
-    weight lies in (0, 1 / eps_floor]; the caller ensures eps_floor > 0 and
-    the window bounds of :func:`box_mean`. The weights of an image u are
-    ``alpha_from_norms(pointwise_norm(gradient(u), p), r, eps_floor)``.
+    ``EPS_FLOOR`` (flat neighborhoods) are clamped, so for finite norms every
+    weight lies in (0, 1 / EPS_FLOOR]; the caller ensures the window bounds
+    of :func:`box_mean`. The weights of an image u are
+    ``alpha_from_norms(pointwise_norm(gradient(u), p), r)``.
     ``out`` and ``scratch`` are as for :func:`box_mean`; the weights
     overwrite the mean in ``out``.
     """
     alpha = box_mean(norms, r, out=out, scratch=scratch)
-    np.maximum(alpha, eps_floor, out=alpha)
+    np.maximum(alpha, EPS_FLOOR, out=alpha)
     return np.divide(1.0, alpha, out=alpha)
 
 

@@ -191,14 +191,15 @@ def cmd_sweep(args) -> int:
     blur = _blur_from_args(args)
     # One cell per distinct (tau, r), in (tau, r) order, which pool.map and the
     # serial loop keep, so the rows need no sort. Rounding radii can repeat a
-    # value; SolverConfig and the window check see every cell before any runs.
+    # value; SolverConfig and restore's own checks see every cell before any
+    # cell or worker starts.
     cells = [
         (_config_from_args(args, tau, radius), blur, args.noise_sigma, degraded, truth)
         for tau in sorted(set(tau_values))
         for radius in sorted(set(r_values))
     ]
-    for cell in cells:
-        solver._require_window_fits(cell[0], degraded)
+    for cfg, *_ in cells:
+        solver._prepare(degraded, blur, args.noise_sigma, cfg)
     workers = min(args.jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -82,6 +82,12 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_instance(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
 def _require_same_shape(*images: ImageBuffer) -> None:
     shapes = {img.data.shape for img in images}
     if len(shapes) > 1:

@@ -104,7 +104,7 @@ def pointwise_norm(
     norms ``restore`` tests for finiteness overflow as well, so such an
     iterate is reported as diverged either way. They underflow only below
     about 1e-154, where the norm reads as zero: ``prox_t`` then maps the
-    pixel to zero, as it would for the exact norm, and ``eps_floor`` clamps
+    pixel to zero, as it would for the exact norm, and ``EPS_FLOOR`` clamps
     the weights ``alpha_from_norms`` derives from it.
     """
     h, v = t

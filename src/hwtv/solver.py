@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adapt import alpha_from_norms, update_mu
-from .imgcore import ImageBuffer, _is_integer, _require_finite_positive
+from .imgcore import ImageBuffer, _is_integer, _require_finite_positive, _require_instance
 from .linops import (
     BlurSpec,
     SpectralPlan,
@@ -35,8 +35,6 @@ from .linops import (
 )
 
 MODES = ("hwtv", "tv_scalar")
-# Window means of the gradient norms are clamped here, so no weight exceeds 1e4.
-EPS_FLOOR = 1e-4
 
 
 class DivergenceError(RuntimeError):
@@ -249,13 +247,29 @@ def _sweep(
     return x._replace(u=u, u_next=x.u), half_spectrum_norm(f.plan, residual)
 
 
-def _require_window_fits(cfg: SolverConfig, g: ImageBuffer) -> None:
-    """Reject an "hwtv" weight-estimation window wider than ``g``."""
+def _prepare(
+    g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig
+) -> tuple[SpectralPlan, float]:
+    """Check every input of :func:`restore`; return its plan and target delta.
+
+    In order: the types of ``g``, ``blur`` and ``cfg``, ``sigma``, the "hwtv"
+    window and the kernel (by building the plan) against ``g``, and delta =
+    tau * sigma * sqrt(n), which can underflow to 0.
+    """
+    _require_instance("g", g, ImageBuffer)
+    _require_instance("blur", blur, BlurSpec)
+    _require_instance("cfg", cfg, SolverConfig)
+    _require_finite_positive("sigma", sigma)
     if cfg.mode == "hwtv" and 2 * cfg.r + 1 > min(g.height, g.width):
         raise ValueError(
             f"estimation window {2 * cfg.r + 1} exceeds image "
             f"{g.height}x{g.width}"
         )
+    plan = build_plan(g.width, g.height, blur)
+    delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
+    if delta <= 0:
+        raise ValueError(f"tau * sigma * sqrt(n) must be positive, got {delta}")
+    return plan, delta
 
 
 def restore(
@@ -308,14 +322,7 @@ def restore(
     identical inputs give bit-identical iterates, whatever the BLAS thread
     count, since no norm is summed by BLAS.
     """
-    if not isinstance(blur, BlurSpec):
-        raise ValueError(f"blur must be a BlurSpec, got {blur!r}")
-    _require_finite_positive("sigma", sigma)
-    _require_window_fits(cfg, g)
-    plan = build_plan(g.width, g.height, blur)
-    delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
-    if delta <= 0:
-        raise ValueError(f"tau * sigma * sqrt(n) must be positive, got {delta}")
+    plan, delta = _prepare(g, blur, sigma, cfg)
     g_arr = g.data
     alpha = np.ones_like(g_arr)
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
@@ -334,7 +341,7 @@ def restore(
             # The weights of u, from the Du the last sweep formed for its
             # dual update.
             norms = pointwise_norm(x.grad, cfg.p, out=x.work[0], scratch=x.work[1])
-            alpha_from_norms(norms, cfg.r, EPS_FLOOR, out=alpha, scratch=running)
+            alpha_from_norms(norms, cfg.r, out=alpha, scratch=running)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)

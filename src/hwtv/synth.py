@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import ImageBuffer, _is_integer, _require_finite_positive
+from .imgcore import ImageBuffer, _is_integer, _require_finite_positive, _require_instance
 from .linops import BlurSpec, blur_via_plan, build_plan
 
 PHANTOM_KINDS = ("cartoon", "texture", "mixed")
@@ -21,8 +21,7 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.blur, BlurSpec):
-            raise ValueError(f"blur must be a BlurSpec, got {self.blur!r}")
+        _require_instance("blur", self.blur, BlurSpec)
         _require_finite_positive("sigma", self.sigma)
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
@@ -108,6 +107,8 @@ def degrade(u: ImageBuffer, spec: DegradationSpec) -> ImageBuffer:
     band-1 blur is the identity and passes ``u`` through untouched, so
     denoising problems see exactly u + noise.
     """
+    _require_instance("u", u, ImageBuffer)
+    _require_instance("spec", spec, DegradationSpec)
     data = u.data
     if spec.blur.band != 1:
         data = blur_via_plan(build_plan(u.width, u.height, spec.blur), data)

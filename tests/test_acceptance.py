@@ -113,7 +113,7 @@ def test_criterion_3_ml_estimator_consistency():
     rate = 2.5
     side = 256
     samples = sample_half_laplacian(rate, side * side, seed=303)
-    alpha = alpha_from_norms(samples.reshape(side, side), r=40, eps_floor=1e-4)
+    alpha = alpha_from_norms(samples.reshape(side, side), r=40)
     rel_err = np.abs(alpha - rate) / rate
     fraction = float(np.mean(rel_err <= 0.05))
     elapsed = time.perf_counter() - tick

@@ -136,6 +136,14 @@ USAGE_ERRORS = {
     "sweep-tau-grid-too-long": f"{SWEEP} --tau-grid 0:1e-9:1 --radius-grid 2",
     "sweep-radius-oversized": f"{SWEEP} --tau-grid 1.0 --radius-grid 2,40",
     "sweep-jobs-zero": f"{SWEEP} --radius-grid 2 --jobs 0",
+    # restore's own checks run on every cell before any cell or worker starts
+    "sweep-noise-sigma-nan": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
+                             "--noise-sigma nan --tau-grid 1.0 --radius-grid 2",
+    "sweep-noise-sigma-zero": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
+                              "--noise-sigma 0 --tau-grid 1.0 --radius-grid 2",
+    "sweep-kernel-oversized": f"{SWEEP} --tau-grid 1.0 --radius-grid 2 --blur-band 65",
+    "sweep-target-underflow": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
+                              "--noise-sigma 1e-200 --tau-grid 1e-200 --radius-grid 2",
     "sweep-tau-grid-two-parts": f"{SWEEP} --radius-grid 2 --tau-grid 1:2",
     "sweep-tau-grid-zero-step": f"{SWEEP} --radius-grid 2 --tau-grid 0:0:1",
     # every cell is scored by ISNR and SSIM, which need one shape and at least

@@ -219,7 +219,7 @@ class TestRestore:
         for _ in range(steps):
             if mode == "hwtv":
                 norms = linops.pointwise_norm(linops.gradient(u), p)
-                alpha = alpha_from_norms(norms, cfg.r, solver.EPS_FLOOR)
+                alpha = alpha_from_norms(norms, cfg.r)
             mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
             t = prox_t(linops.gradient(u) + y_t, alpha, bt, p)
             w = z * (bw / (mu + bw))
