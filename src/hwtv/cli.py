@@ -6,9 +6,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -200,8 +200,11 @@ def cmd_sweep(args) -> int:
     ]
     for cfg, *_ in cells:
         solver._prepare(degraded, blur, args.noise_sigma, cfg)
-    workers = min(args.jobs, len(cells))
+    # The pool starts all its workers at once, so never more than can run.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(args.jobs, len(cells), cores or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--radius-grid", default="2,6,10,14",
                      help="radii as start:step:stop or comma list")
     swp.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for sweep cells")
+                     help="worker processes, at most one per cell and usable core")
     _add_blur_flags(swp)
     _add_solver_flags(swp)
     swp.set_defaults(func=cmd_sweep)

@@ -10,10 +10,10 @@ the caller passes matching shapes and scalars in the documented ranges, as
 ``restore`` does once it has checked its inputs, and tests the iterate for
 finiteness once per sweep.
 Every loop primitive takes its buffers by one rule: ``out=`` is the result
-array and ``scratch=`` the workspace, both C-contiguous and not overlapping
-the input. The result is written into ``out`` and returned, with the same
-bits as the allocating form. Only ``spectral_step``'s ``out`` is the pair
-``(u, U)`` it returns.
+array and ``scratch=`` the workspace, one (h, w) image, both C-contiguous
+and not overlapping the input. The result is written into ``out`` and
+returned, with the same bits as the allocating form. Only
+``spectral_step``'s ``out`` is the pair ``(u, U)`` it returns.
 """
 
 from __future__ import annotations
@@ -220,43 +220,39 @@ def _sum_squares(arr: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", parts, parts))
 
 
-def _periodic_window_sum(arr, r: int, axis: int, sums, running) -> None:
-    # Sums over a (2r+1)-wide periodic window along one axis, written to
-    # ``sums`` and read off one running sum of the wrapped array, formed at
-    # the head of the flat ``running``: entry i is csum[i + 2r] - csum[i - 1]
-    # and entry 0 is csum[2r]. The axis is moved in views only, so every
-    # array keeps the input's layout and nothing is copied transposed.
-    length = arr.shape[axis]
-    shape = list(arr.shape)
-    shape[axis] += 2 * r
-    csum = running[: math.prod(shape)].reshape(shape)
-    src, wrapped = np.moveaxis(arr, axis, 0), np.moveaxis(csum, axis, 0)
-    wrapped[:r] = src[length - r :]
-    wrapped[r : length + r] = src
-    wrapped[length + r :] = src[:r]
-    np.cumsum(csum, axis=axis, out=csum)
-    moved = np.moveaxis(sums, axis, 0)
-    moved[0] = wrapped[2 * r]
-    np.subtract(wrapped[2 * r + 1 :], wrapped[: length - 1], out=moved[1:])
-
-
-def _box_scratch(shape: tuple[int, int], r: int) -> np.ndarray:
-    """The running-sum scratch of ``box_mean`` at radius ``r`` for ``shape``."""
-    return np.empty(math.prod(shape) + 2 * r * max(shape))
+def _periodic_window_sum(arr, r: int, sums, scratch) -> None:
+    # Sums over a (2r+1)-wide periodic window down the first axis, of length
+    # L, written to ``sums`` (which may be arr) and read off one running sum
+    # csum of arr wrapped to length L + 2r: entry i is csum[i + 2r] -
+    # csum[i - 1] and entry 0 is csum[2r]. csum[:L] is formed in ``scratch``
+    # from arr rolled by r. The wrapped array repeats its first 2r entries
+    # after entry L - 1, and their cumsum continues in the tail rows of
+    # ``sums``, which the head differences never write.
+    length = len(arr)
+    head = length - 2 * r
+    scratch[:r] = arr[length - r :]
+    scratch[r:] = arr[: length - r]
+    sums[head:] = scratch[: 2 * r]
+    np.cumsum(scratch, axis=0, out=scratch)
+    sums[head] += scratch[-1]
+    np.cumsum(sums[head:], axis=0, out=sums[head:])
+    sums[0] = scratch[2 * r]
+    np.subtract(scratch[2 * r + 1 :], scratch[: head - 1], out=sums[1:head])
+    np.subtract(sums[head:], scratch[head - 1 : length - 1], out=sums[head:])
 
 
 def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
     The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``scratch``
-    holds the running sums, as ``_box_scratch`` sizes it.
+    holds the running sums.
     """
     mean = np.empty_like(field_norms) if out is None else out
-    if scratch is None:
-        scratch = _box_scratch(field_norms.shape, r)
-    # mean takes the first-axis sums; the second pass copies them out first.
-    _periodic_window_sum(field_norms, r, 0, mean, scratch)
-    _periodic_window_sum(mean, r, 1, mean, scratch)
+    scratch = np.empty_like(field_norms) if scratch is None else scratch
+    # mean takes the first-axis sums; the second pass copies them out first,
+    # on transposed views, so nothing is copied transposed.
+    _periodic_window_sum(field_norms, r, mean, scratch)
+    _periodic_window_sum(mean.T, r, mean.T, scratch.T)
     mean /= float((2 * r + 1) ** 2)
     # The exact mean lies in [min, max]; clip the <=1 ulp summation excursions.
     np.clip(mean, field_norms.min(), field_norms.max(), out=mean)

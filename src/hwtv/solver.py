@@ -23,7 +23,6 @@ from .imgcore import ImageBuffer, _is_integer, _require_finite_positive, _requir
 from .linops import (
     BlurSpec,
     SpectralPlan,
-    _box_scratch,
     _sum_squares,
     build_plan,
     divergence,
@@ -155,9 +154,10 @@ class _Iterate(NamedTuple):
     chosen at. No primal t or w is kept: the next sweep reads neither. The
     next sweep writes a field into ``work``, u into ``u_next`` and
     U = rfft2(u) into ``spectrum``. Those three are scratch that the next
-    sweep overwrites, as it does ``grad``, ``y_w``, ``y_t`` and ``z``.
-    :func:`_start` allocates every array; a sweep trades ``u`` with
-    ``u_next``.
+    sweep overwrites, as it does ``grad``, ``y_w``, ``y_t`` and ``z``; an
+    "hwtv" weight refresh first writes the gradient norms into ``work[0]``
+    and takes ``work[1]`` as the scratch for the box sums. :func:`_start`
+    allocates every array; a sweep trades ``u`` with ``u_next``.
     """
 
     u: np.ndarray
@@ -315,8 +315,9 @@ def restore(
     spectrum, and their norms come from Parseval, so a sweep runs two real
     transforms. The state is updated in place, in buffers allocated once
     per call before the first sweep, so a sweep (see :func:`_sweep`) and a
-    weight refresh allocate no image-sized array of their own; ``g`` is not
-    modified, and ``u_star`` and ``alpha_final`` are buffers, not copies.
+    weight refresh, whose box sums take ``work[1]`` as scratch, allocate no
+    image-sized array of their own; ``g`` is not modified, and ``u_star``
+    and ``alpha_final`` are buffers, not copies.
     Starts from u = g with zero duals; stops when the relative change of u
     falls to ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic:
     identical inputs give bit-identical iterates, whatever the BLAS thread
@@ -326,9 +327,6 @@ def restore(
     g_arr = g.data
     alpha = np.ones_like(g_arr)
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
-    if cfg.mode == "hwtv":
-        # The weights go over alpha, box_mean's running sums in a new buffer.
-        running = _box_scratch(g_arr.shape, cfg.r)
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):
@@ -339,9 +337,9 @@ def restore(
             raise DivergenceError(k)
         if cfg.mode == "hwtv":
             # The weights of u, from the Du the last sweep formed for its
-            # dual update.
+            # dual update; work[1] is free once the norms are in work[0].
             norms = pointwise_norm(x.grad, cfg.p, out=x.work[0], scratch=x.work[1])
-            alpha_from_norms(norms, cfg.r, out=alpha, scratch=running)
+            alpha_from_norms(norms, cfg.r, out=alpha, scratch=x.work[1])
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwtv.adapt import EPS_FLOOR, alpha_from_norms, update_mu
-from hwtv.linops import _box_scratch, gradient, pointwise_norm
+from hwtv.linops import gradient, pointwise_norm
 
 from half_laplacian import sample_half_laplacian
 
@@ -28,10 +28,11 @@ class TestEstimateAlpha:
 
     @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (12, 16)])
     def test_out_gives_allocating_bits(self, shape):
-        # written over the mean in out, the bits of the allocating form
+        # written over the mean in out, the bits of the allocating form; the
+        # buffers start as NaN, so no stale value may reach the weights
         norms = np.abs(np.random.default_rng(47).standard_normal(shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out, scratch = np.empty(shape), _box_scratch(shape, r)
+            out, scratch = np.full(shape, np.nan), np.full(shape, np.nan)
             assert alpha_from_norms(norms, r, out=out, scratch=scratch) is out
             assert np.array_equal(out, alpha_from_norms(norms, r))
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -523,7 +524,8 @@ class TestSweepCommand:
         capsys.readouterr()
 
     def test_worker_pool_sized_to_cells(self, phantom_files, capsys, monkeypatch):
-        # no more workers than cells, and a single cell runs without a pool
+        # no more workers than cells or usable cores, and a single cell or
+        # core runs without a pool
         tmp_path, truth, truth_path = phantom_files
         g_path = _degrade(capsys, truth_path, "g.raw", 10)
         pools = []
@@ -542,14 +544,21 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         argv = ["sweep", "--true", str(truth_path), "--in", str(g_path),
                 "--out", str(tmp_path / "s.csv"), "--noise-sigma", "0.1",
                 "--radius-grid", "3", "--max-iter", "2"]
-        assert cli.main(argv + ["--tau-grid", "0.95,1.0", "--jobs", "64"]) == 0
-        assert pools == [2]
-        assert cli.main(argv + ["--tau-grid", "1.0", "--jobs", "2"]) == 0
-        assert pools == [2]
+        for cores, grid, jobs, expected in [
+            (4, "0.95,1.0", "64", [2]),
+            (4, "1.0", "2", []),
+            (2, "0.9,0.95,1.0", "64", [2]),
+            (1, "0.95,1.0", "2", []),
+        ]:
+            pools.clear()
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cores: set(range(n)), raising=False)
+            assert cli.main(argv + ["--tau-grid", grid, "--jobs", jobs]) == 0
+            assert pools == expected
         capsys.readouterr()
 
     def test_worker_pool_matches_serial(self, phantom_files, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from hwtv.linops import (
     BlurSpec,
-    _box_scratch,
     blur_via_plan,
     box_mean,
     build_plan,
@@ -150,8 +149,9 @@ class TestOutWorkspace:
     def test_box_mean(self, shape):
         norms = np.abs(_rand_img(np.random.default_rng(45), *shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out = np.empty(shape)
-            assert box_mean(norms, r, out=out, scratch=_box_scratch(shape, r)) is out
+            # NaN-filled buffers: no stale value may reach the result.
+            out, scratch = np.full(shape, np.nan), np.full(shape, np.nan)
+            assert box_mean(norms, r, out=out, scratch=scratch) is out
             assert np.array_equal(out, box_mean(norms, r))
 
     @pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
@@ -431,7 +431,10 @@ class TestBoxMean:
     def test_bit_identical_to_reference(self, height, width):
         rng = np.random.default_rng(38)
         img = np.abs(_rand_img(rng, height, width)) * rng.uniform(0.1, 10.0, (height, width))
-        for r in range(1, (min(height, width) - 1) // 2 + 1, 3):
+        # Every third radius and the largest, at which every difference
+        # reads the continued running sum.
+        largest = (min(height, width) - 1) // 2
+        for r in {*range(1, largest + 1, 3), largest}:
             assert np.array_equal(box_mean(img, r), _box_mean_reference(img, r))
 
 

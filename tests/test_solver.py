@@ -391,12 +391,14 @@ def test_loop_allocates_no_image(monkeypatch, p):
 
 
 @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
-@pytest.mark.parametrize("mode, bound", [("tv_scalar", 17.5), ("hwtv", 19.2)])
+@pytest.mark.parametrize("mode, bound", [("tv_scalar", 17.5), ("hwtv", 18.0)])
 def test_restore_workspace_images(mode, bound, p):
     # The tracemalloc peak of a warmed 5-sweep 128x128 restore, in 128x128
-    # float64 images: its plan, state, scratch and result. It reads 17.18
-    # (tv_scalar) and 18.89 (hwtv); a state that also carried the primals t
-    # (two images) and w (a half spectrum) reads about 3 more.
+    # float64 images: its plan, state, scratch and result. It reads 17.17
+    # (tv_scalar) and 17.65 (hwtv, whose weights are the one extra image;
+    # box_mean's running sums in a buffer of their own read 18.89); a state
+    # that also carried the primals t (two images) and w (a half spectrum)
+    # reads about 3 more.
     import tracemalloc
 
     size = 128
