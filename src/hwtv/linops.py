@@ -13,7 +13,8 @@ Every loop primitive takes its buffers by one rule: ``out=`` is the result
 array and ``scratch=`` the workspace, one (h, w) image, both C-contiguous
 and not overlapping the input. The result is written into ``out`` and
 returned, with the same bits as the allocating form. Only
-``spectral_step``'s ``out`` is the pair ``(u, U)`` it returns.
+``spectral_step``'s ``out`` is the pair ``(u, U)`` it returns, and only
+``solver.prox_t`` may also be given its input as ``out``.
 """
 
 from __future__ import annotations
@@ -98,8 +99,10 @@ def pointwise_norm(
 ) -> np.ndarray:
     """Per-pixel p-norm of the two gradient channels, p in {1, 2}.
 
-    The p = 2 norm is sqrt(h^2 + v^2), within 2 ulp of ``np.hypot`` (and
-    several times faster) wherever the squares neither overflow nor
+    The p = 2 norm is sqrt(h^2 + v^2), the sum of squares formed in ``out``
+    by one ``np.einsum`` pass with the bits of h * h + v * v; only p = 1
+    uses ``scratch``. It is within 2 ulp of ``np.hypot`` (and several times
+    faster) wherever the squares neither overflow nor
     underflow. They overflow only for entries above about 1.3e154, where the
     norms ``restore`` tests for finiteness overflow as well, so such an
     iterate is reported as diverged either way. They underflow only below
@@ -114,8 +117,7 @@ def pointwise_norm(
         np.abs(h, out=out)
         out += np.abs(v, out=scratch)
         return out
-    np.multiply(h, h, out=out)
-    out += np.multiply(v, v, out=scratch)
+    np.einsum("kij,kij->ij", t, t, out=out)
     return np.sqrt(out, out=out)
 
 
@@ -191,8 +193,11 @@ def spectral_step(
     # k_adjoint first: numpy's complex product is not symmetric in rounding.
     spectrum += np.multiply(k_adjoint, v_spectrum, out=v_spectrum)
     spectrum *= inv_denom
-    # irfftn: numpy's irfft2 drops its out argument and allocates.
-    np.fft.irfftn(spectrum, s=d.shape, axes=(-2, -1), out=u)
+    # The inverse axis by axis, as irfftn runs it and with its bits, through
+    # V's consumed buffer: irfftn would allocate a half spectrum between the
+    # two axes, and numpy's irfft2 drops its out argument.
+    np.fft.ifft(spectrum, axis=0, out=v_spectrum)
+    np.fft.irfft(v_spectrum, n=d.shape[1], axis=1, out=u)
     return out
 
 

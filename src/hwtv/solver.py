@@ -104,7 +104,7 @@ class RestoreResult:
 
 def prox_t(
     q: np.ndarray,
-    alpha: np.ndarray,
+    alpha: np.ndarray | float,
     beta_t: float,
     p: int,
     out: np.ndarray | None = None,
@@ -113,33 +113,45 @@ def prox_t(
     """Per-pixel minimizer of alpha_i ||t_i||_p + (beta_t/2) ||t_i - q_i||_2^2.
 
     ``q`` and the result are (2, h, w) gradient fields; ``alpha`` is the
-    nonnegative (h, w) weight array. For p = 1 it soft-thresholds each
-    component by alpha_i / beta_t, the proximal map of the anisotropic
-    penalty, and gives it q's sign by ``copysign``, so -0.0 in q is -0.0 in
-    t. For p = 2 it is the shrinkage t_i = q_i max(1 - alpha_i / (beta_t
-    ||q_i||_2), 0), with t_i = 0 when q_i = 0. ``out`` receives t, and the
-    p = 1 map writes its threshold into the (h, w) ``scratch``. The caller
-    ensures beta_t > 0 and p in {1, 2}, as ``SolverConfig`` does.
+    nonnegative (h, w) weight array, or one weight for every pixel as a
+    float. For p = 1 it soft-thresholds each component by alpha_i / beta_t,
+    the proximal map of the anisotropic penalty, and gives it q's sign by
+    ``copysign``, so -0.0 in q is -0.0 in t. For p = 2 it is the shrinkage
+    t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_2), 0), with t_i = 0 when
+    q_i = 0. ``out`` receives t and may be ``q`` itself, with the same bits;
+    the (h, w) ``scratch`` receives the threshold (p = 1) or the scale
+    (p = 2). The caller ensures beta_t > 0 and p in {1, 2}, as
+    ``SolverConfig`` does.
     """
     if out is None:
         out = np.empty(q.shape)
+    if scratch is None:
+        scratch = np.empty(q.shape[1:])
     if p == 1:
-        np.abs(q, out=out)
-        out -= np.divide(alpha, beta_t, out=scratch)
-        np.maximum(out, 0.0, out=out)
-        return np.copysign(out, q, out=out)
-    # The scale is built in out[0], out[1] being scratch, so t's second
-    # channel is written first. Where the norm is zero the scale reads -inf,
-    # or NaN if alpha is zero as well, and fmax clamps both to the 0 that
-    # makes t_i = 0 there.
-    scale = pointwise_norm(q, 2, out=out[0], scratch=out[1])
+        # One channel at a time, q's sign carried by the threshold in
+        # scratch, so that out may be q. q - copysign(thr, q) is
+        # sign(q) (|q| - thr) to the bit, since rounding is symmetric in
+        # sign; multiplying by sign(q) = +-1 is exact, and the last copysign
+        # gives a zero q's sign.
+        for qc, tc in zip(q, out):
+            sign = np.divide(alpha, beta_t, out=scratch)
+            np.copysign(sign, qc, out=sign)
+            np.subtract(qc, sign, out=tc)
+            np.copysign(1.0, sign, out=sign)
+            tc *= sign
+            np.maximum(tc, 0.0, out=tc)
+            np.copysign(tc, sign, out=tc)
+        return out
+    # Where the norm is zero the scale reads -inf, or NaN if alpha is zero
+    # as well, and fmax clamps both to the 0 that makes t_i = 0 there.
+    scale = pointwise_norm(q, 2, out=scratch)
     np.multiply(beta_t, scale, out=scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
     np.fmax(scale, 0.0, out=scale)
-    np.multiply(q[1], scale, out=out[1])
     np.multiply(q[0], scale, out=out[0])
+    np.multiply(q[1], scale, out=out[1])
     return out
 
 
@@ -147,17 +159,18 @@ class _Iterate(NamedTuple):
     """ADMM state between sweeps, unvalidated.
 
     ``u``, ``grad`` (Du) and the scaled gradient dual ``y_t`` = rho_t /
-    beta_t are real; the fields ``grad``, ``y_t`` and ``work`` are each one
-    (2, h, w) array. The linear chain is kept on the ``rfft2`` half
-    spectrum: ``y_w`` is the scaled residual dual rho_w / beta_w, and ``z``
-    is the spectrum of (Ku - g) + y_w, the point the next sweep's mu is
-    chosen at. No primal t or w is kept: the next sweep reads neither. The
-    next sweep writes a field into ``work``, u into ``u_next`` and
-    U = rfft2(u) into ``spectrum``. Those three are scratch that the next
-    sweep overwrites, as it does ``grad``, ``y_w``, ``y_t`` and ``z``; an
-    "hwtv" weight refresh first writes the gradient norms into ``work[0]``
-    and takes ``work[1]`` as the scratch for the box sums. :func:`_start`
-    allocates every array; a sweep trades ``u`` with ``u_next``.
+    beta_t are real; the fields ``grad`` and ``y_t`` are each one (2, h, w)
+    array. The linear chain is kept on the ``rfft2`` half spectrum: ``y_w``
+    is the scaled residual dual rho_w / beta_w, and ``z`` is the spectrum of
+    (Ku - g) + y_w, the point the next sweep's mu is chosen at. No primal t
+    or w is kept: the next sweep reads neither. ``work`` is one (h, w)
+    scratch image. The next sweep writes u into ``u_next`` and U = rfft2(u)
+    into ``spectrum``, and overwrites ``work``, ``grad``, ``y_w``, ``y_t``
+    and ``z``. ``u_next`` holds an old u until then, so it is scratch too:
+    an "hwtv" weight refresh writes the gradient norms into ``work`` and
+    takes ``u_next`` as the scratch for the box sums. :func:`_start`
+    allocates every array; a sweep trades ``u`` with ``u_next`` and
+    ``grad`` with ``y_t``.
     """
 
     u: np.ndarray
@@ -195,7 +208,7 @@ def _start(
         y_w=np.zeros_like(g_spectrum),
         y_t=np.zeros((2, *g.shape)),
         z=g_spectrum * plan.eigen_K - g_spectrum,
-        work=np.empty((2, *g.shape)),
+        work=np.empty_like(g),
         u_next=np.empty_like(g),
         spectrum=np.empty_like(g_spectrum),
     )
@@ -204,47 +217,47 @@ def _start(
 
 
 def _sweep(
-    x: _Iterate, f: _Fixed, alpha: np.ndarray, mu: float, p: int
+    x: _Iterate, f: _Fixed, alpha: np.ndarray | float, mu: float, p: int
 ) -> tuple[_Iterate, float]:
     """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
 
     Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
-    in place, with no image-sized array of its own: ``grad``, ``y_t``,
-    ``y_w``, ``z`` and the scratch of ``x`` are overwritten, and ``u`` and
-    ``u_next`` swap buffers, so the old u stays readable. Each field is one
-    (2, h, w) array, updated by whole-array operations. t lives only in
-    ``work``, as t - y_t, and w only in z's buffer until the u step; each
+    in place, with no image-sized array of its own, in two rotating fields:
+    q = Du + y_t, then t, then t - y_t are written over Du in ``grad``'s
+    buffer, which frees ``y_t``'s; the divergence is formed in that freed
+    buffer, then the new Du, and the new y_t is written over t - y_t. So
+    the returned state has ``grad`` and ``y_t`` swapped, as it has ``u``
+    and ``u_next``, and the old u stays readable in ``u_next``. ``work`` is
+    the prox's scratch. w lives only in z's buffer until the u step; each
     scaled dual (Boyd et al. 2011, section 3.1.1) then becomes
     y' = Ax - (t - y), which rounds differently from y + (Ax - t). The
     linear chain stays on the half spectrum, so the only transforms are the
     two inside ``spectral_step``; beta_t enters only the t step and beta_w
     only the w step.
     """
-    grad, y_t, y_w, work = x.grad, x.y_t, x.y_w, x.work
-    # q = Du + y_t, formed in the buffers of Du, whose value the sweep
-    # recomputes from the new u; then t = prox(q) in work, with u_next, free
-    # until the u step, as the prox's scratch, and work = t - y_t.
-    grad += y_t
-    prox_t(grad, alpha, f.beta_t, p, out=work, scratch=x.u_next)
-    work -= y_t
+    field, y_t, y_w = x.grad, x.y_t, x.y_w
+    # q = Du + y_t, t = prox(q) and t - y_t, each over the last; y_t is
+    # then dead, and its buffer takes the divergence and the new Du.
+    field += y_t
+    prox_t(field, alpha, f.beta_t, p, out=field, scratch=x.work)
+    field -= y_t
     # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
     # y_w = w - y_w, and v = y_w + G over w, which the u step then consumes.
     w = np.multiply(x.z, f.beta_w / (mu + f.beta_w), out=x.z)
     np.subtract(w, y_w, out=y_w)
     v = np.add(y_w, f.g_spectrum, out=w)
-    # d = div(work) in grad[0], grad[1] as scratch: prox_t has read q, and
-    # the gradient of the new u is written over both below.
-    d = divergence(work, out=grad[0], scratch=grad[1])
+    d = divergence(field, out=y_t[0], scratch=y_t[1])
     u, residual = spectral_step(d, v, f.factors, out=(x.u_next, x.spectrum))
     residual *= f.plan.eigen_K
     residual -= f.g_spectrum
-    gradient(u, out=grad)
+    grad = gradient(u, out=y_t)
     # y_w = (Ku - g) - (w - y_w); z = (Ku - g) + y_w, over v.
     np.subtract(residual, y_w, out=y_w)
     np.add(residual, y_w, out=v)
-    # y_t = Du - (t - y_t).
-    np.subtract(grad, work, out=y_t)
-    return x._replace(u=u, u_next=x.u), half_spectrum_norm(f.plan, residual)
+    # y_t = Du - (t - y_t), over t - y_t.
+    y_t = np.subtract(grad, field, out=field)
+    state = x._replace(u=u, u_next=x.u, grad=grad, y_t=y_t)
+    return state, half_spectrum_norm(f.plan, residual)
 
 
 def _prepare(
@@ -310,14 +323,20 @@ def restore(
     all-ones map in "tv_scalar" mode, then the discrepancy update of mu);
     primal updates t, w, u; dual ascent on the scaled duals y_w and y_t.
     Only u, Du, the two duals and z are carried from one sweep to the next;
-    t and w live in scratch within a sweep.
+    t and w live in the buffers of Du and z within a sweep.
     The linear terms w, y_w, Ku - g and z stay on the real-FFT half
     spectrum, and their norms come from Parseval, so a sweep runs two real
     transforms. The state is updated in place, in buffers allocated once
-    per call before the first sweep, so a sweep (see :func:`_sweep`) and a
-    weight refresh, whose box sums take ``work[1]`` as scratch, allocate no
-    image-sized array of their own; ``g`` is not modified, and ``u_star``
-    and ``alpha_final`` are buffers, not copies.
+    per call before the first sweep: two images u and u_next, two gradient
+    fields that trade the roles Du and y_t every sweep, one scratch image
+    ``work``, and the half spectra y_w, z and U. A sweep (see
+    :func:`_sweep`) and a weight refresh allocate no image-sized array of
+    their own: the refresh writes the norms into ``work`` and takes the old
+    u in ``u_next`` as the box sums' scratch, and the step in u is formed in
+    ``work``. The "tv_scalar" weights are the float 1.0, and its
+    ``alpha_final`` is ``u_next`` filled with ones after the last sweep.
+    ``g`` is not modified, and ``u_star`` and ``alpha_final`` are buffers,
+    not copies.
     Starts from u = g with zero duals; stops when the relative change of u
     falls to ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic:
     identical inputs give bit-identical iterates, whatever the BLAS thread
@@ -325,7 +344,8 @@ def restore(
     """
     plan, delta = _prepare(g, blur, sigma, cfg)
     g_arr = g.data
-    alpha = np.ones_like(g_arr)
+    # 1.0 / x has the bits of ones / x, so the scalar weights need no image.
+    alpha = np.empty_like(g_arr) if cfg.mode == "hwtv" else 1.0
     x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
     trace: list[TraceRow] = []
 
@@ -337,13 +357,13 @@ def restore(
             raise DivergenceError(k)
         if cfg.mode == "hwtv":
             # The weights of u, from the Du the last sweep formed for its
-            # dual update; work[1] is free once the norms are in work[0].
-            norms = pointwise_norm(x.grad, cfg.p, out=x.work[0], scratch=x.work[1])
-            alpha_from_norms(norms, cfg.r, out=alpha, scratch=x.work[1])
+            # dual update; u_next holds a u no longer read.
+            norms = pointwise_norm(x.grad, cfg.p, out=x.work, scratch=x.u_next)
+            alpha_from_norms(norms, cfg.r, out=alpha, scratch=x.u_next)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)
-        step = math.sqrt(_sum_squares(np.subtract(x.u, u_prev, out=x.work[0])))
+        step = math.sqrt(_sum_squares(np.subtract(x.u, u_prev, out=x.work)))
         if not math.isfinite(step):
             raise DivergenceError(k)
         u_norm = math.sqrt(_sum_squares(u_prev))
@@ -360,6 +380,9 @@ def restore(
         if rel_change <= cfg.tol:
             break
 
+    if cfg.mode == "tv_scalar":
+        alpha = x.u_next
+        alpha.fill(1.0)
     return RestoreResult(
         u_star=ImageBuffer(x.u),
         iterations=len(trace),
