@@ -51,7 +51,8 @@ class SpectralPlan:
 
     Both factors are on the real-FFT half spectrum, shape
     (height, width // 2 + 1), the layout of ``np.fft.rfft2``: eigen_K is the
-    real 2-D DFT of the origin-centered kernel; eigen_DtD is the symbol of
+    2-D DFT of the origin-centered kernel, real since the kernel is
+    symmetric, as a C-contiguous float64 array; eigen_DtD is the symbol of
     the periodic forward-difference normal operator,
     4 sin^2(pi w1 / W) + 4 sin^2(pi w2 / H). Immutable and shareable.
     """
@@ -128,6 +129,8 @@ def make_kernel(spec: BlurSpec) -> np.ndarray:
 
 def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     # Zero-pad the kernel and roll its center to the origin before the DFT.
+    # The kernel is symmetric about its center, so the DFT is real: its
+    # imaginary part is rounding noise, and only the real part is kept.
     kh, kw = kernel.shape
     if kh > height or kw > width:
         raise ValueError(
@@ -136,7 +139,7 @@ def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     padded = np.zeros((height, width))
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return np.fft.rfft2(padded)
+    return np.ascontiguousarray(np.fft.rfft2(padded).real)
 
 
 def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
@@ -156,16 +159,16 @@ def blur_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
 def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """The factors :func:`spectral_step` takes for one ``ratio``.
 
-    Returns ``(ratio conj(eigen_K), 1 / denom)`` on the half spectrum, with
-    denom = eigen_DtD + ratio |eigen_K|^2. The denominator is strictly
+    Returns ``(ratio eigen_K, 1 / denom)`` on the half spectrum, both real,
+    with denom = eigen_DtD + ratio eigen_K^2. eigen_K is real, so it is its
+    own conjugate and Kt has the symbol of K. The denominator is strictly
     positive for a normalized kernel and ratio > 0 (eigen_K equals 1 at the
     zero frequency), so the solve is exact to rounding. The caller ensures a
     finite ratio > 0, as ``SolverConfig`` does for beta_w / beta_t.
     """
     eigen_k = plan.eigen_K
-    # |eigen_K|^2 as re^2 + im^2: np.abs of a complex array calls hypot.
-    denom = plan.eigen_DtD + ratio * (eigen_k.real**2 + eigen_k.imag**2)
-    return ratio * np.conj(eigen_k), 1.0 / denom
+    denom = plan.eigen_DtD + ratio * eigen_k**2
+    return ratio * eigen_k, 1.0 / denom
 
 
 def spectral_step(
@@ -181,16 +184,17 @@ def spectral_step(
     rfft2(v), is on its half spectrum; the solve overwrites V. The returned
     U = rfft2(u) is on the same half spectrum, so a caller that keeps its
     linear terms there reads Ku as K U without another transform; ``out`` is
-    the pair (u, U). One ``rfft2`` and one inverse in all. Multiplying by the
-    reciprocal of the real denominator gives the same bits as dividing by
-    it, since numpy divides complex numbers that way.
+    the pair (u, U). One ``rfft2`` and one inverse in all. The two factors
+    are real, and a real times a complex factor rounds as the complex
+    product with a zero imaginary part. Multiplying by the reciprocal of
+    the real denominator gives the same bits as dividing by it, since numpy
+    divides complex numbers that way.
     """
     k_adjoint, inv_denom = factors
     if out is None:
         out = np.empty(d.shape), np.empty(v_spectrum.shape, np.complex128)
     u, spectrum = out
     np.fft.rfft2(d, out=spectrum)
-    # k_adjoint first: numpy's complex product is not symmetric in rounding.
     spectrum += np.multiply(k_adjoint, v_spectrum, out=v_spectrum)
     spectrum *= inv_denom
     # The inverse axis by axis, as irfftn runs it and with its bits, through
