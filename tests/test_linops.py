@@ -166,6 +166,43 @@ class TestOutWorkspace:
             assert np.array_equal(got, alloc)
 
 
+@pytest.mark.parametrize(
+    "shape", [(128, 128), (97, 130), (64, 33), (15, 9), (1, 8), (1, 9), (8, 1), (9, 1)]
+)
+def test_step_inverse_bits_of_irfftn(shape):
+    # spectral_step inverts axis by axis through V's buffer; u has the bits
+    # np.fft.irfftn gives for the U it returns, at odd and even widths and
+    # on single rows and columns.
+    rng = np.random.default_rng(47)
+    plan = build_plan(shape[1], shape[0], BlurSpec(band=1))
+    d, v = _rand_img(rng, *shape), _rand_img(rng, *shape)
+    u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(plan, 5.0))
+    expected = np.fft.irfftn(spectrum, s=shape, axes=(-2, -1))
+    assert u.tobytes() == expected.tobytes()
+
+
+def test_step_allocates_only_the_cast_buffer():
+    # Into given buffers, the u step allocates only numpy's cast buffer of
+    # 8192 complex128 values for its real x complex products, whatever the
+    # size: no half spectrum between the two inverse axes (516 KiB here).
+    import tracemalloc
+
+    rng = np.random.default_rng(48)
+    shape = (256, 256)
+    plan = build_plan(shape[1], shape[0], BlurSpec(band=5, sigma=1.0))
+    factors = step_factors(plan, 5.0)
+    d, v_spectrum = _rand_img(rng, *shape), np.fft.rfft2(_rand_img(rng, *shape))
+    out = np.empty(shape), np.empty_like(v_spectrum)
+    spectral_step(d, v_spectrum.copy(), factors, out=out)
+    tracemalloc.start()
+    try:
+        spectral_step(d, v_spectrum, factors, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8192 * 16 + 4096
+
+
 class TestKernel:
     def test_identity_spec(self):
         # Band 1 is K = I whatever the sigma.
@@ -244,6 +281,22 @@ class TestSpectralPlan:
             assert plan.eigen_K.shape == (height, width // 2 + 1)
             assert np.all(plan.eigen_K.real == 1.0)
             assert np.all(plan.eigen_K.imag == 0.0)
+
+    def test_blur_symbol_is_the_real_part_of_the_kernel_dft(self):
+        # The DFT of the symmetric, origin-centered kernel is real up to
+        # rounding; the plan keeps its real part as a float64 array.
+        for band in (3, 5, 7, 9):
+            for sigma in (0.3, 0.7, 1.0, 1.6, 2.5):
+                for height, width in ((37, 45), (16, 16), (15, 9)):
+                    kernel = make_kernel(BlurSpec(band=band, sigma=sigma))
+                    padded = np.zeros((height, width))
+                    padded[:band, :band] = kernel
+                    rolled = np.roll(padded, (-(band // 2), -(band // 2)), axis=(0, 1))
+                    full = np.fft.rfft2(rolled)
+                    eigen_k = build_plan(width, height, BlurSpec(band=band, sigma=sigma)).eigen_K
+                    assert eigen_k.dtype == np.float64 and eigen_k.flags.c_contiguous
+                    assert eigen_k.tobytes() == np.ascontiguousarray(full.real).tobytes()
+                    assert np.abs(full.imag).max() <= 1e-15
 
     def test_otf_magnitude_at_most_one(self):
         plan = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
@@ -443,6 +496,19 @@ class TestPointwiseNorm:
         field = (np.array([[3.0, -1.0]]), np.array([[4.0, 1.0]]))
         assert np.allclose(pointwise_norm(field, 1), [[7.0, 2.0]])
         assert np.allclose(pointwise_norm(field, 2), [[5.0, np.sqrt(2.0)]])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e150])
+    def test_p2_bits_of_multiply_add(self, scale):
+        # The einsum sum of squares has the bits of h * h + v * v at every
+        # magnitude, with zeros and -0.0 among the components.
+        rng = np.random.default_rng(43)
+        for shape in (*SHAPES, (128, 128)):
+            t = scale * _rand_field(rng, *shape)
+            t[rng.random(t.shape) < 0.1] = 0.0
+            t[rng.random(t.shape) < 0.1] = -0.0
+            expected = _reference_norm(t, 2)
+            out = np.full(shape, np.nan)
+            assert pointwise_norm(t, 2, out=out).tobytes() == expected.tobytes()
 
     def test_p2_within_two_ulp_of_hypot(self):
         rng = np.random.default_rng(39)

@@ -108,7 +108,10 @@ def _reference_prox(q, alpha, beta_t, p):
     return q * scale
 
 
-@pytest.mark.parametrize("shape", [(37, 45), (15, 9), (1, 16), (16, 1)])
+PROX_SHAPES = [(37, 45), (15, 9), (1, 16), (16, 1)]
+
+
+@pytest.mark.parametrize("shape", PROX_SHAPES)
 @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
 def test_prox_out_matches_allocating_and_reference(shape, p):
     rng = np.random.default_rng(68)
@@ -125,6 +128,30 @@ def test_prox_out_matches_allocating_and_reference(shape, p):
                                _reference_prox(q, alpha, 20.0, p)):
         assert got.tobytes() == alloc.tobytes()
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("weights", ["array", "zero", "scalar"])
+@pytest.mark.parametrize("shape", PROX_SHAPES)
+@pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
+def test_prox_over_its_input_matches_out_of_place(shape, p, weights):
+    # t written over q has the bits of t written elsewhere, with -0.0
+    # components, zero-norm pixels and zero weights in q; the scalar weight
+    # 1.0 has the bits of an all-ones array.
+    rng = np.random.default_rng(69)
+    q = _field(rng.standard_normal(shape), rng.standard_normal(shape))
+    for arr in q:
+        arr.flat[::3] = 0.0
+        arr.flat[1::5] = -0.0
+    q[:, :1] = -0.0
+    alpha = {"array": rng.uniform(0.0, 40.0, shape), "zero": np.zeros(shape),
+             "scalar": 1.0}[weights]
+    if weights == "array":
+        alpha.flat[::6] = 0.0
+    expected = prox_t(q, np.ones(shape) if weights == "scalar" else alpha, 20.0, p)
+    t = q.copy()
+    assert prox_t(t, alpha, 20.0, p, out=t, scratch=np.full(shape, np.nan)) is t
+    assert t.tobytes() == expected.tobytes()
+    assert prox_t(q, alpha, 20.0, p).tobytes() == expected.tobytes()
 
 
 class TestObjective:
@@ -339,16 +366,18 @@ def test_loop_allocates_no_image(monkeypatch, p):
     # tracemalloc peak of each sweep and of the work between two sweeps (the
     # weight refresh, the mu update and the step norm), in 128x128 float64
     # images: 4.73 and 3.05 when a sweep allocated its u, U and temporaries
-    # and the refresh its box sums, 1.51 and 1.03 now. What remains is
-    # numpy's own:
-    # - between sweeps: the buffers of the ufunc iterator (3 x 8192 float64,
-    #   whatever the image size) in box_mean's window difference along the
-    #   second axis, whose strided operands numpy iterates buffered;
-    # - in a sweep: the complex half spectrum that irfftn's first-axis
-    #   inverse transform returns, before the last-axis one writes into out.
+    # and the refresh its box sums, 1.01 and 1.50 now. What remains is
+    # numpy's own, a constant size whatever the image size:
+    # - between sweeps: the buffers of the ufunc iterator (3 x 8192 float64)
+    #   in box_mean's window difference along the second axis, whose
+    #   strided operands numpy iterates buffered;
+    # - in a sweep: the cast buffer (8192 complex128) of the real x complex
+    #   products of the u step and the residual. The half spectrum irfftn
+    #   allocated between its two axes (1.02 images here) is gone: the
+    #   inverse runs axis by axis through V's consumed buffer.
     # The exact p = 1 prox, which read 2.00 in a sweep when it allocated its
-    # threshold and signs, now writes its threshold into u_next, free until
-    # the u step, and applies the signs by copysign.
+    # threshold and signs, writes its threshold into work and applies the
+    # signs by copysign.
     import tracemalloc
 
     size, warmup = 128, 3
@@ -391,14 +420,17 @@ def test_loop_allocates_no_image(monkeypatch, p):
 
 
 @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
-@pytest.mark.parametrize("mode, bound", [("tv_scalar", 17.5), ("hwtv", 18.0)])
+@pytest.mark.parametrize("mode, bound", [("tv_scalar", 14.5), ("hwtv", 16.0)])
 def test_restore_workspace_images(mode, bound, p):
     # The tracemalloc peak of a warmed 5-sweep 128x128 restore, in 128x128
-    # float64 images: its plan, state, scratch and result. It reads 17.17
-    # (tv_scalar) and 17.65 (hwtv, whose weights are the one extra image;
-    # box_mean's running sums in a buffer of their own read 18.89); a state
-    # that also carried the primals t (two images) and w (a half spectrum)
-    # reads about 3 more.
+    # float64 images: its plan, state, scratch and result. It reads 14.14
+    # (tv_scalar) and 15.63 (hwtv, whose weight image and box_mean's
+    # iterator buffers are the extra 1.5) for p = 1 and 2: 13 images of
+    # buffers and numpy's one-image cast buffer. It read 17.17 and 17.65
+    # with a third gradient field, the irfftn half spectrum, the complex
+    # blur symbol and the tv_scalar all-ones weights; a state that also
+    # carried the primals t (two images) and w (a half spectrum) reads
+    # about 3 more.
     import tracemalloc
 
     size = 128
