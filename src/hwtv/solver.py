@@ -150,8 +150,8 @@ def prox_t(
         np.divide(alpha, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
     np.fmax(scale, 0.0, out=scale)
-    np.multiply(q[0], scale, out=out[0])
     np.multiply(q[1], scale, out=out[1])
+    np.multiply(q[0], scale, out=out[0])
     return out
 
 

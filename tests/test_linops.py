@@ -287,13 +287,13 @@ class TestSpectralPlan:
         # rounding; the plan keeps its real part as a float64 array.
         for band in (3, 5, 7, 9):
             for sigma in (0.3, 0.7, 1.0, 1.6, 2.5):
+                spec = BlurSpec(band=band, sigma=sigma)
                 for height, width in ((37, 45), (16, 16), (15, 9)):
-                    kernel = make_kernel(BlurSpec(band=band, sigma=sigma))
                     padded = np.zeros((height, width))
-                    padded[:band, :band] = kernel
+                    padded[:band, :band] = make_kernel(spec)
                     rolled = np.roll(padded, (-(band // 2), -(band // 2)), axis=(0, 1))
                     full = np.fft.rfft2(rolled)
-                    eigen_k = build_plan(width, height, BlurSpec(band=band, sigma=sigma)).eigen_K
+                    eigen_k = build_plan(width, height, spec).eigen_K
                     assert eigen_k.dtype == np.float64 and eigen_k.flags.c_contiguous
                     assert eigen_k.tobytes() == np.ascontiguousarray(full.real).tobytes()
                     assert np.abs(full.imag).max() <= 1e-15

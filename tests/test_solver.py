@@ -426,11 +426,9 @@ def test_restore_workspace_images(mode, bound, p):
     # float64 images: its plan, state, scratch and result. It reads 14.14
     # (tv_scalar) and 15.63 (hwtv, whose weight image and box_mean's
     # iterator buffers are the extra 1.5) for p = 1 and 2: 13 images of
-    # buffers and numpy's one-image cast buffer. It read 17.17 and 17.65
-    # with a third gradient field, the irfftn half spectrum, the complex
-    # blur symbol and the tv_scalar all-ones weights; a state that also
-    # carried the primals t (two images) and w (a half spectrum) reads
-    # about 3 more.
+    # buffers and numpy's one-image cast buffer. A third gradient field,
+    # the irfftn half spectrum, a complex blur symbol or an all-ones
+    # tv_scalar weight image would each add about one image.
     import tracemalloc
 
     size = 128
