@@ -47,6 +47,14 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _require_output_dirs(*paths) -> None:
+    """Refuse, before any work is done, an output whose folder does not exist."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"no folder {folder!r} to write {path!r} in")
+
+
 def _write_csv(path, row_type, rows) -> None:
     """Write dataclass ``rows`` as CSV, headed by ``row_type``'s field names."""
     with open(path, "w", newline="") as fh:
@@ -124,6 +132,7 @@ def _export_alpha(alpha_values: np.ndarray, path: str, fmt: str) -> None:
 
 
 def cmd_restore(args) -> int:
+    _require_output_dirs(args.out, args.alpha_out, args.trace)
     degraded = imgcore.read_image(args.infile)
     cfg = _config_from_args(args, args.tau, args.radius)
     result = solver.restore(degraded, _blur_from_args(args), args.noise_sigma, cfg)
@@ -182,6 +191,7 @@ def _sweep_cell(payload) -> SweepRow:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    _require_output_dirs(args.out)
     truth = imgcore.read_image(args.true)
     degraded = imgcore.read_image(args.infile)
     # Every cell is scored against the truth, so check that scoring can run.

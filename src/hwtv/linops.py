@@ -47,20 +47,17 @@ class BlurSpec:
 
 @dataclass(frozen=True)
 class SpectralPlan:
-    """Frequency-domain factors for one image size and blur kernel.
+    """The blur at one image size: its symbol on the real-FFT half spectrum.
 
-    Both factors are on the real-FFT half spectrum, shape
-    (height, width // 2 + 1), the layout of ``np.fft.rfft2``: eigen_K is the
-    2-D DFT of the origin-centered kernel, real since the kernel is
-    symmetric, as a C-contiguous float64 array; eigen_DtD is the symbol of
-    the periodic forward-difference normal operator,
-    4 sin^2(pi w1 / W) + 4 sin^2(pi w2 / H). Immutable and shareable.
+    eigen_K has the layout of ``np.fft.rfft2``, shape
+    (height, width // 2 + 1): the 2-D DFT of the origin-centered kernel,
+    real since the kernel is symmetric, as a C-contiguous float64 array.
+    Immutable and shareable.
     """
 
     width: int
     height: int
     eigen_K: np.ndarray
-    eigen_DtD: np.ndarray
 
 
 def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -143,12 +140,9 @@ def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
-    """Precompute the DFT factors used by :func:`step_factors` and the blur."""
+    """Precompute the blur's symbol, which :func:`step_factors` and the blur read."""
     eigen_k = _otf(make_kernel(spec), height, width)
-    sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
-    sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
-    eigen_dtd = sym_y[:, None] + sym_x[None, :]
-    return SpectralPlan(width=width, height=height, eigen_K=eigen_k, eigen_DtD=eigen_dtd)
+    return SpectralPlan(width=width, height=height, eigen_K=eigen_k)
 
 
 def blur_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
@@ -160,15 +154,26 @@ def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarr
     """The factors :func:`spectral_step` takes for one ``ratio``.
 
     Returns ``(ratio eigen_K, 1 / denom)`` on the half spectrum, both real,
-    with denom = eigen_DtD + ratio eigen_K^2. eigen_K is real, so it is its
-    own conjugate and Kt has the symbol of K. The denominator is strictly
-    positive for a normalized kernel and ratio > 0 (eigen_K equals 1 at the
-    zero frequency), so the solve is exact to rounding. The caller ensures a
-    finite ratio > 0, as ``SolverConfig`` does for beta_w / beta_t.
+    with denom = DtD + ratio eigen_K^2, where DtD is the symbol of the
+    periodic forward-difference normal operator, formed here. eigen_K is
+    real, so it is its own conjugate and Kt has the symbol of K. The
+    denominator is strictly positive for a normalized kernel and ratio > 0
+    (eigen_K equals 1 at the zero frequency, where DtD alone is 0), so the
+    solve is exact to rounding. The caller ensures a finite ratio > 0, as
+    ``SolverConfig`` does for beta_w / beta_t.
     """
     eigen_k = plan.eigen_K
-    denom = plan.eigen_DtD + ratio * eigen_k**2
+    denom = _dtd_symbol(plan.width, plan.height) + ratio * eigen_k**2
     return ratio * eigen_k, 1.0 / denom
+
+
+def _dtd_symbol(width: int, height: int) -> np.ndarray:
+    # DtD's symbol on the half spectrum, 4 sin^2(pi k / W) + 4 sin^2(pi l / H)
+    # at column k and row l: the gradient is a pair of circular
+    # differences, each diagonal in the DFT basis.
+    sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
+    sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
+    return sym_y[:, None] + sym_x[None, :]
 
 
 def spectral_step(

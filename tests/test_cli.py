@@ -112,6 +112,10 @@ USAGE_ERRORS = {
     "restore-noise-sigma-nan":
         "restore --in in/g.pgm --out rec.pgm --noise-sigma nan --tau 1.0 --radius 4 --max-iter 3",
     "restore-tol-nan": f"{RESTORE} --tol nan",
+    # an output whose folder does not exist is refused before the solver runs
+    "restore-out-dir-missing": RESTORE.replace("--out rec.pgm", "--out nodir/rec.pgm"),
+    "restore-alpha-out-dir-missing": f"{RESTORE} --alpha-out nodir/a.pgm",
+    "restore-trace-dir-missing": f"{RESTORE} --trace nodir/t.csv",
     # a NaN blur width is not a diverged run, an infinite one not a box blur;
     # band 1, the identity, is checked too
     "restore-blur-sigma-nan": f"{RESTORE} --blur-band 5 --blur-sigma nan",
@@ -137,6 +141,7 @@ USAGE_ERRORS = {
     "sweep-tau-grid-too-long": f"{SWEEP} --tau-grid 0:1e-9:1 --radius-grid 2",
     "sweep-radius-oversized": f"{SWEEP} --tau-grid 1.0 --radius-grid 2,40",
     "sweep-jobs-zero": f"{SWEEP} --radius-grid 2 --jobs 0",
+    "sweep-out-dir-missing": SWEEP.replace("--out s.csv", "--out nodir/s.csv"),
     # restore's own checks run on every cell before any cell or worker starts
     "sweep-noise-sigma-nan": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
                              "--noise-sigma nan --tau-grid 1.0 --radius-grid 2",

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hwtv.linops import (
     BlurSpec,
+    SpectralPlan,
+    _dtd_symbol,
     blur_via_plan,
     box_mean,
     build_plan,
@@ -269,9 +273,33 @@ class TestBlur:
 
 class TestSpectralPlan:
     def test_dtd_symbol_zero_at_dc(self):
-        plan = build_plan(8, 6, BlurSpec(band=1))
-        assert plan.eigen_DtD[0, 0] == 0.0
-        assert np.all(plan.eigen_DtD.ravel()[1:] > 0.0)
+        symbol = _dtd_symbol(8, 6)
+        assert symbol.shape == (6, 8 // 2 + 1)
+        assert symbol[0, 0] == 0.0
+        assert np.all(symbol.ravel()[1:] > 0.0)
+
+    def test_plan_holds_the_blur_and_step_factors_keep_their_bits(self):
+        # The plan is the blur alone; step_factors forms the gradient symbol
+        # itself, with the bits of the factors formed from a plan that held
+        # it: sym_y + sym_x is added before ratio eigen_K^2.
+        assert [f.name for f in dataclasses.fields(SpectralPlan)] == [
+            "width", "height", "eigen_K"]
+        for height, width in ((6, 8), (37, 45), (15, 9), (256, 256)):
+            sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
+            sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
+            eigen_dtd = sym_y[:, None] + sym_x[None, :]
+            for spec in (BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)):
+                padded = np.zeros((height, width))
+                padded[:spec.band, :spec.band] = make_kernel(spec)
+                shift = -(spec.band // 2)
+                rolled = np.roll(padded, (shift, shift), axis=(0, 1))
+                eigen_k = np.ascontiguousarray(np.fft.rfft2(rolled).real)
+                plan = build_plan(width, height, spec)
+                for ratio in (1e-6, 5.0, 1e6):
+                    k_adjoint, inv_denom = step_factors(plan, ratio)
+                    assert k_adjoint.tobytes() == (ratio * eigen_k).tobytes()
+                    expected = 1.0 / (eigen_dtd + ratio * eigen_k**2)
+                    assert inv_denom.tobytes() == expected.tobytes()
 
     def test_identity_eigenvalues_are_one(self):
         # Exactly, at odd and even sizes: restore treats band 1 as K = I to
@@ -308,8 +336,10 @@ class TestSpectralPlan:
     @pytest.mark.parametrize("ratio", [1e-6, 1.0, 5.0, 1e6])
     def test_solve_denominator_strictly_positive(self, spec, ratio):
         plan = build_plan(12, 10, spec)
-        denom = plan.eigen_DtD + ratio * np.abs(plan.eigen_K) ** 2
+        denom = _dtd_symbol(12, 10) + ratio * np.abs(plan.eigen_K) ** 2
         assert denom.min() > 0.0
+        inv_denom = step_factors(plan, ratio)[1]
+        assert np.all(np.isfinite(inv_denom)) and inv_denom.min() > 0.0
 
 
 class TestSpectralStep:
@@ -384,7 +414,7 @@ class TestHalfSpectrum:
     def test_blur_matches_spatial_oracle(self, seed, height, width, spec):
         u = _rand_img(np.random.default_rng(seed), height, width)
         plan = build_plan(width, height, spec)
-        assert plan.eigen_K.shape == plan.eigen_DtD.shape == (height, width // 2 + 1)
+        assert plan.eigen_K.shape == (height, width // 2 + 1)
         out = blur_via_plan(plan, u)
         assert out.shape == u.shape
         assert np.allclose(out, circular_convolve(u, make_kernel(spec)), rtol=0, atol=1e-12)
