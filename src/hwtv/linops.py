@@ -168,9 +168,8 @@ def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarr
 
 
 def _dtd_symbol(width: int, height: int) -> np.ndarray:
-    # DtD's symbol on the half spectrum, 4 sin^2(pi k / W) + 4 sin^2(pi l / H)
-    # at column k and row l: the gradient is a pair of circular
-    # differences, each diagonal in the DFT basis.
+    # 4 sin^2(pi k / W) + 4 sin^2(pi l / H) at column k and row l of the half
+    # spectrum: each circular difference is diagonal in the DFT basis.
     sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
     sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
     return sym_y[:, None] + sym_x[None, :]

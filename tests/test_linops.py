@@ -280,8 +280,8 @@ class TestSpectralPlan:
 
     def test_plan_holds_the_blur_and_step_factors_keep_their_bits(self):
         # The plan is the blur alone; step_factors forms the gradient symbol
-        # itself, with the bits of the factors formed from a plan that held
-        # it: sym_y + sym_x is added before ratio eigen_K^2.
+        # itself and keeps the bits of 1 / (DtD + ratio eigen_K^2) with
+        # DtD = sym_y + sym_x summed first.
         assert [f.name for f in dataclasses.fields(SpectralPlan)] == [
             "width", "height", "eigen_K"]
         for height, width in ((6, 8), (37, 45), (15, 9), (256, 256)):
