@@ -48,11 +48,13 @@ def _print_json(payload: dict) -> None:
 
 
 def _require_output_dirs(*paths) -> None:
-    """Refuse, before any work is done, an output whose folder does not exist."""
+    """Refuse, before any work is done, an output that is a folder or has no folder to be in."""
     for path in filter(None, paths):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"no folder {folder!r} to write {path!r} in")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output {path!r} is a folder")
 
 
 def _write_csv(path, row_type, rows) -> None:

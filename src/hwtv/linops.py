@@ -45,21 +45,6 @@ class BlurSpec:
         _require_finite_positive("sigma", self.sigma)
 
 
-@dataclass(frozen=True)
-class SpectralPlan:
-    """The blur at one image size: its symbol on the real-FFT half spectrum.
-
-    eigen_K has the layout of ``np.fft.rfft2``, shape
-    (height, width // 2 + 1): the 2-D DFT of the origin-centered kernel,
-    real since the kernel is symmetric, as a C-contiguous float64 array.
-    Immutable and shareable.
-    """
-
-    width: int
-    height: int
-    eigen_K: np.ndarray
-
-
 def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward differences (h, v), stacked, with periodic wrap in both directions."""
     if out is None:
@@ -139,32 +124,37 @@ def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.ascontiguousarray(np.fft.rfft2(padded).real)
 
 
-def build_plan(width: int, height: int, spec: BlurSpec) -> SpectralPlan:
-    """Precompute the blur's symbol, which :func:`step_factors` and the blur read."""
-    eigen_k = _otf(make_kernel(spec), height, width)
-    return SpectralPlan(width=width, height=height, eigen_K=eigen_k)
+def build_plan(width: int, height: int, spec: BlurSpec) -> np.ndarray:
+    """The blur's symbol eigen_K at one image size, on the ``np.fft.rfft2`` half spectrum.
+
+    The 2-D DFT of the origin-centered kernel, real since the kernel is
+    symmetric: a C-contiguous float64 array of shape (height, width // 2 + 1).
+    """
+    return _otf(make_kernel(spec), height, width)
 
 
-def blur_via_plan(plan: SpectralPlan, u: np.ndarray) -> np.ndarray:
-    """Circular convolution with the planned kernel via its eigenvalues."""
-    return np.fft.irfft2(np.fft.rfft2(u) * plan.eigen_K, s=u.shape)
+def blur_via_plan(eigen_K: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Circular convolution of ``u`` with the kernel whose symbol is ``eigen_K``."""
+    return np.fft.irfft2(np.fft.rfft2(u) * eigen_K, s=u.shape)
 
 
-def step_factors(plan: SpectralPlan, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+def step_factors(
+    eigen_K: np.ndarray, width: int, ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The factors :func:`spectral_step` takes for one ``ratio``.
 
-    Returns ``(ratio eigen_K, 1 / denom)`` on the half spectrum, both real,
-    with denom = DtD + ratio eigen_K^2, where DtD is the symbol of the
-    periodic forward-difference normal operator, formed here. eigen_K is
-    real, so it is its own conjugate and Kt has the symbol of K. The
-    denominator is strictly positive for a normalized kernel and ratio > 0
-    (eigen_K equals 1 at the zero frequency, where DtD alone is 0), so the
-    solve is exact to rounding. The caller ensures a finite ratio > 0, as
-    ``SolverConfig`` does for beta_w / beta_t.
+    Returns ``(ratio eigen_K, 1 / denom)`` on the half spectrum of a
+    ``width``-wide image, both real, with denom = DtD + ratio eigen_K^2,
+    where DtD is the symbol of the periodic forward-difference normal
+    operator, formed here. eigen_K is real, so it is its own conjugate and
+    Kt has the symbol of K. The denominator is strictly positive for a
+    normalized kernel and ratio > 0 (eigen_K equals 1 at the zero
+    frequency, where DtD alone is 0), so the solve is exact to rounding.
+    The caller ensures a finite ratio > 0, as ``SolverConfig`` does for
+    beta_w / beta_t.
     """
-    eigen_k = plan.eigen_K
-    denom = _dtd_symbol(plan.width, plan.height) + ratio * eigen_k**2
-    return ratio * eigen_k, 1.0 / denom
+    denom = _dtd_symbol(width, len(eigen_K)) + ratio * eigen_K**2
+    return ratio * eigen_K, 1.0 / denom
 
 
 def _dtd_symbol(width: int, height: int) -> np.ndarray:
@@ -183,16 +173,16 @@ def spectral_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, U)``.
 
-    ``factors`` is ``step_factors(plan, ratio)``. The caller ensures that
-    ``d`` is a real image of the plan's size and that ``v_spectrum``, V =
-    rfft2(v), is on its half spectrum; the solve overwrites V. The returned
-    U = rfft2(u) is on the same half spectrum, so a caller that keeps its
-    linear terms there reads Ku as K U without another transform; ``out`` is
-    the pair (u, U). One ``rfft2`` and one inverse in all. The two factors
-    are real, and a real times a complex factor rounds as the complex
-    product with a zero imaginary part. Multiplying by the reciprocal of
-    the real denominator gives the same bits as dividing by it, since numpy
-    divides complex numbers that way.
+    ``factors`` is ``step_factors(eigen_K, width, ratio)``. The caller
+    ensures that ``d`` is a real image of the factors' size and that
+    ``v_spectrum``, V = rfft2(v), is on its half spectrum; the solve
+    overwrites V. The returned U = rfft2(u) is on the same half spectrum,
+    so a caller that keeps its linear terms there reads Ku as K U without
+    another transform; ``out`` is the pair (u, U). One ``rfft2`` and one
+    inverse in all. The two factors are real, and a real times a complex
+    factor rounds as the complex product with a zero imaginary part.
+    Multiplying by the reciprocal of the real denominator gives the same
+    bits as dividing by it, since numpy divides complex numbers that way.
     """
     k_adjoint, inv_denom = factors
     if out is None:
@@ -209,8 +199,8 @@ def spectral_step(
     return out
 
 
-def half_spectrum_norm(plan: SpectralPlan, spectrum: np.ndarray) -> float:
-    """Euclidean norm of the real image whose ``rfft2`` is ``spectrum``.
+def half_spectrum_norm(spectrum: np.ndarray, width: int) -> float:
+    """Euclidean norm of the ``width``-wide real image whose ``rfft2`` is ``spectrum``.
 
     By Parseval, ||x||^2 = sum |X|^2 / (height width) over the full
     spectrum. The half spectrum holds each column pair k, width - k once, so
@@ -220,9 +210,9 @@ def half_spectrum_norm(plan: SpectralPlan, spectrum: np.ndarray) -> float:
     width), which ``restore`` reports as divergence.
     """
     total = 2.0 * _sum_squares(spectrum) - _sum_squares(spectrum[:, :1])
-    if plan.width % 2 == 0:
+    if width % 2 == 0:
         total -= _sum_squares(spectrum[:, -1:])
-    return math.sqrt(total / (plan.height * plan.width))
+    return math.sqrt(total / (len(spectrum) * width))
 
 
 def _sum_squares(arr: np.ndarray) -> float:

@@ -22,7 +22,6 @@ from .adapt import alpha_from_norms, update_mu
 from .imgcore import ImageBuffer, _is_integer, _require_finite_positive, _require_instance
 from .linops import (
     BlurSpec,
-    SpectralPlan,
     _sum_squares,
     build_plan,
     divergence,
@@ -186,11 +185,12 @@ class _Iterate(NamedTuple):
 class _Fixed(NamedTuple):
     """What every sweep of one restore reads and none writes.
 
-    ``g_spectrum`` is G = rfft2(g) and ``factors`` is
-    ``step_factors(plan, beta_w / beta_t)``.
+    ``eigen_K`` is the blur's symbol from ``build_plan``, ``g_spectrum`` is
+    G = rfft2(g) and ``factors`` is ``step_factors(eigen_K, width,
+    beta_w / beta_t)``.
     """
 
-    plan: SpectralPlan
+    eigen_K: np.ndarray
     g_spectrum: np.ndarray
     factors: tuple[np.ndarray, np.ndarray]
     beta_t: float
@@ -198,7 +198,7 @@ class _Fixed(NamedTuple):
 
 
 def _start(
-    g: np.ndarray, plan: SpectralPlan, beta_t: float, beta_w: float
+    g: np.ndarray, eigen_K: np.ndarray, beta_t: float, beta_w: float
 ) -> tuple[_Iterate, _Fixed]:
     """State at u = g (a copy) with zero duals, its scratch, and the constants."""
     g_spectrum = np.fft.rfft2(g)
@@ -207,12 +207,13 @@ def _start(
         grad=gradient(g),
         y_w=np.zeros_like(g_spectrum),
         y_t=np.zeros((2, *g.shape)),
-        z=g_spectrum * plan.eigen_K - g_spectrum,
+        z=g_spectrum * eigen_K - g_spectrum,
         work=np.empty_like(g),
         u_next=np.empty_like(g),
         spectrum=np.empty_like(g_spectrum),
     )
-    fixed = _Fixed(plan, g_spectrum, step_factors(plan, beta_w / beta_t), beta_t, beta_w)
+    factors = step_factors(eigen_K, g.shape[1], beta_w / beta_t)
+    fixed = _Fixed(eigen_K, g_spectrum, factors, beta_t, beta_w)
     return state, fixed
 
 
@@ -248,7 +249,7 @@ def _sweep(
     v = np.add(y_w, f.g_spectrum, out=w)
     d = divergence(field, out=y_t[0], scratch=y_t[1])
     u, residual = spectral_step(d, v, f.factors, out=(x.u_next, x.spectrum))
-    residual *= f.plan.eigen_K
+    residual *= f.eigen_K
     residual -= f.g_spectrum
     grad = gradient(u, out=y_t)
     # y_w = (Ku - g) - (w - y_w); z = (Ku - g) + y_w, over v.
@@ -257,17 +258,15 @@ def _sweep(
     # y_t = Du - (t - y_t), over t - y_t.
     y_t = np.subtract(grad, field, out=field)
     state = x._replace(u=u, u_next=x.u, grad=grad, y_t=y_t)
-    return state, half_spectrum_norm(f.plan, residual)
+    return state, half_spectrum_norm(residual, u.shape[1])
 
 
-def _prepare(
-    g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig
-) -> tuple[SpectralPlan, float]:
-    """Check every input of :func:`restore`; return its plan and target delta.
+def _prepare(g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig) -> float:
+    """Check every input of :func:`restore`; return its target delta.
 
     In order: the types of ``g``, ``blur`` and ``cfg``, ``sigma``, the "hwtv"
-    window and the kernel (by building the plan) against ``g``, and delta =
-    tau * sigma * sqrt(n), which can underflow to 0.
+    window and the kernel against ``g``, and delta = tau * sigma * sqrt(n),
+    which can underflow to 0.
     """
     _require_instance("g", g, ImageBuffer)
     _require_instance("blur", blur, BlurSpec)
@@ -278,11 +277,14 @@ def _prepare(
             f"estimation window {2 * cfg.r + 1} exceeds image "
             f"{g.height}x{g.width}"
         )
-    plan = build_plan(g.width, g.height, blur)
+    if blur.band > min(g.height, g.width):
+        raise ValueError(
+            f"kernel {blur.band}x{blur.band} larger than image {g.height}x{g.width}"
+        )
     delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
     if delta <= 0:
         raise ValueError(f"tau * sigma * sqrt(n) must be positive, got {delta}")
-    return plan, delta
+    return delta
 
 
 def restore(
@@ -342,17 +344,17 @@ def restore(
     identical inputs give bit-identical iterates, whatever the BLAS thread
     count, since no norm is summed by BLAS.
     """
-    plan, delta = _prepare(g, blur, sigma, cfg)
+    delta = _prepare(g, blur, sigma, cfg)
     g_arr = g.data
     # 1.0 / x has the bits of ones / x, so the scalar weights need no image.
     alpha = np.empty_like(g_arr) if cfg.mode == "hwtv" else 1.0
-    x, fixed = _start(g_arr, plan, cfg.beta_t, cfg.beta_w)
+    x, fixed = _start(g_arr, build_plan(g.width, g.height, blur), cfg.beta_t, cfg.beta_w)
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
         # Tested before the refresh, so an overflow raises here in both modes.
-        z_norm = half_spectrum_norm(plan, x.z)
+        z_norm = half_spectrum_norm(x.z, g.width)
         if not math.isfinite(z_norm):
             raise DivergenceError(k)
         if cfg.mode == "hwtv":

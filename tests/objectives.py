@@ -10,7 +10,6 @@ import numpy as np
 from hwtv import solver
 from hwtv.linops import (
     BlurSpec,
-    SpectralPlan,
     blur_via_plan,
     build_plan,
     gradient,
@@ -21,18 +20,18 @@ from hwtv.linops import (
 def objective(
     u: np.ndarray,
     g: np.ndarray,
-    plan: SpectralPlan,
+    eigen_K: np.ndarray,
     alpha: np.ndarray,
     mu: float,
     p: int,
 ) -> float:
     """Diagnostic value sum_i alpha_i ||(Du)_i||_p + (mu/2) ||Ku - g||^2.
 
-    ``plan`` carries the blur K. Not monotone across restore() iterations
-    since alpha and mu change there.
+    ``eigen_K`` is the symbol of the blur K, from ``build_plan``. Not
+    monotone across restore() iterations since alpha and mu change there.
     """
     norms = pointwise_norm(gradient(u), p)
-    residual = blur_via_plan(plan, u) - g
+    residual = blur_via_plan(eigen_K, u) - g
     return float(np.sum(alpha * norms) + 0.5 * mu * np.sum(residual**2))
 
 
@@ -43,7 +42,7 @@ def augmented_lagrangian(
     rho_w: np.ndarray,
     rho_t: np.ndarray,
     g: np.ndarray,
-    plan: SpectralPlan,
+    eigen_K: np.ndarray,
     alpha: np.ndarray,
     mu: float,
     beta_t: float,
@@ -54,7 +53,7 @@ def augmented_lagrangian(
     grad_h, grad_v = gradient(u)
     res_h = t[0] - grad_h
     res_v = t[1] - grad_v
-    res_w = w - (blur_via_plan(plan, u) - g)
+    res_w = w - (blur_via_plan(eigen_K, u) - g)
     value = float(np.sum(alpha * pointwise_norm(t, p)))
     value += 0.5 * mu * float(np.sum(w**2))
     value -= float(np.sum(rho_t[0] * res_h) + np.sum(rho_t[1] * res_v))
@@ -122,8 +121,8 @@ def frozen_nonincrease_share(trials: int, n: int, sweeps: int) -> float:
         blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(band=1)
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 30.0, 20.0, 100.0, 2
-        plan = build_plan(n, n, blur)
-        x, fixed = solver._start(g, plan, bt, bw)
+        eigen_k = build_plan(n, n, blur)
+        x, fixed = solver._start(g, eigen_k, bt, bw)
         values = []
         for _ in range(sweeps):
             # The Lagrangian takes the new primals and the old duals, as the
@@ -137,7 +136,7 @@ def frozen_nonincrease_share(trials: int, n: int, sweeps: int) -> float:
             t = x.grad - x.y_t + y_t
             values.append(augmented_lagrangian(
                 x.u, w, t, rho_w, rho_t,
-                g, plan, weights, mu, bt, bw, p,
+                g, eigen_k, weights, mu, bt, bw, p,
             ))
         diffs = np.diff(values)
         tol = 1e-10 * (1.0 + np.abs(np.asarray(values[:-1])))

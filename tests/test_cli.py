@@ -116,6 +116,10 @@ USAGE_ERRORS = {
     "restore-out-dir-missing": RESTORE.replace("--out rec.pgm", "--out nodir/rec.pgm"),
     "restore-alpha-out-dir-missing": f"{RESTORE} --alpha-out nodir/a.pgm",
     "restore-trace-dir-missing": f"{RESTORE} --trace nodir/t.csv",
+    # and so is an output that is a folder
+    "restore-out-is-folder": RESTORE.replace("--out rec.pgm", "--out in"),
+    "restore-alpha-out-is-folder": f"{RESTORE} --alpha-out in",
+    "restore-trace-is-folder": f"{RESTORE} --trace in",
     # a NaN blur width is not a diverged run, an infinite one not a box blur;
     # band 1, the identity, is checked too
     "restore-blur-sigma-nan": f"{RESTORE} --blur-band 5 --blur-sigma nan",
@@ -142,6 +146,7 @@ USAGE_ERRORS = {
     "sweep-radius-oversized": f"{SWEEP} --tau-grid 1.0 --radius-grid 2,40",
     "sweep-jobs-zero": f"{SWEEP} --radius-grid 2 --jobs 0",
     "sweep-out-dir-missing": SWEEP.replace("--out s.csv", "--out nodir/s.csv"),
+    "sweep-out-is-folder": SWEEP.replace("--out s.csv", "--out in"),
     # restore's own checks run on every cell before any cell or worker starts
     "sweep-noise-sigma-nan": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
                              "--noise-sigma nan --tau-grid 1.0 --radius-grid 2",
@@ -424,6 +429,29 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == SWEEP_HEADER
         assert [int(row[1]) for row in rows[1:]] == [2, 3, 4]
+
+    def test_one_blur_symbol_per_cell(self, phantom_files, capsys, monkeypatch):
+        # the checks that run on every cell before any cell starts build no
+        # blur symbol; each cell's restore builds its own, once
+        tmp_path, truth, truth_path = phantom_files
+        g_path = _degrade(capsys, truth_path, "g.raw", 10, "--blur-band", "3")
+        calls = []
+        real_build = cli.solver.build_plan
+
+        def counting_build(width, height, spec):
+            calls.append(spec)
+            return real_build(width, height, spec)
+
+        monkeypatch.setattr(cli.solver, "build_plan", counting_build)
+        code, _ = _run(
+            ["sweep", "--true", str(truth_path), "--in", str(g_path),
+             "--out", str(tmp_path / "sweep.csv"), "--noise-sigma", "0.1",
+             "--tau-grid", "0.95,1.0", "--radius-grid", "2,4", "--max-iter", "3",
+             "--blur-band", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert len(calls) == 4
 
     def test_colon_grid_parsing(self):
         assert cli.parse_grid("0.9:0.05:1.0", float) == pytest.approx([0.9, 0.95, 1.0])

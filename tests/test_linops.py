@@ -1,11 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from hwtv.linops import (
     BlurSpec,
-    SpectralPlan,
     _dtd_symbol,
     blur_via_plan,
     box_mean,
@@ -38,9 +35,9 @@ def _plan_for(u, spec):
     return build_plan(u.shape[1], u.shape[0], spec)
 
 
-def _blur_from_step(plan, spectrum, shape):
+def _blur_from_step(eigen_k, spectrum, shape):
     # Ku read from the solution spectrum U that spectral_step returns: K U.
-    return np.fft.irfft2(spectrum * plan.eigen_K, s=shape)
+    return np.fft.irfft2(spectrum * eigen_k, s=shape)
 
 
 class TestGradient:
@@ -161,9 +158,9 @@ class TestOutWorkspace:
     @pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
     def test_spectral_step(self, shape, spec):
         rng = np.random.default_rng(46)
-        plan = build_plan(shape[1], shape[0], spec)
+        eigen_k = build_plan(shape[1], shape[0], spec)
         d, v = _rand_img(rng, *shape), _rand_img(rng, *shape)
-        factors = step_factors(plan, 5.0)
+        factors = step_factors(eigen_k, shape[1], 5.0)
         out = np.empty(shape), np.empty((shape[0], shape[1] // 2 + 1), complex)
         assert spectral_step(d, np.fft.rfft2(v), factors, out=out) is out
         for got, alloc in zip(out, spectral_step(d, np.fft.rfft2(v), factors)):
@@ -178,9 +175,9 @@ def test_step_inverse_bits_of_irfftn(shape):
     # np.fft.irfftn gives for the U it returns, at odd and even widths and
     # on single rows and columns.
     rng = np.random.default_rng(47)
-    plan = build_plan(shape[1], shape[0], BlurSpec(band=1))
+    eigen_k = build_plan(shape[1], shape[0], BlurSpec(band=1))
     d, v = _rand_img(rng, *shape), _rand_img(rng, *shape)
-    u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(plan, 5.0))
+    u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(eigen_k, shape[1], 5.0))
     expected = np.fft.irfftn(spectrum, s=shape, axes=(-2, -1))
     assert u.tobytes() == expected.tobytes()
 
@@ -193,8 +190,8 @@ def test_step_allocates_only_the_cast_buffer():
 
     rng = np.random.default_rng(48)
     shape = (256, 256)
-    plan = build_plan(shape[1], shape[0], BlurSpec(band=5, sigma=1.0))
-    factors = step_factors(plan, 5.0)
+    eigen_k = build_plan(shape[1], shape[0], BlurSpec(band=5, sigma=1.0))
+    factors = step_factors(eigen_k, shape[1], 5.0)
     d, v_spectrum = _rand_img(rng, *shape), np.fft.rfft2(_rand_img(rng, *shape))
     out = np.empty(shape), np.empty_like(v_spectrum)
     spectral_step(d, v_spectrum.copy(), factors, out=out)
@@ -247,9 +244,9 @@ class TestBlur:
     def test_linear(self):
         rng = np.random.default_rng(25)
         u, v = _rand_img(rng, 8, 8), _rand_img(rng, 8, 8)
-        plan = _plan_for(u, BlurSpec(band=5, sigma=1.0))
-        lhs = blur_via_plan(plan, 2.0 * u - 3.0 * v)
-        rhs = 2.0 * blur_via_plan(plan, u) - 3.0 * blur_via_plan(plan, v)
+        eigen_k = _plan_for(u, BlurSpec(band=5, sigma=1.0))
+        lhs = blur_via_plan(eigen_k, 2.0 * u - 3.0 * v)
+        rhs = 2.0 * blur_via_plan(eigen_k, u) - 3.0 * blur_via_plan(eigen_k, v)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_adjoint_equals_forward_for_symmetric_kernel(self):
@@ -262,10 +259,10 @@ class TestBlur:
     def test_adjoint_identity(self):
         rng = np.random.default_rng(27)
         spec = BlurSpec(band=3, sigma=0.7)
-        plan = build_plan(6, 6, spec)
+        eigen_k = build_plan(6, 6, spec)
         for _ in range(50):
             u, w = _rand_img(rng, 6, 6), _rand_img(rng, 6, 6)
-            lhs = float(np.sum(blur_via_plan(plan, u) * w))
+            lhs = float(np.sum(blur_via_plan(eigen_k, u) * w))
             rhs = float(np.sum(u * circular_correlate(w, make_kernel(spec))))
             scale = np.linalg.norm(u) * np.linalg.norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
@@ -279,11 +276,10 @@ class TestSpectralPlan:
         assert np.all(symbol.ravel()[1:] > 0.0)
 
     def test_plan_holds_the_blur_and_step_factors_keep_their_bits(self):
-        # The plan is the blur alone; step_factors forms the gradient symbol
-        # itself and keeps the bits of 1 / (DtD + ratio eigen_K^2) with
-        # DtD = sym_y + sym_x summed first.
-        assert [f.name for f in dataclasses.fields(SpectralPlan)] == [
-            "width", "height", "eigen_K"]
+        # build_plan returns the blur symbol alone, one C-contiguous float64
+        # half spectrum; step_factors forms the gradient symbol itself and
+        # keeps the bits of 1 / (DtD + ratio eigen_K^2) with DtD = sym_y +
+        # sym_x summed first.
         for height, width in ((6, 8), (37, 45), (15, 9), (256, 256)):
             sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
             sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
@@ -294,9 +290,12 @@ class TestSpectralPlan:
                 shift = -(spec.band // 2)
                 rolled = np.roll(padded, (shift, shift), axis=(0, 1))
                 eigen_k = np.ascontiguousarray(np.fft.rfft2(rolled).real)
-                plan = build_plan(width, height, spec)
+                symbol = build_plan(width, height, spec)
+                assert type(symbol) is np.ndarray and symbol.dtype == np.float64
+                assert symbol.flags.c_contiguous and symbol.shape == (height, width // 2 + 1)
+                assert symbol.tobytes() == eigen_k.tobytes()
                 for ratio in (1e-6, 5.0, 1e6):
-                    k_adjoint, inv_denom = step_factors(plan, ratio)
+                    k_adjoint, inv_denom = step_factors(symbol, width, ratio)
                     assert k_adjoint.tobytes() == (ratio * eigen_k).tobytes()
                     expected = 1.0 / (eigen_dtd + ratio * eigen_k**2)
                     assert inv_denom.tobytes() == expected.tobytes()
@@ -305,14 +304,13 @@ class TestSpectralPlan:
         # Exactly, at odd and even sizes: restore treats band 1 as K = I to
         # the bit.
         for width, height in ((5, 5), (8, 8), (45, 37), (9, 15), (16, 1), (256, 256)):
-            plan = build_plan(width, height, BlurSpec(band=1))
-            assert plan.eigen_K.shape == (height, width // 2 + 1)
-            assert np.all(plan.eigen_K.real == 1.0)
-            assert np.all(plan.eigen_K.imag == 0.0)
+            eigen_k = build_plan(width, height, BlurSpec(band=1))
+            assert eigen_k.shape == (height, width // 2 + 1)
+            assert np.all(eigen_k == 1.0)
 
     def test_blur_symbol_is_the_real_part_of_the_kernel_dft(self):
         # The DFT of the symmetric, origin-centered kernel is real up to
-        # rounding; the plan keeps its real part as a float64 array.
+        # rounding; build_plan keeps its real part as a float64 array.
         for band in (3, 5, 7, 9):
             for sigma in (0.3, 0.7, 1.0, 1.6, 2.5):
                 spec = BlurSpec(band=band, sigma=sigma)
@@ -321,24 +319,24 @@ class TestSpectralPlan:
                     padded[:band, :band] = make_kernel(spec)
                     rolled = np.roll(padded, (-(band // 2), -(band // 2)), axis=(0, 1))
                     full = np.fft.rfft2(rolled)
-                    eigen_k = build_plan(width, height, spec).eigen_K
+                    eigen_k = build_plan(width, height, spec)
                     assert eigen_k.dtype == np.float64 and eigen_k.flags.c_contiguous
                     assert eigen_k.tobytes() == np.ascontiguousarray(full.real).tobytes()
                     assert np.abs(full.imag).max() <= 1e-15
 
     def test_otf_magnitude_at_most_one(self):
-        plan = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
-        assert np.max(np.abs(plan.eigen_K)) <= 1.0 + 1e-12
+        eigen_k = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
+        assert np.max(np.abs(eigen_k)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize(
         "spec", [BlurSpec(band=1), BlurSpec(band=3, sigma=0.5), BlurSpec(band=9, sigma=3.0)]
     )
     @pytest.mark.parametrize("ratio", [1e-6, 1.0, 5.0, 1e6])
     def test_solve_denominator_strictly_positive(self, spec, ratio):
-        plan = build_plan(12, 10, spec)
-        denom = _dtd_symbol(12, 10) + ratio * np.abs(plan.eigen_K) ** 2
+        eigen_k = build_plan(12, 10, spec)
+        denom = _dtd_symbol(12, 10) + ratio * np.abs(eigen_k) ** 2
         assert denom.min() > 0.0
-        inv_denom = step_factors(plan, ratio)[1]
+        inv_denom = step_factors(eigen_k, 12, ratio)[1]
         assert np.all(np.isfinite(inv_denom)) and inv_denom.min() > 0.0
 
 
@@ -346,34 +344,34 @@ class TestSpectralStep:
     def test_recovers_forward_operator_input(self):
         rng = np.random.default_rng(30)
         spec = BlurSpec(band=3, sigma=1.0)
-        plan = build_plan(8, 8, spec)
+        eigen_k = build_plan(8, 8, spec)
         ratio = 5.0
         u0 = _rand_img(rng, 8, 8)
         solved, spectrum = spectral_step(
             divergence(gradient(u0)),
-            np.fft.rfft2(blur_via_plan(plan, u0)),
-            step_factors(plan, ratio),
+            np.fft.rfft2(blur_via_plan(eigen_k, u0)),
+            step_factors(eigen_k, 8, ratio),
         )
         assert np.allclose(solved, u0, atol=1e-9)
-        blurred = _blur_from_step(plan, spectrum, u0.shape)
-        assert np.allclose(blurred, blur_via_plan(plan, u0), atol=1e-9)
+        blurred = _blur_from_step(eigen_k, spectrum, u0.shape)
+        assert np.allclose(blurred, blur_via_plan(eigen_k, u0), atol=1e-9)
 
     def test_dc_algebra_identity_blur(self):
-        plan = build_plan(6, 6, BlurSpec(band=1))
+        eigen_k = build_plan(6, 6, BlurSpec(band=1))
         u, spectrum = spectral_step(
             _img(np.full((6, 6), 0.7)),
             np.zeros((6, 4), dtype=complex),
-            step_factors(plan, 1.0),
+            step_factors(eigen_k, 6, 1.0),
         )
         assert np.allclose(u, 0.7, atol=1e-13)
-        assert np.allclose(_blur_from_step(plan, spectrum, u.shape), 0.7, atol=1e-13)
+        assert np.allclose(_blur_from_step(eigen_k, spectrum, u.shape), 0.7, atol=1e-13)
 
     def test_zero_rhs_gives_zero(self):
-        plan = build_plan(4, 4, BlurSpec(band=1))
+        eigen_k = build_plan(4, 4, BlurSpec(band=1))
         u, spectrum = spectral_step(
             _img(np.zeros((4, 4))),
             np.zeros((4, 3), dtype=complex),
-            step_factors(plan, 2.0),
+            step_factors(eigen_k, 4, 2.0),
         )
         assert np.all(u == 0.0)
         assert np.all(spectrum == 0.0)
@@ -413,9 +411,9 @@ class TestHalfSpectrum:
     )
     def test_blur_matches_spatial_oracle(self, seed, height, width, spec):
         u = _rand_img(np.random.default_rng(seed), height, width)
-        plan = build_plan(width, height, spec)
-        assert plan.eigen_K.shape == (height, width // 2 + 1)
-        out = blur_via_plan(plan, u)
+        eigen_k = build_plan(width, height, spec)
+        assert eigen_k.shape == (height, width // 2 + 1)
+        out = blur_via_plan(eigen_k, u)
         assert out.shape == u.shape
         assert np.allclose(out, circular_convolve(u, make_kernel(spec)), rtol=0, atol=1e-12)
 
@@ -423,22 +421,22 @@ class TestHalfSpectrum:
     def test_step_blur_matches_blur_via_plan(self, spec, height, width):
         rng = np.random.default_rng(35)
         d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
-        plan = build_plan(width, height, spec)
-        u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(plan, 5.0))
-        blurred = _blur_from_step(plan, spectrum, d.shape)
+        eigen_k = build_plan(width, height, spec)
+        u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(eigen_k, width, 5.0))
+        blurred = _blur_from_step(eigen_k, spectrum, d.shape)
         assert u.shape == blurred.shape == d.shape
-        expected = blur_via_plan(plan, u)
+        expected = blur_via_plan(eigen_k, u)
         assert np.linalg.norm(blurred - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("height, width, spec", _HALF_SPECTRUM_CASES)
     def test_step_matches_three_solve_reference(self, spec, height, width):
         # Same solve, different transforms: agreement to 1e-12 relative.
         rng = np.random.default_rng(36)
-        plan = build_plan(width, height, spec)
+        eigen_k = build_plan(width, height, spec)
         for ratio in (1e-3, 5.0, 1e3):
             d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
-            u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(plan, ratio))
-            blurred = _blur_from_step(plan, spectrum, d.shape)
+            u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(eigen_k, width, ratio))
+            blurred = _blur_from_step(eigen_k, spectrum, d.shape)
             ref_u, ref_blurred = _three_solve_reference(spec, d, v, ratio)
             assert u.shape == blurred.shape == d.shape
             assert np.linalg.norm(u - ref_u) <= 1e-12 * np.linalg.norm(ref_u)
@@ -451,11 +449,10 @@ def test_half_spectrum_norm_matches_real_norm(height, width):
     # helper that counts it twice, or drops the last column of an odd width,
     # is off by percents here.
     rng = np.random.default_rng(37)
-    plan = build_plan(width, height, BlurSpec(band=1))
     for scale in (1e-3, 1.0, 1e3):
         spectrum = np.fft.rfft2(scale * _rand_img(rng, height, width))
         expected = np.linalg.norm(np.fft.irfft2(spectrum, s=(height, width)))
-        assert half_spectrum_norm(plan, spectrum) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert half_spectrum_norm(spectrum, width) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def _box_mean_reference(field_norms, r):

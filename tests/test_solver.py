@@ -159,8 +159,8 @@ class TestObjective:
         rng = np.random.default_rng(65)
         g = rng.uniform(0, 1, (8, 8))
         weights = rng.uniform(0.5, 2.0, (8, 8))
-        plan = linops.build_plan(8, 8, BlurSpec(band=1))
-        val = objective(g, g, plan, weights, mu=7.0, p=2)
+        eigen_k = linops.build_plan(8, 8, BlurSpec(band=1))
+        val = objective(g, g, eigen_k, weights, mu=7.0, p=2)
         norms = linops.pointwise_norm(linops.gradient(g), 2)
         assert val == pytest.approx(float(np.sum(weights * norms)), rel=1e-14)
 
@@ -169,8 +169,8 @@ class TestObjective:
         g = rng.uniform(0, 1, (8, 8))
         u = np.full((8, 8), 0.4)
         mu = 3.0
-        plan = linops.build_plan(8, 8, BlurSpec(band=1))
-        val = objective(u, g, plan, np.ones((8, 8)), mu=mu, p=2)
+        eigen_k = linops.build_plan(8, 8, BlurSpec(band=1))
+        val = objective(u, g, eigen_k, np.ones((8, 8)), mu=mu, p=2)
         assert val == pytest.approx(0.5 * mu * float(np.sum((u - g) ** 2)), rel=1e-14)
 
     def test_matches_naive_summation_oracle(self):
@@ -178,18 +178,18 @@ class TestObjective:
         u = rng.uniform(0, 1, (6, 6))
         g = rng.uniform(0, 1, (6, 6))
         weights = rng.uniform(0.1, 3.0, (6, 6))
-        plan = linops.build_plan(6, 6, BlurSpec(band=3, sigma=1.0))
+        eigen_k = linops.build_plan(6, 6, BlurSpec(band=3, sigma=1.0))
         mu, p = 2.5, 1
         expected = 0.0
         grad_h, grad_v = linops.gradient(u)
         for y in range(6):
             for x in range(6):
                 expected += weights[y, x] * (abs(grad_h[y, x]) + abs(grad_v[y, x]))
-        residual = linops.blur_via_plan(plan, u) - g
+        residual = linops.blur_via_plan(eigen_k, u) - g
         for y in range(6):
             for x in range(6):
                 expected += 0.5 * mu * residual[y, x] ** 2
-        assert objective(u, g, plan, weights, mu, p) == pytest.approx(expected, abs=1e-12)
+        assert objective(u, g, eigen_k, weights, mu, p) == pytest.approx(expected, abs=1e-12)
 
 
 class TestRestore:
@@ -216,6 +216,22 @@ class TestRestore:
         result = restore(g, BlurSpec(band=1), 0.05, cfg)
         assert np.all(result.alpha_final == 1.0)
 
+    def test_builds_the_blur_symbol_once(self, monkeypatch):
+        # the input checks test the kernel's size and build nothing; the
+        # loop's one symbol is built after them
+        calls = []
+        real_build = solver.build_plan
+
+        def counting_build(width, height, spec):
+            calls.append((width, height, spec))
+            return real_build(width, height, spec)
+
+        monkeypatch.setattr(solver, "build_plan", counting_build)
+        blur = BlurSpec(band=3, sigma=1.0)
+        g = ImageBuffer(np.random.default_rng(5).random((16, 12)))
+        restore(g, blur, 0.05, SolverConfig(p=2, tau=1.0, r=2, max_iter=3))
+        assert calls == [(12, 16, blur)]
+
     @pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
     @pytest.mark.parametrize("mode", ["hwtv", "tv_scalar"])
     def test_orchestration_matches_manual_loop(self, mode, p):
@@ -233,33 +249,33 @@ class TestRestore:
         result = restore(g, blur, sigma, cfg)
 
         bt, bw = cfg.beta_t, cfg.beta_w
-        plan = linops.build_plan(32, 32, blur)
-        factors = linops.step_factors(plan, bw / bt)
+        eigen_k = linops.build_plan(32, 32, blur)
+        factors = linops.step_factors(eigen_k, 32, bw / bt)
         delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
         alpha = np.ones((32, 32))
         g = g.data
         u = g.copy()
         g_hat = np.fft.rfft2(g)
-        z = g_hat * plan.eigen_K - g_hat
+        z = g_hat * eigen_k - g_hat
         y_w = np.zeros_like(g_hat)
         y_t = np.zeros((2, 32, 32))
         for _ in range(steps):
             if mode == "hwtv":
                 norms = linops.pointwise_norm(linops.gradient(u), p)
                 alpha = alpha_from_norms(norms, cfg.r)
-            mu = update_mu(linops.half_spectrum_norm(plan, z), delta, bw)
+            mu = update_mu(linops.half_spectrum_norm(z, 32), delta, bw)
             t = prox_t(linops.gradient(u) + y_t, alpha, bt, p)
             w = z * (bw / (mu + bw))
             d, v = linops.divergence(t - y_t), w - y_w + g_hat
             u, spectrum = linops.spectral_step(d, v, factors)
-            residual = spectrum * plan.eigen_K - g_hat
+            residual = spectrum * eigen_k - g_hat
             y_w = residual - (w - y_w)
             z = residual + y_w
             y_t = linops.gradient(u) - (t - y_t)
         assert np.array_equal(result.u_star.data, u)
         assert np.array_equal(result.alpha_final, alpha)
         assert result.final_mu == mu
-        assert result.final_discrepancy == linops.half_spectrum_norm(plan, residual)
+        assert result.final_discrepancy == linops.half_spectrum_norm(residual, 32)
 
     def test_bit_identical_traces(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
@@ -348,11 +364,11 @@ def test_spectral_state_matches_real_space(spec):
     g = rng.random((height, width))
     weights = rng.uniform(0.5, 2.0, (height, width))
     mu, bt, bw = 30.0, 20.0, 100.0
-    plan = linops.build_plan(width, height, spec)
-    x, fixed = solver._start(g, plan, bt, bw)
+    eigen_k = linops.build_plan(width, height, spec)
+    x, fixed = solver._start(g, eigen_k, bt, bw)
     for _ in range(3):
         x, discrepancy = solver._sweep(x, fixed, weights, mu, 2)
-        residual = linops.blur_via_plan(plan, x.u) - g
+        residual = linops.blur_via_plan(eigen_k, x.u) - g
         expected = np.linalg.norm(residual)
         assert abs(discrepancy - expected) <= 1e-12 * expected
         z = real_image(x.z, g.shape)
@@ -423,13 +439,13 @@ def test_loop_allocates_no_image(monkeypatch, p):
 @pytest.mark.parametrize("mode, bound", [("tv_scalar", 14.0), ("hwtv", 15.5)])
 def test_restore_workspace_images(mode, bound, p):
     # The tracemalloc peak of a warmed 5-sweep 128x128 restore, in 128x128
-    # float64 images: its plan, state, scratch and result. It reads 13.63
+    # float64 images: its blur symbol, state, scratch and result. It reads 13.63
     # (tv_scalar) and 15.12 (hwtv, whose weight image and box_mean's
     # iterator buffers are the extra 1.5) for p = 1 and 2: 12.5 images of
     # buffers and numpy's one-image cast buffer. A third gradient field,
     # the irfftn half spectrum, a complex blur symbol or an all-ones
-    # tv_scalar weight image would each add about one image, and a plan
-    # that kept the gradient symbol half an image.
+    # tv_scalar weight image would each add about one image, and a kept
+    # gradient symbol half an image.
     import tracemalloc
 
     size = 128
@@ -459,13 +475,13 @@ class TestFrozenProblemAgainstGenericMinimizer:
         blur = BlurSpec(band=3, sigma=1.0)
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 40.0, 20.0, 100.0, 2
-        plan = linops.build_plan(n, n, blur)
+        eigen_k = linops.build_plan(n, n, blur)
         kernel = linops.make_kernel(blur)
 
-        x, fixed = solver._start(g, plan, bt, bw)
+        x, fixed = solver._start(g, eigen_k, bt, bw)
         for _ in range(4000):
             x, _ = solver._sweep(x, fixed, weights, mu, p)
-        admm_value = objective(x.u, g, plan, weights, mu, p)
+        admm_value = objective(x.u, g, eigen_k, weights, mu, p)
 
         smoothing = 1e-12
 
@@ -473,7 +489,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
             img = x.reshape(n, n)
             gr = linops.gradient(img)
             mag = np.sqrt(gr[0]**2 + gr[1]**2 + smoothing)
-            resid = linops.blur_via_plan(plan, img) - g
+            resid = linops.blur_via_plan(eigen_k, img) - g
             value = float(np.sum(weights * mag) + 0.5 * mu * np.sum(resid**2))
             grad = linops.divergence(weights * gr / mag) + mu * circular_correlate(resid, kernel)
             return value, grad.ravel()
@@ -485,7 +501,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
             method="L-BFGS-B",
             options=dict(maxiter=20000, ftol=1e-18, gtol=1e-12),
         )
-        reference_value = objective(res.x.reshape(n, n), g, plan, weights, mu, p)
+        reference_value = objective(res.x.reshape(n, n), g, eigen_k, weights, mu, p)
         assert admm_value == pytest.approx(reference_value, rel=1e-6)
 
 

@@ -44,9 +44,8 @@ SURFACE = {
         "isnr", "read_image", "ssim", "write_image",
     ],
     "linops": [
-        "BlurSpec", "SpectralPlan", "blur_via_plan", "box_mean", "build_plan", "divergence",
-        "gradient", "half_spectrum_norm", "make_kernel", "pointwise_norm", "spectral_step",
-        "step_factors",
+        "BlurSpec", "blur_via_plan", "box_mean", "build_plan", "divergence", "gradient",
+        "half_spectrum_norm", "make_kernel", "pointwise_norm", "spectral_step", "step_factors",
     ],
     "solver": [
         "DivergenceError", "MODES", "RestoreResult", "SolverConfig", "TraceRow", "prox_t",
@@ -138,6 +137,8 @@ REJECTED = {
     "restore-sigma-bool": (restore, {"sigma": True}, ValueError, "sigma"),
     "restore-sigma-str": (restore, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
     "restore-blur-none": (restore, {"blur": None}, ValueError, "blur must be a BlurSpec"),
+    "restore-kernel-oversized":
+        (restore, {"blur": BlurSpec(band=9)}, ValueError, "larger than image"),
     # tau and sigma each pass their checks, but tau * sigma * sqrt(n) is 0
     "restore-target-underflow": (restore, {
         "sigma": 1e-200, "cfg": SolverConfig(p=2, tau=1e-200, r=2),
