@@ -130,24 +130,24 @@ def run(checkout: str, *args: str):
     return pickle.loads(out.stdout)
 
 
+def max_abs_diff(old: np.ndarray, new: np.ndarray) -> float:
+    """The largest |old - new|; inf where the shapes differ, such as traces of two lengths."""
+    if old.shape != new.shape:
+        return math.inf
+    return float(np.abs(old.astype(np.float64) - new.astype(np.float64)).max(initial=0.0))
+
+
 def describe_difference(name: str, old: np.ndarray, new: np.ndarray) -> str:
     if old.shape != new.shape:
         return f"{name} (shape {old.shape} vs {new.shape})"
-    diff = np.abs(old.astype(np.float64) - new.astype(np.float64))
-    return f"{name} (max |diff| {diff.max():.2e})"
+    return f"{name} (max |diff| {max_abs_diff(old, new):.2e})"
 
 
 def field_summary(old: dict, new: dict) -> str:
     diffs: dict[str, list[float]] = {}
     for key in sorted(old, key=str):
         for name, value in old[key].items():
-            other = new[key][name]
-            # A change of shape, such as a trace of another length, reads as inf.
-            diff = (
-                np.abs(value.astype(np.float64) - other.astype(np.float64)).max(initial=0.0)
-                if value.shape == other.shape else math.inf
-            )
-            diffs.setdefault(name, []).append(diff)
+            diffs.setdefault(name, []).append(max_abs_diff(value, new[key][name]))
     restores = [key for key in old if "iterations" in old[key]]
     equal = sum(
         np.array_equal(old[key]["iterations"], new[key]["iterations"]) for key in restores

@@ -134,7 +134,6 @@ def _export_alpha(alpha_values: np.ndarray, path: str, fmt: str) -> None:
 
 
 def cmd_restore(args) -> int:
-    _require_output_dirs(args.out, args.alpha_out, args.trace)
     degraded = imgcore.read_image(args.infile)
     cfg = _config_from_args(args, args.tau, args.radius)
     result = solver.restore(degraded, _blur_from_args(args), args.noise_sigma, cfg)
@@ -193,7 +192,6 @@ def _sweep_cell(payload) -> SweepRow:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    _require_output_dirs(args.out)
     truth = imgcore.read_image(args.true)
     degraded = imgcore.read_image(args.infile)
     # Every cell is scored against the truth, so check that scoring can run.
@@ -319,6 +317,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand's outputs are checked here, before it does any work.
+        _require_output_dirs(*(getattr(args, n, None) for n in ("out", "alpha_out", "trace")))
         return args.func(args)
     except DivergenceError as exc:
         print(f"hwtv: {exc}", file=sys.stderr)

@@ -104,33 +104,24 @@ def pointwise_norm(
     return np.sqrt(out, out=out)
 
 
-def make_kernel(spec: BlurSpec) -> np.ndarray:
-    """Sampled Gaussian of sum 1 on the band x band grid, built as SSIM's window is."""
-    return _gaussian_window(spec.band, spec.sigma)
-
-
-def _otf(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
-    # Zero-pad the kernel and roll its center to the origin before the DFT.
-    # The kernel is symmetric about its center, so the DFT is real: its
-    # imaginary part is rounding noise, and only the real part is kept.
-    kh, kw = kernel.shape
-    if kh > height or kw > width:
-        raise ValueError(
-            f"kernel {kh}x{kw} larger than image {height}x{width}"
-        )
-    padded = np.zeros((height, width))
-    padded[:kh, :kw] = kernel
-    padded = np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return np.ascontiguousarray(np.fft.rfft2(padded).real)
+def _require_kernel_fits(band: int, height: int, width: int) -> None:
+    if band > min(height, width):
+        raise ValueError(f"kernel {band}x{band} larger than image {height}x{width}")
 
 
 def build_plan(width: int, height: int, spec: BlurSpec) -> np.ndarray:
     """The blur's symbol eigen_K at one image size, on the ``np.fft.rfft2`` half spectrum.
 
-    The 2-D DFT of the origin-centered kernel, real since the kernel is
-    symmetric: a C-contiguous float64 array of shape (height, width // 2 + 1).
+    The kernel is SSIM's Gaussian window at the spec's band and sigma, zero-padded and
+    rolled to the origin. Its DFT is real since the kernel is symmetric, so only the real
+    part is kept: a C-contiguous float64 array of shape (height, width // 2 + 1).
     """
-    return _otf(make_kernel(spec), height, width)
+    band = spec.band
+    _require_kernel_fits(band, height, width)
+    padded = np.zeros((height, width))
+    padded[:band, :band] = _gaussian_window(band, spec.sigma)
+    padded = np.roll(padded, (-(band // 2), -(band // 2)), axis=(0, 1))
+    return np.ascontiguousarray(np.fft.rfft2(padded).real)
 
 
 def blur_via_plan(eigen_K: np.ndarray, u: np.ndarray) -> np.ndarray:

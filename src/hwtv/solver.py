@@ -22,6 +22,7 @@ from .adapt import alpha_from_norms, update_mu
 from .imgcore import ImageBuffer, _is_integer, _require_finite_positive, _require_instance
 from .linops import (
     BlurSpec,
+    _require_kernel_fits,
     _sum_squares,
     build_plan,
     divergence,
@@ -277,10 +278,7 @@ def _prepare(g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig) ->
             f"estimation window {2 * cfg.r + 1} exceeds image "
             f"{g.height}x{g.width}"
         )
-    if blur.band > min(g.height, g.width):
-        raise ValueError(
-            f"kernel {blur.band}x{blur.band} larger than image {g.height}x{g.width}"
-        )
+    _require_kernel_fits(blur.band, g.height, g.width)
     delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
     if delta <= 0:
         raise ValueError(f"tau * sigma * sqrt(n) must be positive, got {delta}")

@@ -114,10 +114,12 @@ USAGE_ERRORS = {
     "restore-tol-nan": f"{RESTORE} --tol nan",
     # an output whose folder does not exist is refused before the solver runs
     "restore-out-dir-missing": RESTORE.replace("--out rec.pgm", "--out nodir/rec.pgm"),
+    "degrade-out-dir-missing": "degrade --in in/truth.raw --out nodir/g.pgm --noise-sigma 0.1",
     "restore-alpha-out-dir-missing": f"{RESTORE} --alpha-out nodir/a.pgm",
     "restore-trace-dir-missing": f"{RESTORE} --trace nodir/t.csv",
     # and so is an output that is a folder
     "restore-out-is-folder": RESTORE.replace("--out rec.pgm", "--out in"),
+    "degrade-out-is-folder": "degrade --in in/truth.raw --out in --noise-sigma 0.1",
     "restore-alpha-out-is-folder": f"{RESTORE} --alpha-out in",
     "restore-trace-is-folder": f"{RESTORE} --trace in",
     # a NaN blur width is not a diverged run, an infinite one not a box blur;
@@ -169,11 +171,13 @@ USAGE_ERRORS = {
 @pytest.mark.parametrize("command", USAGE_ERRORS.values(), ids=list(USAGE_ERRORS))
 def test_usage_error(usage_inputs, tmp_path, monkeypatch, command):
     def refuse(*args, **kwargs):
-        raise AssertionError("the solver ran before the arguments were checked")
+        raise AssertionError("the work began before the arguments were checked")
 
     monkeypatch.setattr(cli.solver, "_sweep", refuse)
     if command.startswith("sweep"):
         monkeypatch.setattr(cli.solver, "restore", refuse)
+    if command.startswith("degrade"):
+        monkeypatch.setattr(cli.synth, "degrade", refuse)
     (tmp_path / "in").symlink_to(usage_inputs, target_is_directory=True)
     monkeypatch.chdir(tmp_path)
     try:

@@ -8,7 +8,7 @@ import pytest
 
 from hwtv import linops, solver
 from hwtv.adapt import alpha_from_norms, update_mu
-from hwtv.imgcore import ImageBuffer
+from hwtv.imgcore import ImageBuffer, _gaussian_window
 from hwtv.linops import BlurSpec
 from hwtv.solver import (
     DivergenceError,
@@ -476,7 +476,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 40.0, 20.0, 100.0, 2
         eigen_k = linops.build_plan(n, n, blur)
-        kernel = linops.make_kernel(blur)
+        kernel = _gaussian_window(blur.band, blur.sigma)
 
         x, fixed = solver._start(g, eigen_k, bt, bw)
         for _ in range(4000):

@@ -45,7 +45,7 @@ SURFACE = {
     ],
     "linops": [
         "BlurSpec", "blur_via_plan", "box_mean", "build_plan", "divergence", "gradient",
-        "half_spectrum_norm", "make_kernel", "pointwise_norm", "spectral_step", "step_factors",
+        "half_spectrum_norm", "pointwise_norm", "spectral_step", "step_factors",
     ],
     "solver": [
         "DivergenceError", "MODES", "RestoreResult", "SolverConfig", "TraceRow", "prox_t",
@@ -175,6 +175,9 @@ REJECTED = {
     "degrade-u-array":
         (degrade, {"u": np.full((8, 8), 0.5)}, ValueError, "u must be an ImageBuffer"),
     "degrade-spec-none": (degrade, {"spec": None}, ValueError, "spec must be a DegradationSpec"),
+    "degrade-kernel-oversized": (degrade, {
+        "spec": DegradationSpec(BlurSpec(band=9), 0.1),
+    }, ValueError, "larger than image"),
     "PhantomSpec-width-float": (PhantomSpec, {"width": 64.0}, ValueError, "integers"),
     "PhantomSpec-height-float": (PhantomSpec, {"height": np.float64(64)}, ValueError, "integers"),
     "PhantomSpec-width-too-small":
