@@ -112,7 +112,7 @@ USAGE_ERRORS = {
     "restore-noise-sigma-nan":
         "restore --in in/g.pgm --out rec.pgm --noise-sigma nan --tau 1.0 --radius 4 --max-iter 3",
     "restore-tol-nan": f"{RESTORE} --tol nan",
-    # an output whose folder does not exist is refused before the solver runs
+    # an output whose folder does not exist is refused before any work is done
     "restore-out-dir-missing": RESTORE.replace("--out rec.pgm", "--out nodir/rec.pgm"),
     "degrade-out-dir-missing": "degrade --in in/truth.raw --out nodir/g.pgm --noise-sigma 0.1",
     "restore-alpha-out-dir-missing": f"{RESTORE} --alpha-out nodir/a.pgm",
