@@ -15,7 +15,10 @@ quartiles over its median) and how many pairs the new side won (ties count
 for neither side), with the direction each metric improves in and its bound
 taken from ``BENCHMARK.json``. A metric whose old-side spread exceeds its
 bound is marked ``unresolved``, unless every new run beats every old run:
-such a spread cannot tell a change within the bound from none. With
+such a spread cannot tell a change within the bound from none. A metric
+whose new median is worse than the old by more than the bound, read as a
+fraction of the old median, is marked ``worse beyond bound``, and the last
+line counts such metrics. With
 ``--record`` it appends one record per side to the trajectory file: the
 commit, the benchmark command, those medians and quartiles, the tier-1 wall
 time, the numpy version and the core count.
@@ -77,6 +80,7 @@ def summarize(args) -> None:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
     pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
     stats = {side: {} for side in SIDES}
+    worse = 0
     for name in pairs[0]["old"]["metrics"]:
         workload, metric = name.rsplit(".", 1) if "." in name else ("", name)
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -88,6 +92,9 @@ def summarize(args) -> None:
         bound = declared[metric]["bound"]
         separated = all(sign * (n - o) > 0 for n in values["new"] for o in values["old"])
         verdict = "  unresolved" if spread(old) > bound and not separated else ""
+        if sign * (new["median"] - old["median"]) < -bound * abs(old["median"]):
+            verdict += "  worse beyond bound"
+            worse += 1
         print(f"{name}: old {old['median']:.6g} [{old['q1']:.6g}, {old['q3']:.6g}] "
               f"spread {spread(old):.3f}  "
               f"new {new['median']:.6g} [{new['q1']:.6g}, {new['q3']:.6g}] "
@@ -96,6 +103,7 @@ def summarize(args) -> None:
     failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     print(f"{len(pairs)} pairs; failed cells old {failed['old']}, new {failed['new']}; "
           f"all correct: {all(p[s]['correct'] for p in pairs for s in SIDES)}")
+    print(f"{worse} metrics worse beyond bound")
     if not args.record:
         return
     records = []

@@ -48,8 +48,13 @@ def _print_json(payload: dict) -> None:
 
 
 def _require_output_dirs(*paths) -> None:
-    """Refuse, before any work is done, an output that is a folder or has no folder to be in."""
-    for path in filter(None, paths):
+    """Refuse, before any work is done, an output that is empty, is a folder or has no
+    folder to be in; a ``None`` output is not asked for and passes."""
+    for path in paths:
+        if path is None:
+            continue
+        if not path:
+            raise FileNotFoundError("an output path is empty")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"no folder {folder!r} to write {path!r} in")
@@ -138,9 +143,9 @@ def cmd_restore(args) -> int:
     cfg = _config_from_args(args, args.tau, args.radius)
     result = solver.restore(degraded, _blur_from_args(args), args.noise_sigma, cfg)
     imgcore.write_image(result.u_star, args.out, args.format)
-    if args.alpha_out:
+    if args.alpha_out is not None:
         _export_alpha(result.alpha_final, args.alpha_out, args.format)
-    if args.trace:
+    if args.trace is not None:
         _write_csv(args.trace, TraceRow, result.trace)
     _print_json(
         {

@@ -254,25 +254,6 @@ def isnr(g: ImageBuffer, u_true: ImageBuffer, u_rec: ImageBuffer) -> float:
     return 10.0 * math.log10(num / den)
 
 
-def _gaussian_window(size: int = _SSIM_WINDOW, sigma: float = _SSIM_SIGMA) -> np.ndarray:
-    coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    profile = np.exp(-(coords**2) / (2.0 * sigma**2))
-    window = np.outer(profile, profile)
-    return window / window.sum()
-
-
-def _windowed_mean(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # Valid-mode weighted local mean; windows stay fully inside the image.
-    size = weights.shape[0]
-    out_h = arr.shape[0] - size + 1
-    out_w = arr.shape[1] - size + 1
-    acc = np.zeros((out_h, out_w))
-    for dy in range(size):
-        for dx in range(size):
-            acc += weights[dy, dx] * arr[dy : dy + out_h, dx : dx + out_w]
-    return acc
-
-
 def ssim(a: ImageBuffer, b: ImageBuffer) -> float:
     """Mean structural similarity between two images.
 
@@ -281,13 +262,23 @@ def ssim(a: ImageBuffer, b: ImageBuffer) -> float:
     window positions fully inside the images. Symmetric; ssim(a, a) == 1.
     """
     _require_ssim_pair(a, b)
-    window = _gaussian_window()
+    # linops imports this module, so the blur is imported when ssim first runs.
+    from .linops import BlurSpec, blur_via_plan, build_plan
+
+    # A window inside the image never wraps, so its weighted mean is the
+    # periodic blur by the window, cropped to the windows inside the image.
+    eigen_K = build_plan(a.width, a.height, BlurSpec(_SSIM_WINDOW, _SSIM_SIGMA))
+    r = _SSIM_WINDOW // 2
+
+    def local_mean(arr: np.ndarray) -> np.ndarray:
+        return blur_via_plan(eigen_K, arr)[r:-r, r:-r]
+
     x, y = a.data, b.data
-    mean_x = _windowed_mean(x, window)
-    mean_y = _windowed_mean(y, window)
-    var_x = _windowed_mean(x * x, window) - mean_x * mean_x
-    var_y = _windowed_mean(y * y, window) - mean_y * mean_y
-    cov = _windowed_mean(x * y, window) - mean_x * mean_y
+    mean_x = local_mean(x)
+    mean_y = local_mean(y)
+    var_x = local_mean(x * x) - mean_x * mean_x
+    var_y = local_mean(y * y) - mean_y * mean_y
+    cov = local_mean(x * y) - mean_x * mean_y
     numerator = (2.0 * mean_x * mean_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
     denominator = (mean_x**2 + mean_y**2 + _SSIM_C1) * (var_x + var_y + _SSIM_C2)
     return float(np.mean(numerator / denominator))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import _gaussian_window, _is_integer, _require_finite_positive
+from .imgcore import _is_integer, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,18 @@ class BlurSpec:
         if not _is_integer(band) or band < 1 or band % 2 == 0:
             raise ValueError(f"band must be an odd positive integer, got {band!r}")
         _require_finite_positive("sigma", self.sigma)
+        if not 0.0 < _twice_variance(self.sigma) < math.inf:
+            raise ValueError(f"sigma must keep 2 sigma**2 finite and nonzero, got {self.sigma!r}")
+
+
+def _twice_variance(sigma: float) -> float:
+    # 2 sigma^2, the Gaussian's exponent scale, or inf where it overflows,
+    # whether as Python's OverflowError or as numpy's inf.
+    try:
+        with np.errstate(over="ignore"):
+            return 2.0 * sigma**2
+    except OverflowError:
+        return math.inf
 
 
 def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -109,11 +121,18 @@ def _require_kernel_fits(band: int, height: int, width: int) -> None:
         raise ValueError(f"kernel {band}x{band} larger than image {height}x{width}")
 
 
+def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+    coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    profile = np.exp(-(coords**2) / _twice_variance(sigma))
+    window = np.outer(profile, profile)
+    return window / window.sum()
+
+
 def build_plan(width: int, height: int, spec: BlurSpec) -> np.ndarray:
     """The blur's symbol eigen_K at one image size, on the ``np.fft.rfft2`` half spectrum.
 
-    The kernel is SSIM's Gaussian window at the spec's band and sigma, zero-padded and
-    rolled to the origin. Its DFT is real since the kernel is symmetric, so only the real
+    The kernel is the spec's band x band Gaussian window, normalized to sum 1, zero-padded
+    and rolled to the origin. Its DFT is real since the kernel is symmetric, so only the real
     part is kept: a C-contiguous float64 array of shape (height, width // 2 + 1).
     """
     band = spec.band

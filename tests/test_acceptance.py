@@ -11,8 +11,8 @@ import numpy as np
 
 from hwtv import linops
 from hwtv.adapt import alpha_from_norms
-from hwtv.imgcore import _gaussian_window, isnr, ssim
-from hwtv.linops import BlurSpec
+from hwtv.imgcore import isnr, ssim
+from hwtv.linops import BlurSpec, _gaussian_window
 from hwtv.solver import SolverConfig, prox_t, restore
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -122,6 +123,11 @@ USAGE_ERRORS = {
     "degrade-out-is-folder": "degrade --in in/truth.raw --out in --noise-sigma 0.1",
     "restore-alpha-out-is-folder": f"{RESTORE} --alpha-out in",
     "restore-trace-is-folder": f"{RESTORE} --trace in",
+    # and so is an empty output path
+    "restore-out-empty": RESTORE.replace("--out rec.pgm", "--out ''"),
+    "restore-trace-empty": f"{RESTORE} --trace ''",
+    "restore-alpha-out-empty": f"{RESTORE} --alpha-out ''",
+    "degrade-out-empty": "degrade --in in/truth.raw --out '' --noise-sigma 0.1",
     # a NaN blur width is not a diverged run, an infinite one not a box blur;
     # band 1, the identity, is checked too
     "restore-blur-sigma-nan": f"{RESTORE} --blur-band 5 --blur-sigma nan",
@@ -136,6 +142,11 @@ USAGE_ERRORS = {
         "degrade --in in/truth.raw --out g2.pgm --noise-sigma 0.1 --blur-band 1 --blur-sigma nan",
     "degrade-blur-sigma-inf-band1":
         "degrade --in in/truth.raw --out g2.pgm --noise-sigma 0.1 --blur-band 1 --blur-sigma inf",
+    # a finite, positive width whose 2 sigma**2 is 0 or overflows
+    "restore-blur-sigma-tiny": f"{RESTORE} --blur-band 1 --blur-sigma 1e-200",
+    "restore-blur-sigma-huge": f"{RESTORE} --blur-band 5 --blur-sigma 1e300",
+    "degrade-blur-sigma-huge-band1":
+        "degrade --in in/truth.raw --out g2.pgm --noise-sigma 0.1 --blur-band 1 --blur-sigma 1e300",
     "metrics-shape-mismatch": "metrics --ref in/truth.raw --deg in/truth.raw --rec in/small.raw",
     "sweep-grid-empty": f"{SWEEP} --tau-grid , --radius-grid 2",
     # non-finite values must not reach float-to-int casts or range counts
@@ -149,6 +160,7 @@ USAGE_ERRORS = {
     "sweep-jobs-zero": f"{SWEEP} --radius-grid 2 --jobs 0",
     "sweep-out-dir-missing": SWEEP.replace("--out s.csv", "--out nodir/s.csv"),
     "sweep-out-is-folder": SWEEP.replace("--out s.csv", "--out in"),
+    "sweep-out-empty": SWEEP.replace("--out s.csv", "--out ''"),
     # restore's own checks run on every cell before any cell or worker starts
     "sweep-noise-sigma-nan": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
                              "--noise-sigma nan --tau-grid 1.0 --radius-grid 2",
@@ -181,7 +193,7 @@ def test_usage_error(usage_inputs, tmp_path, monkeypatch, command):
     (tmp_path / "in").symlink_to(usage_inputs, target_is_directory=True)
     monkeypatch.chdir(tmp_path)
     try:
-        code = cli.main(command.split())
+        code = cli.main(shlex.split(command))
     except SystemExit as exc:  # argparse rejects a missing or malformed option
         code = exc.code
     assert code == 2

@@ -240,6 +240,18 @@ class TestSsim:
         a, b = _rand_img(rng, 32, 32), _rand_img(rng, 32, 32)
         assert ssim(a, b) == pytest.approx(_ssim_oracle(a.data, b.data), abs=1e-9)
 
+    def test_matches_scalar_oracle_at_the_edges(self):
+        # The 11x11 pair holds one window. In the others a window cropped by
+        # the wrong amount would wrap round onto the bright corner pixel.
+        rng = np.random.default_rng(15)
+        pairs = [(_rand_img(rng, 11, 11), _rand_img(rng, 11, 11))]
+        for h, w in ((12, 17), (17, 12)):
+            dim = rng.uniform(0.0, 0.1, (h, w))
+            dim[-1, -1] = 1.0
+            pairs.append((_img(dim), _rand_img(rng, h, w)))
+        for a, b in pairs:
+            assert ssim(a, b) == pytest.approx(_ssim_oracle(a.data, b.data), abs=1e-9)
+
     def test_symmetry(self):
         rng = np.random.default_rng(13)
         a, b = _rand_img(rng, 20, 20), _rand_img(rng, 20, 20)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hwtv.imgcore import _gaussian_window
 from hwtv.linops import (
     BlurSpec,
     _dtd_symbol,
+    _gaussian_window,
     blur_via_plan,
     box_mean,
     build_plan,

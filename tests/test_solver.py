@@ -8,8 +8,8 @@ import pytest
 
 from hwtv import linops, solver
 from hwtv.adapt import alpha_from_norms, update_mu
-from hwtv.imgcore import ImageBuffer, _gaussian_window
-from hwtv.linops import BlurSpec
+from hwtv.imgcore import ImageBuffer
+from hwtv.linops import BlurSpec, _gaussian_window
 from hwtv.solver import (
     DivergenceError,
     SolverConfig,

@@ -156,6 +156,11 @@ REJECTED = {
     "BlurSpec-sigma-nan-band1": (BlurSpec, {"band": 1, "sigma": NAN}, ValueError, "sigma"),
     "BlurSpec-sigma-inf-band1": (BlurSpec, {"band": 1, "sigma": INF}, ValueError, "sigma"),
     "BlurSpec-sigma-zero-band1": (BlurSpec, {"band": 1, "sigma": 0.0}, ValueError, "sigma"),
+    # finite and positive, but 2 sigma**2 is 0 or overflows, at either band
+    "BlurSpec-sigma-tiny": (BlurSpec, {"band": 5, "sigma": 1e-200}, ValueError, "sigma"),
+    "BlurSpec-sigma-huge": (BlurSpec, {"band": 5, "sigma": 1e300}, ValueError, "sigma"),
+    "BlurSpec-sigma-tiny-band1": (BlurSpec, {"band": 1, "sigma": 1e-200}, ValueError, "sigma"),
+    "BlurSpec-sigma-huge-band1": (BlurSpec, {"band": 1, "sigma": 1e300}, ValueError, "sigma"),
     "BlurSpec-sigma-bool": (BlurSpec, {"sigma": True}, ValueError, "sigma"),
     "BlurSpec-sigma-numpy-bool": (BlurSpec, {"sigma": np.True_}, ValueError, "sigma"),
     "BlurSpec-sigma-str": (BlurSpec, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
