@@ -6,8 +6,10 @@ from the iterate (maximum likelihood on local gradient-norm scales) while a
 single global fidelity weight tracks the discrepancy principle. The solver is
 an ADMM scheme whose linear step diagonalizes under periodic boundaries.
 
-The package exports the library boundary; the loop's operators and updates
-are imported from ``linops``, ``adapt`` and ``solver``.
+The package exports the library boundary. The loop's primitives stay in
+``linops``, ``adapt`` and ``solver``, private but for those the benchmark
+traces by name. The modules import one way: ``linops``, ``imgcore``,
+``adapt``, ``solver``, ``synth``, ``cli``.
 """
 
 from .imgcore import (

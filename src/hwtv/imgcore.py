@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linops import BlurSpec, blur_via_plan, build_plan
 
 PGM8 = "pgm8"
 RAW_F32 = "raw-f32"
@@ -66,26 +67,6 @@ class ImageBuffer:
     @property
     def pixel_count(self) -> int:
         return self.data.size
-
-
-def _is_integer(value) -> bool:
-    # bool is an Integral, but True is no count, size or norm order.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _require_finite_positive(name: str, value: float) -> None:
-    # NaN fails every comparison, so "value <= 0" alone would let it through.
-    # bool is a Real, but True is no real, as it is no count; numpy's bool, a
-    # string, None and a complex are no Real at all.
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _require_instance(name: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 def _require_same_shape(*images: ImageBuffer) -> None:
@@ -262,9 +243,6 @@ def ssim(a: ImageBuffer, b: ImageBuffer) -> float:
     window positions fully inside the images. Symmetric; ssim(a, a) == 1.
     """
     _require_ssim_pair(a, b)
-    # linops imports this module, so the blur is imported when ssim first runs.
-    from .linops import BlurSpec, blur_via_plan, build_plan
-
     # A window inside the image never wraps, so its weighted mean is the
     # periodic blur by the window, cropped to the windows inside the image.
     eigen_K = build_plan(a.width, a.height, BlurSpec(_SSIM_WINDOW, _SSIM_SIGMA))

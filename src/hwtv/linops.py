@@ -13,18 +13,39 @@ Every loop primitive takes its buffers by one rule: ``out=`` is the result
 array and ``scratch=`` the workspace, one (h, w) image, both C-contiguous
 and not overlapping the input. The result is written into ``out`` and
 returned, with the same bits as the allocating form. Only
-``spectral_step``'s ``out`` is the pair ``(u, U)`` it returns, and only
+``_spectral_step``'s ``out`` is the pair ``(u, U)`` it returns, and only
 ``solver.prox_t`` may also be given its input as ``out``.
+The library boundary's rules for a count, a real and a record's type live
+here too, since ``BlurSpec`` is the first record that checks them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import _is_integer, _require_finite_positive
+
+def _is_integer(value) -> bool:
+    # bool is an Integral, but True is no count, size or norm order.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    # NaN fails every comparison, so "value <= 0" alone would let it through.
+    # bool is a Real, but True is no real, as it is no count; numpy's bool, a
+    # string, None and a complex are no Real at all.
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_instance(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +123,8 @@ def pointwise_norm(
     norms ``restore`` tests for finiteness overflow as well, so such an
     iterate is reported as diverged either way. They underflow only below
     about 1e-154, where the norm reads as zero: ``prox_t`` then maps the
-    pixel to zero, as it would for the exact norm, and ``EPS_FLOOR`` clamps
-    the weights ``alpha_from_norms`` derives from it.
+    pixel to zero, as it would for the exact norm, and ``adapt._EPS_FLOOR``
+    clamps the weights ``adapt._alpha_from_norms`` derives from it.
     """
     h, v = t
     if out is None:
@@ -148,10 +169,10 @@ def blur_via_plan(eigen_K: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(np.fft.rfft2(u) * eigen_K, s=u.shape)
 
 
-def step_factors(
+def _step_factors(
     eigen_K: np.ndarray, width: int, ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The factors :func:`spectral_step` takes for one ``ratio``.
+    """The factors :func:`_spectral_step` takes for one ``ratio``.
 
     Returns ``(ratio eigen_K, 1 / denom)`` on the half spectrum of a
     ``width``-wide image, both real, with denom = DtD + ratio eigen_K^2,
@@ -175,7 +196,7 @@ def _dtd_symbol(width: int, height: int) -> np.ndarray:
     return sym_y[:, None] + sym_x[None, :]
 
 
-def spectral_step(
+def _spectral_step(
     d: np.ndarray,
     v_spectrum: np.ndarray,
     factors: tuple[np.ndarray, np.ndarray],
@@ -183,7 +204,7 @@ def spectral_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, U)``.
 
-    ``factors`` is ``step_factors(eigen_K, width, ratio)``. The caller
+    ``factors`` is ``_step_factors(eigen_K, width, ratio)``. The caller
     ensures that ``d`` is a real image of the factors' size and that
     ``v_spectrum``, V = rfft2(v), is on its half spectrum; the solve
     overwrites V. The returned U = rfft2(u) is on the same half spectrum,
@@ -209,7 +230,7 @@ def spectral_step(
     return out
 
 
-def half_spectrum_norm(spectrum: np.ndarray, width: int) -> float:
+def _half_spectrum_norm(spectrum: np.ndarray, width: int) -> float:
     """Euclidean norm of the ``width``-wide real image whose ``rfft2`` is ``spectrum``.
 
     By Parseval, ||x||^2 = sum |X|^2 / (height width) over the full

@@ -18,19 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapt import alpha_from_norms, update_mu
-from .imgcore import ImageBuffer, _is_integer, _require_finite_positive, _require_instance
+from .adapt import _alpha_from_norms, update_mu
+from .imgcore import ImageBuffer
 from .linops import (
-    BlurSpec,
-    _require_kernel_fits,
-    _sum_squares,
-    build_plan,
-    divergence,
-    gradient,
-    half_spectrum_norm,
-    pointwise_norm,
-    spectral_step,
-    step_factors,
+    BlurSpec, _half_spectrum_norm, _is_integer, _require_finite_positive, _require_instance,
+    _require_kernel_fits, _spectral_step, _step_factors, _sum_squares, build_plan, divergence,
+    gradient, pointwise_norm,
 )
 
 MODES = ("hwtv", "tv_scalar")
@@ -187,7 +180,7 @@ class _Fixed(NamedTuple):
     """What every sweep of one restore reads and none writes.
 
     ``eigen_K`` is the blur's symbol from ``build_plan``, ``g_spectrum`` is
-    G = rfft2(g) and ``factors`` is ``step_factors(eigen_K, width,
+    G = rfft2(g) and ``factors`` is ``_step_factors(eigen_K, width,
     beta_w / beta_t)``.
     """
 
@@ -213,7 +206,7 @@ def _start(
         u_next=np.empty_like(g),
         spectrum=np.empty_like(g_spectrum),
     )
-    factors = step_factors(eigen_K, g.shape[1], beta_w / beta_t)
+    factors = _step_factors(eigen_K, g.shape[1], beta_w / beta_t)
     fixed = _Fixed(eigen_K, g_spectrum, factors, beta_t, beta_w)
     return state, fixed
 
@@ -234,7 +227,7 @@ def _sweep(
     scaled dual (Boyd et al. 2011, section 3.1.1) then becomes
     y' = Ax - (t - y), which rounds differently from y + (Ax - t). The
     linear chain stays on the half spectrum, so the only transforms are the
-    two inside ``spectral_step``; beta_t enters only the t step and beta_w
+    two inside ``_spectral_step``; beta_t enters only the t step and beta_w
     only the w step.
     """
     field, y_t, y_w = x.grad, x.y_t, x.y_w
@@ -249,7 +242,7 @@ def _sweep(
     np.subtract(w, y_w, out=y_w)
     v = np.add(y_w, f.g_spectrum, out=w)
     d = divergence(field, out=y_t[0], scratch=y_t[1])
-    u, residual = spectral_step(d, v, f.factors, out=(x.u_next, x.spectrum))
+    u, residual = _spectral_step(d, v, f.factors, out=(x.u_next, x.spectrum))
     residual *= f.eigen_K
     residual -= f.g_spectrum
     grad = gradient(u, out=y_t)
@@ -259,7 +252,7 @@ def _sweep(
     # y_t = Du - (t - y_t), over t - y_t.
     y_t = np.subtract(grad, field, out=field)
     state = x._replace(u=u, u_next=x.u, grad=grad, y_t=y_t)
-    return state, half_spectrum_norm(residual, u.shape[1])
+    return state, _half_spectrum_norm(residual, u.shape[1])
 
 
 def _prepare(g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig) -> float:
@@ -352,14 +345,14 @@ def restore(
     for k in range(cfg.max_iter):
         tick = time.perf_counter()
         # Tested before the refresh, so an overflow raises here in both modes.
-        z_norm = half_spectrum_norm(x.z, g.width)
+        z_norm = _half_spectrum_norm(x.z, g.width)
         if not math.isfinite(z_norm):
             raise DivergenceError(k)
         if cfg.mode == "hwtv":
             # The weights of u, from the Du the last sweep formed for its
             # dual update; u_next holds a u no longer read.
             norms = pointwise_norm(x.grad, cfg.p, out=x.work, scratch=x.u_next)
-            alpha_from_norms(norms, cfg.r, out=alpha, scratch=x.u_next)
+            _alpha_from_norms(norms, cfg.r, out=alpha, scratch=x.u_next)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         u_prev = x.u
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)

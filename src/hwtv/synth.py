@@ -6,10 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import ImageBuffer, _is_integer, _require_finite_positive, _require_instance
-from .linops import BlurSpec, blur_via_plan, build_plan
+from .imgcore import ImageBuffer
+from .linops import (
+    BlurSpec, _is_integer, _require_finite_positive, _require_instance, blur_via_plan, build_plan,
+)
 
-PHANTOM_KINDS = ("cartoon", "texture", "mixed")
+_PHANTOM_KINDS = ("cartoon", "texture", "mixed")
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class PhantomSpec:
             )
         if self.width < 32 or self.height < 32:
             raise ValueError("phantom dimensions must be at least 32")
-        if self.kind not in PHANTOM_KINDS:
-            raise ValueError(f"kind must be one of {PHANTOM_KINDS}, got {self.kind!r}")
+        if self.kind not in _PHANTOM_KINDS:
+            raise ValueError(f"kind must be one of {_PHANTOM_KINDS}, got {self.kind!r}")
         _require_finite_positive("texture_freq", self.texture_freq)
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from hwtv import linops
-from hwtv.adapt import alpha_from_norms
+from hwtv.adapt import _alpha_from_norms
 from hwtv.imgcore import isnr, ssim
 from hwtv.linops import BlurSpec, _gaussian_window
 from hwtv.solver import SolverConfig, prox_t, restore
@@ -60,12 +60,12 @@ def test_criterion_1_operator_correctness():
         scale_k = np.linalg.norm(u) * np.linalg.norm(w)
         worst_k = max(worst_k, abs(lhs_k - rhs_k) / scale_k)
     ratio = 5.0
-    factors = linops.step_factors(eigen_k, 16, ratio)
+    factors = linops._step_factors(eigen_k, 16, ratio)
     worst_res = 0.0
     for _ in range(50):
         d, v = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
         rhs_img = d + ratio * circular_correlate(v, kernel)
-        u, _ = linops.spectral_step(d, np.fft.rfft2(v), factors)
+        u, _ = linops._spectral_step(d, np.fft.rfft2(v), factors)
         applied = linops.divergence(linops.gradient(u)) + ratio * circular_correlate(
             linops.blur_via_plan(eigen_k, u), kernel
         )
@@ -113,7 +113,7 @@ def test_criterion_3_ml_estimator_consistency():
     rate = 2.5
     side = 256
     samples = sample_half_laplacian(rate, side * side, seed=303)
-    alpha = alpha_from_norms(samples.reshape(side, side), r=40)
+    alpha = _alpha_from_norms(samples.reshape(side, side), r=40)
     rel_err = np.abs(alpha - rate) / rate
     fraction = float(np.mean(rel_err <= 0.05))
     elapsed = time.perf_counter() - tick

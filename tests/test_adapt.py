@@ -5,26 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwtv.adapt import EPS_FLOOR, alpha_from_norms, update_mu
+from hwtv.adapt import _EPS_FLOOR, _alpha_from_norms, update_mu
 from hwtv.linops import gradient, pointwise_norm
 
 from half_laplacian import sample_half_laplacian
 
 
 class TestEstimateAlpha:
-    """The weights of an image u: alpha_from_norms(pointwise_norm(gradient(u), p), ...)."""
+    """The weights of an image u: _alpha_from_norms(pointwise_norm(gradient(u), p), ...)."""
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("r", [1, 3, 7])
     def test_weights_within_floor_cap(self, p, r):
-        # 0 < alpha <= 1 / EPS_FLOOR, from smooth through rough images
+        # 0 < alpha <= 1 / _EPS_FLOOR, from smooth through rough images
         rng = np.random.default_rng(50 + 10 * p + r)
         for scale in (0.0, 1e-3, 1e-2, 1.0, 1e3):
             u = 0.5 + scale * rng.standard_normal((20, 24))
-            alpha = alpha_from_norms(pointwise_norm(gradient(u), p), r)
+            alpha = _alpha_from_norms(pointwise_norm(gradient(u), p), r)
             assert alpha.shape == u.shape
             assert np.all(alpha > 0.0)
-            assert np.all(alpha <= 1.0 / EPS_FLOOR)
+            assert np.all(alpha <= 1.0 / _EPS_FLOOR)
 
     @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (12, 16)])
     def test_out_gives_allocating_bits(self, shape):
@@ -33,13 +33,13 @@ class TestEstimateAlpha:
         norms = np.abs(np.random.default_rng(47).standard_normal(shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
             out, scratch = np.full(shape, np.nan), np.full(shape, np.nan)
-            assert alpha_from_norms(norms, r, out=out, scratch=scratch) is out
-            assert np.array_equal(out, alpha_from_norms(norms, r))
+            assert _alpha_from_norms(norms, r, out=out, scratch=scratch) is out
+            assert np.array_equal(out, _alpha_from_norms(norms, r))
 
     def test_constant_norm_raster_gives_reciprocal(self):
         c = 0.25
         norms = np.full((16, 16), c)
-        alpha = alpha_from_norms(norms, r=3)
+        alpha = _alpha_from_norms(norms, r=3)
         assert np.allclose(alpha, 1.0 / c, atol=1e-12)
 
     def test_checkerboard_constant_gradient_norm(self):
@@ -48,14 +48,14 @@ class TestEstimateAlpha:
         rows = np.arange(16)[:, None]
         cols = np.arange(16)[None, :]
         board = c * ((rows + cols) % 2).astype(np.float64)
-        alpha = alpha_from_norms(pointwise_norm(gradient(board), 1), 2)
+        alpha = _alpha_from_norms(pointwise_norm(gradient(board), 1), 2)
         assert np.allclose(alpha, 1.0 / (2.0 * c), atol=1e-10)
 
     def test_constant_image_hits_clamp(self):
         # the weight floor is a constant, 1e-4, so no weight exceeds 1e4
-        assert EPS_FLOOR == 1e-4
+        assert _EPS_FLOOR == 1e-4
         flat = np.full((16, 16), 0.6)
-        alpha = alpha_from_norms(pointwise_norm(gradient(flat), 2), 3)
+        alpha = _alpha_from_norms(pointwise_norm(gradient(flat), 2), 3)
         assert np.all(alpha == 1e4)
 
     def test_pooled_rate_estimate_within_two_percent(self):
@@ -68,18 +68,18 @@ class TestEstimateAlpha:
     def test_intensity_scale_covariance(self):
         rng = np.random.default_rng(51)
         u = rng.uniform(0.2, 0.8, (20, 20))
-        a1 = alpha_from_norms(pointwise_norm(gradient(u), 2), 2)
-        a2 = alpha_from_norms(pointwise_norm(gradient(3.0 * u), 2), 2)
+        a1 = _alpha_from_norms(pointwise_norm(gradient(u), 2), 2)
+        a2 = _alpha_from_norms(pointwise_norm(gradient(3.0 * u), 2), 2)
         # the floor binds nowhere, so the weights are plain reciprocal means
-        assert max(a1.max(), a2.max()) < 1.0 / EPS_FLOOR
+        assert max(a1.max(), a2.max()) < 1.0 / _EPS_FLOOR
         assert np.allclose(a2, a1 / 3.0, rtol=1e-10)
 
     def test_p_selects_norm_flavor(self):
         rng = np.random.default_rng(52)
         u = rng.uniform(0, 1, (12, 12))
-        a1 = alpha_from_norms(pointwise_norm(gradient(u), 1), 2)
-        a2 = alpha_from_norms(pointwise_norm(gradient(u), 2), 2)
-        assert max(a1.max(), a2.max()) < 1.0 / EPS_FLOOR
+        a1 = _alpha_from_norms(pointwise_norm(gradient(u), 1), 2)
+        a2 = _alpha_from_norms(pointwise_norm(gradient(u), 2), 2)
+        assert max(a1.max(), a2.max()) < 1.0 / _EPS_FLOOR
         # the 1-norm dominates the 2-norm, so its weights are smaller
         assert np.all(a1 <= a2 + 1e-15)
 

@@ -5,15 +5,15 @@ from hwtv.linops import (
     BlurSpec,
     _dtd_symbol,
     _gaussian_window,
+    _half_spectrum_norm,
+    _spectral_step,
+    _step_factors,
     blur_via_plan,
     box_mean,
     build_plan,
     divergence,
     gradient,
-    half_spectrum_norm,
     pointwise_norm,
-    spectral_step,
-    step_factors,
 )
 
 from spatial_blur import circular_convolve, circular_correlate
@@ -36,7 +36,7 @@ def _plan_for(u, spec):
 
 
 def _blur_from_step(eigen_k, spectrum, shape):
-    # Ku read from the solution spectrum U that spectral_step returns: K U.
+    # Ku read from the solution spectrum U that _spectral_step returns: K U.
     return np.fft.irfft2(spectrum * eigen_k, s=shape)
 
 
@@ -160,10 +160,10 @@ class TestOutWorkspace:
         rng = np.random.default_rng(46)
         eigen_k = build_plan(shape[1], shape[0], spec)
         d, v = _rand_img(rng, *shape), _rand_img(rng, *shape)
-        factors = step_factors(eigen_k, shape[1], 5.0)
+        factors = _step_factors(eigen_k, shape[1], 5.0)
         out = np.empty(shape), np.empty((shape[0], shape[1] // 2 + 1), complex)
-        assert spectral_step(d, np.fft.rfft2(v), factors, out=out) is out
-        for got, alloc in zip(out, spectral_step(d, np.fft.rfft2(v), factors)):
+        assert _spectral_step(d, np.fft.rfft2(v), factors, out=out) is out
+        for got, alloc in zip(out, _spectral_step(d, np.fft.rfft2(v), factors)):
             assert np.array_equal(got, alloc)
 
 
@@ -171,13 +171,13 @@ class TestOutWorkspace:
     "shape", [(128, 128), (97, 130), (64, 33), (15, 9), (1, 8), (1, 9), (8, 1), (9, 1)]
 )
 def test_step_inverse_bits_of_irfftn(shape):
-    # spectral_step inverts axis by axis through V's buffer; u has the bits
+    # _spectral_step inverts axis by axis through V's buffer; u has the bits
     # np.fft.irfftn gives for the U it returns, at odd and even widths and
     # on single rows and columns.
     rng = np.random.default_rng(47)
     eigen_k = build_plan(shape[1], shape[0], BlurSpec(band=1))
     d, v = _rand_img(rng, *shape), _rand_img(rng, *shape)
-    u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(eigen_k, shape[1], 5.0))
+    u, spectrum = _spectral_step(d, np.fft.rfft2(v), _step_factors(eigen_k, shape[1], 5.0))
     expected = np.fft.irfftn(spectrum, s=shape, axes=(-2, -1))
     assert u.tobytes() == expected.tobytes()
 
@@ -191,13 +191,13 @@ def test_step_allocates_only_the_cast_buffer():
     rng = np.random.default_rng(48)
     shape = (256, 256)
     eigen_k = build_plan(shape[1], shape[0], BlurSpec(band=5, sigma=1.0))
-    factors = step_factors(eigen_k, shape[1], 5.0)
+    factors = _step_factors(eigen_k, shape[1], 5.0)
     d, v_spectrum = _rand_img(rng, *shape), np.fft.rfft2(_rand_img(rng, *shape))
     out = np.empty(shape), np.empty_like(v_spectrum)
-    spectral_step(d, v_spectrum.copy(), factors, out=out)
+    _spectral_step(d, v_spectrum.copy(), factors, out=out)
     tracemalloc.start()
     try:
-        spectral_step(d, v_spectrum, factors, out=out)
+        _spectral_step(d, v_spectrum, factors, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -278,7 +278,7 @@ class TestSpectralPlan:
 
     def test_plan_holds_the_blur_and_step_factors_keep_their_bits(self):
         # build_plan returns the blur symbol alone, one C-contiguous float64
-        # half spectrum; step_factors forms the gradient symbol itself and
+        # half spectrum; _step_factors forms the gradient symbol itself and
         # keeps the bits of 1 / (DtD + ratio eigen_K^2) with DtD = sym_y +
         # sym_x summed first.
         for height, width in ((6, 8), (37, 45), (15, 9), (256, 256)):
@@ -296,7 +296,7 @@ class TestSpectralPlan:
                 assert symbol.flags.c_contiguous and symbol.shape == (height, width // 2 + 1)
                 assert symbol.tobytes() == eigen_k.tobytes()
                 for ratio in (1e-6, 5.0, 1e6):
-                    k_adjoint, inv_denom = step_factors(symbol, width, ratio)
+                    k_adjoint, inv_denom = _step_factors(symbol, width, ratio)
                     assert k_adjoint.tobytes() == (ratio * eigen_k).tobytes()
                     expected = 1.0 / (eigen_dtd + ratio * eigen_k**2)
                     assert inv_denom.tobytes() == expected.tobytes()
@@ -337,7 +337,7 @@ class TestSpectralPlan:
         eigen_k = build_plan(12, 10, spec)
         denom = _dtd_symbol(12, 10) + ratio * np.abs(eigen_k) ** 2
         assert denom.min() > 0.0
-        inv_denom = step_factors(eigen_k, 12, ratio)[1]
+        inv_denom = _step_factors(eigen_k, 12, ratio)[1]
         assert np.all(np.isfinite(inv_denom)) and inv_denom.min() > 0.0
 
 
@@ -348,10 +348,10 @@ class TestSpectralStep:
         eigen_k = build_plan(8, 8, spec)
         ratio = 5.0
         u0 = _rand_img(rng, 8, 8)
-        solved, spectrum = spectral_step(
+        solved, spectrum = _spectral_step(
             divergence(gradient(u0)),
             np.fft.rfft2(blur_via_plan(eigen_k, u0)),
-            step_factors(eigen_k, 8, ratio),
+            _step_factors(eigen_k, 8, ratio),
         )
         assert np.allclose(solved, u0, atol=1e-9)
         blurred = _blur_from_step(eigen_k, spectrum, u0.shape)
@@ -359,20 +359,20 @@ class TestSpectralStep:
 
     def test_dc_algebra_identity_blur(self):
         eigen_k = build_plan(6, 6, BlurSpec(band=1))
-        u, spectrum = spectral_step(
+        u, spectrum = _spectral_step(
             _img(np.full((6, 6), 0.7)),
             np.zeros((6, 4), dtype=complex),
-            step_factors(eigen_k, 6, 1.0),
+            _step_factors(eigen_k, 6, 1.0),
         )
         assert np.allclose(u, 0.7, atol=1e-13)
         assert np.allclose(_blur_from_step(eigen_k, spectrum, u.shape), 0.7, atol=1e-13)
 
     def test_zero_rhs_gives_zero(self):
         eigen_k = build_plan(4, 4, BlurSpec(band=1))
-        u, spectrum = spectral_step(
+        u, spectrum = _spectral_step(
             _img(np.zeros((4, 4))),
             np.zeros((4, 3), dtype=complex),
-            step_factors(eigen_k, 4, 2.0),
+            _step_factors(eigen_k, 4, 2.0),
         )
         assert np.all(u == 0.0)
         assert np.all(spectrum == 0.0)
@@ -424,7 +424,7 @@ class TestHalfSpectrum:
         rng = np.random.default_rng(35)
         d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
         eigen_k = build_plan(width, height, spec)
-        u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(eigen_k, width, 5.0))
+        u, spectrum = _spectral_step(d, np.fft.rfft2(v), _step_factors(eigen_k, width, 5.0))
         blurred = _blur_from_step(eigen_k, spectrum, d.shape)
         assert u.shape == blurred.shape == d.shape
         expected = blur_via_plan(eigen_k, u)
@@ -437,7 +437,7 @@ class TestHalfSpectrum:
         eigen_k = build_plan(width, height, spec)
         for ratio in (1e-3, 5.0, 1e3):
             d, v = _rand_img(rng, height, width), _rand_img(rng, height, width)
-            u, spectrum = spectral_step(d, np.fft.rfft2(v), step_factors(eigen_k, width, ratio))
+            u, spectrum = _spectral_step(d, np.fft.rfft2(v), _step_factors(eigen_k, width, ratio))
             blurred = _blur_from_step(eigen_k, spectrum, d.shape)
             ref_u, ref_blurred = _three_solve_reference(spec, d, v, ratio)
             assert u.shape == blurred.shape == d.shape
@@ -454,7 +454,7 @@ def test_half_spectrum_norm_matches_real_norm(height, width):
     for scale in (1e-3, 1.0, 1e3):
         spectrum = np.fft.rfft2(scale * _rand_img(rng, height, width))
         expected = np.linalg.norm(np.fft.irfft2(spectrum, s=(height, width)))
-        assert half_spectrum_norm(spectrum, width) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert _half_spectrum_norm(spectrum, width) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def _box_mean_reference(field_norms, r):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hwtv import linops, solver
-from hwtv.adapt import alpha_from_norms, update_mu
+from hwtv.adapt import _alpha_from_norms, update_mu
 from hwtv.imgcore import ImageBuffer
 from hwtv.linops import BlurSpec, _gaussian_window
 from hwtv.solver import (
@@ -250,7 +250,7 @@ class TestRestore:
 
         bt, bw = cfg.beta_t, cfg.beta_w
         eigen_k = linops.build_plan(32, 32, blur)
-        factors = linops.step_factors(eigen_k, 32, bw / bt)
+        factors = linops._step_factors(eigen_k, 32, bw / bt)
         delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
         alpha = np.ones((32, 32))
         g = g.data
@@ -262,12 +262,12 @@ class TestRestore:
         for _ in range(steps):
             if mode == "hwtv":
                 norms = linops.pointwise_norm(linops.gradient(u), p)
-                alpha = alpha_from_norms(norms, cfg.r)
-            mu = update_mu(linops.half_spectrum_norm(z, 32), delta, bw)
+                alpha = _alpha_from_norms(norms, cfg.r)
+            mu = update_mu(linops._half_spectrum_norm(z, 32), delta, bw)
             t = prox_t(linops.gradient(u) + y_t, alpha, bt, p)
             w = z * (bw / (mu + bw))
             d, v = linops.divergence(t - y_t), w - y_w + g_hat
-            u, spectrum = linops.spectral_step(d, v, factors)
+            u, spectrum = linops._spectral_step(d, v, factors)
             residual = spectrum * eigen_k - g_hat
             y_w = residual - (w - y_w)
             z = residual + y_w
@@ -275,7 +275,7 @@ class TestRestore:
         assert np.array_equal(result.u_star.data, u)
         assert np.array_equal(result.alpha_final, alpha)
         assert result.final_mu == mu
-        assert result.final_discrepancy == linops.half_spectrum_norm(residual, 32)
+        assert result.final_discrepancy == linops._half_spectrum_norm(residual, 32)
 
     def test_bit_identical_traces(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
@@ -301,7 +301,7 @@ class TestRestore:
         g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=0.1, seed=6))
 
         calls = {"n": 0}
-        real_step = linops.spectral_step
+        real_step = linops._spectral_step
 
         def poisoned(d, v, factors, out):
             calls["n"] += 1
@@ -311,7 +311,7 @@ class TestRestore:
                 return out
             return real_step(d, v, factors, out=out)
 
-        monkeypatch.setattr(solver, "spectral_step", poisoned)
+        monkeypatch.setattr(solver, "_spectral_step", poisoned)
         cfg = SolverConfig(p=2, tau=1.0, r=2, mode="hwtv", max_iter=50)
         with pytest.raises(DivergenceError) as err:
             restore(g, BlurSpec(band=1), 0.1, cfg)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import graphlib
 import importlib
 import inspect
 import pathlib
@@ -34,24 +35,28 @@ BOUNDARY = [
 ]
 
 # What each library module defines for its callers: its public functions and
-# classes, and its upper-case constants. The loop primitives among them are
-# imported from their modules, not from the package. A name joins or leaves
-# the surface by an edit here.
+# classes, and its upper-case constants. Besides the boundary, that is the
+# constants the CLI reads (MODES, FORMATS, PGM8, RAW_F32) and the loop
+# primitives bench/run.py traces by name (prox_t, update_mu, box_mean,
+# pointwise_norm, gradient, divergence, blur_via_plan, build_plan), which
+# test_bench_spans_resolve needs; every other loop helper is private. The
+# primitives are imported from their modules, not from the package. A name
+# joins or leaves the surface by an edit here.
 SURFACE = {
-    "adapt": ["EPS_FLOOR", "alpha_from_norms", "update_mu"],
+    "adapt": ["update_mu"],
     "imgcore": [
         "FORMATS", "FormatError", "ImageBuffer", "PGM8", "RAW_F32",
         "isnr", "read_image", "ssim", "write_image",
     ],
     "linops": [
         "BlurSpec", "blur_via_plan", "box_mean", "build_plan", "divergence", "gradient",
-        "half_spectrum_norm", "pointwise_norm", "spectral_step", "step_factors",
+        "pointwise_norm",
     ],
     "solver": [
         "DivergenceError", "MODES", "RestoreResult", "SolverConfig", "TraceRow", "prox_t",
         "restore",
     ],
-    "synth": ["DegradationSpec", "PHANTOM_KINDS", "PhantomSpec", "degrade", "make_phantom"],
+    "synth": ["DegradationSpec", "PhantomSpec", "degrade", "make_phantom"],
 }
 
 REQUIRED = dataclasses.MISSING
@@ -214,15 +219,15 @@ REJECTED = {
 }
 
 # The buffers each loop primitive takes last, defaulting to None: ``out=`` the
-# result (``spectral_step``'s is the pair it returns), ``scratch=`` workspace.
+# result (``_spectral_step``'s is the pair it returns), ``scratch=`` workspace.
 # No other parameter defaults to None, so a third convention fails here.
 BUFFERS = {
-    "adapt.alpha_from_norms": ["out", "scratch"],
+    "adapt._alpha_from_norms": ["out", "scratch"],
     "linops.box_mean": ["out", "scratch"],
     "linops.divergence": ["out", "scratch"],
     "linops.gradient": ["out"],
     "linops.pointwise_norm": ["out", "scratch"],
-    "linops.spectral_step": ["out"],
+    "linops._spectral_step": ["out"],
     "solver.prox_t": ["out", "scratch"],
 }
 
@@ -367,6 +372,21 @@ def test_every_private_helper_is_used():
         if name not in read
     )
     assert not unused, "unused private helpers: " + ", ".join(unused)
+
+
+def test_package_imports_run_one_way():
+    # Each module imports the package's modules at module level, and those
+    # imports form no cycle, so the modules load in one order and no module
+    # reads a partly loaded one.
+    graph = {}
+    for path in sorted((ROOT / "src" / "hwtv").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level]
+        nested = [node.lineno for node in imports if node not in tree.body]
+        assert not nested, f"{path.name} imports the package below module level: lines {nested}"
+        graph[path.stem] = {node.module or alias.name for node in imports for alias in node.names}
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 # Span names that bench/run.py maps but that name no function or class today,
