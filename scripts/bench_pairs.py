@@ -18,7 +18,9 @@ bound is marked ``unresolved``, unless every new run beats every old run:
 such a spread cannot tell a change within the bound from none. A metric
 whose new median is worse than the old by more than the bound, read as a
 fraction of the old median, is marked ``worse beyond bound``, and the last
-line counts such metrics. With
+line counts such metrics. The line before it gives each side's failed and
+attempted operations, summed over the pairs, and the failed share, marked
+``larger failed share`` where the new side's exceeds the old side's. With
 ``--record`` it appends one record per side to the trajectory file: the
 commit, the benchmark command, those medians and quartiles, the tier-1 wall
 time, the numpy version and the core count.
@@ -100,8 +102,15 @@ def summarize(args) -> None:
               f"new {new['median']:.6g} [{new['q1']:.6g}, {new['q3']:.6g}] "
               f"spread {spread(new):.3f}  bound {bound:g}  "
               f"new better in {wins}/{len(pairs)}{verdict}")
-    failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
-    print(f"{len(pairs)} pairs; failed cells old {failed['old']}, new {failed['new']}; "
+    failed, attempted, share = {}, {}, {}
+    for side in SIDES:
+        failed[side] = sum(p[side]["failed"] for p in pairs)
+        attempted[side] = sum(p[side]["attempted"] for p in pairs)
+        share[side] = failed[side] / attempted[side]
+    larger = "  larger failed share" if share["new"] > share["old"] else ""
+    print(f"{len(pairs)} pairs; failed/attempted old {failed['old']}/{attempted['old']} "
+          f"({share['old']:.4f}), new {failed['new']}/{attempted['new']} "
+          f"({share['new']:.4f}){larger}; "
           f"all correct: {all(p[s]['correct'] for p in pairs for s in SIDES)}")
     print(f"{worse} metrics worse beyond bound")
     if not args.record:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,13 @@ def _is_integer(value) -> bool:
 
 
 def _require_finite_positive(name: str, value: float) -> None:
-    # NaN fails every comparison, so "value <= 0" alone would let it through.
+    # NaN and inf fail the bounds, and Python compares an int with the largest
+    # float exactly, so an int above the float range fails them too, where
+    # math.isfinite would raise OverflowError converting it.
     # bool is a Real, but True is no real, as it is no count; numpy's bool, a
     # string, None and a complex are no Real at all.
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
+    if not (real and 0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

@@ -260,7 +260,7 @@ def _prepare(g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig) ->
 
     In order: the types of ``g``, ``blur`` and ``cfg``, ``sigma``, the "hwtv"
     window and the kernel against ``g``, and delta = tau * sigma * sqrt(n),
-    which can underflow to 0.
+    which can underflow to 0 or overflow.
     """
     _require_instance("g", g, ImageBuffer)
     _require_instance("blur", blur, BlurSpec)
@@ -272,9 +272,8 @@ def _prepare(g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig) ->
             f"{g.height}x{g.width}"
         )
     _require_kernel_fits(blur.band, g.height, g.width)
-    delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
-    if delta <= 0:
-        raise ValueError(f"tau * sigma * sqrt(n) must be positive, got {delta}")
+    delta = float(cfg.tau) * sigma * math.sqrt(g.pixel_count)
+    _require_finite_positive("tau * sigma * sqrt(n)", delta)
     return delta
 
 

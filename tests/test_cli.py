@@ -107,6 +107,8 @@ USAGE_ERRORS = {
     # tau and sigma are each positive, but tau * sigma * sqrt(n) is 0
     "restore-target-underflow":
         "restore --in in/truth.raw --out rec.raw --noise-sigma 1e-200 --tau 1e-200 --radius 4",
+    "restore-target-overflow":
+        "restore --in in/truth.raw --out rec.raw --noise-sigma 1e300 --tau 1e300 --radius 4",
     # a NaN tunable is bad input (exit 2), not a diverged run (exit 3)
     "restore-tau-nan":
         "restore --in in/g.pgm --out rec.pgm --noise-sigma 0.1 --tau nan --radius 4 --max-iter 3",
@@ -169,6 +171,8 @@ USAGE_ERRORS = {
     "sweep-kernel-oversized": f"{SWEEP} --tau-grid 1.0 --radius-grid 2 --blur-band 65",
     "sweep-target-underflow": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
                               "--noise-sigma 1e-200 --tau-grid 1e-200 --radius-grid 2",
+    "sweep-target-overflow": "sweep --true in/truth.raw --in in/g.raw --out s.csv "
+                             "--noise-sigma 1e300 --tau-grid 1e300 --radius-grid 2",
     "sweep-tau-grid-two-parts": f"{SWEEP} --radius-grid 2 --tau-grid 1:2",
     "sweep-tau-grid-zero-step": f"{SWEEP} --radius-grid 2 --tau-grid 0:0:1",
     # every cell is scored by ISNR and SSIM, which need one shape and at least

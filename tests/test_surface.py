@@ -102,6 +102,8 @@ REJECTED = {
     "SolverConfig-tau-inf": (SolverConfig, {"tau": INF}, ValueError, "tau"),
     "SolverConfig-tau-bool": (SolverConfig, {"tau": True}, ValueError, "tau"),
     "SolverConfig-tau-str": (SolverConfig, {"tau": "1"}, ValueError, "tau .* got '1'"),
+    # an int above the float range is rejected, not converted with an OverflowError
+    "SolverConfig-tau-huge-int": (SolverConfig, {"tau": 10**400}, ValueError, "tau"),
     "SolverConfig-r-fractional": (SolverConfig, {"r": 2.5}, ValueError, "integer"),
     "SolverConfig-r-float": (SolverConfig, {"r": 2.0}, ValueError, "integer"),
     "SolverConfig-r-bool": (SolverConfig, {"r": True}, ValueError, "integer"),
@@ -141,6 +143,7 @@ REJECTED = {
     "restore-sigma-inf": (restore, {"sigma": INF}, ValueError, "sigma"),
     "restore-sigma-bool": (restore, {"sigma": True}, ValueError, "sigma"),
     "restore-sigma-str": (restore, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
+    "restore-sigma-huge-int": (restore, {"sigma": 10**400}, ValueError, "sigma"),
     "restore-blur-none": (restore, {"blur": None}, ValueError, "blur must be a BlurSpec"),
     "restore-kernel-oversized":
         (restore, {"blur": BlurSpec(band=9)}, ValueError, "larger than image"),
@@ -148,6 +151,13 @@ REJECTED = {
     "restore-target-underflow": (restore, {
         "sigma": 1e-200, "cfg": SolverConfig(p=2, tau=1e-200, r=2),
     }, ValueError, "positive"),
+    # each passes its check, but tau * sigma * sqrt(n) overflows, as a float or an int
+    "restore-target-overflow": (restore, {
+        "sigma": 1e300, "cfg": SolverConfig(p=2, tau=1e300, r=2),
+    }, ValueError, "finite"),
+    "restore-target-overflow-int": (restore, {
+        "sigma": 10**300, "cfg": SolverConfig(p=2, tau=10**300, r=2),
+    }, ValueError, "finite"),
     "BlurSpec-band-even": (BlurSpec, {"band": 4}, ValueError, "odd positive integer"),
     "BlurSpec-band-fractional": (BlurSpec, {"band": 4.5}, ValueError, "odd positive integer"),
     "BlurSpec-band-float": (BlurSpec, {"band": 3.0}, ValueError, "odd positive integer"),
@@ -169,6 +179,7 @@ REJECTED = {
     "BlurSpec-sigma-bool": (BlurSpec, {"sigma": True}, ValueError, "sigma"),
     "BlurSpec-sigma-numpy-bool": (BlurSpec, {"sigma": np.True_}, ValueError, "sigma"),
     "BlurSpec-sigma-str": (BlurSpec, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
+    "BlurSpec-sigma-huge-int": (BlurSpec, {"band": 5, "sigma": 10**400}, ValueError, "sigma"),
     "build_plan-kernel-larger-than-image": (build_plan, {
         "width": 3, "height": 3, "spec": BlurSpec(band=5, sigma=1.0),
     }, ValueError, "larger than image"),
@@ -179,6 +190,8 @@ REJECTED = {
     "DegradationSpec-sigma-bool": (DegradationSpec, {"sigma": True}, ValueError, "sigma"),
     "DegradationSpec-sigma-str":
         (DegradationSpec, {"sigma": "1"}, ValueError, "sigma .* got '1'"),
+    "DegradationSpec-sigma-huge-int":
+        (DegradationSpec, {"sigma": 10**400}, ValueError, "sigma"),
     "DegradationSpec-seed-bool": (DegradationSpec, {"seed": True}, ValueError, "seed"),
     "DegradationSpec-seed-float": (DegradationSpec, {"seed": 1.5}, ValueError, "seed"),
     "DegradationSpec-seed-negative": (DegradationSpec, {"seed": -1}, ValueError, "seed"),
