@@ -18,7 +18,10 @@ bound is marked ``unresolved``, unless every new run beats every old run:
 such a spread cannot tell a change within the bound from none. A metric
 whose new median is worse than the old by more than the bound, read as a
 fraction of the old median, is marked ``worse beyond bound``, and the last
-line counts such metrics. The line before it gives each side's failed and
+line counts such metrics. A metric is marked ``claimable`` where a gain may
+be claimed: the new side wins at least 9 in 10 of the pairs, and its median
+is better than the old one by more than the distance between the old
+side's quartiles. The line before it gives each side's failed and
 attempted operations, summed over the pairs, and the failed share, marked
 ``larger failed share`` where the new side's exceeds the old side's. With
 ``--record`` it appends one record per side to the trajectory file: the
@@ -94,9 +97,12 @@ def summarize(args) -> None:
         bound = declared[metric]["bound"]
         separated = all(sign * (n - o) > 0 for n in values["new"] for o in values["old"])
         verdict = "  unresolved" if spread(old) > bound and not separated else ""
-        if sign * (new["median"] - old["median"]) < -bound * abs(old["median"]):
+        gain = sign * (new["median"] - old["median"])
+        if gain < -bound * abs(old["median"]):
             verdict += "  worse beyond bound"
             worse += 1
+        if wins >= 0.9 * len(pairs) and gain > old["q3"] - old["q1"]:
+            verdict += "  claimable"
         print(f"{name}: old {old['median']:.6g} [{old['q1']:.6g}, {old['q3']:.6g}] "
               f"spread {spread(old):.3f}  "
               f"new {new['median']:.6g} [{new['q1']:.6g}, {new['q3']:.6g}] "

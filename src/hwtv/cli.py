@@ -147,13 +147,8 @@ def cmd_restore(args) -> int:
         _export_alpha(result.alpha_final, args.alpha_out, args.format)
     if args.trace is not None:
         _write_csv(args.trace, TraceRow, result.trace)
-    _print_json(
-        {
-            "iterations": result.iterations,
-            "discrepancy": result.final_discrepancy,
-            "mu": result.final_mu,
-        }
-    )
+    last = result.trace[-1]
+    _print_json({"iterations": result.iterations, "discrepancy": last.discrepancy, "mu": last.mu})
     return 0
 
 
@@ -182,7 +177,7 @@ def _sweep_cell(payload) -> SweepRow:
     else:
         isnr = imgcore.isnr(g, truth, result.u_star)
         ssim = imgcore.ssim(result.u_star, truth)
-        iterations, discrepancy = result.iterations, result.final_discrepancy
+        iterations, discrepancy = result.iterations, result.trace[-1].discrepancy
     return SweepRow(
         tau=cfg.tau,
         r=cfg.r,

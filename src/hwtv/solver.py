@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,14 +85,18 @@ class TraceRow:
 
 @dataclass(eq=False)
 class RestoreResult:
-    """Output of :func:`restore`: the restored image plus run diagnostics."""
+    """Output of :func:`restore`: the restored image, the last weight map and
+    one ``TraceRow`` per sweep, whose last row holds the final mu and
+    discrepancy."""
 
     u_star: ImageBuffer
-    iterations: int
-    final_mu: float
-    final_discrepancy: float
     alpha_final: np.ndarray
-    trace: list[TraceRow] = field(default_factory=list)
+    trace: list[TraceRow]
+
+    @property
+    def iterations(self) -> int:
+        """The sweeps run, one trace row each."""
+        return len(self.trace)
 
 
 def prox_t(
@@ -297,8 +301,8 @@ def restore(
     Returns
     -------
     RestoreResult
-        Restored image, iteration count, final fidelity weight and residual
-        norm, the last weight map used, and one ``TraceRow`` per iteration.
+        Restored image, the last weight map used, and one ``TraceRow`` per
+        iteration; the last row holds the final mu and residual norm.
 
     Raises
     ------
@@ -375,11 +379,4 @@ def restore(
     if cfg.mode == "tv_scalar":
         alpha = x.u_next
         alpha.fill(1.0)
-    return RestoreResult(
-        u_star=ImageBuffer(x.u),
-        iterations=len(trace),
-        final_mu=mu,
-        final_discrepancy=trace[-1].discrepancy,
-        alpha_final=alpha,
-        trace=trace,
-    )
+    return RestoreResult(u_star=ImageBuffer(x.u), alpha_final=alpha, trace=trace)

@@ -134,7 +134,7 @@ def test_criterion_4_discrepancy_principle_denoising():
             cfg = SolverConfig(p=2, tau=1.0, r=6, mode=mode)
             result = restore(g, identity, sigma, cfg)
             gain = isnr(g, truth, result.u_star)
-            ratio = result.final_discrepancy / delta
+            ratio = result.trace[-1].discrepancy / delta
             ok = ok and ratio <= 1.05 and gain > 0.0
             details.append(f"{mode}@{sigma}: disc/delta={ratio:.4f} isnr={gain:+.2f}")
     elapsed = time.perf_counter() - tick

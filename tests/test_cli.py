@@ -273,6 +273,10 @@ class TestRestoreCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "mu", "discrepancy", "rel_change", "wall_ms"]
         assert len(rows) == 1 + payload["iterations"]
+        # the printed summary is the last trace row; both print floats exactly
+        last = dict(zip(rows[0], rows[-1]))
+        assert (float(last["mu"]), float(last["discrepancy"])) == (
+            payload["mu"], payload["discrepancy"])
         # raw alpha export carries the actual weights (positive, within cap)
         alpha = read_image(alpha_path)
         assert alpha.data.min() > 0.0

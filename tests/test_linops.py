@@ -325,7 +325,7 @@ class TestSpectralPlan:
                     assert eigen_k.tobytes() == np.ascontiguousarray(full.real).tobytes()
                     assert np.abs(full.imag).max() <= 1e-15
 
-    def test_otf_magnitude_at_most_one(self):
+    def test_symbol_magnitude_at_most_one(self):
         eigen_k = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
         assert np.max(np.abs(eigen_k)) <= 1.0 + 1e-12
 

@@ -207,7 +207,7 @@ class TestRestore:
         cfg = SolverConfig(p=2, tau=1.0, r=4, mode="tv_scalar")
         result = restore(g, BlurSpec(band=1), sigma, cfg)
         delta = sigma * np.sqrt(u.pixel_count)
-        assert result.final_discrepancy <= 1.05 * delta
+        assert result.trace[-1].discrepancy <= 1.05 * delta
 
     def test_scalar_mode_fixes_alpha_at_one(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="texture"))
@@ -274,8 +274,8 @@ class TestRestore:
             y_t = linops.gradient(u) - (t - y_t)
         assert np.array_equal(result.u_star.data, u)
         assert np.array_equal(result.alpha_final, alpha)
-        assert result.final_mu == mu
-        assert result.final_discrepancy == linops._half_spectrum_norm(residual, 32)
+        assert result.trace[-1].mu == mu
+        assert result.trace[-1].discrepancy == linops._half_spectrum_norm(residual, 32)
 
     def test_bit_identical_traces(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))

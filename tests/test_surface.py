@@ -70,10 +70,7 @@ FIELDS = {
         "p": REQUIRED, "tau": REQUIRED, "r": REQUIRED, "mode": "hwtv",
         "beta_t": 20.0, "beta_w": 100.0, "max_iter": 500, "tol": 1e-5,
     },
-    "RestoreResult": {
-        "u_star": REQUIRED, "iterations": REQUIRED, "final_mu": REQUIRED,
-        "final_discrepancy": REQUIRED, "alpha_final": REQUIRED, "trace": [],
-    },
+    "RestoreResult": {"u_star": REQUIRED, "alpha_final": REQUIRED, "trace": REQUIRED},
 }
 
 NAN, INF = float("nan"), float("inf")
