@@ -29,7 +29,8 @@ gives three figures for both checkouts:
 
 - the ``tracemalloc`` peak, started after the degraded image is built: the
   largest amount of memory the restore itself held at once, its state, its
-  temporaries and its result;
+  temporaries and its result. Its change is also given in float64 images
+  of the case's size, the unit of the test suite's workspace bound;
 - the process's peak resident set (``ru_maxrss``), imports and problem set-up
   included. It also counts what tracemalloc cannot see: blocks the allocator
   keeps after they are freed, and their reuse, so two layouts with the same
@@ -162,6 +163,11 @@ def change(old: float, new: float) -> str:
     return f"{old:.2f} -> {new:.2f} MiB ({new - old:+.2f} MiB, {100.0 * (new - old) / old:+.2f}%)"
 
 
+def image_change(old: float, new: float, size: int) -> str:
+    """The change from ``old`` to ``new`` MiB in float64 images of size x size."""
+    return f"{(new - old) * MIB / (size * size * 8):+.2f} images"
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
         result = bit_runs() if argv[1:] == ["bits"] else memory(argv[1], int(argv[2]))
@@ -186,7 +192,9 @@ def main(argv: list[str]) -> int:
     print(f"{len(old) - mismatches}/{len(old)} runs bit-identical")
     for mode, size in MEMORY_CASES:
         was, now = (run(checkout, mode, str(size)) for checkout in argv)
-        print(f"{mode} {size}x{size}: tracemalloc {change(was['traced_mib'], now['traced_mib'])}; "
+        traced = was["traced_mib"], now["traced_mib"]
+        print(f"{mode} {size}x{size}: tracemalloc {change(*traced)}, "
+              f"{image_change(*traced, size)}; "
               f"peak RSS {change(was['rss_mib'], now['rss_mib'])}; "
               f"minor faults/sweep {was['faults']:.1f} -> {now['faults']:.1f}")
     return 1 if mismatches or old.keys() != new.keys() else 0

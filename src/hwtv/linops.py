@@ -13,8 +13,8 @@ Every loop primitive takes its buffers by one rule: ``out=`` is the result
 array and ``scratch=`` the workspace, one (h, w) image, both C-contiguous
 and not overlapping the input. The result is written into ``out`` and
 returned, with the same bits as the allocating form. Only
-``_spectral_step``'s ``out`` is the pair ``(u, U)`` it returns, and only
-``solver.prox_t`` may also be given its input as ``out``.
+``_spectral_step``'s ``out`` is the pair ``(u, U)`` it returns. Only
+``solver.prox_t`` and :func:`box_mean` may be given their input as ``out``.
 The library boundary's rules for a count, a real and a record's type live
 here too, since ``BlurSpec`` is the first record that checks them.
 """
@@ -282,15 +282,17 @@ def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndar
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
     The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``scratch``
-    holds the running sums.
+    holds the running sums; ``out`` may be ``field_norms``.
     """
     mean = np.empty_like(field_norms) if out is None else out
     scratch = np.empty_like(field_norms) if scratch is None else scratch
+    # The exact mean lies in [min, max], read before out may take the input;
+    # the clip below removes the <=1 ulp summation excursions.
+    low, high = field_norms.min(), field_norms.max()
     # mean takes the first-axis sums; the second pass copies them out first,
     # on transposed views, so nothing is copied transposed.
     _periodic_window_sum(field_norms, r, mean, scratch)
     _periodic_window_sum(mean.T, r, mean.T, scratch.T)
     mean /= float((2 * r + 1) ** 2)
-    # The exact mean lies in [min, max]; clip the <=1 ulp summation excursions.
-    np.clip(mean, field_norms.min(), field_norms.max(), out=mean)
+    np.clip(mean, low, high, out=mean)
     return mean

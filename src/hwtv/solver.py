@@ -160,14 +160,12 @@ class _Iterate(NamedTuple):
     array. The linear chain is kept on the ``rfft2`` half spectrum: ``y_w``
     is the scaled residual dual rho_w / beta_w, and ``z`` is the spectrum of
     (Ku - g) + y_w, the point the next sweep's mu is chosen at. No primal t
-    or w is kept: the next sweep reads neither. ``work`` is one (h, w)
-    scratch image. The next sweep writes u into ``u_next`` and U = rfft2(u)
-    into ``spectrum``, and overwrites ``work``, ``grad``, ``y_w``, ``y_t``
-    and ``z``. ``u_next`` holds an old u until then, so it is scratch too:
-    an "hwtv" weight refresh writes the gradient norms into ``work`` and
-    takes ``u_next`` as the scratch for the box sums. :func:`_start`
-    allocates every array; a sweep trades ``u`` with ``u_next`` and
-    ``grad`` with ``y_t``.
+    or w is kept: the next sweep reads neither. The next sweep writes u
+    into ``u_next`` and U = rfft2(u) into ``spectrum``, and overwrites
+    ``grad``, ``y_w``, ``y_t`` and ``z``. Until then ``u_next`` holds an
+    old u, so it is the one scratch image, of the box sums and the prox.
+    :func:`_start` allocates every array; a sweep trades ``u`` with
+    ``u_next`` and ``grad`` with ``y_t``.
     """
 
     u: np.ndarray
@@ -175,7 +173,6 @@ class _Iterate(NamedTuple):
     y_w: np.ndarray
     y_t: np.ndarray
     z: np.ndarray
-    work: np.ndarray
     u_next: np.ndarray
     spectrum: np.ndarray
 
@@ -198,7 +195,7 @@ class _Fixed(NamedTuple):
 def _start(
     g: np.ndarray, eigen_K: np.ndarray, beta_t: float, beta_w: float
 ) -> tuple[_Iterate, _Fixed]:
-    """State at u = g (a copy) with zero duals, its scratch, and the constants."""
+    """State at u = g (a copy) with zero duals, and the constants."""
     g_spectrum = np.fft.rfft2(g)
     state = _Iterate(
         u=g.copy(),
@@ -206,7 +203,6 @@ def _start(
         y_w=np.zeros_like(g_spectrum),
         y_t=np.zeros((2, *g.shape)),
         z=g_spectrum * eigen_K - g_spectrum,
-        work=np.empty_like(g),
         u_next=np.empty_like(g),
         spectrum=np.empty_like(g_spectrum),
     )
@@ -226,19 +222,19 @@ def _sweep(
     buffer, which frees ``y_t``'s; the divergence is formed in that freed
     buffer, then the new Du, and the new y_t is written over t - y_t. So
     the returned state has ``grad`` and ``y_t`` swapped, as it has ``u``
-    and ``u_next``, and the old u stays readable in ``u_next``. ``work`` is
-    the prox's scratch. w lives only in z's buffer until the u step; each
-    scaled dual (Boyd et al. 2011, section 3.1.1) then becomes
-    y' = Ax - (t - y), which rounds differently from y + (Ax - t). The
-    linear chain stays on the half spectrum, so the only transforms are the
-    two inside ``_spectral_step``; beta_t enters only the t step and beta_w
-    only the w step.
+    and ``u_next``, and the old u stays readable in ``u_next``. The given
+    ``u_next`` is the prox's scratch until the u step writes u into it. w
+    lives only in z's buffer until then; each scaled dual (Boyd et al.
+    2011, section 3.1.1) then becomes y' = Ax - (t - y), which rounds
+    differently from y + (Ax - t). The linear chain stays on the half
+    spectrum, so the only transforms are the two inside ``_spectral_step``;
+    beta_t enters only the t step and beta_w only the w step.
     """
     field, y_t, y_w = x.grad, x.y_t, x.y_w
     # q = Du + y_t, t = prox(q) and t - y_t, each over the last; y_t is
     # then dead, and its buffer takes the divergence and the new Du.
     field += y_t
-    prox_t(field, alpha, f.beta_t, p, out=field, scratch=x.work)
+    prox_t(field, alpha, f.beta_t, p, out=field, scratch=x.u_next)
     field -= y_t
     # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
     # y_w = w - y_w, and v = y_w + G over w, which the u step then consumes.
@@ -324,12 +320,13 @@ def restore(
     spectrum, and their norms come from Parseval, so a sweep runs two real
     transforms. The state is updated in place, in buffers allocated once
     per call before the first sweep: two images u and u_next, two gradient
-    fields that trade the roles Du and y_t every sweep, one scratch image
-    ``work``, and the half spectra y_w, z and U. A sweep (see
+    fields that trade the roles Du and y_t every sweep, and the half
+    spectra y_w, z and U; "hwtv" adds the weight image. A sweep (see
     :func:`_sweep`) and a weight refresh allocate no image-sized array of
-    their own: the refresh writes the norms into ``work`` and takes the old
-    u in ``u_next`` as the box sums' scratch, and the step in u is formed in
-    ``work``. The "tv_scalar" weights are the float 1.0, and its
+    their own: the refresh forms the norms and their window means in the
+    weight image; ``u_next``, holding a u no longer read, is the scratch of
+    the box sums and the prox, then takes the step in u once the old u's
+    norm is read. The "tv_scalar" weights are the float 1.0, and its
     ``alpha_final`` is ``u_next`` filled with ones after the last sweep.
     ``g`` is not modified, and ``u_star`` and ``alpha_final`` are buffers,
     not copies.
@@ -353,16 +350,16 @@ def restore(
             raise DivergenceError(k)
         if cfg.mode == "hwtv":
             # The weights of u, from the Du the last sweep formed for its
-            # dual update; u_next holds a u no longer read.
-            norms = pointwise_norm(x.grad, cfg.p, out=x.work, scratch=x.u_next)
-            _alpha_from_norms(norms, cfg.r, out=alpha, scratch=x.u_next)
+            # dual update, over the last weights; u_next is free.
+            pointwise_norm(x.grad, cfg.p, out=alpha, scratch=x.u_next)
+            _alpha_from_norms(alpha, cfg.r, out=alpha, scratch=x.u_next)
         mu = update_mu(z_norm, delta, cfg.beta_w)
-        u_prev = x.u
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)
-        step = math.sqrt(_sum_squares(np.subtract(x.u, u_prev, out=x.work)))
+        # The old u is in u_next; its norm first, then the step over it.
+        u_norm = math.sqrt(_sum_squares(x.u_next))
+        step = math.sqrt(_sum_squares(np.subtract(x.u, x.u_next, out=x.u_next)))
         if not math.isfinite(step):
             raise DivergenceError(k)
-        u_norm = math.sqrt(_sum_squares(u_prev))
         rel_change = step / max(u_norm, np.finfo(np.float64).tiny)
         trace.append(
             TraceRow(

@@ -29,12 +29,18 @@ class TestEstimateAlpha:
     @pytest.mark.parametrize("shape", [(37, 45), (15, 9), (12, 16)])
     def test_out_gives_allocating_bits(self, shape):
         # written over the mean in out, the bits of the allocating form; the
-        # buffers start as NaN, so no stale value may reach the weights
+        # buffers start as NaN, so no stale value may reach the weights. out
+        # may also be the norms themselves, as the weight refresh gives it,
+        # also for a constant raster, whose window sums round off it.
         norms = np.abs(np.random.default_rng(47).standard_normal(shape))
         for r in range(1, (min(shape) - 1) // 2 + 1):
             out, scratch = np.full(shape, np.nan), np.full(shape, np.nan)
             assert _alpha_from_norms(norms, r, out=out, scratch=scratch) is out
             assert np.array_equal(out, _alpha_from_norms(norms, r))
+            for arr in (norms, np.full(shape, 0.1)):
+                inplace, scratch = arr.copy(), np.full(shape, np.nan)
+                assert _alpha_from_norms(inplace, r, out=inplace, scratch=scratch) is inplace
+                assert np.array_equal(inplace, _alpha_from_norms(arr, r))
 
     def test_constant_norm_raster_gives_reciprocal(self):
         c = 0.25

@@ -154,6 +154,13 @@ class TestOutWorkspace:
             out, scratch = np.full(shape, np.nan), np.full(shape, np.nan)
             assert box_mean(norms, r, out=out, scratch=scratch) is out
             assert np.array_equal(out, box_mean(norms, r))
+            # and over the input itself, as the weight refresh gives it. A
+            # constant raster's window sums round off it, so the clip to the
+            # input's range must read that range before out overwrites it.
+            for arr in (norms, np.full(shape, 0.1)):
+                inplace, scratch = arr.copy(), np.full(shape, np.nan)
+                assert box_mean(inplace, r, out=inplace, scratch=scratch) is inplace
+                assert np.array_equal(inplace, box_mean(arr, r))
 
     @pytest.mark.parametrize("spec", [BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)])
     def test_spectral_step(self, shape, spec):
