@@ -24,8 +24,10 @@ def _alpha_from_norms(norms: np.ndarray, r: int, out=None, scratch=None) -> np.n
     weight lies in (0, 1 / _EPS_FLOOR]; the caller ensures the window bounds
     of :func:`box_mean`. The weights of an image u are
     ``_alpha_from_norms(pointwise_norm(gradient(u), p), r)``.
-    ``out`` and ``scratch`` are as for :func:`box_mean`, so ``out`` may be
-    ``norms``; the weights overwrite the mean in ``out``.
+    ``out`` and ``scratch`` are as for :func:`box_mean`: ``out`` may be
+    ``norms``, and ``scratch`` is the complex (height, width // 2 + 1) half
+    spectrum the mean is formed in; the weights overwrite the mean in
+    ``out``.
     """
     alpha = box_mean(norms, r, out=out, scratch=scratch)
     np.maximum(alpha, _EPS_FLOOR, out=alpha)

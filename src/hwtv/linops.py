@@ -10,9 +10,10 @@ the caller passes matching shapes and scalars in the documented ranges, as
 ``restore`` does once it has checked its inputs, and tests the iterate for
 finiteness once per sweep.
 Every loop primitive takes its buffers by one rule: ``out=`` is the result
-array and ``scratch=`` the workspace, one (h, w) image, both C-contiguous
-and not overlapping the input. The result is written into ``out`` and
-returned, with the same bits as the allocating form. Only
+array and ``scratch=`` the workspace, one (h, w) image, or for
+:func:`box_mean` the complex (h, w // 2 + 1) half spectrum, both
+C-contiguous and not overlapping the input. The result is written into
+``out`` and returned, with the same bits as the allocating form. Only
 ``_spectral_step``'s ``out`` is the pair ``(u, U)`` it returns. Only
 ``solver.prox_t`` and :func:`box_mean` may be given their input as ``out``.
 The library boundary's rules for a count, a real and a record's type live
@@ -257,42 +258,33 @@ def _sum_squares(arr: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", parts, parts))
 
 
-def _periodic_window_sum(arr, r: int, sums, scratch) -> None:
-    # Sums over a (2r+1)-wide periodic window down the first axis, of length
-    # L, written to ``sums`` (which may be arr) and read off one running sum
-    # csum of arr wrapped to length L + 2r: entry i is csum[i + 2r] -
-    # csum[i - 1] and entry 0 is csum[2r]. csum[:L] is formed in ``scratch``
-    # from arr rolled by r. The wrapped array repeats its first 2r entries
-    # after entry L - 1, and their cumsum continues in the tail rows of
-    # ``sums``, which the head differences never write.
-    length = len(arr)
-    head = length - 2 * r
-    scratch[:r] = arr[length - r :]
-    scratch[r:] = arr[: length - r]
-    sums[head:] = scratch[: 2 * r]
-    np.cumsum(scratch, axis=0, out=scratch)
-    sums[head] += scratch[-1]
-    np.cumsum(sums[head:], axis=0, out=sums[head:])
-    sums[0] = scratch[2 * r]
-    np.subtract(scratch[2 * r + 1 :], scratch[: head - 1], out=sums[1:head])
-    np.subtract(sums[head:], scratch[head - 1 : length - 1], out=sums[head:])
+def _box_factor(length: int, r: int) -> np.ndarray:
+    # The DFT of the periodic (2r+1)-wide window of weights 1 / (2r+1),
+    # centered at entry 0 along an axis of ``length``: real, since the
+    # window is symmetric.
+    window = np.zeros(length)
+    window[: r + 1] = window[length - r :] = 1.0 / (2 * r + 1)
+    return np.fft.fft(window).real
 
 
 def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
-    The caller ensures 1 <= r and 2r + 1 <= min(height, width). ``scratch``
-    holds the running sums; ``out`` may be ``field_norms``.
+    A product on the ``rfft2`` half spectrum: the window is separable, so its
+    symbol is one real factor per axis. The caller ensures 1 <= r and
+    2r + 1 <= min(height, width). ``scratch`` is the complex (height,
+    width // 2 + 1) half spectrum; ``out`` may be ``field_norms``.
     """
+    height, width = field_norms.shape
     mean = np.empty_like(field_norms) if out is None else out
-    scratch = np.empty_like(field_norms) if scratch is None else scratch
     # The exact mean lies in [min, max], read before out may take the input;
-    # the clip below removes the <=1 ulp summation excursions.
+    # the clip below removes the excursions the transforms round to.
     low, high = field_norms.min(), field_norms.max()
-    # mean takes the first-axis sums; the second pass copies them out first,
-    # on transposed views, so nothing is copied transposed.
-    _periodic_window_sum(field_norms, r, mean, scratch)
-    _periodic_window_sum(mean.T, r, mean.T, scratch.T)
-    mean /= float((2 * r + 1) ** 2)
+    spectrum = np.fft.rfft2(field_norms, out=scratch)
+    spectrum *= _box_factor(width, r)[: width // 2 + 1]
+    spectrum *= _box_factor(height, r)[:, None]
+    # The inverse axis by axis, as in _spectral_step, the first in place.
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    np.fft.irfft(spectrum, n=width, axis=1, out=mean)
     np.clip(mean, low, high, out=mean)
     return mean

@@ -163,7 +163,9 @@ class _Iterate(NamedTuple):
     or w is kept: the next sweep reads neither. The next sweep writes u
     into ``u_next`` and U = rfft2(u) into ``spectrum``, and overwrites
     ``grad``, ``y_w``, ``y_t`` and ``z``. Until then ``u_next`` holds an
-    old u, so it is the one scratch image, of the box sums and the prox.
+    old u, so it is the one scratch image, of the p = 1 norms and the
+    prox, and ``spectrum`` holds the last residual's spectrum, which the
+    weight refresh takes as the half spectrum of its box filter.
     :func:`_start` allocates every array; a sweep trades ``u`` with
     ``u_next`` and ``grad`` with ``y_t``.
     """
@@ -324,8 +326,10 @@ def restore(
     spectra y_w, z and U; "hwtv" adds the weight image. A sweep (see
     :func:`_sweep`) and a weight refresh allocate no image-sized array of
     their own: the refresh forms the norms and their window means in the
-    weight image; ``u_next``, holding a u no longer read, is the scratch of
-    the box sums and the prox, then takes the step in u once the old u's
+    weight image, with ``spectrum``, which holds the last residual's
+    spectrum that nothing reads until the next u step, as its filter's half
+    spectrum; ``u_next``, holding a u no longer read, is the scratch of the
+    p = 1 norms and the prox, then takes the step in u once the old u's
     norm is read. The "tv_scalar" weights are the float 1.0, and its
     ``alpha_final`` is ``u_next`` filled with ones after the last sweep.
     ``g`` is not modified, and ``u_star`` and ``alpha_final`` are buffers,
@@ -350,9 +354,10 @@ def restore(
             raise DivergenceError(k)
         if cfg.mode == "hwtv":
             # The weights of u, from the Du the last sweep formed for its
-            # dual update, over the last weights; u_next is free.
+            # dual update, over the last weights; u_next and the last
+            # residual's spectrum are free.
             pointwise_norm(x.grad, cfg.p, out=alpha, scratch=x.u_next)
-            _alpha_from_norms(alpha, cfg.r, out=alpha, scratch=x.u_next)
+            _alpha_from_norms(alpha, cfg.r, out=alpha, scratch=x.spectrum)
         mu = update_mu(z_norm, delta, cfg.beta_w)
         x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)
         # The old u is in u_next; its norm first, then the step over it.

@@ -31,14 +31,16 @@ class TestEstimateAlpha:
         # written over the mean in out, the bits of the allocating form; the
         # buffers start as NaN, so no stale value may reach the weights. out
         # may also be the norms themselves, as the weight refresh gives it,
-        # also for a constant raster, whose window sums round off it.
+        # also for a constant raster, whose transforms round off it. The
+        # scratch is the complex rfft2 half spectrum.
         norms = np.abs(np.random.default_rng(47).standard_normal(shape))
+        half = (shape[0], shape[1] // 2 + 1)
         for r in range(1, (min(shape) - 1) // 2 + 1):
-            out, scratch = np.full(shape, np.nan), np.full(shape, np.nan)
+            out, scratch = np.full(shape, np.nan), np.full(half, np.nan, complex)
             assert _alpha_from_norms(norms, r, out=out, scratch=scratch) is out
             assert np.array_equal(out, _alpha_from_norms(norms, r))
             for arr in (norms, np.full(shape, 0.1)):
-                inplace, scratch = arr.copy(), np.full(shape, np.nan)
+                inplace, scratch = arr.copy(), np.full(half, np.nan, complex)
                 assert _alpha_from_norms(inplace, r, out=inplace, scratch=scratch) is inplace
                 assert np.array_equal(inplace, _alpha_from_norms(arr, r))
 
