@@ -41,10 +41,11 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """All tunables of one restoration run.
 
-    ``p`` selects anisotropic (1) TV, whose t-step soft-thresholds each
-    gradient component (see :func:`prox_t`), or isotropic (2) TV; ``tau``
-    and ``r`` feed the parameter updates; ``mode`` chooses adaptive weights
-    ("hwtv") or the scalar baseline ("tv_scalar").
+    ``p`` selects anisotropic (1) TV, whose t-step is the p = 2 shrinkage
+    on each gradient component, the soft threshold to within eps |q| (see
+    :func:`prox_t`), or isotropic (2) TV; ``tau`` and ``r`` feed the
+    parameter updates; ``mode`` chooses adaptive weights ("hwtv") or the
+    scalar baseline ("tv_scalar").
     """
 
     p: int
@@ -111,44 +112,33 @@ def prox_t(
 
     ``q`` and the result are (2, h, w) gradient fields; ``alpha`` is the
     nonnegative (h, w) weight array, or one weight for every pixel as a
-    float. For p = 1 it soft-thresholds each component by alpha_i / beta_t,
-    the proximal map of the anisotropic penalty, and gives it q's sign by
-    ``copysign``, so -0.0 in q is -0.0 in t. For p = 2 it is the shrinkage
+    float. For p = 2 it is the shrinkage
     t_i = q_i max(1 - alpha_i / (beta_t ||q_i||_2), 0), with t_i = 0 when
-    q_i = 0. ``out`` receives t and may be ``q`` itself, with the same bits;
-    the (h, w) ``scratch`` receives the threshold (p = 1) or the scale
-    (p = 2). The caller ensures beta_t > 0 and p in {1, 2}, as
+    q_i = 0. For p = 1 it is the same shrinkage on each component, with |q|
+    for the norm: the soft threshold by alpha_i / beta_t, the proximal map
+    of the anisotropic penalty, to within eps |q| rather than to the bit
+    (a subnormal q whose beta_t |q| underflows maps to zero, as a q whose
+    norm underflows does for p = 2). Either way t is q times a scale >= 0,
+    so a zero in t keeps q's sign. ``out`` receives t and may be ``q``
+    itself, with the same bits; the (h, w) ``scratch`` receives the norm
+    and then the scale. The caller ensures beta_t > 0 and p in {1, 2}, as
     ``SolverConfig`` does.
     """
     if out is None:
         out = np.empty(q.shape)
     if scratch is None:
         scratch = np.empty(q.shape[1:])
-    if p == 1:
-        # One channel at a time, q's sign carried by the threshold in
-        # scratch, so that out may be q. q - copysign(thr, q) is
-        # sign(q) (|q| - thr) to the bit, since rounding is symmetric in
-        # sign; multiplying by sign(q) = +-1 is exact, and the last copysign
-        # gives a zero q's sign.
-        for qc, tc in zip(q, out):
-            sign = np.divide(alpha, beta_t, out=scratch)
-            np.copysign(sign, qc, out=sign)
-            np.subtract(qc, sign, out=tc)
-            np.copysign(1.0, sign, out=sign)
-            tc *= sign
-            np.maximum(tc, 0.0, out=tc)
-            np.copysign(tc, sign, out=tc)
-        return out
     # Where the norm is zero the scale reads -inf, or NaN if alpha is zero
-    # as well, and fmax clamps both to the 0 that makes t_i = 0 there.
-    scale = pointwise_norm(q, 2, out=scratch)
-    np.multiply(beta_t, scale, out=scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(alpha, scale, out=scale)
-    np.subtract(1.0, scale, out=scale)
-    np.fmax(scale, 0.0, out=scale)
-    np.multiply(q[1], scale, out=out[1])
-    np.multiply(q[0], scale, out=out[0])
+    # as well, and fmax clamps both to the 0 that makes t_i = 0 there; an
+    # overflow to inf makes it 1 or 0, as the exact map rounds.
+    for qc, tc in zip(q, out) if p == 1 else [(q, out)]:
+        scale = np.abs(qc, out=scratch) if p == 1 else pointwise_norm(q, 2, out=scratch)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(beta_t, scale, out=scale)
+            np.divide(alpha, scale, out=scale)
+        np.subtract(1.0, scale, out=scale)
+        np.fmax(scale, 0.0, out=scale)
+        np.multiply(qc, scale, out=tc)
     return out
 
 

@@ -28,6 +28,9 @@ from objectives import (
 from spatial_blur import circular_correlate
 
 
+EPS = np.finfo(np.float64).eps
+
+
 def _prox_id(p):
     # A case id names p and its prox map, which is the exact one for both.
     return f"{p}-exact"
@@ -124,10 +127,49 @@ def test_prox_out_matches_allocating_and_reference(shape, p):
     alpha.flat[::6] = 0.0
     out = np.empty((2, *shape))
     assert prox_t(q, alpha, 20.0, p, out=out, scratch=np.empty(shape)) is out
-    for got, alloc, ref in zip(out, prox_t(q, alpha, 20.0, p),
-                               _reference_prox(q, alpha, 20.0, p)):
+    for got, alloc, ref, qc in zip(out, prox_t(q, alpha, 20.0, p),
+                                   _reference_prox(q, alpha, 20.0, p), q):
         assert got.tobytes() == alloc.tobytes()
-        assert np.array_equal(got, ref)
+        if p == 2:
+            assert np.array_equal(got, ref)
+        else:
+            # p = 1 scales q by 1 - alpha / (beta_t |q|), which rounds
+            # differently from |q| - alpha / beta_t.
+            assert np.all(np.abs(got - ref) <= 2 * EPS * np.abs(qc))
+
+
+EXTREMES = [5e-324, 1e-310, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("weights", ["array", "zero", "scalar"])
+@pytest.mark.parametrize("p", [2, 1], ids=_prox_id)
+def test_prox_keeps_sign_and_soft_threshold(p, weights):
+    # t in place over q, as a sweep runs it, with -0.0 components,
+    # zero-norm pixels, zero weights and magnitudes from the smallest
+    # subnormal to near the float maximum: every zero keeps q's sign, and
+    # p = 1 is the soft threshold to within 2 eps |q|.
+    shape = (12, 10)
+    rng = np.random.default_rng(70)
+    q = _field(rng.standard_normal(shape), rng.standard_normal(shape))
+    for arr in q:
+        arr.flat[::3] = 0.0
+        arr.flat[1::5] = -0.0
+    q[:, :1] = -0.0
+    extremes = np.array(EXTREMES + [-x for x in EXTREMES])
+    q[0, 2, : extremes.size] = extremes
+    q[1, 3, : extremes.size] = extremes[::-1]
+    q[:, 4, : extremes.size] = extremes
+    alpha = {"array": rng.uniform(0.0, 40.0, shape), "zero": np.zeros(shape),
+             "scalar": 1.0}[weights]
+    if weights == "array":
+        alpha.flat[::6] = 0.0
+        alpha.flat[1::6] = 1e-300
+    t = q.copy()
+    prox_t(t, alpha, 20.0, p, out=t, scratch=np.full(shape, np.nan))
+    assert np.array_equal(np.signbit(t), np.signbit(q))
+    if p == 1:
+        soft = _reference_prox(q, alpha, 20.0, p)
+        assert np.all(np.abs(t - soft) <= 2 * EPS * np.abs(q))
 
 
 @pytest.mark.parametrize("weights", ["array", "zero", "scalar"])
@@ -398,9 +440,9 @@ def test_loop_allocates_no_image(monkeypatch, p):
     # - in a sweep: the products of the u step and the residual. The half
     #   spectrum irfftn allocated between its two axes (1.02 images here) is
     #   gone: the inverse runs axis by axis through V's consumed buffer.
-    # The exact p = 1 prox, which read 2.00 in a sweep when it allocated its
-    # threshold and signs, writes its threshold into u_next, which holds an
-    # old u until the u step, and applies the signs by copysign.
+    # The p = 1 prox, which read 2.00 in a sweep when it allocated its
+    # threshold and signs, writes each channel's norm and scale into u_next,
+    # which holds an old u until the u step, as p = 2 does for its field.
     import tracemalloc
 
     size, warmup = 128, 3
