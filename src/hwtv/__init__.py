@@ -2,8 +2,8 @@
 
 Restores images degraded by known blur and Gaussian noise by minimizing a
 weighted-TV objective whose per-pixel regularization weights are re-estimated
-from the iterate (maximum likelihood on local gradient-norm scales) while a
-single global fidelity weight tracks the discrepancy principle. The solver is
+from the iterate (maximum likelihood on local gradient-norm scales), subject
+to the discrepancy principle's bound on the residual norm. The solver is
 an ADMM scheme whose linear step diagonalizes under periodic boundaries.
 
 The package exports the library boundary. The loop's primitives stay in

@@ -1,8 +1,8 @@
 """Automatic parameter selection for space-variant TV restoration.
 
 Two independent mechanisms: per-pixel regularization weights from a local
-maximum-likelihood fit of gradient-norm scales, and a single global fidelity
-weight driven by the discrepancy principle for a known noise level.
+maximum-likelihood fit of gradient-norm scales, and the multiplier mu of the
+discrepancy-principle constraint for a known noise level.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ def _alpha_from_norms(norms: np.ndarray, r: int, out=None, scratch=None) -> np.n
 
 
 def update_mu(z_norm: float, delta: float, beta_w: float) -> float:
-    """Discrepancy-principle fidelity weight for the next sweep.
+    """Multiplier of the discrepancy constraint ||Ku - g|| <= delta.
 
     ``delta`` is the target residual norm, tau * sigma * sqrt(n) for noise
     level sigma over n pixels. Zero while the splitting residual norm is
-    within ``delta``; above it, grows as beta_w * (z_norm / delta - 1) to pull
-    the data fit back toward the noise level. The caller ensures delta > 0,
+    within ``delta``; above it, beta_w * (z_norm / delta - 1), so that
+    beta_w / (mu + beta_w) = delta / z_norm, the w step's projection scale.
+    ``restore`` records it; no sweep reads it. The caller ensures delta > 0,
     beta_w > 0 and a finite z_norm >= 0.
     """
     if z_norm <= delta:

@@ -1,10 +1,10 @@
 """ADMM engine for space-variant TV restoration with automatic parameters.
 
-The restoration objective sum_i alpha_i |(Du)_i|_p + (mu/2) ||Ku - g||^2 is
-split with an auxiliary gradient field t = Du and residual image w = Ku - g.
-Each iteration refreshes the parameters (per-pixel weights alpha from the
-current iterate, global weight mu from the discrepancy principle), runs the
-closed-form primal updates (shrinkage for t, pointwise scaling for w, one
+The restoration problem min sum_i alpha_i |(Du)_i|_p s.t. ||Ku - g|| <= delta,
+the discrepancy principle's bound, is split with an auxiliary gradient field
+t = Du and residual image w = Ku - g. Each iteration refreshes the per-pixel
+weights alpha from the current iterate, runs the closed-form primal updates
+(shrinkage for t, the projection onto the ball ||w|| <= delta for w, one
 spectral solve for u) and then the dual ascent steps. The scalar-TV baseline
 is the same loop with alpha frozen at one everywhere.
 """
@@ -43,9 +43,11 @@ class SolverConfig:
 
     ``p`` selects anisotropic (1) TV, whose t-step is the p = 2 shrinkage
     on each gradient component, the soft threshold to within eps |q| (see
-    :func:`prox_t`), or isotropic (2) TV; ``tau`` and ``r`` feed the
-    parameter updates; ``mode`` chooses adaptive weights ("hwtv") or the
-    scalar baseline ("tv_scalar").
+    :func:`prox_t`), or isotropic (2) TV; ``tau`` sets the ball radius
+    delta and ``r`` the weights' window; ``mode`` chooses adaptive weights
+    ("hwtv") or the scalar baseline ("tv_scalar"). ``beta_t`` sets the t
+    step's threshold alpha / beta_t; ``beta_w`` enters only the u step, as
+    beta_w / beta_t, and scales the recorded multiplier mu.
     """
 
     p: int
@@ -87,8 +89,7 @@ class TraceRow:
 @dataclass(eq=False)
 class RestoreResult:
     """Output of :func:`restore`: the restored image, the last weight map and
-    one ``TraceRow`` per sweep, whose last row holds the final mu and
-    discrepancy."""
+    one ``TraceRow`` per sweep, the last holding the final mu and discrepancy."""
 
     u_star: ImageBuffer
     alpha_final: np.ndarray
@@ -149,7 +150,7 @@ class _Iterate(NamedTuple):
     beta_t are real; the fields ``grad`` and ``y_t`` are each one (2, h, w)
     array. The linear chain is kept on the ``rfft2`` half spectrum: ``y_w``
     is the scaled residual dual rho_w / beta_w, and ``z`` is the spectrum of
-    (Ku - g) + y_w, the point the next sweep's mu is chosen at. No primal t
+    (Ku - g) + y_w, the point the next w step projects. No primal t
     or w is kept: the next sweep reads neither. The next sweep writes u
     into ``u_next`` and U = rfft2(u) into ``spectrum``, and overwrites
     ``grad``, ``y_w``, ``y_t`` and ``z``. Until then ``u_next`` holds an
@@ -174,14 +175,13 @@ class _Fixed(NamedTuple):
 
     ``eigen_K`` is the blur's symbol from ``build_plan``, ``g_spectrum`` is
     G = rfft2(g) and ``factors`` is ``_step_factors(eigen_K, width,
-    beta_w / beta_t)``.
+    beta_w / beta_t)``, the only place a sweep reads beta_w.
     """
 
     eigen_K: np.ndarray
     g_spectrum: np.ndarray
     factors: tuple[np.ndarray, np.ndarray]
     beta_t: float
-    beta_w: float
 
 
 def _start(
@@ -199,15 +199,18 @@ def _start(
         spectrum=np.empty_like(g_spectrum),
     )
     factors = _step_factors(eigen_K, g.shape[1], beta_w / beta_t)
-    fixed = _Fixed(eigen_K, g_spectrum, factors, beta_t, beta_w)
+    fixed = _Fixed(eigen_K, g_spectrum, factors, beta_t)
     return state, fixed
 
 
 def _sweep(
-    x: _Iterate, f: _Fixed, alpha: np.ndarray | float, mu: float, p: int
+    x: _Iterate, f: _Fixed, alpha: np.ndarray | float, scale: float, p: int
 ) -> tuple[_Iterate, float]:
-    """One pass of the splitting at fixed alpha and mu: t, w, u, then dual ascent.
+    """One pass of the splitting at fixed alpha: t, w, u, then dual ascent.
 
+    The w step is w = ``scale`` z: ``restore`` passes min(1, delta / ||z||),
+    the projection of z onto the ball ||w|| <= delta, and beta_w / (mu +
+    beta_w) gives the penalty (mu/2) ||Ku - g||^2 at a fixed mu instead.
     Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
     in place, with no image-sized array of its own, in two rotating fields:
     q = Du + y_t, then t, then t - y_t are written over Du in ``grad``'s
@@ -219,8 +222,7 @@ def _sweep(
     lives only in z's buffer until then; each scaled dual (Boyd et al.
     2011, section 3.1.1) then becomes y' = Ax - (t - y), which rounds
     differently from y + (Ax - t). The linear chain stays on the half
-    spectrum, so the only transforms are the two inside ``_spectral_step``;
-    beta_t enters only the t step and beta_w only the w step.
+    spectrum, so the only transforms are the two inside ``_spectral_step``.
     """
     field, y_t, y_w = x.grad, x.y_t, x.y_w
     # q = Du + y_t, t = prox(q) and t - y_t, each over the last; y_t is
@@ -228,9 +230,9 @@ def _sweep(
     field += y_t
     prox_t(field, alpha, f.beta_t, p, out=field, scratch=x.u_next)
     field -= y_t
-    # w = z beta_w / (mu + beta_w), written over z; mu >= 0 and beta_w > 0.
+    # w = scale z, written over z; the scale lies in (0, 1].
     # y_w = w - y_w, and v = y_w + G over w, which the u step then consumes.
-    w = np.multiply(x.z, f.beta_w / (mu + f.beta_w), out=x.z)
+    w = np.multiply(x.z, scale, out=x.z)
     np.subtract(w, y_w, out=y_w)
     v = np.add(y_w, f.g_spectrum, out=w)
     d = divergence(field, out=y_t[0], scratch=y_t[1])
@@ -296,34 +298,29 @@ def restore(
     ------
     DivergenceError
         An iterate went non-finite; the exception carries the sweep index.
-        Each sweep tests two scalars it computes anyway: the norm of the
-        residual that sets mu, and the norm of the step in u.
+        Each sweep tests the norms it computes anyway, of z and of the step in u.
 
     Notes
     -----
     Each iteration performs, in order: the finiteness test of ||z||, which
-    precedes the weights so an overflow raises in both modes; parameter
-    refresh (weight map from the current iterate in "hwtv" mode or the
-    all-ones map in "tv_scalar" mode, then the discrepancy update of mu);
+    precedes the weights so an overflow raises in both modes; the weight
+    refresh, from the current iterate ("hwtv") or all ones ("tv_scalar");
     primal updates t, w, u; dual ascent on the scaled duals y_w and y_t.
-    Only u, Du, the two duals and z are carried from one sweep to the next;
-    t and w live in the buffers of Du and z within a sweep.
-    The linear terms w, y_w, Ku - g and z stay on the real-FFT half
+    The fit is the constraint ||Ku - g|| <= delta: w = min(1, delta /
+    ||z||) z projects z onto that ball, and the trace's mu, from
+    ``update_mu``, is its multiplier, as beta_w / (mu + beta_w) is that
+    scale. The linear terms w, y_w, Ku - g and z stay on the real-FFT half
     spectrum, and their norms come from Parseval, so a sweep runs two real
     transforms. The state is updated in place, in buffers allocated once
     per call before the first sweep: two images u and u_next, two gradient
     fields that trade the roles Du and y_t every sweep, and the half
-    spectra y_w, z and U; "hwtv" adds the weight image. A sweep (see
-    :func:`_sweep`) and a weight refresh allocate no image-sized array of
-    their own: the refresh forms the norms and their window means in the
-    weight image, with ``spectrum``, which holds the last residual's
-    spectrum that nothing reads until the next u step, as its filter's half
-    spectrum; ``u_next``, holding a u no longer read, is the scratch of the
-    p = 1 norms and the prox, then takes the step in u once the old u's
-    norm is read. The "tv_scalar" weights are the float 1.0, and its
-    ``alpha_final`` is ``u_next`` filled with ones after the last sweep.
-    ``g`` is not modified, and ``u_star`` and ``alpha_final`` are buffers,
-    not copies.
+    spectra y_w, z and U; "hwtv" adds the weight image. A sweep and a
+    weight refresh allocate no image-sized array of their own; the
+    :class:`_Iterate` buffers they borrow are free at that point, and
+    ``u_next`` takes the step in u once the old u's norm is read. The
+    "tv_scalar" weights are the float 1.0, and its ``alpha_final`` is
+    ``u_next`` filled with ones after the last sweep. ``g`` is not
+    modified, and ``u_star`` and ``alpha_final`` are buffers, not copies.
     Starts from u = g with zero duals; stops when the relative change of u
     falls to ``cfg.tol`` or after ``cfg.max_iter`` sweeps. Deterministic:
     identical inputs give bit-identical iterates, whatever the BLAS thread
@@ -349,7 +346,9 @@ def restore(
             pointwise_norm(x.grad, cfg.p, out=alpha, scratch=x.u_next)
             _alpha_from_norms(alpha, cfg.r, out=alpha, scratch=x.spectrum)
         mu = update_mu(z_norm, delta, cfg.beta_w)
-        x, discrepancy = _sweep(x, fixed, alpha, mu, cfg.p)
+        # The ball's scale; the <= branch guards delta / z_norm at z_norm = 0.
+        scale = 1.0 if z_norm <= delta else delta / z_norm
+        x, discrepancy = _sweep(x, fixed, alpha, scale, cfg.p)
         # The old u is in u_next; its norm first, then the step over it.
         u_norm = math.sqrt(_sum_squares(x.u_next))
         step = math.sqrt(_sum_squares(np.subtract(x.u, x.u_next, out=x.u_next)))

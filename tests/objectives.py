@@ -132,7 +132,7 @@ def frozen_nonincrease_share(trials: int, n: int, sweeps: int) -> float:
             rho_w, rho_t = bw * real_image(x.y_w, g.shape), bt * x.y_t
             w = real_image(x.z, g.shape) * (bw / (mu + bw))
             y_t = x.y_t.copy()
-            x, _ = solver._sweep(x, fixed, weights, mu, p)
+            x, _ = solver._sweep(x, fixed, weights, bw / (mu + bw), p)
             t = x.grad - x.y_t + y_t
             values.append(augmented_lagrangian(
                 x.u, w, t, rho_w, rho_t,

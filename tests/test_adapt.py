@@ -129,6 +129,22 @@ class TestUpdateMu:
         d1, d2 = lo * 0.1 * math.sqrt(1024), hi * 0.1 * math.sqrt(1024)
         assert update_mu(z, d1, 100.0) >= update_mu(z, d2, 100.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        delta=st.floats(min_value=1e-100, max_value=1e100),
+        beta_w=st.floats(min_value=1e-100, max_value=1e100),
+        ratio=st.floats(min_value=0.0, max_value=1e30),
+    )
+    def test_multiplier_of_the_ball(self, delta, beta_w, ratio):
+        # mu is the penalty weight whose w step scale equals the projection's
+        # onto ||w|| <= delta, the scale restore hands the sweep.
+        z = ratio * delta
+        penalty = beta_w / (update_mu(z, delta, beta_w) + beta_w)
+        ball = 1.0 if z <= delta else delta / z
+        assert abs(penalty - ball) <= 4 * np.finfo(np.float64).eps * ball
+        if z <= delta:
+            assert penalty == 1.0
+
 
 class TestHalfLaplacianSampler:
     def test_mean_close_to_reciprocal_rate(self):

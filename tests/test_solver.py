@@ -306,9 +306,10 @@ class TestRestore:
             if mode == "hwtv":
                 norms = linops.pointwise_norm(linops.gradient(u), p)
                 alpha = _alpha_from_norms(norms, cfg.r)
-            mu = update_mu(linops._half_spectrum_norm(z, 32), delta, bw)
+            z_norm = linops._half_spectrum_norm(z, 32)
+            mu = update_mu(z_norm, delta, bw)
             t = prox_t(linops.gradient(u) + y_t, alpha, bt, p)
-            w = z * (bw / (mu + bw))
+            w = z * (1.0 if z_norm <= delta else delta / z_norm)
             d, v = linops.divergence(t - y_t), w - y_w + g_hat
             u_prev = u
             u, spectrum = linops._spectral_step(d, v, factors)
@@ -415,7 +416,7 @@ def test_spectral_state_matches_real_space(spec):
     eigen_k = linops.build_plan(width, height, spec)
     x, fixed = solver._start(g, eigen_k, bt, bw)
     for _ in range(3):
-        x, discrepancy = solver._sweep(x, fixed, weights, mu, 2)
+        x, discrepancy = solver._sweep(x, fixed, weights, bw / (mu + bw), 2)
         residual = linops.blur_via_plan(eigen_k, x.u) - g
         expected = np.linalg.norm(residual)
         assert abs(discrepancy - expected) <= 1e-12 * expected
@@ -530,7 +531,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
 
         x, fixed = solver._start(g, eigen_k, bt, bw)
         for _ in range(4000):
-            x, _ = solver._sweep(x, fixed, weights, mu, p)
+            x, _ = solver._sweep(x, fixed, weights, bw / (mu + bw), p)
         admm_value = objective(x.u, g, eigen_k, weights, mu, p)
 
         smoothing = 1e-12
