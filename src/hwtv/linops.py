@@ -2,13 +2,14 @@
 
 Forward differences, their exact adjoint, truncated Gaussian blur and the
 local box mean all wrap periodically, which diagonalizes the restoration
-normal equations in the 2-D DFT basis and keeps every operator pair
-(operator, adjoint) exact to rounding. Operators take and return plain
-float64 arrays; a gradient field is one C-contiguous (2, h, w) array whose
-channel 0 is h and channel 1 is v. The loop operators check no argument:
-the caller passes matching shapes and scalars in the documented ranges, as
-``restore`` does once it has checked its inputs, and tests the iterate for
-finiteness once per sweep.
+normal equations in the 2-D DFT basis and keeps every adjoint exact to
+rounding. The blur and the box are separable, so each symbol is the outer
+product of two 1-D ones, which ``_axis_symbol`` builds. Operators take and
+return plain float64 arrays; a gradient field is one C-contiguous (2, h, w)
+array whose channel 0 is h and channel 1 is v. The loop operators check no
+argument: the caller passes matching shapes and scalars in the documented
+ranges, as ``restore`` does once it has checked its inputs, and tests the
+iterate for finiteness once per sweep.
 Every loop primitive takes its buffers by one rule: ``out=`` is the result
 array and ``scratch=`` the workspace, one (h, w) image, or for
 :func:`box_mean` the complex (h, w // 2 + 1) half spectrum, both
@@ -146,26 +147,33 @@ def _require_kernel_fits(band: int, height: int, width: int) -> None:
         raise ValueError(f"kernel {band}x{band} larger than image {height}x{width}")
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+def _gaussian_profile(band: int, sigma: float) -> np.ndarray:
+    coords = np.arange(band, dtype=np.float64) - (band - 1) / 2.0
     profile = np.exp(-(coords**2) / _twice_variance(sigma))
-    window = np.outer(profile, profile)
-    return window / window.sum()
+    return profile / profile.sum()
+
+
+def _axis_symbol(taps: np.ndarray, length: int) -> np.ndarray:
+    # The DFT along an axis of ``length`` >= len(taps) of the odd, symmetric
+    # kernel ``taps``, centered at entry 0 and wrapped: real, by its symmetry.
+    r = len(taps) // 2
+    line = np.zeros(length)
+    line[: r + 1] = taps[r:]
+    line[length - r :] = taps[:r]
+    return np.fft.fft(line).real
 
 
 def build_plan(width: int, height: int, spec: BlurSpec) -> np.ndarray:
     """The blur's symbol eigen_K at one image size, on the ``np.fft.rfft2`` half spectrum.
 
-    The kernel is the spec's band x band Gaussian window, normalized to sum 1, zero-padded
-    and rolled to the origin. Its DFT is real since the kernel is symmetric, so only the real
-    part is kept: a C-contiguous float64 array of shape (height, width // 2 + 1).
+    The kernel is the spec's band x band Gaussian window, the outer product of one 1-D
+    profile normalized to sum 1, so its DFT is the outer product of the profile's real DFT
+    along each axis: a C-contiguous float64 array of shape (height, width // 2 + 1).
     """
-    band = spec.band
-    _require_kernel_fits(band, height, width)
-    padded = np.zeros((height, width))
-    padded[:band, :band] = _gaussian_window(band, spec.sigma)
-    padded = np.roll(padded, (-(band // 2), -(band // 2)), axis=(0, 1))
-    return np.ascontiguousarray(np.fft.rfft2(padded).real)
+    _require_kernel_fits(spec.band, height, width)
+    profile = _gaussian_profile(spec.band, spec.sigma)
+    row = _axis_symbol(profile, width)[: width // 2 + 1]
+    return np.multiply.outer(_axis_symbol(profile, height), row)
 
 
 def blur_via_plan(eigen_K: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -258,15 +266,6 @@ def _sum_squares(arr: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", parts, parts))
 
 
-def _box_factor(length: int, r: int) -> np.ndarray:
-    # The DFT of the periodic (2r+1)-wide window of weights 1 / (2r+1),
-    # centered at entry 0 along an axis of ``length``: real, since the
-    # window is symmetric.
-    window = np.zeros(length)
-    window[: r + 1] = window[length - r :] = 1.0 / (2 * r + 1)
-    return np.fft.fft(window).real
-
-
 def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
@@ -281,8 +280,9 @@ def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndar
     # the clip below removes the excursions the transforms round to.
     low, high = field_norms.min(), field_norms.max()
     spectrum = np.fft.rfft2(field_norms, out=scratch)
-    spectrum *= _box_factor(width, r)[: width // 2 + 1]
-    spectrum *= _box_factor(height, r)[:, None]
+    taps = np.full(2 * r + 1, 1.0 / (2 * r + 1))
+    spectrum *= _axis_symbol(taps, width)[: width // 2 + 1]
+    spectrum *= _axis_symbol(taps, height)[:, None]
     # The inverse axis by axis, as in _spectral_step, the first in place.
     np.fft.ifft(spectrum, axis=0, out=spectrum)
     np.fft.irfft(spectrum, n=width, axis=1, out=mean)

@@ -3,6 +3,14 @@
 import numpy as np
 
 
+def gaussian_window(size: int, sigma: float) -> np.ndarray:
+    """The blur's size x size Gaussian kernel of std ``sigma``, normalized to sum 1."""
+    coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    profile = np.exp(-(coords**2) / (2.0 * sigma**2))
+    window = np.outer(profile, profile)
+    return window / window.sum()
+
+
 def circular_convolve(u: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """K u: periodic convolution with the centered kernel, one tap at a time."""
     h, w = u.shape

@@ -12,13 +12,13 @@ import numpy as np
 from hwtv import linops
 from hwtv.adapt import _alpha_from_norms
 from hwtv.imgcore import isnr, ssim
-from hwtv.linops import BlurSpec, _gaussian_window
+from hwtv.linops import BlurSpec
 from hwtv.solver import SolverConfig, prox_t, restore
 from hwtv.synth import DegradationSpec, PhantomSpec, degrade, make_phantom
 
 from half_laplacian import sample_half_laplacian
 from objectives import frozen_nonincrease_share, prox1_bisection_oracle, prox2_grid_oracle
-from spatial_blur import circular_correlate
+from spatial_blur import circular_correlate, gaussian_window
 
 # Shared deblurring benchmark: half piecewise-constant, half fine sinusoidal
 # texture that plain TV oversmooths while the adaptive weights protect it.
@@ -43,7 +43,7 @@ def test_criterion_1_operator_correctness():
     tick = time.perf_counter()
     rng = np.random.default_rng(101)
     spec = BlurSpec(band=5, sigma=1.0)
-    kernel = _gaussian_window(spec.band, spec.sigma)
+    kernel = gaussian_window(spec.band, spec.sigma)
     eigen_k = linops.build_plan(16, 16, spec)
     worst_d = worst_k = 0.0
     for _ in range(50):
@@ -175,6 +175,10 @@ def _bench_best_over_grid(g, truth, sigma):
 
 
 def test_criterion_5_adaptive_beats_scalar_over_grid():
+    # The hwtv cells with r = 6 run to the 1,200-sweep cap without settling,
+    # so a rounding-level change (g scaled by 1 + 1e-15) moves the printed
+    # sigma = 0.05 SSIM by about 1%. The bounds are the check; the printed
+    # figures are no measure of a change.
     tick = time.perf_counter()
     details = []
     ok = True
@@ -194,6 +198,9 @@ def test_criterion_5_adaptive_beats_scalar_over_grid():
 
 
 def test_criterion_6_alpha_map_separates_halves():
+    # This cell runs to the sweep cap without settling, so a rounding-level
+    # change moves the printed flat mean and factor by about 1%, as criterion
+    # 5's figures move. The bound of 2 is the check.
     result = _bench_cell(0.05, 0.90, 6, "hwtv")
     split = BENCH_PHANTOM.width // 2
     flat_mean = float(result.alpha_final[:, :split].mean())

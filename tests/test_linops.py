@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwtv.linops import (
     BlurSpec,
+    _axis_symbol,
     _dtd_symbol,
-    _gaussian_window,
+    _gaussian_profile,
     _half_spectrum_norm,
     _spectral_step,
     _step_factors,
@@ -16,7 +19,7 @@ from hwtv.linops import (
     pointwise_norm,
 )
 
-from spatial_blur import circular_convolve, circular_correlate
+from spatial_blur import circular_convolve, circular_correlate, gaussian_window
 
 
 def _img(arr):
@@ -220,25 +223,26 @@ class TestKernel:
     def test_identity_spec(self):
         # Band 1 is K = I whatever the sigma.
         for sigma in (1e-3, 1.0, 1e6):
-            assert np.array_equal(_gaussian_window(1, sigma), [[1.0]])
+            assert np.array_equal(_gaussian_profile(1, sigma), [1.0])
 
     def test_flat_limit(self):
-        kernel = _gaussian_window(3, 1e6)
-        assert np.allclose(kernel, 1.0 / 9.0, atol=1e-9)
+        profile = _gaussian_profile(3, 1e6)
+        assert np.allclose(profile, 1.0 / 3.0, atol=1e-9)
 
     def test_center_entry_against_scalar_oracle(self):
         band, sigma = 5, 1.0
         total = 0.0
         for i in range(-2, 3):
-            for j in range(-2, 3):
-                total += np.exp(-(i * i + j * j) / (2.0 * sigma * sigma))
-        kernel = _gaussian_window(band, sigma)
-        assert kernel[2, 2] == pytest.approx(1.0 / total, abs=1e-12)
+            total += np.exp(-(i * i) / (2.0 * sigma * sigma))
+        profile = _gaussian_profile(band, sigma)
+        assert profile[2] == pytest.approx(1.0 / total, abs=1e-15)
 
     def test_normalized(self):
-        kernel = _gaussian_window(7, 2.0)
-        assert kernel.min() >= 0.0
-        assert kernel.sum() == pytest.approx(1.0, abs=1e-14)
+        for band, sigma in ((7, 2.0), (9, 0.3), (63, 50.0)):
+            profile = _gaussian_profile(band, sigma)
+            assert profile.min() >= 0.0
+            assert np.array_equal(profile, profile[::-1])
+            assert abs(profile.sum() - 1.0) <= 1e-15
 
 
 class TestBlur:
@@ -265,20 +269,34 @@ class TestBlur:
         rng = np.random.default_rng(26)
         u = _rand_img(rng, 8, 8)
         spec = BlurSpec(band=5, sigma=1.0)
-        adjoint = circular_correlate(u, _gaussian_window(spec.band, spec.sigma))
+        adjoint = circular_correlate(u, gaussian_window(spec.band, spec.sigma))
         assert np.allclose(adjoint, blur_via_plan(_plan_for(u, spec), u), atol=1e-13)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(27)
         spec = BlurSpec(band=3, sigma=0.7)
         eigen_k = build_plan(6, 6, spec)
-        kernel = _gaussian_window(spec.band, spec.sigma)
+        kernel = gaussian_window(spec.band, spec.sigma)
         for _ in range(50):
             u, w = _rand_img(rng, 6, 6), _rand_img(rng, 6, 6)
             lhs = float(np.sum(blur_via_plan(eigen_k, u) * w))
             rhs = float(np.sum(u * circular_correlate(w, kernel)))
             scale = np.linalg.norm(u) * np.linalg.norm(w)
             assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def _padded_kernel_symbol(height, width, spec):
+    # The blur symbol as the real part of the rfft2 of the band x band window,
+    # zero-padded to the image and rolled to the origin.
+    padded = np.zeros((height, width))
+    padded[:spec.band, :spec.band] = gaussian_window(spec.band, spec.sigma)
+    shift = -(spec.band // 2)
+    return np.fft.rfft2(np.roll(padded, (shift, shift), axis=(0, 1)))
+
+
+# build_plan's largest distance from the padded 2-D transform it replaced,
+# over every plan the tests build.
+PLAN_BOUND = 2e-15
 
 
 class TestSpectralPlan:
@@ -290,27 +308,23 @@ class TestSpectralPlan:
 
     def test_plan_holds_the_blur_and_step_factors_keep_their_bits(self):
         # build_plan returns the blur symbol alone, one C-contiguous float64
-        # half spectrum; _step_factors forms the gradient symbol itself and
-        # keeps the bits of 1 / (DtD + ratio eigen_K^2) with DtD = sym_y +
-        # sym_x summed first.
+        # half spectrum within rounding of the padded kernel's rfft2;
+        # _step_factors forms the gradient symbol itself and keeps the bits
+        # of 1 / (DtD + ratio eigen_K^2) with DtD = sym_y + sym_x summed first.
         for height, width in ((6, 8), (37, 45), (15, 9), (256, 256)):
             sym_x = 4.0 * np.sin(np.pi * np.arange(width // 2 + 1) / width) ** 2
             sym_y = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
             eigen_dtd = sym_y[:, None] + sym_x[None, :]
             for spec in (BlurSpec(band=1), BlurSpec(band=5, sigma=1.0)):
-                padded = np.zeros((height, width))
-                padded[:spec.band, :spec.band] = _gaussian_window(spec.band, spec.sigma)
-                shift = -(spec.band // 2)
-                rolled = np.roll(padded, (shift, shift), axis=(0, 1))
-                eigen_k = np.ascontiguousarray(np.fft.rfft2(rolled).real)
+                eigen_k = _padded_kernel_symbol(height, width, spec).real
                 symbol = build_plan(width, height, spec)
                 assert type(symbol) is np.ndarray and symbol.dtype == np.float64
                 assert symbol.flags.c_contiguous and symbol.shape == (height, width // 2 + 1)
-                assert symbol.tobytes() == eigen_k.tobytes()
+                assert np.abs(symbol - eigen_k).max() <= PLAN_BOUND
                 for ratio in (1e-6, 5.0, 1e6):
                     k_adjoint, inv_denom = _step_factors(symbol, width, ratio)
-                    assert k_adjoint.tobytes() == (ratio * eigen_k).tobytes()
-                    expected = 1.0 / (eigen_dtd + ratio * eigen_k**2)
+                    assert k_adjoint.tobytes() == (ratio * symbol).tobytes()
+                    expected = 1.0 / (eigen_dtd + ratio * symbol**2)
                     assert inv_denom.tobytes() == expected.tobytes()
 
     def test_identity_eigenvalues_are_one(self):
@@ -323,19 +337,35 @@ class TestSpectralPlan:
 
     def test_blur_symbol_is_the_real_part_of_the_kernel_dft(self):
         # The DFT of the symmetric, origin-centered kernel is real up to
-        # rounding; build_plan keeps its real part as a float64 array.
+        # rounding; build_plan's product of per-axis symbols is its real
+        # part within rounding, as a float64 array.
         for band in (3, 5, 7, 9):
             for sigma in (0.3, 0.7, 1.0, 1.6, 2.5):
                 spec = BlurSpec(band=band, sigma=sigma)
                 for height, width in ((37, 45), (16, 16), (15, 9)):
-                    padded = np.zeros((height, width))
-                    padded[:band, :band] = _gaussian_window(band, sigma)
-                    rolled = np.roll(padded, (-(band // 2), -(band // 2)), axis=(0, 1))
-                    full = np.fft.rfft2(rolled)
+                    full = _padded_kernel_symbol(height, width, spec)
                     eigen_k = build_plan(width, height, spec)
                     assert eigen_k.dtype == np.float64 and eigen_k.flags.c_contiguous
-                    assert eigen_k.tobytes() == np.ascontiguousarray(full.real).tobytes()
+                    assert np.abs(eigen_k - full.real).max() <= PLAN_BOUND
                     assert np.abs(full.imag).max() <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        height=st.integers(1, 64),
+        width=st.integers(1, 64),
+        band_rank=st.floats(0.0, 1.0),
+        sigma=st.floats(0.05, 50.0),
+    )
+    def test_symbol_within_bound_of_the_padded_transform(self, height, width, band_rank, sigma):
+        # Every odd band that fits, the widest included, at odd, even and
+        # prime sizes and from a near-delta to a near-flat kernel.
+        widest = (min(height, width) - 1) // 2
+        spec = BlurSpec(band=2 * round(band_rank * widest) + 1, sigma=sigma)
+        symbol = build_plan(width, height, spec)
+        assert type(symbol) is np.ndarray and symbol.dtype == np.float64
+        assert symbol.flags.c_contiguous and symbol.shape == (height, width // 2 + 1)
+        oracle = _padded_kernel_symbol(height, width, spec).real
+        assert np.abs(symbol - oracle).max() <= PLAN_BOUND
 
     def test_symbol_magnitude_at_most_one(self):
         eigen_k = build_plan(16, 16, BlurSpec(band=5, sigma=1.0))
@@ -351,6 +381,22 @@ class TestSpectralPlan:
         assert denom.min() > 0.0
         inv_denom = _step_factors(eigen_k, 12, ratio)[1]
         assert np.all(np.isfinite(inv_denom)) and inv_denom.min() > 0.0
+
+
+def _box_factor(length, r):
+    # box_mean's per-axis factor as it was built before _axis_symbol: the DFT
+    # of the periodic (2r+1)-wide window of weights 1 / (2r+1), centered at
+    # entry 0 along an axis of ``length``.
+    window = np.zeros(length)
+    window[: r + 1] = window[length - r :] = 1.0 / (2 * r + 1)
+    return np.fft.fft(window).real
+
+
+@pytest.mark.parametrize("length", range(3, 131))
+def test_box_factors_keep_their_bits(length):
+    for r in range(1, (length - 1) // 2 + 1):
+        taps = np.full(2 * r + 1, 1.0 / (2 * r + 1))
+        assert _axis_symbol(taps, length).tobytes() == _box_factor(length, r).tobytes()
 
 
 class TestSpectralStep:
@@ -394,7 +440,7 @@ def _three_solve_reference(spec, d, v, ratio):
     # The u-step as three full-spectrum complex fft2/ifft2 pairs: K^T v,
     # then the division, then K u.
     h, w = d.shape
-    kernel = _gaussian_window(spec.band, spec.sigma)
+    kernel = gaussian_window(spec.band, spec.sigma)
     kh, kw = kernel.shape
     padded = np.zeros((h, w))
     padded[:kh, :kw] = kernel
@@ -428,7 +474,7 @@ class TestHalfSpectrum:
         assert eigen_k.shape == (height, width // 2 + 1)
         out = blur_via_plan(eigen_k, u)
         assert out.shape == u.shape
-        kernel = _gaussian_window(spec.band, spec.sigma)
+        kernel = gaussian_window(spec.band, spec.sigma)
         assert np.allclose(out, circular_convolve(u, kernel), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("height, width, spec", _HALF_SPECTRUM_CASES)

@@ -9,7 +9,7 @@ import pytest
 from hwtv import linops, solver
 from hwtv.adapt import _alpha_from_norms, update_mu
 from hwtv.imgcore import ImageBuffer
-from hwtv.linops import BlurSpec, _gaussian_window
+from hwtv.linops import BlurSpec
 from hwtv.solver import (
     DivergenceError,
     SolverConfig,
@@ -25,7 +25,7 @@ from objectives import (
     prox2_grid_oracle,
     real_image,
 )
-from spatial_blur import circular_correlate
+from spatial_blur import circular_correlate, gaussian_window
 
 
 EPS = np.finfo(np.float64).eps
@@ -527,7 +527,7 @@ class TestFrozenProblemAgainstGenericMinimizer:
         weights = rng.uniform(0.5, 2.0, (n, n))
         mu, bt, bw, p = 40.0, 20.0, 100.0, 2
         eigen_k = linops.build_plan(n, n, blur)
-        kernel = _gaussian_window(blur.band, blur.sigma)
+        kernel = gaussian_window(blur.band, blur.sigma)
 
         x, fixed = solver._start(g, eigen_k, bt, bw)
         for _ in range(4000):
