@@ -25,21 +25,12 @@ state.
 
 The memory lines. A 5-sweep p = 2 ``restore`` with the band-5 blur runs in
 two cases, ``tv_scalar`` at 512x512 and ``hwtv`` at 256x256. Each line
-gives three figures for both checkouts:
-
-- the ``tracemalloc`` peak, started after the degraded image is built: the
-  largest amount of memory the restore itself held at once, its state, its
-  temporaries and its result. Its change is also given in float64 images
-  of the case's size, the unit of the test suite's workspace bound;
-- the process's peak resident set (``ru_maxrss``), imports and problem set-up
-  included. It also counts what tracemalloc cannot see: blocks the allocator
-  keeps after they are freed, and their reuse, so two layouts with the same
-  tracemalloc peak can differ here;
-- the minor page faults per sweep (``ru_minflt``) of a 50-sweep restore
-  with ``tol`` 1e-14, run untraced after the two above and an untraced
-  warm-up restore. An array above the allocator's mapping threshold that a
-  sweep allocates and frees is mapped afresh, and each of its pages faults
-  on first touch, so this counts the image-sized arrays a sweep allocates.
+gives the ``tracemalloc`` peak for both checkouts, started after the degraded
+image is built: the largest amount of memory the restore itself held at once,
+its state, its temporaries and its result. Its change is also given in
+float64 images of the case's size, the unit of the test suite's workspace
+bound. The figure is deterministic; the image-sized arrays a sweep allocates
+are counted by ``tests/test_solver.py::test_loop_allocates_no_image``.
 
 Exits 0 when every field of every run has the same bytes on both sides,
 1 otherwise; the memory figures do not change the exit status.
@@ -51,10 +42,8 @@ import itertools
 import math
 import os
 import pickle
-import resource
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -64,7 +53,6 @@ MODES = ("hwtv", "tv_scalar")
 P_VALUES = (2, 1)
 MEMORY_CASES = (("tv_scalar", 512), ("hwtv", 256))
 MEMORY_SWEEPS = 5
-FAULT_SWEEPS = 50
 MIB = 1024.0 * 1024.0
 
 
@@ -101,7 +89,8 @@ def bit_runs() -> dict:
     return runs
 
 
-def memory(mode: str, size: int) -> dict:
+def memory(mode: str, size: int) -> float:
+    """The tracemalloc peak, in MiB, of one restore of the case."""
     import tracemalloc
 
     import hwtv
@@ -111,16 +100,9 @@ def memory(mode: str, size: int) -> dict:
     tracemalloc.start()
     try:
         hwtv.restore(g, blur, SIGMA, cfg)
-        traced = tracemalloc.get_traced_memory()[1] / MIB
+        return tracemalloc.get_traced_memory()[1] / MIB
     finally:
         tracemalloc.stop()
-    # ru_maxrss is in KiB on Linux.
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    hwtv.restore(g, blur, SIGMA, cfg)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    result = hwtv.restore(g, blur, SIGMA, replace(cfg, max_iter=FAULT_SWEEPS, tol=1e-14))
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    return {"traced_mib": traced, "rss_mib": rss, "faults": faults / result.iterations}
 
 
 def run(checkout: str, *args: str):
@@ -191,12 +173,9 @@ def main(argv: list[str]) -> int:
     print(field_summary(old, new))
     print(f"{len(old) - mismatches}/{len(old)} runs bit-identical")
     for mode, size in MEMORY_CASES:
-        was, now = (run(checkout, mode, str(size)) for checkout in argv)
-        traced = was["traced_mib"], now["traced_mib"]
+        traced = [run(checkout, mode, str(size)) for checkout in argv]
         print(f"{mode} {size}x{size}: tracemalloc {change(*traced)}, "
-              f"{image_change(*traced, size)}; "
-              f"peak RSS {change(was['rss_mib'], now['rss_mib'])}; "
-              f"minor faults/sweep {was['faults']:.1f} -> {now['faults']:.1f}")
+              f"{image_change(*traced, size)}")
     return 1 if mismatches or old.keys() != new.keys() else 0
 
 

@@ -44,6 +44,4 @@ def update_mu(z_norm: float, delta: float, beta_w: float) -> float:
     ``restore`` records it; no sweep reads it. The caller ensures delta > 0,
     beta_w > 0 and a finite z_norm >= 0.
     """
-    if z_norm <= delta:
-        return 0.0
-    return beta_w * (z_norm / delta - 1.0)
+    return beta_w * max(0.0, z_norm / delta - 1.0)

@@ -1,24 +1,24 @@
 """Discrete differential and convolution operators with periodic boundaries.
 
-Forward differences, their exact adjoint, truncated Gaussian blur and the
-local box mean all wrap periodically, which diagonalizes the restoration
-normal equations in the 2-D DFT basis and keeps every adjoint exact to
-rounding. The blur and the box are separable, so each symbol is the outer
-product of two 1-D ones, which ``_axis_symbol`` builds. Operators take and
-return plain float64 arrays; a gradient field is one C-contiguous (2, h, w)
-array whose channel 0 is h and channel 1 is v. The loop operators check no
-argument: the caller passes matching shapes and scalars in the documented
-ranges, as ``restore`` does once it has checked its inputs, and tests the
-iterate for finiteness once per sweep.
+Forward differences, their exact adjoint, truncated Gaussian blur and the local
+box mean all wrap periodically, which diagonalizes the restoration normal
+equations in the 2-D DFT basis and keeps every adjoint exact to rounding. The
+blur and the box are separable, so each symbol is the outer product of two 1-D
+ones, which ``_axis_symbol`` builds. Operators take and return plain float64
+arrays; a gradient field is one C-contiguous (2, h, w) array whose channel 0 is
+h and channel 1 is v. The loop operators check no argument: the caller passes
+matching shapes and scalars in the documented ranges, as ``restore`` does once
+it has checked its inputs, and tests the iterate for finiteness once per sweep.
 Every loop primitive takes its buffers by one rule: ``out=`` is the result
-array and ``scratch=`` the workspace, one (h, w) image, or for
-:func:`box_mean` the complex (h, w // 2 + 1) half spectrum, both
-C-contiguous and not overlapping the input. The result is written into
-``out`` and returned, with the same bits as the allocating form. Only
-``_spectral_step``'s ``out`` is the pair ``(u, U)`` it returns. Only
-``solver.prox_t`` and :func:`box_mean` may be given their input as ``out``.
-The library boundary's rules for a count, a real and a record's type live
-here too, since ``BlurSpec`` is the first record that checks them.
+array and ``scratch=`` the workspace, one (h, w) image, or for :func:`box_mean`
+the complex (h, w // 2 + 1) half spectrum, both C-contiguous and not
+overlapping the input. The result is written into ``out`` and returned, with
+the same bits as the allocating form. Only ``_spectral_step``'s ``out`` is the
+pair ``(u, U)`` it returns. Only ``solver.prox_t`` and :func:`box_mean` may be
+given their input as ``out``. Every inverse transform is ``_irfft2(spectrum,
+out, via)``, no such primitive: its ``via``, the half spectrum between the two
+axes, may be ``spectrum`` itself. The library boundary's rules for a count, a
+real and a record's type live here too, since ``BlurSpec`` first checks them.
 """
 
 from __future__ import annotations
@@ -176,9 +176,18 @@ def build_plan(width: int, height: int, spec: BlurSpec) -> np.ndarray:
     return np.multiply.outer(_axis_symbol(profile, height), row)
 
 
+def _irfft2(spectrum: np.ndarray, out: np.ndarray, via: np.ndarray) -> np.ndarray:
+    # rfft2's inverse axis by axis, as irfftn runs it, with its bits: irfftn
+    # allocates a half spectrum between the axes, and numpy's irfft2 drops out.
+    np.fft.ifft(spectrum, axis=0, out=via)
+    return np.fft.irfft(via, n=out.shape[1], axis=1, out=out)
+
+
 def blur_via_plan(eigen_K: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Circular convolution of ``u`` with the kernel whose symbol is ``eigen_K``."""
-    return np.fft.irfft2(np.fft.rfft2(u) * eigen_K, s=u.shape)
+    spectrum = np.fft.rfft2(u)
+    spectrum *= eigen_K
+    return _irfft2(spectrum, np.empty(u.shape), via=spectrum)
 
 
 def _step_factors(
@@ -216,16 +225,16 @@ def _spectral_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (DtD + ratio KtK) u = d + ratio Kt v; return ``(u, U)``.
 
-    ``factors`` is ``_step_factors(eigen_K, width, ratio)``. The caller
-    ensures that ``d`` is a real image of the factors' size and that
-    ``v_spectrum``, V = rfft2(v), is on its half spectrum; the solve
-    overwrites V. The returned U = rfft2(u) is on the same half spectrum,
-    so a caller that keeps its linear terms there reads Ku as K U without
-    another transform; ``out`` is the pair (u, U). One ``rfft2`` and one
-    inverse in all. The two factors are real, and a real times a complex
-    factor rounds as the complex product with a zero imaginary part.
-    Multiplying by the reciprocal of the real denominator gives the same
-    bits as dividing by it, since numpy divides complex numbers that way.
+    ``factors`` is ``_step_factors(eigen_K, width, ratio)``. The caller ensures
+    that ``d`` is a real image of the factors' size and that ``v_spectrum``,
+    V = rfft2(v), is on its half spectrum. The returned U = rfft2(u) is on the
+    same half spectrum, so a caller that keeps its linear terms there reads Ku
+    as K U without another transform; ``out`` is the pair (u, U). One
+    ``rfft2`` and one ``_irfft2`` in all; the inverse goes through V's buffer,
+    so the solve overwrites V and U survives. The two factors are real, and a
+    real times a complex factor rounds as the complex product with a zero
+    imaginary part. Multiplying by the reciprocal of the real denominator
+    gives the same bits as dividing by it, as numpy divides complex numbers.
     """
     k_adjoint, inv_denom = factors
     if out is None:
@@ -234,11 +243,7 @@ def _spectral_step(
     np.fft.rfft2(d, out=spectrum)
     spectrum += np.multiply(k_adjoint, v_spectrum, out=v_spectrum)
     spectrum *= inv_denom
-    # The inverse axis by axis, as irfftn runs it and with its bits, through
-    # V's consumed buffer: irfftn would allocate a half spectrum between the
-    # two axes, and numpy's irfft2 drops its out argument.
-    np.fft.ifft(spectrum, axis=0, out=v_spectrum)
-    np.fft.irfft(v_spectrum, n=d.shape[1], axis=1, out=u)
+    _irfft2(spectrum, u, via=v_spectrum)
     return out
 
 
@@ -270,9 +275,9 @@ def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndar
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
     A product on the ``rfft2`` half spectrum: the window is separable, so its
-    symbol is one real factor per axis. The caller ensures 1 <= r and
-    2r + 1 <= min(height, width). ``scratch`` is the complex (height,
-    width // 2 + 1) half spectrum; ``out`` may be ``field_norms``.
+    symbol is one real factor per axis. ``scratch`` is that complex (height,
+    width // 2 + 1) spectrum, which ``_irfft2`` takes back in place; ``out``
+    may be ``field_norms``. The caller ensures 1 <= r and 2r + 1 <= min(h, w).
     """
     height, width = field_norms.shape
     mean = np.empty_like(field_norms) if out is None else out
@@ -283,8 +288,6 @@ def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndar
     taps = np.full(2 * r + 1, 1.0 / (2 * r + 1))
     spectrum *= _axis_symbol(taps, width)[: width // 2 + 1]
     spectrum *= _axis_symbol(taps, height)[:, None]
-    # The inverse axis by axis, as in _spectral_step, the first in place.
-    np.fft.ifft(spectrum, axis=0, out=spectrum)
-    np.fft.irfft(spectrum, n=width, axis=1, out=mean)
+    _irfft2(spectrum, mean, via=spectrum)
     np.clip(mean, low, high, out=mean)
     return mean

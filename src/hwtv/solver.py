@@ -346,8 +346,7 @@ def restore(
             pointwise_norm(x.grad, cfg.p, out=alpha, scratch=x.u_next)
             _alpha_from_norms(alpha, cfg.r, out=alpha, scratch=x.spectrum)
         mu = update_mu(z_norm, delta, cfg.beta_w)
-        # The ball's scale; the <= branch guards delta / z_norm at z_norm = 0.
-        scale = 1.0 if z_norm <= delta else delta / z_norm
+        scale = delta / max(z_norm, delta)
         x, discrepancy = _sweep(x, fixed, alpha, scale, cfg.p)
         # The old u is in u_next; its norm first, then the step over it.
         u_norm = math.sqrt(_sum_squares(x.u_next))

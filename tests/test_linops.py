@@ -197,6 +197,23 @@ def test_step_inverse_bits_of_irfftn(shape):
     assert u.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "shape", [(512, 512), (1, 9), (9, 1), (2, 7), (7, 2), (1, 1), (3, 4), (33, 64), (100, 3)]
+)
+def test_blur_bits_of_irfft2(shape):
+    # blur_via_plan inverts through linops._irfft2; its result is a
+    # C-contiguous float64 image with the bits np.fft.irfft2 gives for the
+    # same product, for every band that fits, at odd and even widths and on
+    # single rows and columns.
+    u = _rand_img(np.random.default_rng(49), *shape)
+    for band in (band for band in (1, 3, 5, 11) if band <= min(shape)):
+        eigen_k = build_plan(shape[1], shape[0], BlurSpec(band=band, sigma=1.0))
+        out = blur_via_plan(eigen_k, u)
+        expected = np.fft.irfft2(np.fft.rfft2(u) * eigen_k, s=shape)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
+
 def test_step_allocates_only_the_cast_buffer():
     # Into given buffers, the u step allocates only numpy's cast buffer of
     # 8192 complex128 values for its real x complex products, whatever the
