@@ -15,7 +15,7 @@ import numpy as np
 
 from . import imgcore, solver, synth
 from .imgcore import PGM8, RAW_F32, ImageBuffer
-from .linops import BlurSpec
+from .linops import BlurSpec, _require_count
 from .solver import DivergenceError, SolverConfig, TraceRow
 
 USAGE_ERROR = 2
@@ -190,8 +190,7 @@ def _sweep_cell(payload) -> SweepRow:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    _require_count("--jobs", args.jobs, 1)
     truth = imgcore.read_image(args.true)
     degraded = imgcore.read_image(args.infile)
     # Every cell is scored against the truth, so check that scoring can run.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import BlurSpec, blur_via_plan, build_plan
+from .linops import BlurSpec, _require_choice, _require_window_fits, blur_via_plan, build_plan
 
 PGM8 = "pgm8"
 RAW_F32 = "raw-f32"
@@ -77,10 +77,7 @@ def _require_same_shape(*images: ImageBuffer) -> None:
 
 def _require_ssim_pair(a: ImageBuffer, b: ImageBuffer) -> None:
     _require_same_shape(a, b)
-    if a.height < _SSIM_WINDOW or a.width < _SSIM_WINDOW:
-        raise ValueError(
-            f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM"
-        )
+    _require_window_fits("SSIM window", _SSIM_WINDOW, a.height, a.width)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +187,7 @@ def write_image(img: ImageBuffer, path, format: str) -> None:
     byte; raw-f32 stores float32 samples losslessly and refuses, before it
     creates the file, a sample that would round to infinity.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    _require_choice("format", format, FORMATS)
     if not np.all(np.isfinite(img.data)):
         raise ValueError("image samples must be finite")
     if format == PGM8:

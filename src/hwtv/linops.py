@@ -17,8 +17,8 @@ the same bits as the allocating form. Only ``_spectral_step``'s ``out`` is the
 pair ``(u, U)`` it returns. Only ``solver.prox_t`` and :func:`box_mean` may be
 given their input as ``out``. Every inverse transform is ``_irfft2(spectrum,
 out, via)``, no such primitive: its ``via``, the half spectrum between the two
-axes, may be ``spectrum`` itself. The library boundary's rules for a count, a
-real and a record's type live here too, since ``BlurSpec`` first checks them.
+axes, may be ``spectrum`` itself. The boundary's rules for counts, choices, reals,
+window fits and record types live here too, as ``BlurSpec`` and ``build_plan`` use them.
 """
 
 from __future__ import annotations
@@ -45,6 +45,21 @@ def _require_finite_positive(name: str, value: float) -> None:
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (real and 0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_count(name: str, value, least: int) -> None:
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _require_window_fits(name: str, size: int, height: int, width: int) -> None:
+    if size > min(height, width):
+        raise ValueError(f"{name} {size}x{size} larger than image {height}x{width}")
 
 
 def _require_instance(name: str, value, kind: type) -> None:
@@ -142,11 +157,6 @@ def pointwise_norm(
     return np.sqrt(out, out=out)
 
 
-def _require_kernel_fits(band: int, height: int, width: int) -> None:
-    if band > min(height, width):
-        raise ValueError(f"kernel {band}x{band} larger than image {height}x{width}")
-
-
 def _gaussian_profile(band: int, sigma: float) -> np.ndarray:
     coords = np.arange(band, dtype=np.float64) - (band - 1) / 2.0
     profile = np.exp(-(coords**2) / _twice_variance(sigma))
@@ -170,7 +180,7 @@ def build_plan(width: int, height: int, spec: BlurSpec) -> np.ndarray:
     profile normalized to sum 1, so its DFT is the outer product of the profile's real DFT
     along each axis: a C-contiguous float64 array of shape (height, width // 2 + 1).
     """
-    _require_kernel_fits(spec.band, height, width)
+    _require_window_fits("kernel", spec.band, height, width)
     profile = _gaussian_profile(spec.band, spec.sigma)
     row = _axis_symbol(profile, width)[: width // 2 + 1]
     return np.multiply.outer(_axis_symbol(profile, height), row)

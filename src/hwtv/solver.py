@@ -21,9 +21,9 @@ import numpy as np
 from .adapt import _alpha_from_norms, update_mu
 from .imgcore import ImageBuffer
 from .linops import (
-    BlurSpec, _half_spectrum_norm, _is_integer, _require_finite_positive, _require_instance,
-    _require_kernel_fits, _spectral_step, _step_factors, _sum_squares, build_plan, divergence,
-    gradient, pointwise_norm,
+    BlurSpec, _half_spectrum_norm, _is_integer, _require_choice, _require_count,
+    _require_finite_positive, _require_instance, _require_window_fits, _spectral_step,
+    _step_factors, _sum_squares, build_plan, divergence, gradient, pointwise_norm,
 )
 
 MODES = ("hwtv", "tv_scalar")
@@ -67,12 +67,9 @@ class SolverConfig:
         # Each penalty can be finite and positive while the ratio the u step
         # takes overflows or underflows.
         _require_finite_positive("beta_w / beta_t", self.beta_w / self.beta_t)
-        if not _is_integer(self.r) or self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not _is_integer(self.max_iter) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _require_count("r", self.r, 1)
+        _require_choice("mode", self.mode, MODES)
+        _require_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -260,12 +257,9 @@ def _prepare(g: ImageBuffer, blur: BlurSpec, sigma: float, cfg: SolverConfig) ->
     _require_instance("blur", blur, BlurSpec)
     _require_instance("cfg", cfg, SolverConfig)
     _require_finite_positive("sigma", sigma)
-    if cfg.mode == "hwtv" and 2 * cfg.r + 1 > min(g.height, g.width):
-        raise ValueError(
-            f"estimation window {2 * cfg.r + 1} exceeds image "
-            f"{g.height}x{g.width}"
-        )
-    _require_kernel_fits(blur.band, g.height, g.width)
+    if cfg.mode == "hwtv":
+        _require_window_fits("estimation window", 2 * cfg.r + 1, g.height, g.width)
+    _require_window_fits("kernel", blur.band, g.height, g.width)
     delta = float(cfg.tau) * sigma * math.sqrt(g.pixel_count)
     _require_finite_positive("tau * sigma * sqrt(n)", delta)
     return delta

@@ -8,7 +8,8 @@ import numpy as np
 
 from .imgcore import ImageBuffer
 from .linops import (
-    BlurSpec, _is_integer, _require_finite_positive, _require_instance, blur_via_plan, build_plan,
+    BlurSpec, _require_choice, _require_count, _require_finite_positive, _require_instance,
+    blur_via_plan, build_plan,
 )
 
 _PHANTOM_KINDS = ("cartoon", "texture", "mixed")
@@ -25,8 +26,7 @@ class DegradationSpec:
     def __post_init__(self):
         _require_instance("blur", self.blur, BlurSpec)
         _require_finite_positive("sigma", self.sigma)
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,9 @@ class PhantomSpec:
     texture_freq: float = 8.0
 
     def __post_init__(self):
-        if not (_is_integer(self.width) and _is_integer(self.height)):
-            raise ValueError(
-                f"phantom dimensions must be integers, got {self.width!r}x{self.height!r}"
-            )
-        if self.width < 32 or self.height < 32:
-            raise ValueError("phantom dimensions must be at least 32")
-        if self.kind not in _PHANTOM_KINDS:
-            raise ValueError(f"kind must be one of {_PHANTOM_KINDS}, got {self.kind!r}")
+        _require_count("width", self.width, 32)
+        _require_count("height", self.height, 32)
+        _require_choice("kind", self.kind, _PHANTOM_KINDS)
         _require_finite_positive("texture_freq", self.texture_freq)
 
 

@@ -104,6 +104,9 @@ USAGE_ERRORS = {
     "degrade-input-unreadable": "degrade --in in/missing.pgm --out g.pgm --noise-sigma 0.1",
     "restore-radius-oversized":
         "restore --in in/g.pgm --out rec.pgm --noise-sigma 0.1 --tau 1.0 --radius 40",
+    # a count below its least is refused like a count too large
+    "restore-radius-zero": RESTORE.replace("--radius 4", "--radius 0"),
+    "restore-max-iter-zero": RESTORE.replace("--max-iter 3", "--max-iter 0"),
     # tau and sigma are each positive, but tau * sigma * sqrt(n) is 0
     "restore-target-underflow":
         "restore --in in/truth.raw --out rec.raw --noise-sigma 1e-200 --tau 1e-200 --radius 4",

@@ -93,7 +93,7 @@ class TestRawF32IO:
 
     def test_write_rejects_unknown_format_and_creates_no_file(self, tmp_path):
         path = tmp_path / "t.png"
-        with pytest.raises(ValueError, match="unknown format"):
+        with pytest.raises(ValueError, match="format must be one of"):
             write_image(_img([[0.5]]), path, "png")
         assert not path.exists()
 

@@ -104,6 +104,7 @@ REJECTED = {
     "SolverConfig-r-fractional": (SolverConfig, {"r": 2.5}, ValueError, "integer"),
     "SolverConfig-r-float": (SolverConfig, {"r": 2.0}, ValueError, "integer"),
     "SolverConfig-r-bool": (SolverConfig, {"r": True}, ValueError, "integer"),
+    "SolverConfig-r-zero": (SolverConfig, {"r": 0}, ValueError, "r must be an integer >= 1"),
     "SolverConfig-mode-other": (SolverConfig, {"mode": "other"}, ValueError, "mode must be"),
     "SolverConfig-beta_t-zero": (SolverConfig, {"beta_t": 0.0}, ValueError, "beta_t"),
     "SolverConfig-beta_t-negative": (SolverConfig, {"beta_t": -1.0}, ValueError, "beta_t"),
@@ -124,6 +125,10 @@ REJECTED = {
         (SolverConfig, {"beta_t": 1e300, "beta_w": 1e-300}, ValueError, "beta_w / beta_t"),
     "SolverConfig-max_iter-fractional": (SolverConfig, {"max_iter": 2.5}, ValueError, "integer"),
     "SolverConfig-max_iter-bool": (SolverConfig, {"max_iter": True}, ValueError, "integer"),
+    "SolverConfig-max_iter-zero":
+        (SolverConfig, {"max_iter": 0}, ValueError, "max_iter must be an integer >= 1"),
+    "SolverConfig-max_iter-float":
+        (SolverConfig, {"max_iter": 2.0}, ValueError, "max_iter must be an integer >= 1"),
     "SolverConfig-tol-nan": (SolverConfig, {"tol": NAN}, ValueError, "tol"),
     "SolverConfig-tol-inf": (SolverConfig, {"tol": INF}, ValueError, "tol"),
     "SolverConfig-tol-bool": (SolverConfig, {"tol": True}, ValueError, "tol"),
@@ -198,10 +203,17 @@ REJECTED = {
     "degrade-kernel-oversized": (degrade, {
         "spec": DegradationSpec(BlurSpec(band=9), 0.1),
     }, ValueError, "larger than image"),
-    "PhantomSpec-width-float": (PhantomSpec, {"width": 64.0}, ValueError, "integers"),
-    "PhantomSpec-height-float": (PhantomSpec, {"height": np.float64(64)}, ValueError, "integers"),
-    "PhantomSpec-width-too-small":
-        (PhantomSpec, {"width": 16, "kind": "cartoon"}, ValueError, "at least 32"),
+    "PhantomSpec-width-float":
+        (PhantomSpec, {"width": 64.0}, ValueError, "width must be an integer"),
+    "PhantomSpec-height-float":
+        (PhantomSpec, {"height": np.float64(64)}, ValueError, "height must be an integer"),
+    "PhantomSpec-width-bool":
+        (PhantomSpec, {"width": True}, ValueError, "width must be an integer"),
+    "PhantomSpec-width-too-small": (
+        PhantomSpec, {"width": 16, "kind": "cartoon"}, ValueError, "width must be an integer >= 32",
+    ),
+    "PhantomSpec-height-too-small":
+        (PhantomSpec, {"height": 31}, ValueError, "height must be an integer >= 32"),
     "PhantomSpec-kind-unknown": (PhantomSpec, {"kind": "noise"}, ValueError, "kind must be"),
     "PhantomSpec-freq-nan": (PhantomSpec, {"texture_freq": NAN}, ValueError, "texture_freq"),
     "PhantomSpec-freq-inf": (PhantomSpec, {"texture_freq": INF}, ValueError, "texture_freq"),
@@ -221,7 +233,7 @@ REJECTED = {
     }, ValueError, "real"),
     "ssim-image-too-small": (ssim, {
         "a": ImageBuffer(np.zeros((10, 10))), "b": ImageBuffer(np.zeros((10, 10))),
-    }, ValueError, "at least 11x11"),
+    }, ValueError, "SSIM window 11x11 larger than image 10x10"),
     "isnr-shape-mismatch": (isnr, {
         "g": ImageBuffer(np.zeros((4, 4))), "u_true": ImageBuffer(np.zeros((4, 5))),
         "u_rec": ImageBuffer(np.zeros((4, 4))),
