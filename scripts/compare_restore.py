@@ -12,16 +12,17 @@ its own.
 The bit table. At 128x128, ``degrade`` runs for both blurs, and ``restore``
 for 150 sweeps in 8 configurations: modes ``hwtv`` and ``tv_scalar`` x p in
 (2, 1) x both blurs, 10 runs in all. The fields compared are ``u_star``,
-``iterations``, ``alpha_final``, the ``isnr`` and ``ssim`` of ``u_star``
-against the truth (so a change to the metrics shows as well), and the
-``(k, mu, discrepancy, rel_change)`` of every trace row, the last of which
-holds the final mu and discrepancy. Only names that both checkouts'
-``RestoreResult`` have are read. For a run that is not bit-identical, each
+``iterations``, ``alpha_final``, ``stop_reason``, the ``isnr`` and ``ssim``
+of ``u_star`` against the truth (so a change to the metrics shows as well),
+and the ``(k, mu, discrepancy, rel_change)`` of every trace row, the last of
+which holds the final mu and discrepancy. Only names that both checkouts'
+``RestoreResult`` have are compared, so a checkout older than
+``stop_reason`` still runs. For a run that is not bit-identical, each
 differing field is printed with the largest absolute difference between its
 two sides. A summary line gives, for each field, the largest absolute
-difference over all runs (inf where the shapes differ), and how many restore
-runs have equal ``iterations``: the deviation a change of rounding has to
-state.
+difference over all runs (inf where the shapes or the labels differ), and
+how many restore runs have equal ``iterations``: the deviation a change of
+rounding has to state.
 
 The memory lines. A 5-sweep p = 2 ``restore`` with the band-5 blur runs in
 two cases, ``tv_scalar`` at 512x512 and ``hwtv`` at 256x256. Each line
@@ -86,6 +87,8 @@ def bit_runs() -> dict:
                 "ssim": np.array(hwtv.ssim(res.u_star, truth)),
                 "trace": np.array([(r.k, r.mu, r.discrepancy, r.rel_change) for r in res.trace]),
             }
+            if hasattr(res, "stop_reason"):
+                runs[(mode, p, blur_name)]["stop_reason"] = np.array(res.stop_reason)
     return runs
 
 
@@ -114,23 +117,33 @@ def run(checkout: str, *args: str):
 
 
 def max_abs_diff(old: np.ndarray, new: np.ndarray) -> float:
-    """The largest |old - new|; inf where the shapes differ, such as traces of two lengths."""
+    """The largest |old - new|; inf where the shapes differ, such as traces of two
+    lengths, and for a label, 0 where the two are equal and inf where they differ."""
     if old.shape != new.shape:
         return math.inf
+    if old.dtype.kind == "U":
+        return 0.0 if np.array_equal(old, new) else math.inf
     return float(np.abs(old.astype(np.float64) - new.astype(np.float64)).max(initial=0.0))
 
 
 def describe_difference(name: str, old: np.ndarray, new: np.ndarray) -> str:
     if old.shape != new.shape:
         return f"{name} (shape {old.shape} vs {new.shape})"
+    if old.dtype.kind == "U":
+        return f"{name} ({old} vs {new})"
     return f"{name} (max |diff| {max_abs_diff(old, new):.2e})"
+
+
+def shared(old_run: dict, new_run: dict) -> list[str]:
+    """The fields both sides of one run recorded, in the old side's order."""
+    return [name for name in old_run if name in new_run]
 
 
 def field_summary(old: dict, new: dict) -> str:
     diffs: dict[str, list[float]] = {}
     for key in sorted(old, key=str):
-        for name, value in old[key].items():
-            diffs.setdefault(name, []).append(max_abs_diff(value, new[key][name]))
+        for name in shared(old[key], new[key]):
+            diffs.setdefault(name, []).append(max_abs_diff(old[key][name], new[key][name]))
     restores = [key for key in old if "iterations" in old[key]]
     equal = sum(
         np.array_equal(old[key]["iterations"], new[key]["iterations"]) for key in restores
@@ -162,10 +175,10 @@ def main(argv: list[str]) -> int:
     mismatches = 0
     for key in sorted(old, key=str):
         differ = [
-            name for name, value in old[key].items()
-            if value.dtype != new[key][name].dtype
-            or value.shape != new[key][name].shape
-            or value.tobytes() != new[key][name].tobytes()
+            name for name in shared(old[key], new[key])
+            if old[key][name].dtype != new[key][name].dtype
+            or old[key][name].shape != new[key][name].shape
+            or old[key][name].tobytes() != new[key][name].tobytes()
         ]
         mismatches += bool(differ)
         details = [describe_difference(name, old[key][name], new[key][name]) for name in differ]

@@ -53,7 +53,7 @@ def _require_count(name: str, value, least: int) -> None:
 
 
 def _require_choice(name: str, value, choices: tuple) -> None:
-    if value not in choices:
+    if not (isinstance(value, str) and value in choices):  # an array's `in` is elementwise
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 

@@ -97,6 +97,12 @@ class TestRawF32IO:
             write_image(_img([[0.5]]), path, "png")
         assert not path.exists()
 
+    def test_write_rejects_format_array_and_creates_no_file(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        with pytest.raises(ValueError, match="format must be one of"):
+            write_image(_img([[0.5]]), path, np.array([PGM8, RAW_F32]))
+        assert not path.exists()
+
     def test_write_rejects_sample_beyond_float32_and_creates_no_file(self, tmp_path):
         # finite in float64, it would round to +inf in the file
         path = tmp_path / "big.raw"

@@ -235,7 +235,36 @@ class TestObjective:
         assert objective(u, g, eigen_k, weights, mu, p) == pytest.approx(expected, abs=1e-12)
 
 
+def _denoising_problem():
+    # g, blur and sigma of a 64x64 denoising problem
+    u = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
+    blur = BlurSpec(band=1)
+    return degrade(u, DegradationSpec(blur=blur, sigma=0.1, seed=2)), blur, 0.1
+
+
+def _false_stop_problem():
+    # Acceptance criterion 5's problem at sigma 0.02. At beta (4, 20), tau 0.94
+    # and r 14 the change test fires after 19 sweeps with ||Ku - g|| 2.37 delta.
+    truth = make_phantom(PhantomSpec(width=128, height=128, kind="mixed", texture_freq=20.0))
+    blur = BlurSpec(band=5, sigma=1.0)
+    return degrade(truth, DegradationSpec(blur=blur, sigma=0.02, seed=11)), blur, 0.02
+
+
 class TestRestore:
+    @pytest.mark.parametrize("problem, cfg, reason", [
+        # mu is 0 and the gap -1: the constraint is inactive
+        (lambda: (ImageBuffer(np.full((32, 32), 0.5)), BlurSpec(band=1), 0.1),
+         SolverConfig(p=2, tau=1.0, r=3, mode="hwtv"), "converged"),
+        (_denoising_problem, SolverConfig(p=2, tau=1.0, r=4, mode="tv_scalar"), "converged"),
+        (_false_stop_problem, SolverConfig(
+            p=2, tau=0.94, r=14, mode="hwtv", beta_t=4.0, beta_w=20.0, max_iter=1200, tol=1e-6,
+        ), "stalled"),
+        (_denoising_problem, SolverConfig(p=2, tau=1.0, r=4, mode="tv_scalar", max_iter=5),
+         "max_iter"),
+    ], ids=["constant", "denoising", "false-stop", "cap"])
+    def test_stop_reason(self, problem, cfg, reason):
+        assert restore(*problem(), cfg).stop_reason == reason
+
     def test_constant_image_identity_blur_fixed_point(self):
         g = ImageBuffer(np.full((32, 32), 0.5))
         cfg = SolverConfig(p=2, tau=1.0, r=3, mode="hwtv")
@@ -244,13 +273,12 @@ class TestRestore:
         assert np.max(np.abs(result.u_star.data - g.data)) <= 1e-12
 
     def test_denoising_discrepancy_self_check(self):
-        u = make_phantom(PhantomSpec(width=64, height=64, kind="mixed"))
-        sigma = 0.1
-        g = degrade(u, DegradationSpec(blur=BlurSpec(band=1), sigma=sigma, seed=2))
+        g, blur, sigma = _denoising_problem()
         cfg = SolverConfig(p=2, tau=1.0, r=4, mode="tv_scalar")
-        result = restore(g, BlurSpec(band=1), sigma, cfg)
-        delta = sigma * np.sqrt(u.pixel_count)
+        result = restore(g, blur, sigma, cfg)
+        delta = sigma * np.sqrt(g.pixel_count)
         assert result.trace[-1].discrepancy <= 1.05 * delta
+        assert result.stop_reason == "converged"
 
     def test_scalar_mode_fixes_alpha_at_one(self):
         u = make_phantom(PhantomSpec(width=32, height=32, kind="texture"))

@@ -70,7 +70,9 @@ FIELDS = {
         "p": REQUIRED, "tau": REQUIRED, "r": REQUIRED, "mode": "hwtv",
         "beta_t": 20.0, "beta_w": 100.0, "max_iter": 500, "tol": 1e-5,
     },
-    "RestoreResult": {"u_star": REQUIRED, "alpha_final": REQUIRED, "trace": REQUIRED},
+    "RestoreResult": {
+        "u_star": REQUIRED, "alpha_final": REQUIRED, "trace": REQUIRED, "stop_reason": REQUIRED,
+    },
 }
 
 NAN, INF = float("nan"), float("inf")
@@ -106,6 +108,12 @@ REJECTED = {
     "SolverConfig-r-bool": (SolverConfig, {"r": True}, ValueError, "integer"),
     "SolverConfig-r-zero": (SolverConfig, {"r": 0}, ValueError, "r must be an integer >= 1"),
     "SolverConfig-mode-other": (SolverConfig, {"mode": "other"}, ValueError, "mode must be"),
+    # an array is no choice: its ``in`` compares elementwise
+    "SolverConfig-mode-array": (
+        SolverConfig, {"mode": np.array(["hwtv", "tv_scalar"])}, ValueError, "must be one of",
+    ),
+    "SolverConfig-mode-one-element-array":
+        (SolverConfig, {"mode": np.array(["tv_scalar"])}, ValueError, "must be one of"),
     "SolverConfig-beta_t-zero": (SolverConfig, {"beta_t": 0.0}, ValueError, "beta_t"),
     "SolverConfig-beta_t-negative": (SolverConfig, {"beta_t": -1.0}, ValueError, "beta_t"),
     "SolverConfig-beta_t-nan": (SolverConfig, {"beta_t": NAN}, ValueError, "beta_t"),
@@ -215,6 +223,8 @@ REJECTED = {
     "PhantomSpec-height-too-small":
         (PhantomSpec, {"height": 31}, ValueError, "height must be an integer >= 32"),
     "PhantomSpec-kind-unknown": (PhantomSpec, {"kind": "noise"}, ValueError, "kind must be"),
+    "PhantomSpec-kind-array":
+        (PhantomSpec, {"kind": np.array(["texture", "cartoon"])}, ValueError, "must be one of"),
     "PhantomSpec-freq-nan": (PhantomSpec, {"texture_freq": NAN}, ValueError, "texture_freq"),
     "PhantomSpec-freq-inf": (PhantomSpec, {"texture_freq": INF}, ValueError, "texture_freq"),
     "PhantomSpec-freq-bool": (PhantomSpec, {"texture_freq": True}, ValueError, "texture_freq"),
