@@ -6,12 +6,18 @@ and compare the memory a restore takes in each.
 
 Every problem is the mixed phantom (texture frequency 20) degraded with
 noise sigma 0.05 (seed 1), by the band-5 sigma=1 blur or the identity
-(band 1). Each measurement imports a checkout's ``src/`` in a subprocess of
-its own.
+(band 1), unless said otherwise. Each measurement imports a checkout's
+``src/`` in a subprocess of its own.
 
 The bit table. At 128x128, ``degrade`` runs for both blurs, and ``restore``
 for 150 sweeps in 8 configurations: modes ``hwtv`` and ``tv_scalar`` x p in
-(2, 1) x both blurs, 10 runs in all. The fields compared are ``u_star``,
+(2, 1) x both blurs, at tol 1e-300, so none stops early. Two more restores
+stop by their tol of 1e-6, on the band-5 blur with noise sigma 0.02 (seed
+11), p = 2 and tau 0.94, within 1200 sweeps: ``tv_scalar`` at r 6 and beta_t
+100, which stops "converged", and ``hwtv`` at r 14 and beta_t 4, which
+stops "stalled" after 19 sweeps. 12 runs in all. Each restore's residual
+penalty is 5 beta_t; a checkout whose ``SolverConfig`` still has the
+``beta_w`` field is given that value. The fields compared are ``u_star``,
 ``iterations``, ``alpha_final``, ``stop_reason``, the ``isnr`` and ``ssim``
 of ``u_star`` against the truth (so a change to the metrics shows as well),
 and the ``(k, mu, discrepancy, rel_change)`` of every trace row, the last of
@@ -39,6 +45,7 @@ Exits 0 when every field of every run has the same bytes on both sides,
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -52,43 +59,67 @@ SIGMA = 0.05
 SWEEPS = 150
 MODES = ("hwtv", "tv_scalar")
 P_VALUES = (2, 1)
+# The restores that stop by tol: name, then mode, r and beta_t.
+STOPPING = (("stop-converged", "tv_scalar", 6, 100.0), ("stop-stalled", "hwtv", 14, 4.0))
+STOPPING_SIGMA = 0.02
 MEMORY_CASES = (("tv_scalar", 512), ("hwtv", 256))
 MEMORY_SWEEPS = 5
 MIB = 1024.0 * 1024.0
 
 
-def problem(size: int, band: int):
-    """The blur, truth and degraded image of one size and blur band."""
+def problem(size: int, band: int, sigma: float = SIGMA, seed: int = 1):
+    """The blur, truth and degraded image of one size, blur band and noise."""
     import hwtv
 
     blur = hwtv.BlurSpec(band=band, sigma=1.0)
     truth = hwtv.make_phantom(
         hwtv.PhantomSpec(width=size, height=size, kind="mixed", texture_freq=20.0)
     )
-    return blur, truth, hwtv.degrade(truth, hwtv.DegradationSpec(blur=blur, sigma=SIGMA, seed=1))
+    spec = hwtv.DegradationSpec(blur=blur, sigma=sigma, seed=seed)
+    return blur, truth, hwtv.degrade(truth, spec)
+
+
+def solver_config(**kwargs):
+    """``SolverConfig(**kwargs)``, given beta_w = 5 beta_t where it has that field."""
+    import hwtv
+
+    defaults = {field.name: field.default for field in dataclasses.fields(hwtv.SolverConfig)}
+    if "beta_w" in defaults:
+        kwargs["beta_w"] = 5.0 * kwargs.get("beta_t", defaults["beta_t"])
+    return hwtv.SolverConfig(**kwargs)
+
+
+def restore_fields(g, blur, sigma: float, truth, cfg) -> dict:
+    """The compared fields of one restore."""
+    import hwtv
+
+    res = hwtv.restore(g, blur, sigma, cfg)
+    fields = {
+        "u_star": res.u_star.data,
+        "iterations": np.array(res.iterations),
+        "alpha_final": res.alpha_final,
+        "isnr": np.array(hwtv.isnr(g, truth, res.u_star)),
+        "ssim": np.array(hwtv.ssim(res.u_star, truth)),
+        "trace": np.array([(r.k, r.mu, r.discrepancy, r.rel_change) for r in res.trace]),
+    }
+    if hasattr(res, "stop_reason"):
+        fields["stop_reason"] = np.array(res.stop_reason)
+    return fields
 
 
 def bit_runs() -> dict:
-    import hwtv
-
     runs = {}
     for blur_name, band in (("identity", 1), ("band5", 5)):
         blur, truth, g = problem(128, band)
         runs[("degrade", blur_name)] = {"g": g.data}
         for mode, p in itertools.product(MODES, P_VALUES):
-            cfg = hwtv.SolverConfig(p=p, tau=0.94, r=14, mode=mode, max_iter=SWEEPS,
-                                    tol=1e-300)
-            res = hwtv.restore(g, blur, SIGMA, cfg)
-            runs[(mode, p, blur_name)] = {
-                "u_star": res.u_star.data,
-                "iterations": np.array(res.iterations),
-                "alpha_final": res.alpha_final,
-                "isnr": np.array(hwtv.isnr(g, truth, res.u_star)),
-                "ssim": np.array(hwtv.ssim(res.u_star, truth)),
-                "trace": np.array([(r.k, r.mu, r.discrepancy, r.rel_change) for r in res.trace]),
-            }
-            if hasattr(res, "stop_reason"):
-                runs[(mode, p, blur_name)]["stop_reason"] = np.array(res.stop_reason)
+            cfg = solver_config(p=p, tau=0.94, r=14, mode=mode, max_iter=SWEEPS, tol=1e-300)
+            runs[(mode, p, blur_name)] = restore_fields(g, blur, SIGMA, truth, cfg)
+    blur, truth, g = problem(128, 5, STOPPING_SIGMA, 11)
+    for name, mode, r, beta_t in STOPPING:
+        cfg = solver_config(p=2, tau=0.94, r=r, mode=mode, beta_t=beta_t, max_iter=1200,
+                            tol=1e-6)
+        runs[(name, mode, r)] = restore_fields(g, blur, STOPPING_SIGMA, truth, cfg)
     return runs
 
 

@@ -23,7 +23,7 @@ DIVERGENCE_ERROR = 3
 MAX_GRID_POINTS = 1000
 # The SolverConfig fields set by a flag of their own name; tau and r come
 # from --tau and --radius, or from the sweep's grids.
-SOLVER_FLAGS = ("p", "mode", "beta_t", "beta_w", "max_iter", "tol")
+SOLVER_FLAGS = ("p", "mode", "beta_t", "max_iter", "tol")
 
 
 @dataclass(frozen=True)

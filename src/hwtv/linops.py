@@ -23,6 +23,7 @@ window fits and record types live here too, as ``BlurSpec`` and ``build_plan`` u
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -212,8 +213,7 @@ def _step_factors(
     Kt has the symbol of K. The denominator is strictly positive for a
     normalized kernel and ratio > 0 (eigen_K equals 1 at the zero
     frequency, where DtD alone is 0), so the solve is exact to rounding.
-    The caller ensures a finite ratio > 0, as ``SolverConfig`` does for
-    beta_w / beta_t.
+    The caller ensures a finite ratio > 0; ``restore`` passes 5.
     """
     denom = _dtd_symbol(width, len(eigen_K)) + ratio * eigen_K**2
     return ratio * eigen_K, 1.0 / denom
@@ -281,6 +281,15 @@ def _sum_squares(arr: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", parts, parts))
 
 
+@functools.lru_cache(maxsize=8)
+def _box_factor(r: int, length: int) -> np.ndarray:
+    # The (2r+1)-box's symbol along an axis of ``length``, built once per size
+    # and shared by every refresh, so no caller may write it.
+    factor = _axis_symbol(np.full(2 * r + 1, 1.0 / (2 * r + 1)), length)
+    factor.setflags(write=False)
+    return factor
+
+
 def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndarray:
     """Mean over the periodic (2r+1) x (2r+1) window centered at each pixel.
 
@@ -295,9 +304,8 @@ def box_mean(field_norms: np.ndarray, r: int, out=None, scratch=None) -> np.ndar
     # the clip below removes the excursions the transforms round to.
     low, high = field_norms.min(), field_norms.max()
     spectrum = np.fft.rfft2(field_norms, out=scratch)
-    taps = np.full(2 * r + 1, 1.0 / (2 * r + 1))
-    spectrum *= _axis_symbol(taps, width)[: width // 2 + 1]
-    spectrum *= _axis_symbol(taps, height)[:, None]
+    spectrum *= _box_factor(r, width)[: width // 2 + 1]
+    spectrum *= _box_factor(r, height)[:, None]
     _irfft2(spectrum, mean, via=spectrum)
     np.clip(mean, low, high, out=mean)
     return mean

@@ -30,6 +30,9 @@ MODES = ("hwtv", "tv_scalar")
 # The largest |gap|, gap = ||Ku - g|| / delta - 1, of a converged stop: runs
 # near the loop's limit read at most 6e-4, its limit cycle 2.5e-3 and more.
 _GAP_TOL = 1e-3
+# The residual penalty over beta_t. No tunable: ratios from 1 to 25 leave the
+# frozen-alpha duality gap within about 10%, and 5 and 25 read the same ISNR.
+_BETA_RATIO = 5.0
 
 
 class DivergenceError(RuntimeError):
@@ -49,8 +52,8 @@ class SolverConfig:
     :func:`prox_t`), or isotropic (2) TV; ``tau`` sets the ball radius
     delta and ``r`` the weights' window; ``mode`` chooses adaptive weights
     ("hwtv") or the scalar baseline ("tv_scalar"). ``beta_t`` sets the t
-    step's threshold alpha / beta_t; ``beta_w`` enters only the u step, as
-    beta_w / beta_t, and scales the recorded multiplier mu.
+    step's threshold alpha / beta_t, and ``_BETA_RATIO`` beta_t = 5 beta_t
+    is the residual penalty: the u step's ratio and the scale of mu.
     """
 
     p: int
@@ -58,18 +61,16 @@ class SolverConfig:
     r: int
     mode: str = "hwtv"
     beta_t: float = 20.0
-    beta_w: float = 100.0
     max_iter: int = 500
     tol: float = 1e-5
 
     def __post_init__(self):
         if not _is_integer(self.p) or self.p not in (1, 2):
             raise ValueError(f"p must be the integer 1 or 2, got {self.p!r}")
-        for name in ("tau", "beta_t", "beta_w", "tol"):
+        for name in ("tau", "beta_t", "tol"):
             _require_finite_positive(name, getattr(self, name))
-        # Each penalty can be finite and positive while the ratio the u step
-        # takes overflows or underflows.
-        _require_finite_positive("beta_w / beta_t", self.beta_w / self.beta_t)
+        # beta_t can be finite while the residual penalty overflows.
+        _require_finite_positive(f"{_BETA_RATIO:g} * beta_t", _BETA_RATIO * self.beta_t)
         _require_count("r", self.r, 1)
         _require_choice("mode", self.mode, MODES)
         _require_count("max_iter", self.max_iter, 1)
@@ -151,9 +152,9 @@ class _Iterate(NamedTuple):
     ``u``, ``grad`` (Du) and the scaled gradient dual ``y_t`` = rho_t /
     beta_t are real; the fields ``grad`` and ``y_t`` are each one (2, h, w)
     array. The linear chain is kept on the ``rfft2`` half spectrum: ``y_w``
-    is the scaled residual dual rho_w / beta_w, and ``z`` is the spectrum of
-    (Ku - g) + y_w, the point the next w step projects. No primal t
-    or w is kept: the next sweep reads neither. The next sweep writes u
+    is the scaled residual dual rho_w / (5 beta_t), and ``z`` is the
+    spectrum of (Ku - g) + y_w, the point the next w step projects. No
+    primal t or w is kept: the next sweep reads neither. The next sweep writes u
     into ``u_next`` and U = rfft2(u) into ``spectrum``, and overwrites
     ``grad``, ``y_w``, ``y_t`` and ``z``. Until then ``u_next`` holds an
     old u, so it is the one scratch image, of the p = 1 norms and the
@@ -177,7 +178,7 @@ class _Fixed(NamedTuple):
 
     ``eigen_K`` is the blur's symbol from ``build_plan``, ``g_spectrum`` is
     G = rfft2(g) and ``factors`` is ``_step_factors(eigen_K, width,
-    beta_w / beta_t)``, the only place a sweep reads beta_w.
+    _BETA_RATIO)``, the only place a sweep reads the residual penalty.
     """
 
     eigen_K: np.ndarray
@@ -186,9 +187,7 @@ class _Fixed(NamedTuple):
     beta_t: float
 
 
-def _start(
-    g: np.ndarray, eigen_K: np.ndarray, beta_t: float, beta_w: float
-) -> tuple[_Iterate, _Fixed]:
+def _start(g: np.ndarray, eigen_K: np.ndarray, beta_t: float) -> tuple[_Iterate, _Fixed]:
     """State at u = g (a copy) with zero duals, and the constants."""
     g_spectrum = np.fft.rfft2(g)
     state = _Iterate(
@@ -200,7 +199,7 @@ def _start(
         u_next=np.empty_like(g),
         spectrum=np.empty_like(g_spectrum),
     )
-    factors = _step_factors(eigen_K, g.shape[1], beta_w / beta_t)
+    factors = _step_factors(eigen_K, g.shape[1], _BETA_RATIO)
     fixed = _Fixed(eigen_K, g_spectrum, factors, beta_t)
     return state, fixed
 
@@ -211,8 +210,8 @@ def _sweep(
     """One pass of the splitting at fixed alpha: t, w, u, then dual ascent.
 
     The w step is w = ``scale`` z: ``restore`` passes min(1, delta / ||z||),
-    the projection of z onto the ball ||w|| <= delta, and beta_w / (mu +
-    beta_w) gives the penalty (mu/2) ||Ku - g||^2 at a fixed mu instead.
+    the projection of z onto the ball ||w|| <= delta, and 5 beta_t / (mu +
+    5 beta_t) gives the penalty (mu/2) ||Ku - g||^2 at a fixed mu instead.
     Returns the new state and the discrepancy ||Ku - g|| of the new u. Works
     in place, with no image-sized array of its own, in two rotating fields:
     q = Du + y_t, then t, then t - y_t are written over Du in ``grad``'s
@@ -307,8 +306,8 @@ def restore(
     primal updates t, w, u; dual ascent on the scaled duals y_w and y_t.
     The fit is the constraint ||Ku - g|| <= delta: w = min(1, delta /
     ||z||) z projects z onto that ball, and the trace's mu, from
-    ``update_mu``, is its multiplier, as beta_w / (mu + beta_w) is that
-    scale. The linear terms w, y_w, Ku - g and z stay on the real-FFT half
+    ``update_mu``, is its multiplier, as 5 beta_t / (mu + 5 beta_t) is
+    that scale. The linear terms w, y_w, Ku - g and z stay on the real-FFT half
     spectrum, and their norms come from Parseval, so a sweep runs two real
     transforms. The state is updated in place, in buffers allocated once
     per call before the first sweep: two images u and u_next, two gradient
@@ -331,7 +330,7 @@ def restore(
     g_arr = g.data
     # 1.0 / x has the bits of ones / x, so the scalar weights need no image.
     alpha = np.empty_like(g_arr) if cfg.mode == "hwtv" else 1.0
-    x, fixed = _start(g_arr, build_plan(g.width, g.height, blur), cfg.beta_t, cfg.beta_w)
+    x, fixed = _start(g_arr, build_plan(g.width, g.height, blur), cfg.beta_t)
     trace: list[TraceRow] = []
 
     for k in range(cfg.max_iter):
@@ -346,7 +345,7 @@ def restore(
             # residual's spectrum are free.
             pointwise_norm(x.grad, cfg.p, out=alpha, scratch=x.u_next)
             _alpha_from_norms(alpha, cfg.r, out=alpha, scratch=x.spectrum)
-        mu = update_mu(z_norm, delta, cfg.beta_w)
+        mu = update_mu(z_norm, delta, _BETA_RATIO * cfg.beta_t)
         scale = delta / max(z_norm, delta)
         x, discrepancy = _sweep(x, fixed, alpha, scale, cfg.p)
         # The old u is in u_next; its norm first, then the step over it.

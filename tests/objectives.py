@@ -110,8 +110,8 @@ def frozen_nonincrease_share(trials: int, n: int, sweeps: int) -> float:
 
     Each trial draws, from one Philox(99) stream, an n x n image g and
     weights in [0.5, 2], alternating the band-3 blur and the identity, and
-    runs ``sweeps`` shipped sweeps with mu 30, beta_t 20, beta_w 100 and
-    p = 2. A step counts when the augmented Lagrangian rises by at most
+    runs ``sweeps`` shipped sweeps with mu 30, beta_t 20 (so the residual
+    penalty is 100) and p = 2. A step counts when the augmented Lagrangian rises by at most
     1e-10 (1 + |value|).
     """
     rng = np.random.Generator(np.random.Philox(99))
@@ -120,9 +120,10 @@ def frozen_nonincrease_share(trials: int, n: int, sweeps: int) -> float:
         g = rng.random((n, n))
         blur = BlurSpec(band=3, sigma=1.0) if trial % 2 == 0 else BlurSpec(band=1)
         weights = rng.uniform(0.5, 2.0, (n, n))
-        mu, bt, bw, p = 30.0, 20.0, 100.0, 2
+        mu, bt, p = 30.0, 20.0, 2
+        bw = solver._BETA_RATIO * bt
         eigen_k = build_plan(n, n, blur)
-        x, fixed = solver._start(g, eigen_k, bt, bw)
+        x, fixed = solver._start(g, eigen_k, bt)
         values = []
         for _ in range(sweeps):
             # The Lagrangian takes the new primals and the old duals, as the

@@ -32,10 +32,10 @@ FLAGS = {
     "degrade": ["--blur-band", "--blur-sigma", "--format", "--in", "--noise-sigma", "--out",
                 "--seed"],
     "metrics": ["--deg", "--rec", "--ref"],
-    "restore": ["--alpha-out", "--beta-t", "--beta-w", "--blur-band", "--blur-sigma", "--format",
+    "restore": ["--alpha-out", "--beta-t", "--blur-band", "--blur-sigma", "--format",
                 "--in", "--max-iter", "--mode", "--noise-sigma", "--out", "--p", "--radius",
                 "--tau", "--tol", "--trace"],
-    "sweep": ["--beta-t", "--beta-w", "--blur-band", "--blur-sigma", "--in", "--jobs",
+    "sweep": ["--beta-t", "--blur-band", "--blur-sigma", "--in", "--jobs",
               "--max-iter", "--mode", "--noise-sigma", "--out", "--p", "--radius-grid",
               "--tau-grid", "--tol", "--true"],
 }
@@ -118,6 +118,8 @@ USAGE_ERRORS = {
     "restore-noise-sigma-nan":
         "restore --in in/g.pgm --out rec.pgm --noise-sigma nan --tau 1.0 --radius 4 --max-iter 3",
     "restore-tol-nan": f"{RESTORE} --tol nan",
+    # beta_t is finite, but the residual penalty 5 beta_t overflows
+    "restore-beta-t-penalty-overflow": f"{RESTORE} --beta-t 1e308",
     # an output whose folder does not exist is refused before any work is done
     "restore-out-dir-missing": RESTORE.replace("--out rec.pgm", "--out nodir/rec.pgm"),
     "degrade-out-dir-missing": "degrade --in in/truth.raw --out nodir/g.pgm --noise-sigma 0.1",
@@ -262,7 +264,7 @@ class TestRestoreCommand:
         code, out = _run(
             ["restore", "--in", str(g_path), "--out", str(out_path),
              "--noise-sigma", "0.1", "--mode", "hwtv", "--p", "2",
-             "--tau", "1.0", "--radius", "4", "--beta-t", "20", "--beta-w", "100",
+             "--tau", "1.0", "--radius", "4", "--beta-t", "20",
              "--max-iter", "60", "--alpha-out", str(alpha_path),
              "--trace", str(trace_path), "--format", RAW_F32],
             capsys,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwtv import linops
 from hwtv.linops import (
     BlurSpec,
     _axis_symbol,
@@ -401,7 +402,7 @@ class TestSpectralPlan:
         assert np.all(np.isfinite(inv_denom)) and inv_denom.min() > 0.0
 
 
-def _box_factor(length, r):
+def _reference_box_factor(length, r):
     # The reference box factor, from the window's weights alone: the DFT of
     # the periodic (2r+1)-wide window of weights 1 / (2r+1), centered at
     # entry 0 along an axis of ``length``.
@@ -411,11 +412,11 @@ def _box_factor(length, r):
 
 
 def _box_mean_of_box_factors(x, r):
-    # box_mean's product on the half spectrum, with _box_factor's factors.
+    # box_mean's product on the half spectrum, with the reference factors.
     height, width = x.shape
     spectrum = np.fft.rfft2(x)
-    spectrum *= _box_factor(width, r)[: width // 2 + 1]
-    spectrum *= _box_factor(height, r)[:, None]
+    spectrum *= _reference_box_factor(width, r)[: width // 2 + 1]
+    spectrum *= _reference_box_factor(height, r)[:, None]
     mean = np.fft.irfft(np.fft.ifft(spectrum, axis=0), n=width, axis=1)
     return np.clip(mean, x.min(), x.max())
 
@@ -426,7 +427,7 @@ def test_box_factors_keep_their_bits(length):
     x = np.random.default_rng(length).random((length, length + 1))
     for r in range(1, (length - 1) // 2 + 1):
         taps = np.full(2 * r + 1, 1.0 / (2 * r + 1))
-        assert _axis_symbol(taps, length).tobytes() == _box_factor(length, r).tobytes()
+        assert _axis_symbol(taps, length).tobytes() == _reference_box_factor(length, r).tobytes()
         assert box_mean(x, r).tobytes() == _box_mean_of_box_factors(x, r).tobytes()
 
 
@@ -609,6 +610,22 @@ class TestBoxMean:
         for r in {*range(1, largest + 1, 3), largest}:
             diff = np.abs(box_mean(img, r) - _box_mean_reference(img, r)).max()
             assert diff <= 1e-13 * np.abs(img).max()
+
+    def test_same_bytes_on_cold_and_warm_cache(self):
+        # The first call builds both axes' factors, the second reads them back.
+        img = np.abs(_rand_img(np.random.default_rng(39), 37, 45))
+        linops._box_factor.cache_clear()
+        cold = box_mean(img, 4)
+        assert linops._box_factor.cache_info()[:2] == (0, 2)  # (hits, misses)
+        warm = box_mean(img, 4)
+        assert linops._box_factor.cache_info()[:2] == (2, 2)
+        assert cold.tobytes() == warm.tobytes()
+
+    def test_cached_factor_refuses_writes(self):
+        # Every refresh at one size shares the factor, so no caller may change it.
+        factor = linops._box_factor(2, 9)
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0] = 0.0
 
 
 class TestPointwiseNorm:

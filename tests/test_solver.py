@@ -257,7 +257,7 @@ class TestRestore:
          SolverConfig(p=2, tau=1.0, r=3, mode="hwtv"), "converged"),
         (_denoising_problem, SolverConfig(p=2, tau=1.0, r=4, mode="tv_scalar"), "converged"),
         (_false_stop_problem, SolverConfig(
-            p=2, tau=0.94, r=14, mode="hwtv", beta_t=4.0, beta_w=20.0, max_iter=1200, tol=1e-6,
+            p=2, tau=0.94, r=14, mode="hwtv", beta_t=4.0, max_iter=1200, tol=1e-6,
         ), "stalled"),
         (_denoising_problem, SolverConfig(p=2, tau=1.0, r=4, mode="tv_scalar", max_iter=5),
          "max_iter"),
@@ -309,8 +309,8 @@ class TestRestore:
         # drive the primitives by hand and compare iterates bit-for-bit; this is
         # the one written-out copy of the splitting outside solver.py. Like the
         # solver, it carries the scaled duals y_t = rho_t / beta_t and
-        # y_w = rho_w / beta_w, and keeps w, y_w, Ku - g and z on the rfft2
-        # half spectrum.
+        # y_w = rho_w / bw, bw the residual penalty 5 beta_t, and keeps w,
+        # y_w, Ku - g and z on the rfft2 half spectrum.
         u_true = make_phantom(PhantomSpec(width=32, height=32, kind="mixed"))
         sigma = 0.08
         blur = BlurSpec(band=3, sigma=1.0)
@@ -319,7 +319,8 @@ class TestRestore:
         cfg = SolverConfig(p=p, tau=1.0, r=2, mode=mode, max_iter=steps, tol=1e-300)
         result = restore(g, blur, sigma, cfg)
 
-        bt, bw = cfg.beta_t, cfg.beta_w
+        bt = cfg.beta_t
+        bw = solver._BETA_RATIO * bt
         eigen_k = linops.build_plan(32, 32, blur)
         factors = linops._step_factors(eigen_k, 32, bw / bt)
         delta = cfg.tau * sigma * math.sqrt(g.pixel_count)
@@ -441,9 +442,10 @@ def test_spectral_state_matches_real_space(spec):
     height, width = 37, 45
     g = rng.random((height, width))
     weights = rng.uniform(0.5, 2.0, (height, width))
-    mu, bt, bw = 30.0, 20.0, 100.0
+    mu, bt = 30.0, 20.0
+    bw = solver._BETA_RATIO * bt
     eigen_k = linops.build_plan(width, height, spec)
-    x, fixed = solver._start(g, eigen_k, bt, bw)
+    x, fixed = solver._start(g, eigen_k, bt)
     for _ in range(3):
         x, discrepancy = solver._sweep(x, fixed, weights, bw / (mu + bw), 2)
         residual = linops.blur_via_plan(eigen_k, x.u) - g
@@ -557,11 +559,12 @@ class TestFrozenProblemAgainstGenericMinimizer:
         g = rng.random((n, n))
         blur = BlurSpec(band=3, sigma=1.0)
         weights = rng.uniform(0.5, 2.0, (n, n))
-        mu, bt, bw, p = 40.0, 20.0, 100.0, 2
+        mu, bt, p = 40.0, 20.0, 2
+        bw = solver._BETA_RATIO * bt
         eigen_k = linops.build_plan(n, n, blur)
         kernel = gaussian_window(blur.band, blur.sigma)
 
-        x, fixed = solver._start(g, eigen_k, bt, bw)
+        x, fixed = solver._start(g, eigen_k, bt)
         for _ in range(4000):
             x, _ = solver._sweep(x, fixed, weights, bw / (mu + bw), p)
         admm_value = objective(x.u, g, eigen_k, weights, mu, p)

@@ -68,7 +68,7 @@ FIELDS = {
     "PhantomSpec": {"width": REQUIRED, "height": REQUIRED, "kind": REQUIRED, "texture_freq": 8.0},
     "SolverConfig": {
         "p": REQUIRED, "tau": REQUIRED, "r": REQUIRED, "mode": "hwtv",
-        "beta_t": 20.0, "beta_w": 100.0, "max_iter": 500, "tol": 1e-5,
+        "beta_t": 20.0, "max_iter": 500, "tol": 1e-5,
     },
     "RestoreResult": {
         "u_star": REQUIRED, "alpha_final": REQUIRED, "trace": REQUIRED, "stop_reason": REQUIRED,
@@ -120,17 +120,9 @@ REJECTED = {
     "SolverConfig-beta_t-inf": (SolverConfig, {"beta_t": INF}, ValueError, "beta_t"),
     "SolverConfig-beta_t-bool": (SolverConfig, {"beta_t": True}, ValueError, "beta_t"),
     "SolverConfig-beta_t-str": (SolverConfig, {"beta_t": "1"}, ValueError, "beta_t .* got '1'"),
-    "SolverConfig-beta_w-zero": (SolverConfig, {"beta_w": 0.0}, ValueError, "beta_w"),
-    "SolverConfig-beta_w-negative": (SolverConfig, {"beta_w": -1.0}, ValueError, "beta_w"),
-    "SolverConfig-beta_w-nan": (SolverConfig, {"beta_w": NAN}, ValueError, "beta_w"),
-    "SolverConfig-beta_w-inf": (SolverConfig, {"beta_w": INF}, ValueError, "beta_w"),
-    "SolverConfig-beta_w-bool": (SolverConfig, {"beta_w": True}, ValueError, "beta_w"),
-    "SolverConfig-beta_w-str": (SolverConfig, {"beta_w": "1"}, ValueError, "beta_w .* got '1'"),
-    # each penalty is finite and positive, but the u step's ratio is not
-    "SolverConfig-beta-ratio-overflow":
-        (SolverConfig, {"beta_t": 1e-300, "beta_w": 1e300}, ValueError, "beta_w / beta_t"),
-    "SolverConfig-beta-ratio-underflow":
-        (SolverConfig, {"beta_t": 1e300, "beta_w": 1e-300}, ValueError, "beta_w / beta_t"),
+    # beta_t is finite, but the residual penalty 5 beta_t is not
+    "SolverConfig-beta_t-penalty-overflow":
+        (SolverConfig, {"beta_t": 1e308}, ValueError, r"5 \* beta_t must be finite"),
     "SolverConfig-max_iter-fractional": (SolverConfig, {"max_iter": 2.5}, ValueError, "integer"),
     "SolverConfig-max_iter-bool": (SolverConfig, {"max_iter": True}, ValueError, "integer"),
     "SolverConfig-max_iter-zero":
